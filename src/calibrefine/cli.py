@@ -70,6 +70,10 @@ def _section(data: dict, name: str) -> dict:
 
 def _build(cls, raw: dict, section: str, **extra):
     _check_keys(raw, {f.name for f in fields(cls)} | set(extra), section)
+    for f in fields(cls):
+        # JSON booleans load as bool, a subclass of int, so test the exact type
+        if f.type in (int, "int") and f.name in raw and type(raw[f.name]) is not int:
+            raise ConfigError(f"{section}.{f.name} must be an integer, got {json.dumps(raw[f.name])}")
     merged = {**extra, **raw}
     try:
         return cls(**merged)
@@ -78,7 +82,8 @@ def _build(cls, raw: dict, section: str, **extra):
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse and validate the JSON config; unknown keys are rejected."""
+    """Parse and validate the JSON config; unknown keys are rejected, and
+    integer fields must hold JSON integers (not floats or booleans)."""
     data = {}
     if path is not None:
         try:
@@ -135,7 +140,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     seeds = data.get("seeds")
     if seeds is not None:
         if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and s >= 0 for s in seeds
+            type(s) is int and s >= 0 for s in seeds
         ):
             raise ConfigError("seeds must be a non-empty list of non-negative integers")
         seeds = tuple(seeds)
@@ -308,6 +313,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # -- entry point --------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calibrefine",
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override scene and RANSAC seeds")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for seed sweeps")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for seed sweeps")
     parser.add_argument("--gate", type=float, default=None, help="matching gate in pixels")
     parser.add_argument("--interval", type=int, default=None, help="frames between recalibrations")
     parser.add_argument("--blocks", type=int, default=None, help="blocks per image side")

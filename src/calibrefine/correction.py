@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import InsufficientPairs
 from .geometry import (
-    Correspondence,
     Homography,
     PixelPoint,
     PlanePoint,
-    Source,
-    W_EPSILON,
     compose,
-    correspondence_arrays,
+    pixel_array,
+    plane_array,
+    projectable,
     transform_points,
 )
 from .lsq import damped_least_squares
@@ -30,6 +29,9 @@ from .matching import MatchGate, greedy_match
 # well away from d11 = 0), leaving 8 free parameters.
 _GAUGE = 0
 _FREE = [i for i in range(9) if i != _GAUGE]
+
+#: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
+Pairs = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -56,31 +58,18 @@ class CorrectionResult:
 
 
 def implicit_pairs(
-    h: Homography,
-    lidar: Sequence[PlanePoint],
-    camera: Sequence[PixelPoint],
-    gate: MatchGate,
-    frame_id: int = 0,
-) -> list[Correspondence]:
+    h: Homography, lidar_xy: np.ndarray, camera_uv: np.ndarray, gate: MatchGate
+) -> Pairs:
     """Pair each projected LiDAR point with its nearest camera detection
-    inside the gate (greedy, one-to-one); degenerate projections are skipped."""
-    projected: list[PixelPoint] = []
-    kept: list[PlanePoint] = []
-    if lidar:
-        xy = np.array([[p.x, p.y] for p in lidar])
-        uv, w = transform_points(h.m, xy)
-        for i, p in enumerate(lidar):
-            if abs(w[i]) <= W_EPSILON or not np.all(np.isfinite(uv[i])):
-                continue
-            projected.append(PixelPoint(float(uv[i, 0]), float(uv[i, 1])))
-            kept.append(p)
-    matches = greedy_match(projected, camera, gate)
-    return [
-        Correspondence(
-            lidar=kept[i], pixel=camera[j], frame_id=frame_id, source=Source.GREEDY_MATCHED
-        )
-        for i, j, _ in matches.matches
-    ]
+    inside the gate (greedy, one-to-one); degenerate projections are skipped.
+
+    Takes ``(N, 2)`` ground and ``(M, 2)`` pixel arrays and returns the
+    paired ``(K, 2)`` ground and pixel arrays in greedy order.
+    """
+    uv, kept = projectable(h.m, lidar_xy)
+    matches = greedy_match(uv, camera_uv, gate)
+    idx = np.array([m[:2] for m in matches.matches], dtype=np.intp).reshape(-1, 2)
+    return lidar_xy[kept[idx[:, 0]]], camera_uv[idx[:, 1]]
 
 
 def _residuals_and_jacobian(
@@ -109,35 +98,31 @@ def _residuals_and_jacobian(
 
 
 def reprojection_loss(
-    h: Homography, h_delta: np.ndarray, pairs: Sequence[Correspondence]
+    h: Homography, h_delta: np.ndarray, xy: np.ndarray, uv: np.ndarray
 ) -> float:
-    """Mean squared pixel discrepancy of the paired points under H @ D."""
-    xy, uv = correspondence_arrays(pairs)
+    """Mean squared pixel discrepancy of paired ``(N, 2)`` ground and pixel
+    points under H @ D."""
     r, _ = _residuals_and_jacobian(h.m, np.asarray(h_delta, float).ravel(), xy, uv)
-    return float(r @ r) / len(pairs)
+    return float(r @ r) / len(xy)
 
 
 def reprojection_loss_gradient(
-    h: Homography, h_delta: np.ndarray, pairs: Sequence[Correspondence]
+    h: Homography, h_delta: np.ndarray, xy: np.ndarray, uv: np.ndarray
 ) -> np.ndarray:
     """Analytic gradient of the loss wrt the 9 raw entries of the correction."""
-    xy, uv = correspondence_arrays(pairs)
     r, jac = _residuals_and_jacobian(h.m, np.asarray(h_delta, float).ravel(), xy, uv)
-    return (2.0 / len(pairs)) * (jac.T @ r)
+    return (2.0 / len(xy)) * (jac.T @ r)
 
 
 def _alternate(
-    h: Homography,
-    pair_fn,
-    cfg: CorrectionConfig,
-    pairs: list[Correspondence],
-) -> tuple[np.ndarray, list[float], list[Correspondence]]:
+    h: Homography, pair_fn, cfg: CorrectionConfig, pairs: Pairs
+) -> tuple[np.ndarray, list[float], Pairs]:
     """Alternate solving for the correction and rebuilding the pairings."""
     d = np.eye(3).ravel()
-    loss = reprojection_loss(h, d, pairs)
+    loss = reprojection_loss(h, d, *pairs)
     trace = [loss]
     for _ in range(cfg.max_outer_rounds):
-        xy, uv = correspondence_arrays(pairs)
+        xy, uv = pairs
         full = d.copy()
 
         def fun(free_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +142,9 @@ def _alternate(
         candidate[_FREE] = solved.params
 
         new_pairs = pair_fn(candidate.reshape(3, 3))
-        if len(new_pairs) < cfg.min_pairs:
+        if len(new_pairs[0]) < cfg.min_pairs:
             break
-        new_loss = reprojection_loss(h, candidate, new_pairs)
+        new_loss = reprojection_loss(h, candidate, *new_pairs)
         if new_loss > loss:
             break  # re-pairing made things worse; keep the previous round
         d, pairs = candidate, new_pairs
@@ -171,20 +156,32 @@ def _alternate(
     return d, trace, pairs
 
 
-def _finish(
-    h: Homography, pairs: list[Correspondence], pair_fn, cfg: CorrectionConfig, lenient: bool
+def _fit_pools(
+    h: Homography, pools: list[Pairs], cfg: CorrectionConfig, lenient: bool
 ) -> CorrectionResult:
-    if len(pairs) < cfg.min_pairs:
+    """Fit the correction with pairings rebuilt inside each ``(xy, uv)``
+    pool and concatenated in pool order; no pair crosses a pool."""
+
+    def pair_fn(d: np.ndarray) -> Pairs:
+        h_star = Homography(h.m @ d)
+        found = [implicit_pairs(h_star, xy, uv, cfg.gate) for xy, uv in pools]
+        if not found:
+            return np.empty((0, 2)), np.empty((0, 2))
+        return np.concatenate([f[0] for f in found]), np.concatenate([f[1] for f in found])
+
+    pairs = pair_fn(np.eye(3))
+    n_pairs = len(pairs[0])
+    if n_pairs < cfg.min_pairs:
         if lenient:
             # refinement not applicable: identity correction, input unchanged
             return CorrectionResult(
                 h_delta=Homography.identity(),
                 h_star=h,
                 loss_trace=(),
-                pairs_used=len(pairs),
+                pairs_used=n_pairs,
             )
         raise InsufficientPairs(
-            f"only {len(pairs)} implicit pairs; need >= {cfg.min_pairs}"
+            f"only {n_pairs} implicit pairs; need >= {cfg.min_pairs}"
         )
     d, trace, final_pairs = _alternate(h, pair_fn, cfg, pairs)
     h_delta = Homography(d.reshape(3, 3))
@@ -192,7 +189,7 @@ def _finish(
         h_delta=h_delta,
         h_star=compose(h, h_delta),
         loss_trace=tuple(trace),
-        pairs_used=len(final_pairs),
+        pairs_used=len(final_pairs[0]),
     )
 
 
@@ -211,11 +208,7 @@ def fit_correction(
     refinement is not applicable: raises ``InsufficientPairs``, or returns an
     identity correction when ``lenient`` is set.
     """
-
-    def pair_fn(d: np.ndarray) -> list[Correspondence]:
-        return implicit_pairs(Homography(h.m @ d), lidar, camera, cfg.gate)
-
-    return _finish(h, pair_fn(np.eye(3)), pair_fn, cfg, lenient)
+    return _fit_pools(h, [(plane_array(lidar), pixel_array(camera))], cfg, lenient)
 
 
 def fit_correction_stream(
@@ -231,20 +224,5 @@ def fit_correction_stream(
     meaningful when detections from many timestamps would otherwise crowd
     the image plane.
     """
-
-    def pair_fn(d: np.ndarray) -> list[Correspondence]:
-        h_star = Homography(h.m @ d)
-        pairs: list[Correspondence] = []
-        for frame in frames:
-            pairs.extend(
-                implicit_pairs(
-                    h_star,
-                    frame.lidar_centers,
-                    frame.camera_centers,
-                    cfg.gate,
-                    frame_id=frame.frame_id,
-                )
-            )
-        return pairs
-
-    return _finish(h, pair_fn(np.eye(3)), pair_fn, cfg, lenient)
+    pools = [(plane_array(f.lidar_centers), pixel_array(f.camera_centers)) for f in frames]
+    return _fit_pools(h, pools, cfg, lenient)

@@ -188,6 +188,27 @@ def compose(outer: Homography, inner: Homography) -> Homography:
         raise SingularResult("composition produced a singular matrix") from exc
 
 
+def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project (N, 2) ground points through a raw 3x3 matrix and drop the
+    rows that map to infinity or to a non-finite pixel.
+
+    Returns the (K, 2) pixels of the kept rows and their (K,) row indices.
+    """
+    uv, w = transform_points(matrix, xy)
+    kept = np.flatnonzero((np.abs(w) > W_EPSILON) & np.isfinite(uv).all(axis=1))
+    return uv[kept], kept
+
+
+def plane_array(points: Sequence[PlanePoint]) -> np.ndarray:
+    """Ground-plane points as an (N, 2) array of (x, y)."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+
+
+def pixel_array(points: Sequence[PixelPoint]) -> np.ndarray:
+    """Pixel points as an (N, 2) array of (u, v)."""
+    return np.array([(p.u, p.v) for p in points], dtype=float).reshape(-1, 2)
+
+
 def correspondence_arrays(pairs: Sequence[Correspondence]) -> tuple[np.ndarray, np.ndarray]:
     """Split correspondences into (N, 2) ground and (N, 2) pixel arrays."""
     xy = np.array([[c.lidar.x, c.lidar.y] for c in pairs], dtype=float).reshape(-1, 2)

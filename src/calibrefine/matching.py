@@ -5,11 +5,13 @@ distance gate, leaving the rest unmatched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import PixelPoint
+# Relative slack of the squared-distance prefilter. It only has to cover the
+# few ulps by which ``du*du + dv*dv`` can round above ``hypot(du, dv)**2``;
+# the gate itself is always decided on ``hypot``.
+_PREFILTER_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,32 +34,34 @@ class MatchSet:
     unmatched_camera: tuple[int, ...]
 
 
-def greedy_match(
-    projected: Sequence[PixelPoint],
-    detections: Sequence[PixelPoint],
-    gate: MatchGate,
-) -> MatchSet:
+def greedy_match(projected, detections, gate: MatchGate) -> MatchSet:
     """Match projected points to detections, cheapest admissible pair first.
 
-    Ties break on (cost, lidar index, camera index). Each index is used at
-    most once; anything without an admissible partner stays unmatched.
+    ``projected`` and ``detections`` are ``(N, 2)`` and ``(M, 2)`` pixel
+    arrays; the cost of a pair is ``hypot(du, dv)`` and a pair is admissible
+    when that cost is at most ``gate.max_distance``. Ties break on
+    (cost, lidar index, camera index). Each index is used at most once;
+    anything without an admissible partner stays unmatched.
     """
-    n_l, n_c = len(projected), len(detections)
+    proj = np.asarray(projected, dtype=float).reshape(-1, 2)
+    dets = np.asarray(detections, dtype=float).reshape(-1, 2)
+    n_l, n_c = len(proj), len(dets)
     if n_l == 0 or n_c == 0:
         return MatchSet((), tuple(range(n_l)), tuple(range(n_c)))
 
-    proj = np.array([[p.u, p.v] for p in projected], dtype=float)
-    dets = np.array([[p.u, p.v] for p in detections], dtype=float)
-    diff = proj[:, None, :] - dets[None, :, :]
-    cost = np.hypot(diff[..., 0], diff[..., 1])
-
-    li, ci = np.nonzero(cost <= gate.max_distance)
-    order = sorted(zip(cost[li, ci].tolist(), li.tolist(), ci.tolist()))
+    du = proj[:, 0, None] - dets[None, :, 0]
+    dv = proj[:, 1, None] - dets[None, :, 1]
+    g = gate.max_distance
+    li, ci = np.nonzero(du * du + dv * dv <= g * g * (1.0 + _PREFILTER_SLACK))
+    cost = np.hypot(du[li, ci], dv[li, ci])
+    admitted = cost <= g
+    li, ci, cost = li[admitted], ci[admitted], cost[admitted]
+    order = np.lexsort((ci, li, cost))
 
     lidar_used = [False] * n_l
     camera_used = [False] * n_c
     matches: list[tuple[int, int, float]] = []
-    for c, i, j in order:
+    for c, i, j in zip(cost[order].tolist(), li[order].tolist(), ci[order].tolist()):
         if lidar_used[i] or camera_used[j]:
             continue
         lidar_used[i] = True

@@ -10,8 +10,6 @@ from enum import Enum
 from math import hypot, nan
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .blocks import BlockGrid, block_of, block_sample, half_block_diagonal
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame
 from .geometry import (
@@ -20,9 +18,10 @@ from .geometry import (
     PixelPoint,
     PlanePoint,
     Source,
-    W_EPSILON,
+    pixel_array,
+    plane_array,
+    projectable,
     reprojection_metrics,
-    transform_points,
 )
 from .matching import MatchGate, greedy_match
 from .ransac import RansacConfig, ransac_homography
@@ -124,24 +123,15 @@ def ingest_frame(state: CalibrationState, frame: Frame, cfg: RefineConfig) -> Ca
             f"frame {frame.frame_id} after frame {state.last_frame_id}"
         )
 
-    degenerate = 0
-    projected: list[PixelPoint] = []
-    kept_lidar: list[PlanePoint] = []
-    if frame.lidar_centers:
-        xy = np.array([[p.x, p.y] for p in frame.lidar_centers])
-        uv, w = transform_points(state.h_best.m, xy)
-        for i, p in enumerate(frame.lidar_centers):
-            if abs(w[i]) <= W_EPSILON or not np.all(np.isfinite(uv[i])):
-                degenerate += 1
-                continue
-            projected.append(PixelPoint(float(uv[i, 0]), float(uv[i, 1])))
-            kept_lidar.append(p)
-
-    matches = greedy_match(projected, frame.camera_centers, cfg.gate)
+    lidar = frame.lidar_centers
+    camera = frame.camera_centers
+    uv, kept = projectable(state.h_best.m, plane_array(lidar))
+    matches = greedy_match(uv, pixel_array(camera), cfg.gate)
+    lidar_ids = kept.tolist()
     matched_pairs = [
         Correspondence(
-            lidar=kept_lidar[i],
-            pixel=frame.camera_centers[j],
+            lidar=lidar[lidar_ids[i]],
+            pixel=camera[j],
             frame_id=frame.frame_id,
             source=Source.GREEDY_MATCHED,
         )
@@ -159,7 +149,7 @@ def ingest_frame(state: CalibrationState, frame: Frame, cfg: RefineConfig) -> Ca
         accumulated=tuple(accumulated),
         frames_seen=state.frames_seen + 1,
         last_frame_id=frame.frame_id,
-        degenerate_skipped=state.degenerate_skipped + degenerate,
+        degenerate_skipped=state.degenerate_skipped + len(lidar) - len(kept),
     )
 
 

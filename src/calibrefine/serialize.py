@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .correction import CorrectionResult
+from .errors import SingularMatrixError
 from .geometry import (
     Correspondence,
     Homography,
@@ -48,7 +49,11 @@ def save_homography(path: str | Path, h: Homography) -> None:
 
 
 def load_homography(path: str | Path) -> Homography:
-    return homography_from_dict(_load_json(path))
+    """Read a matrix file; a singular matrix is invalid input (``ValueError``)."""
+    try:
+        return homography_from_dict(_load_json(path))
+    except SingularMatrixError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- frame streams -------------------------------------------------------------
@@ -70,16 +75,23 @@ def write_frames_jsonl(path: str | Path, frames: Sequence[Frame]) -> None:
 
 
 def read_frames_jsonl(path: str | Path) -> list[Frame]:
+    """Read a frame stream; frame ids must strictly increase (``ValueError``)."""
     frames = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             d = json.loads(line)
+            frame_id = int(d["frame_id"])
+            if frames and frame_id <= frames[-1].frame_id:
+                raise ValueError(
+                    f"{path}:{n}: frame_id {frame_id} after frame_id {frames[-1].frame_id}; "
+                    "ids must strictly increase"
+                )
             frames.append(
                 Frame(
-                    frame_id=int(d["frame_id"]),
+                    frame_id=frame_id,
                     lidar_centers=tuple(PlanePoint(float(x), float(y)) for x, y in d["lidar"]),
                     camera_centers=tuple(PixelPoint(float(u), float(v)) for u, v in d["camera"]),
                 )

@@ -2,6 +2,7 @@
 the property tests check against."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,11 @@ def naive_metrics(h: Homography, pairs) -> tuple[list[float], float, float]:
     aed = sum(residuals) / len(residuals)
     rmse = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     return residuals, aed, rmse
+
+
+def point_array(points) -> np.ndarray:
+    """(N, 2) float array of PlanePoint (x, y) or PixelPoint (u, v) values."""
+    return np.array([dataclasses.astuple(p) for p in points], dtype=float).reshape(-1, 2)
 
 
 def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]:

@@ -12,6 +12,7 @@ from calibrefine.cli import main
 from calibrefine.geometry import (
     Correspondence,
     PixelPoint,
+    correspondence_arrays,
     estimate_homography,
     project,
     reprojection_metrics,
@@ -40,6 +41,7 @@ from conftest import (
     exact_pairs,
     naive_greedy,
     naive_metrics,
+    point_array,
     random_pair_cloud,
     translation_homography,
     well_conditioned_homography,
@@ -165,7 +167,7 @@ def test_c5_greedy_matching_against_oracle():
         proj = [PixelPoint(*map(float, rng.uniform(0, 100, 2))) for _ in range(n_l)]
         dets = [PixelPoint(*map(float, rng.uniform(0, 100, 2))) for _ in range(n_c)]
         gate = MatchGate(float(rng.uniform(5, 90)))
-        out = greedy_match(proj, dets, gate)
+        out = greedy_match(point_array(proj), point_array(dets), gate)
 
         lidar_seen = [i for i, _, _ in out.matches]
         camera_seen = [j for _, j, _ in out.matches]
@@ -265,7 +267,7 @@ def test_c8_correction_gradient_and_recovery():
             for c in pairs
         ]
         d = np.eye(3) + rng.uniform(-0.01, 0.01, (3, 3))
-        grad = reprojection_loss_gradient(h, d, pairs)
+        grad = reprojection_loss_gradient(h, d, *correspondence_arrays(pairs))
         step = 1e-6
         fd = np.zeros(9)
         flat = d.ravel()
@@ -274,8 +276,8 @@ def test_c8_correction_gradient_and_recovery():
             plus[k] += step
             minus[k] -= step
             fd[k] = (
-                reprojection_loss(h, plus.reshape(3, 3), pairs)
-                - reprojection_loss(h, minus.reshape(3, 3), pairs)
+                reprojection_loss(h, plus.reshape(3, 3), *correspondence_arrays(pairs))
+                - reprojection_loss(h, minus.reshape(3, 3), *correspondence_arrays(pairs))
             ) / (2 * step)
         assert np.linalg.norm(grad - fd) <= 1e-4 * max(np.linalg.norm(fd), 1.0)
 

@@ -350,3 +350,61 @@ class TestEvaluate:
         lib_path = tmp_path / "lib_report.json"
         serialize.write_residual_report(lib_path, expected)
         assert lib_path.read_bytes() == report_path.read_bytes()
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("refine", "recalib_interval", 2.5),
+            ("refine", "recalib_interval", True),
+            ("ransac", "max_iterations", 2.5),
+            ("correction", "max_outer_rounds", 2.5),
+        ],
+    )
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", jobs, "simulate", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_out_of_order_frames_file_exits_2(self, tmp_path, sim_dir, capsys):
+        cfg, out = sim_dir
+        frames = serialize.read_frames_jsonl(out / "frames.jsonl")
+        shuffled = tmp_path / "shuffled.jsonl"
+        serialize.write_frames_jsonl(shuffled, [frames[0], frames[4], frames[3]] + frames[5:])
+        matrix = tmp_path / "m.json"
+        serialize.save_homography(matrix, serialize.read_ground_truth(out / "ground_truth.json").h_true)
+        code = main(
+            [
+                "--config", str(cfg),
+                "refine",
+                "--frames", str(shuffled),
+                "--matrix", str(matrix),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert "frame_id 3 after frame_id 4" in capsys.readouterr().err
+
+    def test_singular_matrix_file_exits_2(self, tmp_path, sim_dir, capsys):
+        _, out = sim_dir
+        matrix = tmp_path / "singular.json"
+        matrix.write_text(json.dumps({"h": [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]}))
+        code = main(
+            [
+                "evaluate",
+                "--matrix", str(matrix),
+                "--pairs", str(out / "gt_pairs.jsonl"),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert "singular" in capsys.readouterr().err

@@ -9,18 +9,25 @@ from calibrefine.correction import (
     reprojection_loss,
     reprojection_loss_gradient,
 )
-from calibrefine.errors import InsufficientPairs
+from calibrefine.errors import DegenerateProjection, InsufficientPairs
 from calibrefine.geometry import (
     Homography,
     PixelPoint,
     PlanePoint,
     compose,
+    correspondence_arrays,
     project,
 )
 from calibrefine.matching import MatchGate
 from calibrefine.refine import Frame
 
-from conftest import exact_pairs, translation_homography, well_conditioned_homography
+from conftest import (
+    exact_pairs,
+    naive_greedy,
+    point_array,
+    translation_homography,
+    well_conditioned_homography,
+)
 
 
 def dense_scene(rng, h, n=200):
@@ -40,23 +47,23 @@ class TestImplicitPairs:
         rng = np.random.default_rng(0)
         h = scene_homography()
         lidar, camera = dense_scene(rng, h, 30)
-        pairs = implicit_pairs(h, lidar, camera, MatchGate(40.0))
-        assert len(pairs) == 30
-        assert all(p.source.value == "greedy_matched" for p in pairs)
+        xy, uv = implicit_pairs(h, point_array(lidar), point_array(camera), MatchGate(40.0))
+        assert len(xy) == 30
 
     def test_gate_excludes_all(self):
         h = scene_homography()
         lidar = [PlanePoint(0.0, 0.0)]
         camera = [PixelPoint(project(h, lidar[0]).u + 100.0, project(h, lidar[0]).v)]
-        assert implicit_pairs(h, lidar, camera, MatchGate(40.0)) == []
+        xy, uv = implicit_pairs(h, point_array(lidar), point_array(camera), MatchGate(40.0))
+        assert xy.shape == (0, 2) and uv.shape == (0, 2)
 
     def test_injection_two_projections_one_detection(self):
         h = Homography.identity()
         lidar = [PlanePoint(0.0, 0.0), PlanePoint(1.0, 0.0)]
         camera = [PixelPoint(0.4, 0.0)]
-        pairs = implicit_pairs(h, lidar, camera, MatchGate(40.0))
-        assert len(pairs) == 1
-        assert pairs[0].lidar == lidar[0]  # the nearer projection wins
+        xy, uv = implicit_pairs(h, point_array(lidar), point_array(camera), MatchGate(40.0))
+        assert len(xy) == 1
+        assert tuple(xy[0]) == (lidar[0].x, lidar[0].y)  # the nearer projection wins
 
 
 class TestLossAndGradient:
@@ -70,7 +77,7 @@ class TestLossAndGradient:
             for c in pairs
         ]
         d = np.eye(3) + rng.uniform(-0.01, 0.01, (3, 3))
-        grad = reprojection_loss_gradient(h, d, pairs)
+        grad = reprojection_loss_gradient(h, d, *correspondence_arrays(pairs))
 
         step = 1e-6
         fd = np.zeros(9)
@@ -80,8 +87,8 @@ class TestLossAndGradient:
             plus[k] += step
             minus[k] -= step
             fd[k] = (
-                reprojection_loss(h, plus.reshape(3, 3), pairs)
-                - reprojection_loss(h, minus.reshape(3, 3), pairs)
+                reprojection_loss(h, plus.reshape(3, 3), *correspondence_arrays(pairs))
+                - reprojection_loss(h, minus.reshape(3, 3), *correspondence_arrays(pairs))
             ) / (2 * step)
         assert np.linalg.norm(grad - fd) <= 1e-4 * max(np.linalg.norm(fd), 1.0)
 
@@ -176,3 +183,47 @@ class TestFitCorrectionStream:
         result = fit_correction_stream(h0, frames, CorrectionConfig())
         assert np.max(np.abs(result.h_star.m - h_true.m)) < 1e-6
         assert result.pairs_used == 240
+
+    def test_empty_and_degenerate_frames_pair_within_frames(self):
+        rng = np.random.default_rng(7)
+        h = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.001, 0.0, 1.0]])
+        frames = []
+        for fid in range(10):
+            pairs = exact_pairs(h, rng, 6)
+            frames.append(Frame(fid, tuple(c.lidar for c in pairs), tuple(c.pixel for c in pairs)))
+        orphans = exact_pairs(h, rng, 6)
+        # LiDAR without detections, then the matching detections one frame
+        # later: a pairing that crossed frames would pair all six.
+        frames.append(Frame(10, tuple(c.lidar for c in orphans), ()))
+        frames.append(Frame(11, (), tuple(c.pixel for c in orphans)))
+        # every LiDAR point on the horizon line (w = 0) projects degenerately
+        horizon = tuple(PlanePoint(-1000.0, float(y)) for y in rng.uniform(-5, 5, 4))
+        frames.append(Frame(12, horizon, tuple(c.pixel for c in exact_pairs(h, rng, 4))))
+        frames.append(Frame(13, (), ()))
+
+        expected = degenerate = 0
+        for frame in frames:
+            projected = []
+            for p in frame.lidar_centers:
+                try:
+                    projected.append(project(h, p))
+                except DegenerateProjection:
+                    degenerate += 1
+            costs = np.array(
+                [[np.hypot(p.u - d.u, p.v - d.v) for d in frame.camera_centers] for p in projected]
+            ).reshape(len(projected), len(frame.camera_centers))
+            expected += len(naive_greedy(costs, 40.0))
+
+        result = fit_correction_stream(h, frames, CorrectionConfig())
+        assert (expected, degenerate) == (60, 4)
+        assert result.pairs_used == expected
+
+    def test_empty_stream_strict_and_lenient(self):
+        h = scene_homography()
+        with pytest.raises(InsufficientPairs):
+            fit_correction_stream(h, [], CorrectionConfig())
+        result = fit_correction_stream(h, [], CorrectionConfig(), lenient=True)
+        assert result.h_delta == Homography.identity()
+        assert result.h_star == h
+        assert result.loss_trace == ()
+        assert result.pairs_used == 0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calibrefine.geometry import PixelPoint
 from calibrefine.matching import MatchGate, greedy_match
 
-from conftest import naive_greedy
+from conftest import naive_greedy, point_array
 
 
 def points(*uv):
@@ -13,32 +14,38 @@ def points(*uv):
 
 class TestGreedyMatchExamples:
     def test_single_admissible_pair(self):
-        out = greedy_match(points((10, 10)), points((12, 10)), MatchGate(40.0))
+        out = greedy_match(point_array(points((10, 10))), point_array(points((12, 10))), MatchGate(40.0))
         assert out.matches == ((0, 0, 2.0),)
         assert out.unmatched_lidar == ()
         assert out.unmatched_camera == ()
 
     def test_two_clean_matches(self):
-        out = greedy_match(points((0, 0), (10, 0)), points((1, 0), (9, 0)), MatchGate(40.0))
+        out = greedy_match(
+            point_array(points((0, 0), (10, 0))), point_array(points((1, 0), (9, 0))), MatchGate(40.0)
+        )
         assert {(i, j) for i, j, _ in out.matches} == {(0, 0), (1, 1)}
 
     def test_tie_goes_to_lower_lidar_index(self):
         # both lidar points are 5 px from camera 0; camera 1 is out of gate
-        out = greedy_match(points((0, 0), (10, 0)), points((5, 0), (100, 100)), MatchGate(40.0))
+        out = greedy_match(
+            point_array(points((0, 0), (10, 0))),
+            point_array(points((5, 0), (100, 100))),
+            MatchGate(40.0),
+        )
         assert out.matches == ((0, 0, 5.0),)
         assert out.unmatched_lidar == (1,)
         assert out.unmatched_camera == (1,)
 
     def test_gate_excludes_everything(self):
-        out = greedy_match(points((0, 0)), points((100, 100)), MatchGate(40.0))
+        out = greedy_match(point_array(points((0, 0))), point_array(points((100, 100))), MatchGate(40.0))
         assert out.matches == ()
         assert out.unmatched_lidar == (0,)
         assert out.unmatched_camera == (0,)
 
     def test_empty_inputs(self):
-        out = greedy_match([], points((1, 1)), MatchGate(40.0))
+        out = greedy_match(point_array([]), point_array(points((1, 1))), MatchGate(40.0))
         assert out.matches == () and out.unmatched_camera == (0,)
-        out = greedy_match(points((1, 1)), [], MatchGate(40.0))
+        out = greedy_match(point_array(points((1, 1))), point_array([]), MatchGate(40.0))
         assert out.matches == () and out.unmatched_lidar == (0,)
 
     def test_gate_validation(self):
@@ -54,7 +61,7 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 100, size=2) for _ in range(n_l)))
         dets = points(*(rng.uniform(0, 100, size=2) for _ in range(n_c)))
         gate = MatchGate(float(rng.uniform(5, 80)))
-        out = greedy_match(proj, dets, gate)
+        out = greedy_match(point_array(proj), point_array(dets), gate)
 
         if n_l and n_c:
             costs = np.array([[np.hypot(p.u - d.u, p.v - d.v) for d in dets] for p in proj])
@@ -70,7 +77,7 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 200, size=2) for _ in range(12)))
         dets = points(*(rng.uniform(0, 200, size=2) for _ in range(9)))
         gate = MatchGate(50.0)
-        out = greedy_match(proj, dets, gate)
+        out = greedy_match(point_array(proj), point_array(dets), gate)
 
         lidar_seen = [i for i, _, _ in out.matches]
         camera_seen = [j for _, j, _ in out.matches]
@@ -85,7 +92,7 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 300, size=2) for _ in range(10)))
         dets = points(*(rng.uniform(0, 300, size=2) for _ in range(10)))
         gate = MatchGate(120.0)
-        out = greedy_match(proj, dets, gate)
+        out = greedy_match(point_array(proj), point_array(dets), gate)
 
         costs = np.array([[np.hypot(p.u - d.u, p.v - d.v) for d in dets] for p in proj])
         free_l, free_c = set(range(10)), set(range(10))
@@ -102,10 +109,60 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 100, size=2) for _ in range(6)))
         dets = points(*(rng.uniform(0, 100, size=2) for _ in range(6)))
         gate = MatchGate(200.0)
-        base = greedy_match(proj, dets, gate)
+        base = greedy_match(point_array(proj), point_array(dets), gate)
 
         perm_l = list(rng.permutation(6))
         perm_c = list(rng.permutation(6))
-        out = greedy_match([proj[i] for i in perm_l], [dets[j] for j in perm_c], gate)
+        out = greedy_match(
+            point_array([proj[i] for i in perm_l]), point_array([dets[j] for j in perm_c]), gate
+        )
         remapped = {(perm_l.index(i), perm_c.index(j)) for i, j, _ in base.matches}
         assert {(i, j) for i, j, _ in out.matches} == remapped
+
+
+class TestGateBoundary:
+    """The squared-distance prefilter must never decide the gate itself."""
+
+    def test_pair_exactly_at_gate_matches(self):
+        out = greedy_match(np.array([[0.0, 0.0]]), np.array([[24.0, 32.0]]), MatchGate(40.0))
+        assert out.matches == ((0, 0, 40.0),)
+
+    def test_pair_one_ulp_past_gate_is_rejected(self):
+        dv = np.nextafter(32.0, np.inf)
+        assert np.hypot(24.0, dv) > 40.0
+        out = greedy_match(np.array([[0.0, 0.0]]), np.array([[24.0, dv]]), MatchGate(40.0))
+        assert out.matches == ()
+
+    def test_squared_distance_rounding_above_gate_still_matches(self):
+        du, dv = 36.46164379296402, 16.448359550879495
+        assert du * du + dv * dv > 40.0 * 40.0 and np.hypot(du, dv) == 40.0
+        out = greedy_match(np.array([[0.0, 0.0]]), np.array([[du, dv]]), MatchGate(40.0))
+        assert out.matches == ((0, 0, 40.0),)
+
+
+# Coordinates on a coarse integer grid give many exactly tied costs.
+_coords = st.one_of(
+    st.integers(0, 6).map(float),
+    st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+)
+_point_arrays = st.lists(st.tuples(_coords, _coords), max_size=8).map(
+    lambda pts: np.array(pts, dtype=float).reshape(-1, 2)
+)
+_gates = st.one_of(st.integers(1, 8).map(float), st.floats(0.01, 150.0))
+
+
+class TestGreedyMatchHypothesis:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(proj=_point_arrays, dets=_point_arrays, gate=_gates)
+    def test_equals_naive_greedy(self, proj, dets, gate):
+        out = greedy_match(proj, dets, MatchGate(gate))
+
+        costs = np.hypot(proj[:, None, 0] - dets[None, :, 0], proj[:, None, 1] - dets[None, :, 1])
+        expected = naive_greedy(costs, gate)
+        assert list(out.matches) == expected
+        assert sorted([i for i, _, _ in expected] + list(out.unmatched_lidar)) == list(
+            range(len(proj))
+        )
+        assert sorted([j for _, j, _ in expected] + list(out.unmatched_camera)) == list(
+            range(len(dets))
+        )
