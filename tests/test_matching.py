@@ -152,7 +152,7 @@ _gates = st.one_of(st.integers(1, 8).map(float), st.floats(0.01, 150.0))
 
 
 class TestGreedyMatchHypothesis:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(proj=_point_arrays, dets=_point_arrays, gate=_gates)
     def test_equals_naive_greedy(self, proj, dets, gate):
         out = greedy_match(proj, dets, MatchGate(gate))
