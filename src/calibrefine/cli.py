@@ -43,12 +43,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The parsed config; the block grid, RANSAC settings and parity switch
+    live on ``refine`` only."""
+
     scene: SceneConfig
-    grid: BlockGrid
-    ransac: RansacConfig
     refine: RefineConfig
     correction: CorrectionConfig
-    skip_parity: bool = True
     seeds: tuple[int, ...] | None = None
 
 
@@ -68,12 +68,26 @@ def _section(data: dict, name: str) -> dict:
     return raw
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; booleans (a subclass of int) and strings
+    are rejected."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _build(cls, raw: dict, section: str, **extra):
-    _check_keys(raw, {f.name for f in fields(cls)} | set(extra), section)
+    """Construct ``cls`` from a config section; ``extra`` holds fields set by
+    other sections, which this section may not name."""
+    _check_keys(raw, {f.name for f in fields(cls)} - set(extra), section)
     for f in fields(cls):
+        if f.name not in raw:
+            continue
         # JSON booleans load as bool, a subclass of int, so test the exact type
-        if f.type in (int, "int") and f.name in raw and type(raw[f.name]) is not int:
+        if f.type in (int, "int") and type(raw[f.name]) is not int:
             raise ConfigError(f"{section}.{f.name} must be an integer, got {json.dumps(raw[f.name])}")
+        if f.type in (float, "float"):
+            _number(raw[f.name], f"{section}.{f.name}")
     merged = {**extra, **raw}
     try:
         return cls(**merged)
@@ -82,8 +96,9 @@ def _build(cls, raw: dict, section: str, **extra):
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse and validate the JSON config; unknown keys are rejected, and
-    integer fields must hold JSON integers (not floats or booleans)."""
+    """Parse and validate the JSON config; unknown keys are rejected,
+    integer fields must hold JSON integers (not floats or booleans) and float
+    fields JSON numbers (not booleans or strings)."""
     data = {}
     if path is not None:
         try:
@@ -107,17 +122,15 @@ def load_config(path: str | Path | None) -> RunConfig:
             raise ConfigError(f"grid.parity must be 'even' or 'odd', got {grid_raw['parity']}") from exc
     grid = _build(
         BlockGrid,
-        grid_raw,
+        {"image_width": scene.image_width, "image_height": scene.image_height, **grid_raw},
         "grid",
-        image_width=scene.image_width,
-        image_height=scene.image_height,
     )
 
     ransac = _build(RansacConfig, _section(data, "ransac"), "ransac")
 
     refine_raw = dict(_section(data, "refine"))
     if "gate" in refine_raw:
-        refine_raw["gate"] = MatchGate(float(refine_raw["gate"]))
+        refine_raw["gate"] = MatchGate(_number(refine_raw["gate"], "refine.gate"))
     if "metric" in refine_raw:
         try:
             refine_raw["metric"] = GuardMetric(str(refine_raw["metric"]).lower())
@@ -134,7 +147,7 @@ def load_config(path: str | Path | None) -> RunConfig:
 
     correction_raw = dict(_section(data, "correction"))
     if "gate" in correction_raw:
-        correction_raw["gate"] = MatchGate(float(correction_raw["gate"]))
+        correction_raw["gate"] = MatchGate(_number(correction_raw["gate"], "correction.gate"))
     correction = _build(CorrectionConfig, correction_raw, "correction")
 
     seeds = data.get("seeds")
@@ -145,25 +158,12 @@ def load_config(path: str | Path | None) -> RunConfig:
             raise ConfigError("seeds must be a non-empty list of non-negative integers")
         seeds = tuple(seeds)
 
-    return RunConfig(
-        scene=scene,
-        grid=grid,
-        ransac=ransac,
-        refine=refine_cfg,
-        correction=correction,
-        skip_parity=skip_parity,
-        seeds=seeds,
-    )
+    return RunConfig(scene=scene, refine=refine_cfg, correction=correction, seeds=seeds)
 
 
 def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    scene, grid, ransac, refine_cfg, correction = (
-        cfg.scene,
-        cfg.grid,
-        cfg.ransac,
-        cfg.refine,
-        cfg.correction,
-    )
+    scene, refine_cfg, correction = cfg.scene, cfg.refine, cfg.correction
+    grid, ransac = refine_cfg.grid, refine_cfg.ransac
     if getattr(args, "seed", None) is not None:
         scene = replace(scene, seed=args.seed)
         ransac = replace(ransac, seed=args.seed)
@@ -179,11 +179,9 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         correction = replace(correction, gate=gate)
     if getattr(args, "interval", None) is not None:
         refine_cfg = replace(refine_cfg, recalib_interval=args.interval)
-    refine_cfg = replace(refine_cfg, grid=grid, ransac=ransac, skip_parity=cfg.skip_parity)
+    refine_cfg = replace(refine_cfg, grid=grid, ransac=ransac)
     try:
-        return replace(
-            cfg, scene=scene, grid=grid, ransac=ransac, refine=refine_cfg, correction=correction
-        )
+        return replace(cfg, scene=scene, refine=refine_cfg, correction=correction)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -246,7 +244,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"error: oracle pair references unknown frame_id {bad[0]}", file=sys.stderr)
         return EXIT_CONFIG
 
-    result, inliers = coarse_fit(pairs, cfg.grid, cfg.ransac, cfg.skip_parity)
+    result, inliers = coarse_fit(pairs, cfg.refine.grid, cfg.refine.ransac, cfg.refine.skip_parity)
     serialize.save_homography(args.out, result.h)
     report = result.inlier_report
     print(

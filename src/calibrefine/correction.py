@@ -2,7 +2,9 @@
 H* = H @ D minimizes the mean squared distance between H*-projected LiDAR
 points and their nearest camera detections. The nearest-neighbor pairings
 are the supervision; they are rebuilt after every solver pass (an "outer
-round") because they depend on the current H*.
+round") because they depend on the current H*. Each solver pass is the
+shared geometric refit ``refine_homography`` on H* itself, so the stage is
+ICP over the same refiner RANSAC uses.
 """
 from __future__ import annotations
 
@@ -20,15 +22,11 @@ from .geometry import (
     pixel_array,
     plane_array,
     projectable,
+    projection_residuals,
+    refine_homography,
     transform_points,
 )
-from .lsq import damped_least_squares
 from .matching import MatchGate, greedy_match
-
-# Gauge: d11 is frozen at 1 (the correction starts at identity and stays
-# well away from d11 = 0), leaving 8 free parameters.
-_GAUGE = 0
-_FREE = [i for i in range(9) if i != _GAUGE]
 
 #: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
 Pairs = tuple[np.ndarray, np.ndarray]
@@ -72,88 +70,59 @@ def implicit_pairs(
     return lidar_xy[kept[idx[:, 0]]], camera_uv[idx[:, 1]]
 
 
-def _residuals_and_jacobian(
-    h_mat: np.ndarray, d_flat: np.ndarray, xy: np.ndarray, uv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of project(H @ D, x) - u and their Jacobian wrt D's 9 entries."""
-    d = d_flat.reshape(3, 3)
-    g = h_mat @ d
-    uv_hat, w = transform_points(g, xy)
-    r = (uv_hat - uv).ravel()
-
-    n = xy.shape[0]
-    ones = np.ones(n)
-    m_cols = (xy[:, 0], xy[:, 1], ones)
-    jac = np.zeros((2 * n, 9))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_w = 1.0 / w
-        u_hat, v_hat = uv_hat[:, 0], uv_hat[:, 1]
-        for k in range(3):
-            du_k = (h_mat[0, k] - u_hat * h_mat[2, k]) * inv_w
-            dv_k = (h_mat[1, k] - v_hat * h_mat[2, k]) * inv_w
-            for col in range(3):
-                jac[0::2, 3 * k + col] = du_k * m_cols[col]
-                jac[1::2, 3 * k + col] = dv_k * m_cols[col]
-    return r, jac
-
-
 def reprojection_loss(
     h: Homography, h_delta: np.ndarray, xy: np.ndarray, uv: np.ndarray
 ) -> float:
     """Mean squared pixel discrepancy of paired ``(N, 2)`` ground and pixel
     points under H @ D."""
-    r, _ = _residuals_and_jacobian(h.m, np.asarray(h_delta, float).ravel(), xy, uv)
+    uv_hat, _ = transform_points(h.m @ np.asarray(h_delta, float).reshape(3, 3), xy)
+    r = (uv_hat - uv).ravel()
     return float(r @ r) / len(xy)
 
 
 def reprojection_loss_gradient(
     h: Homography, h_delta: np.ndarray, xy: np.ndarray, uv: np.ndarray
 ) -> np.ndarray:
-    """Analytic gradient of the loss wrt the 9 raw entries of the correction."""
-    r, jac = _residuals_and_jacobian(h.m, np.asarray(h_delta, float).ravel(), xy, uv)
-    return (2.0 / len(xy)) * (jac.T @ r)
+    """Analytic gradient of the loss wrt the 9 raw entries of the correction.
+
+    The residuals depend on D only through G = H @ D, whose row-major entries
+    are ``kron(H, I3)`` times those of D, so the chain rule gives
+    ``J_D = J_G @ kron(H, I3)``.
+    """
+    g = h.m @ np.asarray(h_delta, float).reshape(3, 3)
+    r, jac_g = projection_residuals(g.ravel(), xy, uv)
+    return (2.0 / len(xy)) * (np.kron(h.m, np.eye(3)).T @ (jac_g.T @ r))
 
 
 def _alternate(
     h: Homography, pair_fn, cfg: CorrectionConfig, pairs: Pairs
-) -> tuple[np.ndarray, list[float], Pairs]:
-    """Alternate solving for the correction and rebuilding the pairings."""
-    d = np.eye(3).ravel()
-    loss = reprojection_loss(h, d, *pairs)
+) -> tuple[Homography, list[float], Pairs]:
+    """ICP over the shared refit: refine G = H @ D on the current pairings,
+    then rebuild the pairings under G. With H fixed and invertible this
+    reaches the same optimum as solving for D."""
+    g = h
+    loss = reprojection_loss(g, np.eye(3), *pairs)
     trace = [loss]
     for _ in range(cfg.max_outer_rounds):
-        xy, uv = pairs
-        full = d.copy()
-
-        def fun(free_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            full[_FREE] = free_params
-            r, jac = _residuals_and_jacobian(h.m, full, xy, uv)
-            return r, jac[:, _FREE]
-
-        solved = damped_least_squares(
-            fun,
-            d[_FREE],
-            max_iterations=cfg.max_iterations,
-            init_damping=cfg.init_damping,
+        candidate = refine_homography(
+            *pairs, g, max_iterations=cfg.max_iterations, init_damping=cfg.init_damping
         )
-        if np.allclose(solved.params, d[_FREE], rtol=0.0, atol=1e-14):
+        if np.allclose(candidate.m, g.m, rtol=0.0, atol=1e-14):
             break  # solver has nothing to move; pairing is self-consistent
-        candidate = d.copy()
-        candidate[_FREE] = solved.params
 
-        new_pairs = pair_fn(candidate.reshape(3, 3))
+        new_pairs = pair_fn(candidate)
         if len(new_pairs[0]) < cfg.min_pairs:
             break
-        new_loss = reprojection_loss(h, candidate, *new_pairs)
+        new_loss = reprojection_loss(candidate, np.eye(3), *new_pairs)
         if new_loss > loss:
             break  # re-pairing made things worse; keep the previous round
-        d, pairs = candidate, new_pairs
+        g, pairs = candidate, new_pairs
         improvement = loss - new_loss
         trace.append(new_loss)
         loss = new_loss
         if improvement < 1e-8 * max(loss, 1e-300):
             break
-    return d, trace, pairs
+    return g, trace, pairs
 
 
 def _fit_pools(
@@ -162,14 +131,13 @@ def _fit_pools(
     """Fit the correction with pairings rebuilt inside each ``(xy, uv)``
     pool and concatenated in pool order; no pair crosses a pool."""
 
-    def pair_fn(d: np.ndarray) -> Pairs:
-        h_star = Homography(h.m @ d)
-        found = [implicit_pairs(h_star, xy, uv, cfg.gate) for xy, uv in pools]
+    def pair_fn(g: Homography) -> Pairs:
+        found = [implicit_pairs(g, xy, uv, cfg.gate) for xy, uv in pools]
         if not found:
             return np.empty((0, 2)), np.empty((0, 2))
         return np.concatenate([f[0] for f in found]), np.concatenate([f[1] for f in found])
 
-    pairs = pair_fn(np.eye(3))
+    pairs = pair_fn(h)
     n_pairs = len(pairs[0])
     if n_pairs < cfg.min_pairs:
         if lenient:
@@ -183,8 +151,8 @@ def _fit_pools(
         raise InsufficientPairs(
             f"only {n_pairs} implicit pairs; need >= {cfg.min_pairs}"
         )
-    d, trace, final_pairs = _alternate(h, pair_fn, cfg, pairs)
-    h_delta = Homography(d.reshape(3, 3))
+    g, trace, final_pairs = _alternate(h, pair_fn, cfg, pairs)
+    h_delta = Homography(np.linalg.solve(h.m, g.m))
     return CorrectionResult(
         h_delta=h_delta,
         h_star=compose(h, h_delta),

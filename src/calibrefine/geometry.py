@@ -302,8 +302,10 @@ def estimate_homography(pairs: Sequence[Correspondence]) -> Homography:
         raise DegenerateConfiguration("estimated matrix is singular") from exc
 
 
-def _projection_residuals(params: np.ndarray, xy: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved (du, dv) residuals and their Jacobian wrt all 9 entries."""
+def projection_residuals(params: np.ndarray, xy: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved (du, dv) residuals of the matrix with row-major entries
+    ``params`` on paired (N, 2) ground and pixel points, and their Jacobian
+    wrt all 9 entries."""
     m = params.reshape(3, 3)
     uv_hat, w = transform_points(m, xy)
     r = (uv_hat - uv).ravel()
@@ -330,22 +332,23 @@ def _projection_residuals(params: np.ndarray, xy: np.ndarray, uv: np.ndarray) ->
 
 
 def refine_homography(
-    pairs: Sequence[Correspondence],
+    xy: np.ndarray,
+    uv: np.ndarray,
     h0: Homography,
     max_iterations: int = 100,
     init_damping: float = 1e-3,
     cost_tol: float = 1e-10,
 ) -> Homography:
-    """Locally minimize the summed squared reprojection error starting at h0.
+    """Locally minimize the summed squared reprojection error of paired
+    (N, 2) ground and pixel points, starting at h0.
 
     The projective scale gauge is fixed by freezing the largest-magnitude
     entry of h0; the remaining 8 entries are optimized with damped
-    least-squares. Never returns a matrix worse than h0 on ``pairs``; warns
+    least-squares. Never returns a matrix worse than h0 on the pairs; warns
     with ``NonConvergenceWarning`` if the iteration cap is hit first.
     """
-    if len(pairs) < 4:
-        raise InsufficientPairs(f"need >= 4 pairs, got {len(pairs)}")
-    xy, uv = correspondence_arrays(pairs)
+    if len(xy) < 4:
+        raise InsufficientPairs(f"need >= 4 pairs, got {len(xy)}")
     p0 = h0.m.ravel().copy()
     gauge = int(np.argmax(np.abs(p0)))
     free = [i for i in range(9) if i != gauge]
@@ -354,7 +357,7 @@ def refine_homography(
 
     def fun(free_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         full[free] = free_params
-        r, jac = _projection_residuals(full, xy, uv)
+        r, jac = projection_residuals(full, xy, uv)
         return r, jac[:, free]
 
     uv0, w0 = transform_points(h0.m, xy)

@@ -1,4 +1,4 @@
-"""Damped (Levenberg-style) least-squares minimizer shared by the refiners."""
+"""Damped (Levenberg-style) least-squares minimizer behind ``geometry.refine_homography``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ class LeastSquaresResult:
     cost: float
     iterations: int
     converged: bool
-    first_step_norm: float
 
 
 def damped_least_squares(
@@ -42,8 +41,6 @@ def damped_least_squares(
         raise ValueError("initial residuals are not finite")
 
     damping = init_damping
-    first_step_norm = 0.0
-    have_first_step = False
     converged = cost == 0.0
     iterations = 0
     eye = np.eye(p.size)
@@ -56,9 +53,6 @@ def damped_least_squares(
         except np.linalg.LinAlgError:
             damping = min(damping * 10.0, _MAX_DAMPING)
             continue
-        if not have_first_step:
-            first_step_norm = float(np.linalg.norm(step))
-            have_first_step = True
         if np.linalg.norm(step) <= step_tol * (1.0 + np.linalg.norm(p)):
             converged = True
             break
@@ -76,10 +70,4 @@ def damped_least_squares(
             if damping > _MAX_DAMPING:
                 break
 
-    return LeastSquaresResult(
-        params=p,
-        cost=cost,
-        iterations=iterations,
-        converged=converged,
-        first_step_norm=first_step_norm,
-    )
+    return LeastSquaresResult(params=p, cost=cost, iterations=iterations, converged=converged)

@@ -65,23 +65,14 @@ class PipelineReport:
     eval_pair_count: int
 
 
-def coarse_calibrate(
-    oracle_pairs: Sequence[Correspondence],
-    grid: BlockGrid,
-    cfg: RansacConfig,
-    skip_parity: bool = True,
-) -> Homography:
-    """Block-sample the oracle pairs, then RANSAC with an inlier refit."""
-    return coarse_fit(oracle_pairs, grid, cfg, skip_parity)[0].h
-
-
 def coarse_fit(
     oracle_pairs: Sequence[Correspondence],
     grid: BlockGrid,
     cfg: RansacConfig,
     skip_parity: bool = True,
 ) -> tuple[RansacResult, list[Correspondence]]:
-    """Like :func:`coarse_calibrate` but also returns the inlier pairs."""
+    """Block-sample the oracle pairs, then RANSAC with an inlier refit;
+    returns the RANSAC result and the inlier pairs."""
     sampled = block_sample(oracle_pairs, grid, skip_parity=skip_parity)
     if len(sampled) < 4:
         raise InsufficientPairs(

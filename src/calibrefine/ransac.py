@@ -143,10 +143,9 @@ def ransac_homography(
             best_inliers=best_count,
         )
 
-    inlier_pairs = [pairs[i] for i in np.flatnonzero(best_mask)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        refined = refine_homography(inlier_pairs, best_h)
+        refined = refine_homography(xy[best_mask], uv[best_mask], best_h)
     mask_r, count_r, aed_r = _score(refined.m, xy, uv, cfg.inlier_threshold)
     if (-count_r, aed_r) <= (best_key[0], best_key[1]) and count_r >= MINIMAL_SAMPLE:
         final_h, final_mask = refined, mask_r

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibrefine.cli import main
+from calibrefine.cli import load_config, main
 from calibrefine import serialize
 from calibrefine.geometry import Homography
+from calibrefine.matching import MatchGate
 from calibrefine.pipeline import evaluate
 
 
@@ -368,6 +369,41 @@ class TestInputValidation:
         code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("refine", "gate", True),
+            ("refine", "gate", "40"),
+            ("correction", "gate", "40"),
+            ("correction", "init_damping", True),
+            ("scene", "pixel_noise_sigma", False),
+            ("ransac", "inlier_threshold", "3"),
+        ],
+    )
+    def test_non_number_float_config_value_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{section}.{key} must be a number" in capsys.readouterr().err
+
+    def test_integer_values_load_for_float_fields(self, tmp_path):
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps({"refine": {"gate": 25}, "ransac": {"inlier_threshold": 2}}))
+        loaded = load_config(cfg)
+        assert loaded.refine.gate == MatchGate(25.0)
+        assert loaded.refine.ransac.inlier_threshold == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("grid", {"blocks_x": 4}), ("ransac", {"seed": 1}), ("skip_parity", False)]
+    )
+    def test_refine_section_rejects_keys_of_other_sections(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"refine": {key: value}}))
+        code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"unknown key '{key}' in section 'refine'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, jobs):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calibrefine.correction import (
     CorrectionConfig,
@@ -17,6 +18,7 @@ from calibrefine.geometry import (
     compose,
     correspondence_arrays,
     project,
+    refine_homography,
 )
 from calibrefine.matching import MatchGate
 from calibrefine.refine import Frame
@@ -145,24 +147,51 @@ class TestFitCorrection:
         assert np.linalg.norm(result.h_star.m) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(compose(h0, result.h_delta).m - result.h_star.m)) < 1e-12
 
-    def test_identity_fixed_point_first_step(self):
-        from calibrefine.correction import _FREE, _residuals_and_jacobian
-        from calibrefine.geometry import correspondence_arrays
-        from calibrefine.lsq import damped_least_squares
+    def test_unambiguous_pairing_equals_one_refit(self):
+        # 120 px between neighbouring projections against a 40 px gate and a
+        # few px of error: every round pairs each point with its own
+        # detection, so the outer loop is the refit on fixed pairs.
+        rng = np.random.default_rng(8)
+        h_true = scene_homography()
+        grid = np.arange(-25.0, 26.0, 10.0)
+        lidar = [PlanePoint(float(x), float(y)) for x in grid for y in grid]
+        camera = [project(h_true, p) for p in lidar]
+        camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
+        h0 = compose(translation_homography(2.0, -1.5), h_true)
+        result = fit_correction(h0, lidar, camera, CorrectionConfig())
+        assert result.pairs_used == len(lidar)
+        refit = refine_homography(point_array(lidar), point_array(camera), h0)
+        assert np.max(np.abs(result.h_star.m - refit.m)) < 1e-9
 
-        rng = np.random.default_rng(5)
-        h = scene_homography()
-        pairs = exact_pairs(h, rng, 50)
-        xy, uv = correspondence_arrays(pairs)
-        full = np.eye(3).ravel()
 
-        def fun(free):
-            full[_FREE] = free
-            r, jac = _residuals_and_jacobian(h.m, full, xy, uv)
-            return r, jac[:, _FREE]
+_PERTURBED_SCENE = dense_scene(np.random.default_rng(9), scene_homography(), 80)
+_NOISY_CAMERA = [
+    PixelPoint(p.u + du, p.v + dv)
+    for p, (du, dv) in zip(_PERTURBED_SCENE[1], np.random.default_rng(10).normal(0, 0.5, (80, 2)))
+]
 
-        solved = damped_least_squares(fun, np.eye(3).ravel()[_FREE], max_iterations=5)
-        assert solved.first_step_norm < 1e-8
+
+class TestFitCorrectionHypothesis:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        affine=st.lists(st.floats(-0.005, 0.005), min_size=4, max_size=4),
+        shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    )
+    def test_loss_trace_monotone_and_composition_exact(self, affine, shift):
+        a, b, c, d = affine
+        pixel_warp = Homography([[1.0 + a, b, shift[0]], [c, 1.0 + d, shift[1]], [0.0, 0.0, 1.0]])
+        h0 = compose(pixel_warp, scene_homography())
+        cfg = CorrectionConfig()
+        result = fit_correction(h0, _PERTURBED_SCENE[0], _NOISY_CAMERA, cfg)
+        trace = result.loss_trace
+        assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+        assert np.max(np.abs(compose(h0, result.h_delta).m - result.h_star.m)) <= 1e-12
+        # the last trace entry is the loss of h_star on its own pairing
+        xy, uv = implicit_pairs(
+            result.h_star, point_array(_PERTURBED_SCENE[0]), point_array(_NOISY_CAMERA), cfg.gate
+        )
+        assert len(xy) == result.pairs_used
+        assert reprojection_loss(result.h_star, np.eye(3), xy, uv) == pytest.approx(trace[-1], rel=1e-9)
 
 
 class TestFitCorrectionStream:

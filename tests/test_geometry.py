@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from calibrefine.errors import (
     DegenerateConfiguration,
@@ -18,6 +19,7 @@ from calibrefine.geometry import (
     PixelPoint,
     PlanePoint,
     compose,
+    correspondence_arrays,
     estimate_homography,
     project,
     refine_homography,
@@ -81,6 +83,22 @@ class TestHomographyType:
             h = well_conditioned_homography(rng)
             again = Homography(h.m)
             assert np.array_equal(again.m, h.m)
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(
+        entries=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+            min_size=9,
+            max_size=9,
+        ),
+        scale=st.floats(1e-100, 1e100),
+    )
+    def test_canonicalization_idempotent_bitwise_hypothesis(self, entries, scale):
+        try:
+            h = Homography(np.array(entries).reshape(3, 3) * scale)
+        except SingularMatrixError:
+            assume(False)
+        assert np.array_equal(Homography(h.m).m, h.m)
 
     def test_sign_convention_negative_h33(self):
         h = Homography([[1, 0, 0], [0, 1, 0], [0, 0, -1.0]])
@@ -262,7 +280,7 @@ class TestRefineHomography:
         pairs = exact_pairs(h, rng, 30)
         with warnings.catch_warnings():
             warnings.simplefilter("error", NonConvergenceWarning)
-            refined = refine_homography(pairs, h)
+            refined = refine_homography(*correspondence_arrays(pairs), h)
         assert reprojection_metrics(refined, pairs).aed < 1e-9
 
     def test_recovers_from_pixel_shift(self):
@@ -270,7 +288,7 @@ class TestRefineHomography:
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, 50)
         h0 = compose(translation_homography(0.5, 0.0), h)
-        refined = refine_homography(pairs, h0)
+        refined = refine_homography(*correspondence_arrays(pairs), h0)
         assert np.max(np.abs(refined.m - h.m)) < 1e-6
 
     def test_noisy_pairs_never_worse_than_start(self):
@@ -283,12 +301,12 @@ class TestRefineHomography:
             for c in exact_pairs(h, rng, 60)
         ]
         h0 = compose(translation_homography(2.0, -1.0), h)
-        refined = refine_homography(pairs, h0)
+        refined = refine_homography(*correspondence_arrays(pairs), h0)
         assert reprojection_metrics(refined, pairs).aed <= reprojection_metrics(h0, pairs).aed
 
     def test_insufficient_pairs(self):
         with pytest.raises(InsufficientPairs):
-            refine_homography([], Homography.identity())
+            refine_homography(np.empty((0, 2)), np.empty((0, 2)), Homography.identity())
 
     def test_iteration_cap_warns_and_returns_best_iterate(self):
         rng = np.random.default_rng(21)
@@ -301,5 +319,5 @@ class TestRefineHomography:
         ]
         h0 = compose(translation_homography(25.0, -30.0), h)
         with pytest.warns(NonConvergenceWarning):
-            refined = refine_homography(pairs, h0, max_iterations=1)
+            refined = refine_homography(*correspondence_arrays(pairs), h0, max_iterations=1)
         assert reprojection_metrics(refined, pairs).aed <= reprojection_metrics(h0, pairs).aed

@@ -13,7 +13,7 @@ from calibrefine.geometry import (
 from calibrefine.pipeline import (
     PipelineConfig,
     StageFailure,
-    coarse_calibrate,
+    coarse_fit,
     error_histogram,
     evaluate,
     run_full,
@@ -48,7 +48,7 @@ class TestCoarseCalibrate:
         grid = BlockGrid(scene.image_width, scene.image_height)
         covered = {b for b in (block_of(grid, p.pixel) for p in pairs) if b is not None}
         assert len(covered) >= 8
-        h = coarse_calibrate(pairs, grid, RansacConfig(seed=4))
+        h = coarse_fit(pairs, grid, RansacConfig(seed=4))[0].h
         assert np.max(np.abs(h.m - gt.h_true.m)) < 1e-6
 
     def test_clustered_pairs_insufficient_after_sampling(self):
@@ -60,13 +60,12 @@ class TestCoarseCalibrate:
             p = PlanePoint(float(x), float(y))
             pairs.append(Correspondence(p, project(h, p)))
         with pytest.raises(InsufficientPairs):
-            coarse_calibrate(pairs, BlockGrid(1000, 1000, 5, 5), RansacConfig(seed=4))
+            coarse_fit(pairs, BlockGrid(1000, 1000, 5, 5), RansacConfig(seed=4))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_corrupted_oracle_pairs_excluded(self, seed):
         scene, sim_frames, gt, _ = sim_setup(seed=seed, n_frames=150)
         from calibrefine.blocks import block_sample
-        from calibrefine.pipeline import coarse_fit
 
         by_id = {sf.frame.frame_id: sf for sf in sim_frames}
         clean, noisy = [], []
