@@ -1,6 +1,6 @@
-"""Homogeneous 2D projective geometry: the homography type, projection,
-composition, reprojection-error metrics, and the DLT / least-squares
-estimators that everything else builds on.
+"""Homogeneous 2D projective geometry: the point, pair and frame types, the
+homography type, projection, composition, reprojection-error metrics, and
+the DLT / least-squares estimators that everything else builds on.
 
 Conventions: the ground plane is metric (x, y in meters), the image plane is
 pixels (u, v). A homography maps ground points to pixels via
@@ -89,6 +89,15 @@ class Correspondence:
             raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
 
 
+@dataclass(frozen=True)
+class Frame:
+    """Time-synchronized object centers from both sensors for one timestamp."""
+
+    frame_id: int
+    lidar_centers: tuple[PlanePoint, ...]
+    camera_centers: tuple[PixelPoint, ...]
+
+
 def _canonical(matrix: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(matrix))
     if norm == 0.0 or not math.isfinite(norm):
@@ -130,7 +139,9 @@ class Homography:
         if not np.all(np.isfinite(m)):
             raise ValueError("homography entries must be finite")
         m = _canonical(m)
-        if abs(np.linalg.det(m)) <= SINGULARITY_TOL:
+        with np.errstate(divide="ignore"):
+            det = np.linalg.det(m)
+        if abs(det) <= SINGULARITY_TOL:
             raise SingularMatrixError("matrix is singular within tolerance")
         m.flags.writeable = False
         self.m = m
@@ -237,11 +248,11 @@ class ResidualReport:
         )
 
 
-def reprojection_metrics(h: Homography, pairs: Sequence[Correspondence]) -> ResidualReport:
-    """Euclidean residuals of ``pairs`` under ``h`` with AED and RMSE summaries."""
-    if not pairs:
+def reprojection_metrics(h: Homography, xy: np.ndarray, uv: np.ndarray) -> ResidualReport:
+    """Euclidean residuals of paired (N, 2) ground and pixel points under
+    ``h`` with AED and RMSE summaries."""
+    if len(xy) == 0:
         raise EmptySet("reprojection metrics need at least one pair")
-    xy, uv = correspondence_arrays(pairs)
     uv_hat = project_points(h, xy)
     residuals = np.hypot(uv_hat[:, 0] - uv[:, 0], uv_hat[:, 1] - uv[:, 1])
     return ResidualReport.from_residuals(residuals)
@@ -259,22 +270,22 @@ def _hartley_normalization(points: np.ndarray) -> np.ndarray:
     )
 
 
-def estimate_homography(pairs: Sequence[Correspondence]) -> Homography:
-    """Direct linear transform with Hartley normalization.
+def estimate_homography(xy: np.ndarray, uv: np.ndarray) -> Homography:
+    """Direct linear transform with Hartley normalization on paired (N, 2)
+    ground and pixel points.
 
     Solves the 2N x 9 system for the smallest singular direction and raises
-    ``DegenerateConfiguration`` when the correspondences cannot pin down all
-    eight degrees of freedom (e.g. collinear points).
+    ``DegenerateConfiguration`` when the pairs cannot pin down all eight
+    degrees of freedom (e.g. collinear points).
     """
-    if len(pairs) < 4:
-        raise InsufficientPairs(f"need >= 4 pairs, got {len(pairs)}")
-    xy, uv = correspondence_arrays(pairs)
+    n = len(xy)
+    if n < 4:
+        raise InsufficientPairs(f"need >= 4 pairs, got {n}")
     t_xy = _hartley_normalization(xy)
     t_uv = _hartley_normalization(uv)
     xn = xy @ t_xy[:2, :2].T + t_xy[:2, 2]
     un = uv @ t_uv[:2, :2].T + t_uv[:2, 2]
 
-    n = len(pairs)
     design = np.zeros((2 * n, 9))
     x, y = xn[:, 0], xn[:, 1]
     u, v = un[:, 0], un[:, 1]

@@ -15,12 +15,14 @@ from .correction import CorrectionConfig, CorrectionResult, fit_correction_strea
 from .errors import CalibrationError, EmptySet, InsufficientPairs
 from .geometry import (
     Correspondence,
+    Frame,
     Homography,
     ResidualReport,
+    correspondence_arrays,
     reprojection_metrics,
 )
 from .ransac import RansacConfig, RansacResult, ransac_homography
-from .refine import CalibrationState, Frame, RefineConfig, run as run_refinement
+from .refine import CalibrationState, RefineConfig, run as run_refinement
 
 #: Histogram layout: 1 px buckets over [0, 200) plus one overflow bucket.
 HISTOGRAM_EDGE = 200
@@ -78,16 +80,14 @@ def coarse_fit(
         raise InsufficientPairs(
             f"only {len(sampled)} pairs left after block sampling ({len(oracle_pairs)} in)"
         )
-    result = ransac_homography(sampled, cfg)
+    result = ransac_homography(*correspondence_arrays(sampled), cfg)
     inliers = [sampled[i] for i in result.inlier_indices]
     return result, inliers
 
 
 def evaluate(h: Homography, eval_pairs: Sequence[Correspondence]) -> ResidualReport:
     """Reprojection metrics of ``h`` on an evaluation pair set."""
-    if not eval_pairs:
-        raise EmptySet("evaluation needs at least one pair")
-    return reprojection_metrics(h, eval_pairs)
+    return reprojection_metrics(h, *correspondence_arrays(eval_pairs))
 
 
 def error_histogram(report: ResidualReport) -> np.ndarray:
@@ -96,7 +96,9 @@ def error_histogram(report: ResidualReport) -> np.ndarray:
     The counts always sum to ``report.n``.
     """
     counts = np.zeros(HISTOGRAM_EDGE + 1, dtype=np.int64)
-    clipped = np.minimum(np.floor(report.per_pair).astype(np.int64), HISTOGRAM_EDGE)
+    # Clip before the integer cast: residuals beyond the int64 range would
+    # otherwise wrap to a negative index.
+    clipped = np.floor(np.minimum(report.per_pair, HISTOGRAM_EDGE)).astype(np.int64)
     np.add.at(counts, clipped, 1)
     return counts
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -18,10 +18,8 @@ from .errors import (
     NonConvergenceWarning,
 )
 from .geometry import (
-    Correspondence,
     Homography,
     ResidualReport,
-    correspondence_arrays,
     estimate_homography,
     refine_homography,
     transform_points,
@@ -73,7 +71,7 @@ def _score(matrix: np.ndarray, xy: np.ndarray, uv: np.ndarray, threshold: float)
     mask = residuals <= threshold  # NaN residuals compare False
     count = int(mask.sum())
     aed = float(residuals[mask].mean()) if count else math.inf
-    return mask, count, aed
+    return mask, count, aed, residuals
 
 
 def _iterations_needed(inlier_ratio: float, confidence: float) -> int:
@@ -86,12 +84,14 @@ def _iterations_needed(inlier_ratio: float, confidence: float) -> int:
 
 
 def ransac_homography(
-    pairs: Sequence[Correspondence],
+    xy: np.ndarray,
+    uv: np.ndarray,
     cfg: RansacConfig,
     sample_stream: Iterable[tuple[int, ...]] | None = None,
 ) -> RansacResult:
-    """Fit a homography robustly: best minimal-sample consensus, then a
-    least-squares refit on the winning inliers.
+    """Fit a homography robustly to paired (N, 2) ground and pixel points:
+    best minimal-sample consensus, then a least-squares refit on the winning
+    inliers.
 
     Hypotheses score by inlier count, ties by inlier AED, then by iteration
     index. Degenerate minimal samples are discarded without consuming an
@@ -100,15 +100,15 @@ def ransac_homography(
     Raises ``ConsensusFailure`` when the best inlier ratio is below
     ``cfg.min_inlier_ratio``.
     """
-    n = len(pairs)
+    n = len(xy)
     if n < MINIMAL_SAMPLE:
         raise InsufficientPairs(f"need >= {MINIMAL_SAMPLE} pairs, got {n}")
-    xy, uv = correspondence_arrays(pairs)
     stream = iter(sample_stream) if sample_stream is not None else minimal_sample_stream(n, cfg.seed)
 
     best_key: tuple[int, float, int] | None = None
     best_h: Homography | None = None
     best_mask: np.ndarray | None = None
+    best_residuals: np.ndarray | None = None
     iterations = 0
     draws = 0
     max_draws = 10 * cfg.max_iterations
@@ -119,16 +119,17 @@ def ransac_homography(
         except StopIteration:
             break
         draws += 1
+        sample = list(idx)
         try:
-            candidate = estimate_homography([pairs[i] for i in idx])
+            candidate = estimate_homography(xy[sample], uv[sample])
         except DegenerateConfiguration:
             continue
         iterations += 1
-        mask, count, aed = _score(candidate.m, xy, uv, cfg.inlier_threshold)
+        mask, count, aed, residuals = _score(candidate.m, xy, uv, cfg.inlier_threshold)
         if count >= MINIMAL_SAMPLE:
             key = (-count, aed, iterations)
             if best_key is None or key < best_key:
-                best_key, best_h, best_mask = key, candidate, mask
+                best_key, best_h, best_mask, best_residuals = key, candidate, mask, residuals
         if best_key is not None:
             if iterations >= _iterations_needed(-best_key[0] / n, cfg.confidence):
                 break
@@ -146,20 +147,15 @@ def ransac_homography(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
         refined = refine_homography(xy[best_mask], uv[best_mask], best_h)
-    mask_r, count_r, aed_r = _score(refined.m, xy, uv, cfg.inlier_threshold)
+    mask_r, count_r, aed_r, residuals_r = _score(refined.m, xy, uv, cfg.inlier_threshold)
     if (-count_r, aed_r) <= (best_key[0], best_key[1]) and count_r >= MINIMAL_SAMPLE:
-        final_h, final_mask = refined, mask_r
+        final_h, final_mask, final_residuals = refined, mask_r, residuals_r
     else:
-        final_h, final_mask = best_h, best_mask
+        final_h, final_mask, final_residuals = best_h, best_mask, best_residuals
 
-    inlier_indices = tuple(int(i) for i in np.flatnonzero(final_mask))
-    sel = list(inlier_indices)
-    uv_hat, _ = transform_points(final_h.m, xy[sel])
-    residuals = np.hypot(uv_hat[:, 0] - uv[sel, 0], uv_hat[:, 1] - uv[sel, 1])
-    report = ResidualReport.from_residuals(residuals)
     return RansacResult(
         h=final_h,
-        inlier_indices=inlier_indices,
+        inlier_indices=tuple(int(i) for i in np.flatnonzero(final_mask)),
         iterations_run=iterations,
-        inlier_report=report,
+        inlier_report=ResidualReport.from_residuals(final_residuals[final_mask]),
     )

@@ -5,19 +5,23 @@ set, keeping the new matrix only when it lowers the reprojection error.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import hypot, nan
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .blocks import BlockGrid, block_of, block_sample, half_block_diagonal
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame
 from .geometry import (
     Correspondence,
+    Frame,
     Homography,
     PixelPoint,
-    PlanePoint,
     Source,
+    correspondence_arrays,
     pixel_array,
     plane_array,
     projectable,
@@ -50,15 +54,6 @@ class RefineConfig:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """Time-synchronized object centers from both sensors for one timestamp."""
-
-    frame_id: int
-    lidar_centers: tuple[PlanePoint, ...]
-    camera_centers: tuple[PixelPoint, ...]
-
-
-@dataclass(frozen=True)
 class CheckpointRecord:
     frame_id: int
     err_new: float
@@ -83,33 +78,22 @@ class CalibrationState:
         return cls(h_best=h0, accumulated=tuple(seed_pairs))
 
 
-def _metric_value(h: Homography, pairs: Sequence[Correspondence], metric: GuardMetric) -> float:
+def _metric_value(h: Homography, xy: np.ndarray, uv: np.ndarray, metric: GuardMetric) -> float:
     try:
-        report = reprojection_metrics(h, pairs)
+        report = reprojection_metrics(h, xy, uv)
     except DegenerateProjection:
         return float("inf")
     return report.aed if metric is GuardMetric.AED else report.rmse
 
 
-def _admits(
-    accumulated: Sequence[Correspondence],
-    candidate: Correspondence,
-    grid: BlockGrid,
-) -> bool:
-    """Occupancy rule: an empty block always admits; an occupied one only if
-    the new camera point is at least half a block diagonal from every stored
-    pair in that block, up to BLOCK_CAPACITY pairs."""
-    block = block_of(grid, candidate.pixel)
-    members = [p for p in accumulated if block_of(grid, p.pixel) == block]
-    if not members:
-        return True
+def _admits(members: Sequence[PixelPoint], pixel: PixelPoint, radius: float) -> bool:
+    """Occupancy rule for one block, given the camera points it already
+    stores: an empty block always admits; an occupied one only if the new
+    camera point is at least ``radius`` from every stored point, up to
+    BLOCK_CAPACITY points."""
     if len(members) >= BLOCK_CAPACITY:
         return False
-    radius = half_block_diagonal(grid)
-    return all(
-        hypot(candidate.pixel.u - m.pixel.u, candidate.pixel.v - m.pixel.v) >= radius
-        for m in members
-    )
+    return all(hypot(pixel.u - m.u, pixel.v - m.v) >= radius for m in members)
 
 
 def ingest_frame(state: CalibrationState, frame: Frame, cfg: RefineConfig) -> CalibrationState:
@@ -139,9 +123,15 @@ def ingest_frame(state: CalibrationState, frame: Frame, cfg: RefineConfig) -> Ca
     ]
     survivors = block_sample(matched_pairs, cfg.grid, skip_parity=cfg.skip_parity)
 
+    # Block sampling keeps at most one survivor per block, so admitting one
+    # never changes the occupancy another survivor is checked against.
+    occupancy: dict[tuple[int, int] | None, list[PixelPoint]] = defaultdict(list)
+    for pair in state.accumulated:
+        occupancy[block_of(cfg.grid, pair.pixel)].append(pair.pixel)
+    radius = half_block_diagonal(cfg.grid)
     accumulated = list(state.accumulated)
     for pair in survivors:
-        if _admits(accumulated, pair, cfg.grid):
+        if _admits(occupancy[block_of(cfg.grid, pair.pixel)], pair.pixel, radius):
             accumulated.append(pair)
 
     return replace(
@@ -168,13 +158,14 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
 
     if len(state.accumulated) < 4:
         return skipped()
+    xy, uv = correspondence_arrays(state.accumulated)
     try:
-        fit = ransac_homography(list(state.accumulated), cfg.ransac)
+        fit = ransac_homography(xy, uv, cfg.ransac)
     except ConsensusFailure:
         return skipped()
 
-    err_new = _metric_value(fit.h, state.accumulated, cfg.metric)
-    err_best = _metric_value(state.h_best, state.accumulated, cfg.metric)
+    err_new = _metric_value(fit.h, xy, uv, cfg.metric)
+    err_best = _metric_value(state.h_best, xy, uv, cfg.metric)
     updated = err_new < err_best
     record = CheckpointRecord(
         frame_id=state.last_frame_id,

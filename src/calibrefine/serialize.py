@@ -15,14 +15,15 @@ from .correction import CorrectionResult
 from .errors import SingularMatrixError
 from .geometry import (
     Correspondence,
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
     ResidualReport,
     Source,
 )
-from .pipeline import HISTOGRAM_EDGE, PipelineReport
-from .refine import CheckpointRecord, Frame
+from .pipeline import HISTOGRAM_EDGE
+from .refine import CheckpointRecord
 from .simulator import GroundTruth, ObjectTruth, SimFrame
 
 
@@ -244,33 +245,6 @@ def write_loss_trace(path: str | Path, result: CorrectionResult) -> None:
             "h_star": homography_to_dict(result.h_star)["h"],
             "loss_trace": list(result.loss_trace),
             "pairs_used": result.pairs_used,
-        },
-    )
-
-
-def write_pipeline_report(path: str | Path, report: PipelineReport) -> None:
-    _dump_json(
-        path,
-        {
-            "h_coarse": homography_to_dict(report.h_coarse)["h"],
-            "h_iterative": homography_to_dict(report.h_iterative)["h"],
-            "h_star": homography_to_dict(report.h_star)["h"],
-            "stage_metrics": {
-                name: {"aed": r.aed, "rmse": r.rmse, "n": r.n}
-                for name, r in sorted(report.stage_metrics.items())
-            },
-            "eval_pair_count": report.eval_pair_count,
-            "checkpoints": [
-                {
-                    "frame_id": c.frame_id,
-                    "err_new": c.err_new,
-                    "err_best": c.err_best,
-                    "updated": c.updated,
-                    "skipped": c.skipped,
-                }
-                for c in report.checkpoints
-            ],
-            "loss_trace": list(report.correction.loss_trace),
         },
     )
 

@@ -16,13 +16,13 @@ import numpy as np
 
 from .geometry import (
     Correspondence,
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
     Source,
     transform_points,
 )
-from .refine import Frame
 
 #: Half-size (meters) of the ground patch that must land inside the image.
 PATCH_HALF = 30.0

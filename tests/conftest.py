@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from calibrefine.blocks import block_of
 from calibrefine.geometry import (
     Correspondence,
     Homography,
@@ -95,6 +96,26 @@ def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]
         free_l.remove(i)
         free_c.remove(j)
         out.append((i, j, c))
+
+
+def naive_occupancy_admit(accumulated, survivors, grid, capacity: int) -> list:
+    """Reference occupancy rule: each survivor, in order, rescans the whole
+    accumulated set (including survivors admitted before it) for the pairs in
+    its block; an empty block admits, a full one refuses, otherwise the new
+    camera point must be half a block diagonal from every stored one."""
+    out = list(accumulated)
+    radius = 0.5 * math.hypot(grid.image_width / grid.blocks_x, grid.image_height / grid.blocks_y)
+    for cand in survivors:
+        block = block_of(grid, cand.pixel)
+        members = [p for p in out if block_of(grid, p.pixel) == block]
+        if not members:
+            out.append(cand)
+        elif len(members) < capacity and all(
+            math.hypot(cand.pixel.u - m.pixel.u, cand.pixel.v - m.pixel.v) >= radius
+            for m in members
+        ):
+            out.append(cand)
+    return out
 
 
 def backprojected_points(

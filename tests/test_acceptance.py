@@ -67,7 +67,7 @@ def test_c1_metric_correctness_against_bruteforce():
             )
             for c in pairs
         ]
-        report = reprojection_metrics(h, pairs)
+        report = reprojection_metrics(h, *correspondence_arrays(pairs))
         res, aed, rmse = naive_metrics(h, pairs)
         assert abs(report.aed - aed) <= 1e-12
         assert abs(report.rmse - rmse) <= 1e-12
@@ -83,7 +83,7 @@ def test_c2_dlt_exact_recovery():
         h = well_conditioned_homography(rng)
         assert np.linalg.cond(h.m) < 1e4
         n = int(rng.integers(4, 40))
-        recovered = estimate_homography(exact_pairs(h, rng, n))
+        recovered = estimate_homography(*correspondence_arrays(exact_pairs(h, rng, n)))
         assert np.max(np.abs(recovered.m - h.m)) < 1e-8
     _report("criterion 2 (DLT recovery, 500 homographies)", started, 10.0)
 
@@ -118,7 +118,9 @@ def test_c3_ransac_robustness_under_clutter():
         shuffled = [pairs[i] for i in order]
         is_inlier = np.array([i < 120 for i in order])
 
-        result = ransac_homography(shuffled, RansacConfig(seed=seed, inlier_threshold=3.0))
+        result = ransac_homography(
+            *correspondence_arrays(shuffled), RansacConfig(seed=seed, inlier_threshold=3.0)
+        )
         chosen = np.zeros(len(shuffled), dtype=bool)
         chosen[list(result.inlier_indices)] = True
         recall = int(np.sum(chosen & is_inlier))
@@ -127,7 +129,7 @@ def test_c3_ransac_robustness_under_clutter():
         assert admitted_clutter <= 2, f"seed {seed}: clutter {admitted_clutter}"
 
         gt_eval = [Correspondence(p, project(h, p)) for p in backprojected_points(h, rng, 100)]
-        assert reprojection_metrics(result.h, gt_eval).aed < 1.0
+        assert reprojection_metrics(result.h, *correspondence_arrays(gt_eval)).aed < 1.0
     _report("criterion 3 (RANSAC robustness, 100 seeds)", started, 60.0)
 
 

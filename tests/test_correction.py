@@ -12,6 +12,7 @@ from calibrefine.correction import (
 )
 from calibrefine.errors import DegenerateProjection, InsufficientPairs
 from calibrefine.geometry import (
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
@@ -21,7 +22,6 @@ from calibrefine.geometry import (
     refine_homography,
 )
 from calibrefine.matching import MatchGate
-from calibrefine.refine import Frame
 
 from conftest import (
     exact_pairs,

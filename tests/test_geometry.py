@@ -114,6 +114,13 @@ class TestHomographyType:
         with pytest.raises(SingularMatrixError):
             Homography(np.ones((3, 3)))
 
+    def test_singular_with_subnormal_entry_rejected_without_runtime_warning(self):
+        m = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.1125369292536007e-308, 1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularMatrixError):
+                Homography(m)
+
     def test_non_finite_rejected(self):
         m = np.eye(3)
         m[0, 0] = np.nan
@@ -170,14 +177,14 @@ class TestReprojectionMetrics:
     def test_exact_pairs_zero(self):
         rng = np.random.default_rng(13)
         h = well_conditioned_homography(rng)
-        report = reprojection_metrics(h, exact_pairs(h, rng, 20))
+        report = reprojection_metrics(h, *correspondence_arrays(exact_pairs(h, rng, 20)))
         assert report.aed == pytest.approx(0.0, abs=1e-9)
         assert report.rmse == pytest.approx(0.0, abs=1e-9)
 
     def test_three_four_five_single_pair(self):
         h = Homography.identity()
         pairs = [Correspondence(PlanePoint(0, 0), PixelPoint(3.0, 4.0))]
-        report = reprojection_metrics(h, pairs)
+        report = reprojection_metrics(h, *correspondence_arrays(pairs))
         assert report.aed == pytest.approx(5.0, abs=1e-12)
         assert report.rmse == pytest.approx(5.0, abs=1e-12)
         assert report.n == 1
@@ -188,13 +195,13 @@ class TestReprojectionMetrics:
             Correspondence(PlanePoint(1, 1), PixelPoint(1.0, 1.0)),
             Correspondence(PlanePoint(2, 2), PixelPoint(8.0, 10.0)),  # residual 10
         ]
-        report = reprojection_metrics(h, pairs)
+        report = reprojection_metrics(h, *correspondence_arrays(pairs))
         assert report.aed == pytest.approx(5.0, abs=1e-12)
         assert report.rmse == pytest.approx(math.sqrt(50.0), abs=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptySet):
-            reprojection_metrics(Homography.identity(), [])
+            reprojection_metrics(Homography.identity(), np.empty((0, 2)), np.empty((0, 2)))
 
     def test_matches_naive_loop_and_power_mean(self):
         rng = np.random.default_rng(14)
@@ -208,7 +215,7 @@ class TestReprojectionMetrics:
                 )
                 for c in pairs
             ]
-            report = reprojection_metrics(h, pairs)
+            report = reprojection_metrics(h, *correspondence_arrays(pairs))
             res, aed, rmse = naive_metrics(h, pairs)
             assert report.aed == pytest.approx(aed, abs=1e-12)
             assert report.rmse == pytest.approx(rmse, abs=1e-12)
@@ -221,7 +228,7 @@ class TestReprojectionMetrics:
             Correspondence(PlanePoint(0, 0), PixelPoint(3.0, 4.0)),
             Correspondence(PlanePoint(10, 10), PixelPoint(14.0, 13.0)),
         ]
-        report = reprojection_metrics(h, pairs)
+        report = reprojection_metrics(h, *correspondence_arrays(pairs))
         assert report.rmse == pytest.approx(report.aed, abs=1e-9)
 
 
@@ -229,35 +236,35 @@ class TestEstimateHomography:
     def test_fixed_points_give_identity(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         pairs = [Correspondence(PlanePoint(x, y), PixelPoint(x, y)) for x, y in pts]
-        h = estimate_homography(pairs)
+        h = estimate_homography(*correspondence_arrays(pairs))
         assert np.allclose(h.m, Homography.identity().m, atol=1e-10)
 
     def test_translation_recovered(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         pairs = [Correspondence(PlanePoint(x, y), PixelPoint(x + 10.0, y + 5.0)) for x, y in pts]
-        h = estimate_homography(pairs)
+        h = estimate_homography(*correspondence_arrays(pairs))
         expected = translation_homography(10.0, 5.0)
         assert np.allclose(h.m, expected.m, atol=1e-10)
 
     def test_round_trip_twenty_pairs(self):
         rng = np.random.default_rng(15)
         h = well_conditioned_homography(rng)
-        recovered = estimate_homography(exact_pairs(h, rng, 20))
+        recovered = estimate_homography(*correspondence_arrays(exact_pairs(h, rng, 20)))
         assert np.max(np.abs(recovered.m - h.m)) < 1e-8
 
     def test_minimal_sample_reproduces_pairs(self):
         rng = np.random.default_rng(16)
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, 4)
-        fitted = estimate_homography(pairs)
-        report = reprojection_metrics(fitted, pairs)
+        fitted = estimate_homography(*correspondence_arrays(pairs))
+        report = reprojection_metrics(fitted, *correspondence_arrays(pairs))
         assert np.all(report.per_pair <= 1e-8)
 
     def test_insufficient_pairs(self):
         rng = np.random.default_rng(17)
         h = well_conditioned_homography(rng)
         with pytest.raises(InsufficientPairs):
-            estimate_homography(exact_pairs(h, rng, 3))
+            estimate_homography(*correspondence_arrays(exact_pairs(h, rng, 3)))
 
     def test_collinear_points_degenerate(self):
         pairs = [
@@ -265,12 +272,12 @@ class TestEstimateHomography:
             for i in range(6)
         ]
         with pytest.raises(DegenerateConfiguration):
-            estimate_homography(pairs)
+            estimate_homography(*correspondence_arrays(pairs))
 
     def test_coincident_points_degenerate(self):
         pairs = [Correspondence(PlanePoint(1.0, 2.0), PixelPoint(3.0, 4.0))] * 5
         with pytest.raises(DegenerateConfiguration):
-            estimate_homography(pairs)
+            estimate_homography(*correspondence_arrays(pairs))
 
 
 class TestRefineHomography:
@@ -281,7 +288,7 @@ class TestRefineHomography:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NonConvergenceWarning)
             refined = refine_homography(*correspondence_arrays(pairs), h)
-        assert reprojection_metrics(refined, pairs).aed < 1e-9
+        assert reprojection_metrics(refined, *correspondence_arrays(pairs)).aed < 1e-9
 
     def test_recovers_from_pixel_shift(self):
         rng = np.random.default_rng(19)
@@ -302,7 +309,10 @@ class TestRefineHomography:
         ]
         h0 = compose(translation_homography(2.0, -1.0), h)
         refined = refine_homography(*correspondence_arrays(pairs), h0)
-        assert reprojection_metrics(refined, pairs).aed <= reprojection_metrics(h0, pairs).aed
+        assert (
+            reprojection_metrics(refined, *correspondence_arrays(pairs)).aed
+            <= reprojection_metrics(h0, *correspondence_arrays(pairs)).aed
+        )
 
     def test_insufficient_pairs(self):
         with pytest.raises(InsufficientPairs):
@@ -320,4 +330,7 @@ class TestRefineHomography:
         h0 = compose(translation_homography(25.0, -30.0), h)
         with pytest.warns(NonConvergenceWarning):
             refined = refine_homography(*correspondence_arrays(pairs), h0, max_iterations=1)
-        assert reprojection_metrics(refined, pairs).aed <= reprojection_metrics(h0, pairs).aed
+        assert (
+            reprojection_metrics(refined, *correspondence_arrays(pairs)).aed
+            <= reprojection_metrics(h0, *correspondence_arrays(pairs)).aed
+        )

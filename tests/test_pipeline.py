@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calibrefine.blocks import BlockGrid, block_of
 from calibrefine.errors import EmptySet, InsufficientPairs
@@ -8,9 +11,11 @@ from calibrefine.geometry import (
     Homography,
     PixelPoint,
     PlanePoint,
+    ResidualReport,
     project,
 )
 from calibrefine.pipeline import (
+    HISTOGRAM_EDGE,
     PipelineConfig,
     StageFailure,
     coarse_fit,
@@ -115,6 +120,34 @@ class TestEvaluate:
         counts = error_histogram(evaluate(h, pairs))
         assert counts.sum() == 3
         assert counts[0] == 1 and counts[7] == 1 and counts[-1] == 1
+
+
+_BUCKET_EDGES = [0.0, float(np.nextafter(200.0, 0.0)), 200.0, 1e300]
+_residuals = st.lists(
+    st.one_of(
+        st.sampled_from(_BUCKET_EDGES),
+        st.floats(0.0, 250.0),
+        st.floats(0.0, 1e300),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestErrorHistogramHypothesis:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(residuals=_residuals)
+    @example(residuals=_BUCKET_EDGES)
+    def test_counts_sum_to_n_and_each_residual_lands_in_its_bucket(self, residuals):
+        # the RMSE of residuals near 1e300 overflows to inf; only per_pair matters here
+        with np.errstate(over="ignore"):
+            report = ResidualReport.from_residuals(np.array(residuals, dtype=float))
+        counts = error_histogram(report)
+        expected = [0] * (HISTOGRAM_EDGE + 1)
+        for r in residuals:
+            expected[min(math.floor(r), HISTOGRAM_EDGE)] += 1
+        assert counts.sum() == report.n == len(residuals)
+        assert counts.tolist() == expected
 
 
 class TestRunFull:

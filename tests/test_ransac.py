@@ -6,6 +6,7 @@ from calibrefine.geometry import (
     Correspondence,
     PixelPoint,
     PlanePoint,
+    correspondence_arrays,
     project,
     reprojection_metrics,
 )
@@ -37,7 +38,7 @@ class TestRansacExamples:
         rng = np.random.default_rng(0)
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, 50)
-        result = ransac_homography(pairs, RansacConfig(seed=1))
+        result = ransac_homography(*correspondence_arrays(pairs), RansacConfig(seed=1))
         assert result.inlier_indices == tuple(range(50))
         assert np.max(np.abs(result.h.m - h.m)) < 1e-8
 
@@ -45,14 +46,16 @@ class TestRansacExamples:
         rng = np.random.default_rng(1)
         h = well_conditioned_homography(rng)
         with pytest.raises(InsufficientPairs):
-            ransac_homography(exact_pairs(h, rng, 3), RansacConfig())
+            ransac_homography(*correspondence_arrays(exact_pairs(h, rng, 3)), RansacConfig())
 
     def test_consensus_failure_on_heavy_contamination(self):
         rng = np.random.default_rng(2)
         h = well_conditioned_homography(rng)
         pairs, _ = contaminated_set(rng, h, 10, 90)
         with pytest.raises(ConsensusFailure):
-            ransac_homography(pairs, RansacConfig(seed=3, min_inlier_ratio=0.5))
+            ransac_homography(
+                *correspondence_arrays(pairs), RansacConfig(seed=3, min_inlier_ratio=0.5)
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -69,8 +72,8 @@ class TestRansacProperties:
         h = well_conditioned_homography(rng)
         pairs, _ = contaminated_set(rng, h, 60, 40)
         cfg = RansacConfig(seed=7)
-        a = ransac_homography(pairs, cfg)
-        b = ransac_homography(pairs, cfg)
+        a = ransac_homography(*correspondence_arrays(pairs), cfg)
+        b = ransac_homography(*correspondence_arrays(pairs), cfg)
         assert np.array_equal(a.h.m, b.h.m)
         assert a.inlier_indices == b.inlier_indices
         assert a.iterations_run == b.iterations_run
@@ -82,11 +85,14 @@ class TestRansacProperties:
         h = well_conditioned_homography(rng)
         pairs, _ = contaminated_set(rng, h, 50, 30)
         cfg = RansacConfig(seed=seed)
-        result = ransac_homography(pairs, cfg)
+        result = ransac_homography(*correspondence_arrays(pairs), cfg)
         assert len(result.inlier_indices) >= 4
         assert all(a < b for a, b in zip(result.inlier_indices, result.inlier_indices[1:]))
-        report = reprojection_metrics(result.h, [pairs[i] for i in result.inlier_indices])
+        report = reprojection_metrics(
+            result.h, *correspondence_arrays([pairs[i] for i in result.inlier_indices])
+        )
         assert np.all(report.per_pair <= cfg.inlier_threshold)
+        assert np.array_equal(result.inlier_report.per_pair, report.per_pair)
 
     def test_shuffled_input_same_inlier_set_via_index_stable_sampling(self):
         rng = np.random.default_rng(5)
@@ -94,7 +100,7 @@ class TestRansacProperties:
         pairs, _ = contaminated_set(rng, h, 40, 20)
         cfg = RansacConfig(seed=11)
 
-        base = ransac_homography(pairs, cfg)
+        base = ransac_homography(*correspondence_arrays(pairs), cfg)
         base_inliers = {id(pairs[i]) for i in base.inlier_indices}
 
         perm = list(rng.permutation(len(pairs)))
@@ -107,7 +113,9 @@ class TestRansacProperties:
             draws.append(next(stream))
         remapped = [tuple(inverse[i] for i in s) for s in draws]
 
-        shuffled_result = ransac_homography(shuffled, cfg, sample_stream=remapped)
+        shuffled_result = ransac_homography(
+            *correspondence_arrays(shuffled), cfg, sample_stream=remapped
+        )
         shuffled_inliers = {id(shuffled[i]) for i in shuffled_result.inlier_indices}
         assert shuffled_inliers == base_inliers
 
@@ -116,7 +124,7 @@ class TestRansacProperties:
         h = well_conditioned_homography(rng)
         pairs, _ = contaminated_set(rng, h, 60, 40)
         cfg = RansacConfig(seed=13)
-        result = ransac_homography(pairs, cfg)
+        result = ransac_homography(*correspondence_arrays(pairs), cfg)
 
         # replay all hypotheses the run could have seen and find the best one
         best = None
@@ -128,18 +136,18 @@ class TestRansacProperties:
             while True:
                 idx = next(stream)
                 try:
-                    cand = estimate_homography([pairs[i] for i in idx])
+                    cand = estimate_homography(*correspondence_arrays([pairs[i] for i in idx]))
                     break
                 except DegenerateConfiguration:
                     continue
-            report = reprojection_metrics(cand, pairs)
+            report = reprojection_metrics(cand, *correspondence_arrays(pairs))
             mask = report.per_pair <= cfg.inlier_threshold
             count = int(mask.sum())
             if count >= 4:
                 key = (-count, float(report.per_pair[mask].mean()))
                 if best is None or key < best:
                     best = key
-        final_report = reprojection_metrics(result.h, pairs)
+        final_report = reprojection_metrics(result.h, *correspondence_arrays(pairs))
         final_mask = final_report.per_pair <= cfg.inlier_threshold
         final_key = (-int(final_mask.sum()), float(final_report.per_pair[final_mask].mean()))
         assert final_key <= best

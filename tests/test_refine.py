@@ -1,16 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid, block_of
+from calibrefine.blocks import BlockGrid, block_of, block_sample
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
     Correspondence,
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
+    Source,
     compose,
+    correspondence_arrays,
     project,
     reprojection_metrics,
 )
@@ -19,7 +24,6 @@ from calibrefine.ransac import RansacConfig
 from calibrefine.refine import (
     BLOCK_CAPACITY,
     CalibrationState,
-    Frame,
     GuardMetric,
     RefineConfig,
     checkpoint_recalibrate,
@@ -28,7 +32,7 @@ from calibrefine.refine import (
 )
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import translation_homography
+from conftest import naive_occupancy_admit, translation_homography
 
 GRID = BlockGrid(1000, 1000, 5, 5)
 CFG = RefineConfig(recalib_interval=100, gate=MatchGate(40.0), grid=GRID, ransac=RansacConfig(seed=5))
@@ -107,6 +111,51 @@ class TestIngestFrame:
         assert out.degenerate_skipped == 1
 
 
+# Pixel coordinates on a 0.5 px lattice around blocks 0-2 of GRID (200 px
+# blocks, half diagonal ~141 px), some just outside the image: near-duplicates,
+# points far enough apart to share a block, and blocks filled to capacity (the
+# four corners of a block are pairwise far enough apart, so a fourth corner
+# tests the capacity rule).
+_coord = st.builds(
+    lambda block, offset: 200.0 * block + offset,
+    st.sampled_from([-1, 0, 1, 2]),
+    st.one_of(
+        st.sampled_from([0.0, 199.5]),
+        st.sampled_from([0.5, 4.0, 60.0, 100.0, 141.5, 195.0]),
+        st.integers(0, 399).map(lambda k: 0.5 * k),
+    ),
+)
+_pixels = st.lists(st.tuples(_coord, _coord), max_size=8)
+
+
+class TestOccupancyHypothesis:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(seeds=_pixels, frames=st.lists(_pixels, min_size=1, max_size=6), skip_parity=st.booleans())
+    def test_matches_rescan_reference(self, seeds, frames, skip_parity):
+        # translation by (1, 0) is canonically [[.5, 0, .5], [0, .5, 0], [0, 0, .5]]:
+        # it projects lidar (u - 1, v) onto (u, v) exactly, so every LiDAR point
+        # matches its own camera point at cost 0, in LiDAR order
+        h = translation_homography(1.0, 0.0)
+        cfg = replace(CFG, skip_parity=skip_parity)
+        seed_pairs = [Correspondence(PlanePoint(u - 1.0, v), PixelPoint(u, v)) for u, v in seeds]
+        state = CalibrationState.initial(h, seed_pairs)
+        expected = list(seed_pairs)
+        for frame_id, pixels in enumerate(frames):
+            frame = Frame(
+                frame_id=frame_id,
+                lidar_centers=tuple(PlanePoint(u - 1.0, v) for u, v in pixels),
+                camera_centers=tuple(PixelPoint(u, v) for u, v in pixels),
+            )
+            state = ingest_frame(state, frame, cfg)
+            matched = [
+                Correspondence(lidar, pixel, frame_id, Source.GREEDY_MATCHED)
+                for lidar, pixel in zip(frame.lidar_centers, frame.camera_centers)
+            ]
+            survivors = block_sample(matched, GRID, skip_parity=skip_parity)
+            expected = naive_occupancy_admit(expected, survivors, GRID, BLOCK_CAPACITY)
+            assert state.accumulated == tuple(expected)
+
+
 class TestCheckpointRecalibrate:
     def test_incumbent_optimal_is_not_replaced(self):
         h = scene_homography()
@@ -179,8 +228,8 @@ class TestRun:
         )
         state = run([sf.frame for sf in sim_frames], h0, cfg)
         eval_pairs = gt.correspondences()
-        before = reprojection_metrics(h0, eval_pairs).aed
-        after = reprojection_metrics(state.h_best, eval_pairs).aed
+        before = reprojection_metrics(h0, *correspondence_arrays(eval_pairs)).aed
+        after = reprojection_metrics(state.h_best, *correspondence_arrays(eval_pairs)).aed
         assert after <= before + 1e-9
         assert after < 0.1  # essentially recovers the generator
 

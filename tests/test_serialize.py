@@ -7,13 +7,14 @@ from calibrefine import serialize
 from calibrefine.errors import SingularResult
 from calibrefine.geometry import (
     Correspondence,
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
     Source,
     compose,
 )
-from calibrefine.refine import CheckpointRecord, Frame
+from calibrefine.refine import CheckpointRecord
 from calibrefine.simulator import SceneConfig, generate
 
 from conftest import well_conditioned_homography

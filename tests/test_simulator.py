@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibrefine.geometry import project
-from calibrefine.refine import Frame
+from calibrefine.geometry import Frame, project
 from calibrefine.simulator import (
     SceneConfig,
     SimFrame,
