@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InsufficientPairs
 from .geometry import (
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
@@ -26,7 +27,7 @@ from .geometry import (
     refine_homography,
     transform_points,
 )
-from .matching import MatchGate, greedy_match
+from .matching import MatchGate, greedy_match_frames
 
 #: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
 Pairs = tuple[np.ndarray, np.ndarray]
@@ -56,18 +57,28 @@ class CorrectionResult:
 
 
 def implicit_pairs(
-    h: Homography, lidar_xy: np.ndarray, camera_uv: np.ndarray, gate: MatchGate
+    h: Homography,
+    lidar_xy: np.ndarray,
+    camera_uv: np.ndarray,
+    lidar_counts,
+    camera_counts,
+    gate: MatchGate,
 ) -> Pairs:
     """Pair each projected LiDAR point with its nearest camera detection
-    inside the gate (greedy, one-to-one); degenerate projections are skipped.
+    inside the gate (greedy, one-to-one, within its frame); degenerate
+    projections are skipped.
 
-    Takes ``(N, 2)`` ground and ``(M, 2)`` pixel arrays and returns the
-    paired ``(K, 2)`` ground and pixel arrays in greedy order.
+    Takes the stream's ``(N, 2)`` ground and ``(M, 2)`` pixel arrays,
+    concatenated in frame order, and each frame's number of rows in them.
+    Returns the paired ``(K, 2)`` ground and pixel arrays, frame by frame
+    and each frame in greedy order.
     """
+    lidar_counts = np.asarray(lidar_counts, dtype=np.intp)
     uv, kept = projectable(h.m, lidar_xy)
-    matches = greedy_match(uv, camera_uv, gate)
-    idx = np.array([m[:2] for m in matches.matches], dtype=np.intp).reshape(-1, 2)
-    return lidar_xy[kept[idx[:, 0]]], camera_uv[idx[:, 1]]
+    frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
+    kept_counts = np.bincount(frame_of[kept], minlength=len(lidar_counts))
+    li, ci = greedy_match_frames(uv, camera_uv, kept_counts, camera_counts, gate)
+    return lidar_xy[kept[li]], camera_uv[ci]
 
 
 def reprojection_loss(
@@ -125,17 +136,50 @@ def _alternate(
     return g, trace, pairs
 
 
-def _fit_pools(
-    h: Homography, pools: list[Pairs], cfg: CorrectionConfig, lenient: bool
+def fit_correction(
+    h: Homography,
+    lidar: Sequence[PlanePoint],
+    camera: Sequence[PixelPoint],
+    cfg: CorrectionConfig,
+    lenient: bool = False,
 ) -> CorrectionResult:
-    """Fit the correction with pairings rebuilt inside each ``(xy, uv)``
-    pool and concatenated in pool order; no pair crosses a pool."""
+    """Fit the correction against one pool of LiDAR and camera points.
+
+    A round is accepted only if the loss, recomputed after re-pairing, does
+    not increase; the loss trace over accepted rounds is therefore
+    non-increasing. With fewer than ``cfg.min_pairs`` initial pairings the
+    refinement is not applicable: raises ``InsufficientPairs``, or returns an
+    identity correction when ``lenient`` is set.
+    """
+    return fit_correction_stream(h, [Frame(0, tuple(lidar), tuple(camera))], cfg, lenient)
+
+
+def fit_correction_stream(
+    h: Homography,
+    frames: Sequence[Frame],
+    cfg: CorrectionConfig,
+    lenient: bool = False,
+) -> CorrectionResult:
+    """Fit the correction against a frame stream, pairing within each frame.
+
+    Same alternation and acceptance rule as :func:`fit_correction`, but the
+    nearest-neighbor pairings never cross frame boundaries, which keeps them
+    meaningful when detections from many timestamps would otherwise crowd
+    the image plane.
+    """
+    lidar: list[PlanePoint] = []
+    camera: list[PixelPoint] = []
+    lidar_counts: list[int] = []
+    camera_counts: list[int] = []
+    for f in frames:
+        lidar.extend(f.lidar_centers)
+        camera.extend(f.camera_centers)
+        lidar_counts.append(len(f.lidar_centers))
+        camera_counts.append(len(f.camera_centers))
+    xy, uv = plane_array(lidar), pixel_array(camera)
 
     def pair_fn(g: Homography) -> Pairs:
-        found = [implicit_pairs(g, xy, uv, cfg.gate) for xy, uv in pools]
-        if not found:
-            return np.empty((0, 2)), np.empty((0, 2))
-        return np.concatenate([f[0] for f in found]), np.concatenate([f[1] for f in found])
+        return implicit_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate)
 
     pairs = pair_fn(h)
     n_pairs = len(pairs[0])
@@ -159,38 +203,3 @@ def _fit_pools(
         loss_trace=tuple(trace),
         pairs_used=len(final_pairs[0]),
     )
-
-
-def fit_correction(
-    h: Homography,
-    lidar: Sequence[PlanePoint],
-    camera: Sequence[PixelPoint],
-    cfg: CorrectionConfig,
-    lenient: bool = False,
-) -> CorrectionResult:
-    """Fit the correction against one pool of LiDAR and camera points.
-
-    A round is accepted only if the loss, recomputed after re-pairing, does
-    not increase; the loss trace over accepted rounds is therefore
-    non-increasing. With fewer than ``cfg.min_pairs`` initial pairings the
-    refinement is not applicable: raises ``InsufficientPairs``, or returns an
-    identity correction when ``lenient`` is set.
-    """
-    return _fit_pools(h, [(plane_array(lidar), pixel_array(camera))], cfg, lenient)
-
-
-def fit_correction_stream(
-    h: Homography,
-    frames: Sequence,
-    cfg: CorrectionConfig,
-    lenient: bool = False,
-) -> CorrectionResult:
-    """Fit the correction against a frame stream, pairing within each frame.
-
-    Same alternation and acceptance rule as :func:`fit_correction`, but the
-    nearest-neighbor pairings never cross frame boundaries, which keeps them
-    meaningful when detections from many timestamps would otherwise crowd
-    the image plane.
-    """
-    pools = [(plane_array(f.lidar_centers), pixel_array(f.camera_centers)) for f in frames]
-    return _fit_pools(h, pools, cfg, lenient)

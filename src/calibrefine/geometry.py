@@ -212,12 +212,20 @@ def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def plane_array(points: Sequence[PlanePoint]) -> np.ndarray:
     """Ground-plane points as an (N, 2) array of (x, y)."""
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    # Filled column by column: a tuple per point costs time and, on a whole
+    # stream, garbage-collector passes.
+    out = np.empty((len(points), 2))
+    out[:, 0] = [p.x for p in points]
+    out[:, 1] = [p.y for p in points]
+    return out
 
 
 def pixel_array(points: Sequence[PixelPoint]) -> np.ndarray:
     """Pixel points as an (N, 2) array of (u, v)."""
-    return np.array([(p.u, p.v) for p in points], dtype=float).reshape(-1, 2)
+    out = np.empty((len(points), 2))
+    out[:, 0] = [p.u for p in points]
+    out[:, 1] = [p.v for p in points]
+    return out
 
 
 def correspondence_arrays(pairs: Sequence[Correspondence]) -> tuple[np.ndarray, np.ndarray]:
@@ -240,10 +248,17 @@ class ResidualReport:
     def from_residuals(cls, residuals: np.ndarray) -> "ResidualReport":
         residuals = np.array(residuals, dtype=float)
         residuals.flags.writeable = False
+        with np.errstate(over="ignore"):
+            rmse = float(np.sqrt(np.mean(residuals**2)))
+        if not math.isfinite(rmse) and residuals.size and np.isfinite(residuals).all():
+            # the squares overflowed although the RMSE itself is finite:
+            # scale by the largest residual first
+            top = float(np.max(np.abs(residuals)))
+            rmse = top * float(np.sqrt(np.mean((residuals / top) ** 2)))
         return cls(
             per_pair=residuals,
             aed=float(residuals.mean()),
-            rmse=float(np.sqrt(np.mean(residuals**2))),
+            rmse=rmse,
             n=int(residuals.size),
         )
 

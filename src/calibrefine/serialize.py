@@ -35,6 +35,13 @@ def _load_json(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _malformed(where: str, exc: Exception) -> ValueError:
+    """Invalid input (``ValueError``) for a record that failed to parse;
+    ``where`` is ``path`` or ``path:line``."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{where}: malformed record: {what}")
+
+
 # -- homographies -------------------------------------------------------------
 
 def homography_to_dict(h: Homography) -> dict:
@@ -50,11 +57,15 @@ def save_homography(path: str | Path, h: Homography) -> None:
 
 
 def load_homography(path: str | Path) -> Homography:
-    """Read a matrix file; a singular matrix is invalid input (``ValueError``)."""
+    """Read a matrix file; a malformed or singular matrix is invalid input
+    (``ValueError``)."""
+    d = _load_json(path)
     try:
-        return homography_from_dict(_load_json(path))
+        return homography_from_dict(d)
     except SingularMatrixError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _malformed(str(path), exc) from exc
 
 
 # -- frame streams -------------------------------------------------------------
@@ -76,7 +87,8 @@ def write_frames_jsonl(path: str | Path, frames: Sequence[Frame]) -> None:
 
 
 def read_frames_jsonl(path: str | Path) -> list[Frame]:
-    """Read a frame stream; frame ids must strictly increase (``ValueError``)."""
+    """Read a frame stream; frame ids must strictly increase, and a record
+    that fails to parse is invalid input (``ValueError`` naming path:line)."""
     frames = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -84,19 +96,20 @@ def read_frames_jsonl(path: str | Path) -> list[Frame]:
             if not line:
                 continue
             d = json.loads(line)
-            frame_id = int(d["frame_id"])
-            if frames and frame_id <= frames[-1].frame_id:
-                raise ValueError(
-                    f"{path}:{n}: frame_id {frame_id} after frame_id {frames[-1].frame_id}; "
-                    "ids must strictly increase"
-                )
-            frames.append(
-                Frame(
-                    frame_id=frame_id,
+            try:
+                frame = Frame(
+                    frame_id=int(d["frame_id"]),
                     lidar_centers=tuple(PlanePoint(float(x), float(y)) for x, y in d["lidar"]),
                     camera_centers=tuple(PixelPoint(float(u), float(v)) for u, v in d["camera"]),
                 )
-            )
+            except (KeyError, TypeError) as exc:
+                raise _malformed(f"{path}:{n}", exc) from exc
+            if frames and frame.frame_id <= frames[-1].frame_id:
+                raise ValueError(
+                    f"{path}:{n}: frame_id {frame.frame_id} after frame_id {frames[-1].frame_id}; "
+                    "ids must strictly increase"
+                )
+            frames.append(frame)
     return frames
 
 
@@ -120,6 +133,8 @@ def write_pairs_jsonl(path: str | Path, pairs: Sequence[Correspondence]) -> None
 
 
 def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
+    """Read correspondences; a record that fails to parse is invalid input
+    (``ValueError`` naming path:line)."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -127,18 +142,20 @@ def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
             if not line:
                 continue
             d = json.loads(line)
-            lidar = d["lidar"]
-            pixel = d["pixel"]
-            if len(lidar) != 2 or len(pixel) != 2:
-                raise ValueError(f"{path}:{n}: lidar/pixel must each hold 2 values")
-            pairs.append(
-                Correspondence(
+            try:
+                lidar = d["lidar"]
+                pixel = d["pixel"]
+                if len(lidar) != 2 or len(pixel) != 2:
+                    raise ValueError(f"{path}:{n}: lidar/pixel must each hold 2 values")
+                pair = Correspondence(
                     lidar=PlanePoint(float(lidar[0]), float(lidar[1])),
                     pixel=PixelPoint(float(pixel[0]), float(pixel[1])),
                     frame_id=int(d.get("frame_id", 0)),
                     source=Source(d.get("source", "manual")),
                 )
-            )
+            except (KeyError, TypeError) as exc:
+                raise _malformed(f"{path}:{n}", exc) from exc
+            pairs.append(pair)
     return pairs
 
 
@@ -170,22 +187,27 @@ def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
+    """Read the ground-truth sidecar; a malformed file is invalid input
+    (``ValueError``)."""
     d = _load_json(path)
     frames = []
-    for fd in d["frames"]:
-        frames.append(
-            tuple(
-                ObjectTruth(
-                    object_id=int(o["object_id"]),
-                    plane=PlanePoint(*map(float, o["plane"])),
-                    pixel=PixelPoint(*map(float, o["pixel"])),
-                    visible_to_camera=bool(o["visible_to_camera"]),
-                    visible_to_lidar=bool(o["visible_to_lidar"]),
+    try:
+        for fd in d["frames"]:
+            frames.append(
+                tuple(
+                    ObjectTruth(
+                        object_id=int(o["object_id"]),
+                        plane=PlanePoint(*map(float, o["plane"])),
+                        pixel=PixelPoint(*map(float, o["pixel"])),
+                        visible_to_camera=bool(o["visible_to_camera"]),
+                        visible_to_lidar=bool(o["visible_to_lidar"]),
+                    )
+                    for o in fd["objects"]
                 )
-                for o in fd["objects"]
             )
-        )
-    return GroundTruth(h_true=Homography(d["h_true"]), frames=tuple(frames))
+        return GroundTruth(h_true=Homography(d["h_true"]), frames=tuple(frames))
+    except (KeyError, TypeError) as exc:
+        raise _malformed(str(path), exc) from exc
 
 
 # -- reports and logs ------------------------------------------------------------

@@ -444,3 +444,51 @@ class TestInputValidation:
         )
         assert code == 2
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record", [{"frame_id": 0}, {"frame_id": 0, "lidar": 5, "camera": []}]
+    )
+    def test_malformed_frame_record_exits_2(self, tmp_path, sim_dir, capsys, record):
+        cfg, out = sim_dir
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps(record) + "\n")
+        matrix = tmp_path / "m.json"
+        serialize.save_homography(matrix, serialize.read_ground_truth(out / "ground_truth.json").h_true)
+        code = main(
+            [
+                "--config", str(cfg),
+                "refine",
+                "--frames", str(frames),
+                "--matrix", str(matrix),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert f"{frames}:1: malformed record" in capsys.readouterr().err
+
+    def test_pair_record_without_pixel_exits_2(self, tmp_path, sim_dir, capsys):
+        _, out = sim_dir
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"lidar": [1, 2]}) + "\n")
+        matrix = tmp_path / "m.json"
+        serialize.save_homography(matrix, serialize.read_ground_truth(out / "ground_truth.json").h_true)
+        code = main(
+            ["evaluate", "--matrix", str(matrix), "--pairs", str(pairs), "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert f"{pairs}:1: malformed record: missing key 'pixel'" in capsys.readouterr().err
+
+    def test_matrix_file_without_h_exits_2(self, tmp_path, sim_dir, capsys):
+        _, out = sim_dir
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps({"x": 1}))
+        code = main(
+            [
+                "evaluate",
+                "--matrix", str(matrix),
+                "--pairs", str(out / "gt_pairs.jsonl"),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert f"{matrix}: malformed record: missing key 'h'" in capsys.readouterr().err

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calibrefine import matching
 from calibrefine.geometry import PixelPoint
-from calibrefine.matching import MatchGate, greedy_match
+from calibrefine.matching import MatchGate, greedy_match, greedy_match_frames
 
 from conftest import naive_greedy, point_array
 
@@ -152,7 +155,7 @@ _gates = st.one_of(st.integers(1, 8).map(float), st.floats(0.01, 150.0))
 
 
 class TestGreedyMatchHypothesis:
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=300)
     @given(proj=_point_arrays, dets=_point_arrays, gate=_gates)
     def test_equals_naive_greedy(self, proj, dets, gate):
         out = greedy_match(proj, dets, MatchGate(gate))
@@ -166,3 +169,72 @@ class TestGreedyMatchHypothesis:
         assert sorted([j for _, j, _ in expected] + list(out.unmatched_camera)) == list(
             range(len(dets))
         )
+
+
+# Frames of 0-10 points per sensor on a coarse lattice, so costs tie within
+# and across frames; empty frames and empty streams included.
+_lattice_points = st.lists(
+    st.tuples(st.integers(0, 6).map(float), st.integers(0, 6).map(float)), max_size=10
+).map(lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
+_streams = st.lists(st.tuples(_lattice_points, _lattice_points), max_size=8)
+
+
+def match_stream(frames, gate):
+    """greedy_match_frames on frames given as (projected, detections) pairs."""
+    proj = np.concatenate([p for p, _ in frames] or [np.empty((0, 2))])
+    dets = np.concatenate([d for _, d in frames] or [np.empty((0, 2))])
+    lidar, camera = greedy_match_frames(
+        proj, dets, [len(p) for p, _ in frames], [len(d) for _, d in frames], MatchGate(gate)
+    )
+    return lidar.tolist(), camera.tolist()
+
+
+def naive_stream(frames, gate):
+    """naive_greedy frame by frame, with each frame's row offsets added."""
+    lidar, camera = [], []
+    lidar_offset = camera_offset = 0
+    for proj, dets in frames:
+        costs = np.hypot(proj[:, None, 0] - dets[None, :, 0], proj[:, None, 1] - dets[None, :, 1])
+        for i, j, _ in naive_greedy(costs.reshape(len(proj), len(dets)), gate):
+            lidar.append(lidar_offset + i)
+            camera.append(camera_offset + j)
+        lidar_offset += len(proj)
+        camera_offset += len(dets)
+    return lidar, camera
+
+
+class TestGreedyMatchFrames:
+    def test_pairs_never_cross_frames(self):
+        # frame 0 has only LiDAR, frame 1 only the matching detections
+        proj = np.array([[0.0, 0.0], [5.0, 0.0]])
+        dets = np.array([[0.0, 0.0], [5.0, 0.0]])
+        lidar, camera = greedy_match_frames(proj, dets, [2, 0], [0, 2], MatchGate(40.0))
+        assert lidar.tolist() == [] and camera.tolist() == []
+
+    def test_indices_are_global_and_frame_ordered(self):
+        proj = np.array([[0.0, 0.0], [10.0, 0.0], [50.0, 50.0]])
+        dets = np.array([[10.5, 0.0], [0.2, 0.0], [50.0, 51.0]])
+        lidar, camera = greedy_match_frames(proj, dets, [2, 1], [2, 1], MatchGate(40.0))
+        assert lidar.tolist() == [0, 1, 2]
+        assert camera.tolist() == [1, 0, 2]
+
+    def test_counts_must_partition_the_arrays(self):
+        with pytest.raises(ValueError):
+            greedy_match_frames(np.zeros((3, 2)), np.zeros((2, 2)), [1, 1], [1, 1], MatchGate(40.0))
+        with pytest.raises(ValueError):
+            greedy_match_frames(np.zeros((2, 2)), np.zeros((2, 2)), [1, 1], [2], MatchGate(40.0))
+
+
+class TestGreedyMatchFramesHypothesis:
+    @settings(max_examples=300)
+    @given(frames=_streams, gate=_gates)
+    def test_equals_per_frame_naive_greedy(self, frames, gate):
+        assert match_stream(frames, gate) == naive_stream(frames, gate)
+
+    @settings(max_examples=200)
+    @given(frames=_streams, gate=_gates)
+    def test_batch_size_does_not_change_the_result(self, frames, gate):
+        expected = match_stream(frames, gate)
+        for cells in (1, 7):
+            with mock.patch.object(matching, "_BATCH_CELLS", cells):
+                assert match_stream(frames, gate) == expected

@@ -129,7 +129,7 @@ _pixels = st.lists(st.tuples(_coord, _coord), max_size=8)
 
 
 class TestOccupancyHypothesis:
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=300)
     @given(seeds=_pixels, frames=st.lists(_pixels, min_size=1, max_size=6), skip_parity=st.booleans())
     def test_matches_rescan_reference(self, seeds, frames, skip_parity):
         # translation by (1, 0) is canonically [[.5, 0, .5], [0, .5, 0], [0, 0, .5]]:

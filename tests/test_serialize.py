@@ -64,6 +64,12 @@ class TestFramesAndPairsIO:
         assert loaded.h_true == gt.h_true
         assert loaded.frames == gt.frames
 
+    def test_malformed_ground_truth_names_the_file(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text('{"h_true": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "frames": [{"objects": [{}]}]}')
+        with pytest.raises(ValueError, match="malformed record: missing key 'object_id'"):
+            serialize.read_ground_truth(path)
+
     def test_gt_correspondences_require_both_flag(self):
         _, gt = generate(SceneConfig(seed=3, n_frames=30, n_objects=8))
         strict = gt.correspondences()
