@@ -27,7 +27,7 @@ from .geometry import (
     refine_homography,
     transform_points,
 )
-from .matching import MatchGate, greedy_match_frames
+from .matching import MatchGate, greedy_match
 
 #: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
 Pairs = tuple[np.ndarray, np.ndarray]
@@ -77,8 +77,8 @@ def implicit_pairs(
     uv, kept = projectable(h.m, lidar_xy)
     frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
     kept_counts = np.bincount(frame_of[kept], minlength=len(lidar_counts))
-    li, ci = greedy_match_frames(uv, camera_uv, kept_counts, camera_counts, gate)
-    return lidar_xy[kept[li]], camera_uv[ci]
+    matched = greedy_match(uv, camera_uv, gate, kept_counts, camera_counts)
+    return lidar_xy[kept[matched.lidar]], camera_uv[matched.camera]
 
 
 def reprojection_loss(

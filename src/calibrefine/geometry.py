@@ -230,8 +230,12 @@ def pixel_array(points: Sequence[PixelPoint]) -> np.ndarray:
 
 def correspondence_arrays(pairs: Sequence[Correspondence]) -> tuple[np.ndarray, np.ndarray]:
     """Split correspondences into (N, 2) ground and (N, 2) pixel arrays."""
-    xy = np.array([[c.lidar.x, c.lidar.y] for c in pairs], dtype=float).reshape(-1, 2)
-    uv = np.array([[c.pixel.u, c.pixel.v] for c in pairs], dtype=float).reshape(-1, 2)
+    xy = np.empty((len(pairs), 2))
+    uv = np.empty((len(pairs), 2))
+    xy[:, 0] = [c.lidar.x for c in pairs]
+    xy[:, 1] = [c.lidar.y for c in pairs]
+    uv[:, 0] = [c.pixel.u for c in pairs]
+    uv[:, 1] = [c.pixel.v for c in pairs]
     return xy, uv
 
 

@@ -2,9 +2,9 @@
 detections: repeatedly take the globally cheapest remaining pair under a
 distance gate, leaving the rest unmatched.
 
-One core serves two entry points: :func:`greedy_match` matches one frame,
-and :func:`greedy_match_frames` matches every frame of a stream in batches,
-each batch a NaN-padded block of whole frames with no pair crossing frames.
+One entry point, :func:`greedy_match`, matches one frame, or every frame of
+a stream at once when given per-frame row counts: then in batches, each a
+NaN-padded block of whole frames, with no pair crossing frames.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 _PREFILTER_SLACK = 1e-9
 
 # Largest padded block S * Lmax * Cmax (frames x widest LiDAR row x widest
-# camera row) that greedy_match_frames matches in one pass; a frame larger
+# camera row) that greedy_match matches in one pass; a frame larger
 # than this is a batch of its own. Bounds the memory of the cost grid.
 _BATCH_CELLS = 1 << 15
 
@@ -34,13 +34,20 @@ class MatchGate:
             raise ValueError(f"max_distance must be > 0, got {self.max_distance}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchSet:
-    """Greedy matching outcome: a partial injection plus the leftovers."""
+    """Greedy matching outcome, a partial injection: ``(K,)`` LiDAR rows,
+    camera rows and pair costs, frame by frame and each frame in greedy
+    order."""
 
-    matches: tuple[tuple[int, int, float], ...]
-    unmatched_lidar: tuple[int, ...]
-    unmatched_camera: tuple[int, ...]
+    lidar: np.ndarray
+    camera: np.ndarray
+    cost: np.ndarray
+
+    @property
+    def matches(self) -> tuple[tuple[int, int, float], ...]:
+        """The pairs as ``(lidar row, camera row, cost)`` tuples."""
+        return tuple(zip(self.lidar.tolist(), self.camera.tolist(), self.cost.tolist()))
 
 
 def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
@@ -48,9 +55,9 @@ def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
     (one frame) or ``(S, L, 2)`` / ``(S, C, 2)`` blocks (S frames).
 
     NaN cells fail the prefilter, so they pad a block without ever matching.
-    Returns the lidar rows, camera rows and costs of the taken pairs, frame
-    by frame and each frame in greedy order, and the used flags of the rows;
-    rows index ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)``.
+    Returns the lidar rows, camera rows and costs of the taken pairs as
+    lists, frame by frame and each frame in greedy order; rows index
+    ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)``.
     """
     n_l, n_c = proj.shape[-2], dets.shape[-2]
     du = proj[..., :, None, 0] - dets[..., None, :, 0]
@@ -83,26 +90,7 @@ def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
         lidar_taken.append(i)
         camera_taken.append(j)
         cost_taken.append(c)
-    return (lidar_taken, camera_taken, cost_taken), lidar_used, camera_used
-
-
-def greedy_match(projected, detections, gate: MatchGate) -> MatchSet:
-    """Match projected points to detections, cheapest admissible pair first.
-
-    ``projected`` and ``detections`` are ``(N, 2)`` and ``(M, 2)`` pixel
-    arrays; the cost of a pair is ``hypot(du, dv)`` and a pair is admissible
-    when that cost is at most ``gate.max_distance``. Ties break on
-    (cost, lidar index, camera index). Each index is used at most once;
-    anything without an admissible partner stays unmatched.
-    """
-    proj = np.asarray(projected, dtype=float).reshape(-1, 2)
-    dets = np.asarray(detections, dtype=float).reshape(-1, 2)
-    taken, lidar_used, camera_used = _greedy(proj, dets, gate.max_distance)
-    return MatchSet(
-        matches=tuple(zip(*taken)),
-        unmatched_lidar=tuple(i for i, used in enumerate(lidar_used) if not used),
-        unmatched_camera=tuple(j for j, used in enumerate(camera_used) if not used),
-    )
+    return lidar_taken, camera_taken, cost_taken
 
 
 def _batches(lidar_counts: np.ndarray, camera_counts: np.ndarray):
@@ -135,20 +123,33 @@ def _pack(points: np.ndarray, offsets: np.ndarray, counts: np.ndarray):
     return block, block_rows
 
 
-def greedy_match_frames(
-    projected, detections, lidar_counts, camera_counts, gate: MatchGate
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy matching inside every frame of a stream at once.
+def greedy_match(
+    projected, detections, gate: MatchGate, lidar_counts=None, camera_counts=None
+) -> MatchSet:
+    """Match projected points to detections, cheapest admissible pair first.
 
-    ``projected`` and ``detections`` are the frames' ``(N, 2)`` and ``(M, 2)``
-    pixel arrays concatenated in frame order, and ``lidar_counts`` /
-    ``camera_counts`` give each frame's number of rows in them. Every frame
-    is matched exactly as :func:`greedy_match` matches it alone. Returns the
-    ``(K,)`` row indices into ``projected`` and ``detections`` of the matched
-    pairs, frame by frame and each frame in greedy order.
+    ``projected`` and ``detections`` are ``(N, 2)`` and ``(M, 2)`` pixel
+    arrays; the cost of a pair is ``hypot(du, dv)`` and a pair is admissible
+    when that cost is at most ``gate.max_distance``. Ties break on
+    (cost, lidar index, camera index). Each index is used at most once;
+    anything without an admissible partner stays unmatched.
+
+    Without counts the arrays are one frame. With ``lidar_counts`` and
+    ``camera_counts`` they are the frames of a stream concatenated in frame
+    order, the counts giving each frame's number of rows in them, and every
+    frame is matched exactly as it would be alone; no pair crosses frames.
+    Rows in the result index ``projected`` and ``detections``.
     """
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
+    if lidar_counts is None and camera_counts is None:
+        lidar_taken, camera_taken, cost_taken = _greedy(proj, dets, gate.max_distance)
+        return MatchSet(
+            lidar=np.array(lidar_taken, dtype=np.intp),
+            camera=np.array(camera_taken, dtype=np.intp),
+            cost=np.array(cost_taken, dtype=float),
+        )
+
     lidar_counts = np.asarray(lidar_counts, dtype=np.intp)
     camera_counts = np.asarray(camera_counts, dtype=np.intp)
     if (
@@ -162,11 +163,18 @@ def greedy_match_frames(
     lidar_offsets = np.cumsum(lidar_counts) - lidar_counts
     camera_offsets = np.cumsum(camera_counts) - camera_counts
 
-    lidar_out, camera_out = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    lidar_out = [np.empty(0, dtype=np.intp)]
+    camera_out = [np.empty(0, dtype=np.intp)]
+    cost_out = [np.empty(0)]
     for a, b in _batches(lidar_counts, camera_counts):
         proj_block, lidar_rows = _pack(proj, lidar_offsets[a:b], lidar_counts[a:b])
         det_block, camera_rows = _pack(dets, camera_offsets[a:b], camera_counts[a:b])
-        (lidar_taken, camera_taken, _), _, _ = _greedy(proj_block, det_block, gate.max_distance)
+        lidar_taken, camera_taken, cost_taken = _greedy(proj_block, det_block, gate.max_distance)
         lidar_out.append(lidar_rows[np.array(lidar_taken, dtype=np.intp)])
         camera_out.append(camera_rows[np.array(camera_taken, dtype=np.intp)])
-    return np.concatenate(lidar_out), np.concatenate(camera_out)
+        cost_out.append(np.array(cost_taken, dtype=float))
+    return MatchSet(
+        lidar=np.concatenate(lidar_out),
+        camera=np.concatenate(camera_out),
+        cost=np.concatenate(cost_out),
+    )

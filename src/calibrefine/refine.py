@@ -2,18 +2,22 @@
 current best matrix, greedily match them to camera detections, block-sample
 the matches into an accumulated set, and every N frames recalibrate on that
 set, keeping the new matrix only when it lowers the reprojection error.
+
+The best matrix changes only at checkpoints, so every frame between two
+checkpoints is projected through the same matrix: :func:`run` folds each
+window of ``recalib_interval`` frames in one array pass.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
 from math import hypot, nan
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, block_of, block_sample, half_block_diagonal
+from .blocks import BlockGrid, block_of, half_block_diagonal
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame
 from .geometry import (
     Correspondence,
@@ -70,6 +74,13 @@ class CalibrationState:
     checkpoints: tuple[CheckpointRecord, ...] = ()
     last_frame_id: int = -1
     degenerate_skipped: int = 0
+    # Caches derived from ``accumulated``, each holding the very tuple it was
+    # derived from and used only while ``accumulated`` is that object, so a
+    # state built by hand or by ``replace`` can never read a stale one:
+    # (set, grid, camera points of the set by block) and
+    # (set, RANSAC config, the checkpoint fit on it or None on no consensus).
+    _occupancy: tuple | None = field(default=None, compare=False, repr=False)
+    _fit: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(
@@ -96,56 +107,126 @@ def _admits(members: Sequence[PixelPoint], pixel: PixelPoint, radius: float) -> 
     return all(hypot(pixel.u - m.u, pixel.v - m.v) >= radius for m in members)
 
 
-def ingest_frame(state: CalibrationState, frame: Frame, cfg: RefineConfig) -> CalibrationState:
-    """Fold one frame into the state: project, match, sample, accumulate.
-
-    Never touches ``h_best``. LiDAR centers that project degenerately are
-    skipped and tallied.
-    """
-    if frame.frame_id <= state.last_frame_id:
-        raise OutOfOrderFrame(
-            f"frame {frame.frame_id} after frame {state.last_frame_id}"
-        )
-
-    lidar = frame.lidar_centers
-    camera = frame.camera_centers
-    uv, kept = projectable(state.h_best.m, plane_array(lidar))
-    matches = greedy_match(uv, pixel_array(camera), cfg.gate)
-    lidar_ids = kept.tolist()
-    matched_pairs = [
-        Correspondence(
-            lidar=lidar[lidar_ids[i]],
-            pixel=camera[j],
-            frame_id=frame.frame_id,
-            source=Source.GREEDY_MATCHED,
-        )
-        for i, j, _ in matches.matches
-    ]
-    survivors = block_sample(matched_pairs, cfg.grid, skip_parity=cfg.skip_parity)
-
-    # Block sampling keeps at most one survivor per block, so admitting one
-    # never changes the occupancy another survivor is checked against.
-    occupancy: dict[tuple[int, int] | None, list[PixelPoint]] = defaultdict(list)
+def _occupancy_map(state: CalibrationState, grid: BlockGrid) -> dict:
+    """Camera points of the accumulated set by block, from the state's cache
+    when it was built for this very set and grid."""
+    cache = state._occupancy
+    if cache is not None and cache[0] is state.accumulated and cache[1] == grid:
+        return cache[2]
+    occupancy: dict[tuple[int, int], tuple[PixelPoint, ...]] = {}
     for pair in state.accumulated:
-        occupancy[block_of(cfg.grid, pair.pixel)].append(pair.pixel)
-    radius = half_block_diagonal(cfg.grid)
-    accumulated = list(state.accumulated)
-    for pair in survivors:
-        if _admits(occupancy[block_of(cfg.grid, pair.pixel)], pair.pixel, radius):
-            accumulated.append(pair)
+        block = block_of(grid, pair.pixel)
+        if block is not None:
+            occupancy[block] = occupancy.get(block, ()) + (pair.pixel,)
+    return occupancy
 
+
+def _block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_parity: bool):
+    """``block_sample`` of every frame of a window at once.
+
+    ``uv`` holds the matched camera points in (frame, greedy) order and
+    ``frame_of`` the window frame of each. Returns the rows of the winners
+    in that same order and their block indices ``ix``, ``iy``.
+    """
+    u, v = uv[:, 0], uv[:, 1]
+    rows = np.flatnonzero((0.0 <= u) & (u < grid.image_width) & (0.0 <= v) & (v < grid.image_height))
+    u, v = u[rows], v[rows]
+    bw, bh = grid.block_width, grid.block_height
+    # Floor division and the clamp, as block_of does them on Python floats.
+    ix = np.minimum(u // bw, grid.blocks_x - 1).astype(np.intp)
+    iy = np.minimum(v // bh, grid.blocks_y - 1).astype(np.intp)
+    if skip_parity:
+        keep = (ix + iy) % 2 == grid.parity.value
+        rows, u, v, ix, iy = rows[keep], u[keep], v[keep], ix[keep], iy[keep]
+    d2 = (u - (ix + 0.5) * bw) ** 2 + (v - (iy + 0.5) * bh) ** 2
+    key = (frame_of[rows] * grid.blocks_y + iy) * grid.blocks_x + ix
+    # Per (frame, block): nearest the block center, the earliest row on a tie.
+    order = np.lexsort((rows, d2, key))
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    won = np.sort(order[first])
+    return rows[won], ix[won], iy[won]
+
+
+def ingest_frame(
+    state: CalibrationState, frames: Frame | Sequence[Frame], cfg: RefineConfig
+) -> CalibrationState:
+    """Fold one frame, or a window of frames, into the state: project,
+    match, sample, accumulate.
+
+    A window is folded exactly as its frames would be one by one: one
+    projection through ``h_best``, one greedy matching inside each frame,
+    one block sampling of each frame, then admission to the accumulated set
+    in frame order. Never touches ``h_best``. LiDAR centers that project
+    degenerately are skipped and tallied. Raises ``OutOfOrderFrame`` before
+    anything is folded when the frame ids do not strictly increase.
+    """
+    window = (frames,) if isinstance(frames, Frame) else tuple(frames)
+    last_id = state.last_frame_id
+    for frame in window:
+        if frame.frame_id <= last_id:
+            raise OutOfOrderFrame(f"frame {frame.frame_id} after frame {last_id}")
+        last_id = frame.frame_id
+
+    if len(window) == 1:
+        lidar, camera = window[0].lidar_centers, window[0].camera_centers
+    else:
+        lidar = [p for frame in window for p in frame.lidar_centers]
+        camera = [p for frame in window for p in frame.camera_centers]
+    uv, kept = projectable(state.h_best.m, plane_array(lidar))
+    camera_uv = pixel_array(camera)
+    if len(window) == 1:
+        matched = greedy_match(uv, camera_uv, cfg.gate)
+        frame_of = np.zeros(len(matched.camera), dtype=np.intp)
+    else:
+        frame_idx = np.arange(len(window))
+        lidar_counts = [len(frame.lidar_centers) for frame in window]
+        camera_counts = [len(frame.camera_centers) for frame in window]
+        kept_counts = np.bincount(np.repeat(frame_idx, lidar_counts)[kept], minlength=len(window))
+        matched = greedy_match(uv, camera_uv, cfg.gate, kept_counts, camera_counts)
+        frame_of = np.repeat(frame_idx, camera_counts)[matched.camera]
+    rows, ix, iy = _block_winners(camera_uv[matched.camera], frame_of, cfg.grid, cfg.skip_parity)
+
+    # Block sampling keeps at most one winner per block and frame, so within
+    # a frame admitting one never changes what another is checked against.
+    occupancy = _occupancy_map(state, cfg.grid)
+    radius = half_block_diagonal(cfg.grid)
+    admitted = []
+    for k, block in zip(rows.tolist(), zip(ix.tolist(), iy.tolist())):
+        pixel = camera[matched.camera[k]]
+        members = occupancy.get(block, ())
+        if _admits(members, pixel, radius):
+            if not admitted:
+                occupancy = dict(occupancy)
+            occupancy[block] = members + (pixel,)
+            admitted.append(Correspondence(
+                lidar=lidar[kept[matched.lidar[k]]],
+                pixel=pixel,
+                frame_id=window[frame_of[k]].frame_id,
+                source=Source.GREEDY_MATCHED,
+            ))
+
+    accumulated = state.accumulated + tuple(admitted) if admitted else state.accumulated
     return replace(
         state,
-        accumulated=tuple(accumulated),
-        frames_seen=state.frames_seen + 1,
-        last_frame_id=frame.frame_id,
+        accumulated=accumulated,
+        frames_seen=state.frames_seen + len(window),
+        last_frame_id=last_id,
         degenerate_skipped=state.degenerate_skipped + len(lidar) - len(kept),
+        _occupancy=(accumulated, cfg.grid, occupancy),
     )
 
 
 def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> CalibrationState:
     """Re-estimate from the accumulated set and adopt the result only when it
-    lowers the guard metric on that same set; always appends a record."""
+    lowers the guard metric on that same set; always appends a record.
+
+    RANSAC is a pure function of the set and ``cfg.ransac``, so a checkpoint
+    on the very set and config of the last fit reuses that fit.
+    """
+    fit_cache = state._fit
+
     def skipped() -> CalibrationState:
         record = CheckpointRecord(
             frame_id=state.last_frame_id,
@@ -154,14 +235,19 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
             updated=False,
             skipped=True,
         )
-        return replace(state, checkpoints=state.checkpoints + (record,))
+        return replace(state, checkpoints=state.checkpoints + (record,), _fit=fit_cache)
 
     if len(state.accumulated) < 4:
         return skipped()
     xy, uv = correspondence_arrays(state.accumulated)
-    try:
-        fit = ransac_homography(xy, uv, cfg.ransac)
-    except ConsensusFailure:
+    if fit_cache is None or fit_cache[0] is not state.accumulated or fit_cache[1] != cfg.ransac:
+        try:
+            fit = ransac_homography(xy, uv, cfg.ransac)
+        except ConsensusFailure:
+            fit = None
+        fit_cache = (state.accumulated, cfg.ransac, fit)
+    fit = fit_cache[2]
+    if fit is None:
         return skipped()
 
     err_new = _metric_value(fit.h, xy, uv, cfg.metric)
@@ -177,6 +263,7 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
         state,
         h_best=fit.h if updated else state.h_best,
         checkpoints=state.checkpoints + (record,),
+        _fit=fit_cache,
     )
 
 
@@ -188,14 +275,13 @@ def run(
 ) -> CalibrationState:
     """Drive the loop over a frame stream and return the final state.
 
-    Recalibrates every ``cfg.recalib_interval`` frames and once more at
-    stream end if frames are left over, so short streams still recalibrate.
+    Folds the stream one window of ``cfg.recalib_interval`` frames at a
+    time and recalibrates after each window, the last partial one
+    included, so short streams still recalibrate.
     """
     state = CalibrationState.initial(h0, initial_pairs)
-    for frame in frames:
-        state = ingest_frame(state, frame, cfg)
-        if state.frames_seen % cfg.recalib_interval == 0:
-            state = checkpoint_recalibrate(state, cfg)
-    if state.frames_seen > 0 and state.frames_seen % cfg.recalib_interval != 0:
+    frames = iter(frames)
+    while window := tuple(islice(frames, cfg.recalib_interval)):
+        state = ingest_frame(state, window, cfg)
         state = checkpoint_recalibrate(state, cfg)
     return state

@@ -1,0 +1,63 @@
+"""The benchmark in ``perfbench/`` wraps calibrefine functions by name and
+requires its traced runs to reach some of them (``workloads.EXPECTED_CALLS``).
+These tests read its target list, without editing it, so that a rename or a
+call path that no longer reaches a required function fails here first."""
+import importlib
+import json
+import types
+from pathlib import Path
+
+from calibrefine.cli import main
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    # executed from its source, so no bytecode cache is written beside it
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_target_resolves():
+    for module_name, fn_name, _ in load_tracer().TARGETS:
+        module = importlib.import_module(f"calibrefine.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+
+
+def count_calls(monkeypatch, module_name: str, fn_name: str) -> list:
+    """Rebind the function in every calibrefine module that holds it, as the
+    benchmark's tracer does; returns the list that each call appends to."""
+    original = getattr(importlib.import_module(f"calibrefine.{module_name}"), fn_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for holder_name in ["calibrefine"] + [f"calibrefine.{m}" for m in load_tracer().MODULES]:
+        holder = importlib.import_module(holder_name)
+        for attr, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, attr, counted)
+    return calls
+
+
+def test_cli_refine_reaches_the_online_loop_functions(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": {"n_frames": 30, "n_objects": 8, "seed": 1}}))
+    common = ["--config", str(config)]
+    sim, coarse = tmp_path / "sim", tmp_path / "coarse.json"
+    assert main(common + ["simulate", "--out", str(sim)]) == 0
+    assert main(common + [
+        "calibrate", "--frames", str(sim / "frames.jsonl"),
+        "--oracle", str(sim / "oracle_pairs.jsonl"), "--out", str(coarse),
+    ]) == 0
+
+    ingest = count_calls(monkeypatch, "refine", "ingest_frame")
+    match = count_calls(monkeypatch, "matching", "greedy_match")
+    assert main(common + [
+        "refine", "--frames", str(sim / "frames.jsonl"), "--matrix", str(coarse),
+        "--mode", "iterative", "--out", str(tmp_path / "refined.json"),
+    ]) == 0
+    assert ingest and match

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from calibrefine import matching
 from calibrefine.geometry import PixelPoint
-from calibrefine.matching import MatchGate, greedy_match, greedy_match_frames
+from calibrefine.matching import MatchGate, greedy_match
 
 from conftest import naive_greedy, point_array
 
@@ -19,8 +19,6 @@ class TestGreedyMatchExamples:
     def test_single_admissible_pair(self):
         out = greedy_match(point_array(points((10, 10))), point_array(points((12, 10))), MatchGate(40.0))
         assert out.matches == ((0, 0, 2.0),)
-        assert out.unmatched_lidar == ()
-        assert out.unmatched_camera == ()
 
     def test_two_clean_matches(self):
         out = greedy_match(
@@ -36,20 +34,16 @@ class TestGreedyMatchExamples:
             MatchGate(40.0),
         )
         assert out.matches == ((0, 0, 5.0),)
-        assert out.unmatched_lidar == (1,)
-        assert out.unmatched_camera == (1,)
 
     def test_gate_excludes_everything(self):
         out = greedy_match(point_array(points((0, 0))), point_array(points((100, 100))), MatchGate(40.0))
         assert out.matches == ()
-        assert out.unmatched_lidar == (0,)
-        assert out.unmatched_camera == (0,)
 
     def test_empty_inputs(self):
         out = greedy_match(point_array([]), point_array(points((1, 1))), MatchGate(40.0))
-        assert out.matches == () and out.unmatched_camera == (0,)
+        assert out.matches == ()
         out = greedy_match(point_array(points((1, 1))), point_array([]), MatchGate(40.0))
-        assert out.matches == () and out.unmatched_lidar == (0,)
+        assert out.matches == ()
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -87,8 +81,8 @@ class TestGreedyMatchProperties:
         assert len(set(lidar_seen)) == len(lidar_seen)
         assert len(set(camera_seen)) == len(camera_seen)
         assert all(c <= gate.max_distance for *_, c in out.matches)
-        assert sorted(lidar_seen + list(out.unmatched_lidar)) == list(range(12))
-        assert sorted(camera_seen + list(out.unmatched_camera)) == list(range(9))
+        assert all(0 <= i < 12 for i in lidar_seen)
+        assert all(0 <= j < 9 for j in camera_seen)
 
     def test_greedy_step_optimality_by_replay(self):
         rng = np.random.default_rng(321)
@@ -163,12 +157,6 @@ class TestGreedyMatchHypothesis:
         costs = np.hypot(proj[:, None, 0] - dets[None, :, 0], proj[:, None, 1] - dets[None, :, 1])
         expected = naive_greedy(costs, gate)
         assert list(out.matches) == expected
-        assert sorted([i for i, _, _ in expected] + list(out.unmatched_lidar)) == list(
-            range(len(proj))
-        )
-        assert sorted([j for _, j, _ in expected] + list(out.unmatched_camera)) == list(
-            range(len(dets))
-        )
 
 
 # Frames of 0-10 points per sensor on a coarse lattice, so costs tie within
@@ -180,27 +168,29 @@ _streams = st.lists(st.tuples(_lattice_points, _lattice_points), max_size=8)
 
 
 def match_stream(frames, gate):
-    """greedy_match_frames on frames given as (projected, detections) pairs."""
+    """greedy_match with frame counts, on frames given as (projected,
+    detections) pairs."""
     proj = np.concatenate([p for p, _ in frames] or [np.empty((0, 2))])
     dets = np.concatenate([d for _, d in frames] or [np.empty((0, 2))])
-    lidar, camera = greedy_match_frames(
-        proj, dets, [len(p) for p, _ in frames], [len(d) for _, d in frames], MatchGate(gate)
+    out = greedy_match(
+        proj, dets, MatchGate(gate), [len(p) for p, _ in frames], [len(d) for _, d in frames]
     )
-    return lidar.tolist(), camera.tolist()
+    return out.lidar.tolist(), out.camera.tolist(), out.cost.tolist()
 
 
 def naive_stream(frames, gate):
     """naive_greedy frame by frame, with each frame's row offsets added."""
-    lidar, camera = [], []
+    lidar, camera, cost = [], [], []
     lidar_offset = camera_offset = 0
     for proj, dets in frames:
         costs = np.hypot(proj[:, None, 0] - dets[None, :, 0], proj[:, None, 1] - dets[None, :, 1])
-        for i, j, _ in naive_greedy(costs.reshape(len(proj), len(dets)), gate):
+        for i, j, c in naive_greedy(costs.reshape(len(proj), len(dets)), gate):
             lidar.append(lidar_offset + i)
             camera.append(camera_offset + j)
+            cost.append(c)
         lidar_offset += len(proj)
         camera_offset += len(dets)
-    return lidar, camera
+    return lidar, camera, cost
 
 
 class TestGreedyMatchFrames:
@@ -208,21 +198,21 @@ class TestGreedyMatchFrames:
         # frame 0 has only LiDAR, frame 1 only the matching detections
         proj = np.array([[0.0, 0.0], [5.0, 0.0]])
         dets = np.array([[0.0, 0.0], [5.0, 0.0]])
-        lidar, camera = greedy_match_frames(proj, dets, [2, 0], [0, 2], MatchGate(40.0))
-        assert lidar.tolist() == [] and camera.tolist() == []
+        out = greedy_match(proj, dets, MatchGate(40.0), [2, 0], [0, 2])
+        assert out.lidar.tolist() == [] and out.camera.tolist() == []
 
     def test_indices_are_global_and_frame_ordered(self):
         proj = np.array([[0.0, 0.0], [10.0, 0.0], [50.0, 50.0]])
         dets = np.array([[10.5, 0.0], [0.2, 0.0], [50.0, 51.0]])
-        lidar, camera = greedy_match_frames(proj, dets, [2, 1], [2, 1], MatchGate(40.0))
-        assert lidar.tolist() == [0, 1, 2]
-        assert camera.tolist() == [1, 0, 2]
+        out = greedy_match(proj, dets, MatchGate(40.0), [2, 1], [2, 1])
+        assert out.lidar.tolist() == [0, 1, 2]
+        assert out.camera.tolist() == [1, 0, 2]
 
     def test_counts_must_partition_the_arrays(self):
         with pytest.raises(ValueError):
-            greedy_match_frames(np.zeros((3, 2)), np.zeros((2, 2)), [1, 1], [1, 1], MatchGate(40.0))
+            greedy_match(np.zeros((3, 2)), np.zeros((2, 2)), MatchGate(40.0), [1, 1], [1, 1])
         with pytest.raises(ValueError):
-            greedy_match_frames(np.zeros((2, 2)), np.zeros((2, 2)), [1, 1], [2], MatchGate(40.0))
+            greedy_match(np.zeros((2, 2)), np.zeros((2, 2)), MatchGate(40.0), [1, 1], [2])
 
 
 class TestGreedyMatchFramesHypothesis:

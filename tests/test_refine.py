@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid, block_of, block_sample
+from calibrefine import refine
+from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
     Correspondence,
@@ -154,6 +155,205 @@ class TestOccupancyHypothesis:
             survivors = block_sample(matched, GRID, skip_parity=skip_parity)
             expected = naive_occupancy_admit(expected, survivors, GRID, BLOCK_CAPACITY)
             assert state.accumulated == tuple(expected)
+
+
+def per_frame_loop(frames, h0, cfg, seed_pairs=()):
+    """The online loop frame by frame, on ``run``'s checkpoint schedule."""
+    state = CalibrationState.initial(h0, seed_pairs)
+    for frame in frames:
+        state = ingest_frame(state, frame, cfg)
+        if state.frames_seen % cfg.recalib_interval == 0:
+            state = checkpoint_recalibrate(state, cfg)
+    if state.frames_seen % cfg.recalib_interval:
+        state = checkpoint_recalibrate(state, cfg)
+    return state
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.h_best.m, b.h_best.m)
+    assert a.checkpoints == b.checkpoints
+    assert a.accumulated == b.accumulated
+    assert (a.frames_seen, a.last_frame_id, a.degenerate_skipped) == (
+        b.frames_seen, b.last_frame_id, b.degenerate_skipped
+    )
+
+
+# Pixels on a 50 px lattice over GRID, plus the image edges and points just
+# inside and outside them: u == image_width lies outside the image.
+_edge_coord = st.one_of(
+    st.integers(0, 20).map(lambda k: 50.0 * k),
+    st.sampled_from([-0.5, 0.5, 199.5, 999.5, 1000.0, 1000.5]),
+)
+_edge_pixels = st.lists(st.tuples(_edge_coord, _edge_coord), max_size=8)
+
+
+class TestWindowHypothesis:
+    @settings(max_examples=300)
+    @given(
+        seeds=_edge_pixels,
+        frames=st.lists(_edge_pixels, min_size=1, max_size=6),
+        parity=st.sampled_from(Parity),
+        skip_parity=st.booleans(),
+    )
+    def test_window_matches_per_frame_reference(self, seeds, frames, parity, skip_parity):
+        # as in TestOccupancyHypothesis, every LiDAR point matches its own
+        # camera point at cost 0, in LiDAR order; here the whole stream is
+        # one window
+        h = translation_homography(1.0, 0.0)
+        grid = replace(GRID, parity=parity)
+        cfg = replace(CFG, grid=grid, skip_parity=skip_parity)
+        seed_pairs = [Correspondence(PlanePoint(u - 1.0, v), PixelPoint(u, v)) for u, v in seeds]
+        window = [
+            Frame(
+                frame_id=2 * frame_id,
+                lidar_centers=tuple(PlanePoint(u - 1.0, v) for u, v in pixels),
+                camera_centers=tuple(PixelPoint(u, v) for u, v in pixels),
+            )
+            for frame_id, pixels in enumerate(frames)
+        ]
+        state = ingest_frame(CalibrationState.initial(h, seed_pairs), window, cfg)
+
+        expected = list(seed_pairs)
+        for frame in window:
+            matched = [
+                Correspondence(lidar, pixel, frame.frame_id, Source.GREEDY_MATCHED)
+                for lidar, pixel in zip(frame.lidar_centers, frame.camera_centers)
+            ]
+            survivors = block_sample(matched, grid, skip_parity=skip_parity)
+            expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
+        assert state.accumulated == tuple(expected)
+        assert state.frames_seen == len(window)
+        assert state.last_frame_id == window[-1].frame_id
+
+    @settings(max_examples=150)
+    @given(
+        stream=st.lists(
+            st.tuples(
+                # LiDAR points on a 5 m lattice (50 px under scene_homography),
+                # each with a detection offset (None: not detected)
+                st.lists(
+                    st.tuples(
+                        st.integers(-2, 18).map(lambda k: 5.0 * k),
+                        st.integers(-2, 18).map(lambda k: 5.0 * k),
+                        st.one_of(st.none(), st.sampled_from([0.0, 0.25, -0.5, 2.0, 30.0])),
+                    ),
+                    max_size=8,
+                ),
+                # clutter detections
+                st.lists(st.tuples(_edge_coord, _edge_coord), max_size=2),
+            ),
+            max_size=25,
+        ),
+        interval=st.integers(1, 7),
+        seeded=st.booleans(),
+        parity=st.sampled_from(Parity),
+        skip_parity=st.booleans(),
+    )
+    def test_run_equals_per_frame_loop(self, stream, interval, seeded, parity, skip_parity):
+        h_true = scene_homography()
+        h0 = compose(translation_homography(3.0, -2.0), h_true)
+        frames = []
+        for frame_id, (points, clutter) in enumerate(stream):
+            lidar = tuple(PlanePoint(x, y) for x, y, _ in points)
+            camera = []
+            for p, (_, _, offset) in zip(lidar, points):
+                if offset is not None:
+                    pp = project(h_true, p)
+                    camera.append(PixelPoint(pp.u + offset, pp.v - offset))
+            camera.extend(PixelPoint(u, v) for u, v in clutter)
+            frames.append(Frame(frame_id, lidar, tuple(camera)))
+        seed_pairs = []
+        if seeded:
+            for spot in [(1.0, 1.0), (35.0, 1.0), (1.0, 35.0), (35.0, 35.0), (60.0, 70.0)]:
+                p = PlanePoint(*spot)
+                seed_pairs.append(Correspondence(p, project(h_true, p)))
+        cfg = replace(
+            CFG, recalib_interval=interval, grid=replace(GRID, parity=parity),
+            skip_parity=skip_parity,
+        )
+        assert_same_state(
+            run(iter(frames), h0, cfg, seed_pairs), per_frame_loop(frames, h0, cfg, seed_pairs)
+        )
+
+    @settings(max_examples=100)
+    @given(ids=st.lists(st.integers(0, 6), max_size=10), interval=st.integers(1, 4))
+    def test_out_of_order_frame_raises_like_the_per_frame_loop(self, ids, interval):
+        h = scene_homography()
+        frames = [frame_from(h, fid, [(float(fid), 1.0)]) for fid in ids]
+        cfg = replace(CFG, recalib_interval=interval)
+        outcomes = []
+        for drive in (run, per_frame_loop):
+            try:
+                outcomes.append(drive(frames, h, cfg).accumulated)
+            except OutOfOrderFrame as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        in_order = all(a < b for a, b in zip(ids, ids[1:]))
+        assert isinstance(outcomes[0], tuple) == in_order
+
+    def test_occupancy_of_a_replaced_set_is_rebuilt(self):
+        h = scene_homography()
+        state = ingest_frame(CalibrationState.initial(h), frame_from(h, 0, [(1.0, 1.0)]), CFG)
+        # same length, other block: the cached occupancy belongs to the old set
+        other = (Correspondence(PlanePoint(35.0, 1.0), project(h, PlanePoint(35.0, 1.0))),)
+        frame = frame_from(h, 1, [(2.0, 2.0), (36.0, 2.0)])
+        out = ingest_frame(replace(state, accumulated=other), frame, CFG)
+        fresh = ingest_frame(
+            CalibrationState(h_best=h, accumulated=other, frames_seen=1, last_frame_id=0), frame, CFG
+        )
+        assert out.accumulated == fresh.accumulated
+        assert len(out.accumulated) == 2  # (2, 2) is admitted, (36, 2) is not
+
+
+def exact_parabola_pairs(h, ks):
+    """Exact pairs of ``h`` at ground points on a parabola, so that no three
+    are collinear and every minimal sample is well posed."""
+    return tuple(
+        Correspondence(p, project(h, p))
+        for p in (PlanePoint(5.0 * k - 10.0, 0.75 * k * k - 10.0) for k in ks)
+    )
+
+
+class TestCheckpointFitReuse:
+    def test_unchanged_set_is_fit_once(self, monkeypatch):
+        h = scene_homography()
+        pairs = exact_parabola_pairs(h, range(5))
+        start = CalibrationState(
+            h_best=compose(translation_homography(2.0, 1.0), h), accumulated=pairs, last_frame_id=4
+        )
+        fits = []
+        fit = refine.ransac_homography
+        monkeypatch.setattr(refine, "ransac_homography", lambda *a: fits.append(1) or fit(*a))
+        once = checkpoint_recalibrate(start, CFG)
+        twice = checkpoint_recalibrate(once, CFG)
+        assert len(fits) == 1
+        # the reused fit yields the record a fresh fit would
+        fresh = checkpoint_recalibrate(replace(once, _fit=None), CFG)
+        assert len(fits) == 2
+        assert twice.checkpoints == fresh.checkpoints
+        assert np.array_equal(twice.h_best.m, fresh.h_best.m)
+        # another RANSAC config fits again
+        checkpoint_recalibrate(once, replace(CFG, ransac=RansacConfig(seed=6)))
+        assert len(fits) == 3
+
+    @settings(max_examples=100)
+    @given(
+        ks=st.permutations(range(12)),
+        other=st.permutations(range(12)),
+        n=st.integers(4, 12),
+        shift=st.integers(1, 20),
+    )
+    def test_fit_never_reused_for_a_replaced_set_of_the_same_length(self, ks, other, n, shift):
+        h = scene_homography()
+        first = exact_parabola_pairs(h, ks[:n])
+        second = exact_parabola_pairs(compose(translation_homography(float(shift), 0.0), h), other[:n])
+        fitted = checkpoint_recalibrate(CalibrationState(h_best=h, accumulated=first), CFG)
+        replaced = checkpoint_recalibrate(replace(fitted, accumulated=second), CFG)
+        fresh = checkpoint_recalibrate(
+            CalibrationState(h_best=h, accumulated=second, checkpoints=fitted.checkpoints), CFG
+        )
+        assert replaced.checkpoints == fresh.checkpoints
+        assert np.array_equal(replaced.h_best.m, fresh.h_best.m)
 
 
 class TestCheckpointRecalibrate:
