@@ -136,24 +136,6 @@ def _alternate(
     return g, trace, pairs
 
 
-def fit_correction(
-    h: Homography,
-    lidar: Sequence[PlanePoint],
-    camera: Sequence[PixelPoint],
-    cfg: CorrectionConfig,
-    lenient: bool = False,
-) -> CorrectionResult:
-    """Fit the correction against one pool of LiDAR and camera points.
-
-    A round is accepted only if the loss, recomputed after re-pairing, does
-    not increase; the loss trace over accepted rounds is therefore
-    non-increasing. With fewer than ``cfg.min_pairs`` initial pairings the
-    refinement is not applicable: raises ``InsufficientPairs``, or returns an
-    identity correction when ``lenient`` is set.
-    """
-    return fit_correction_stream(h, [Frame(0, tuple(lidar), tuple(camera))], cfg, lenient)
-
-
 def fit_correction_stream(
     h: Homography,
     frames: Sequence[Frame],
@@ -162,10 +144,13 @@ def fit_correction_stream(
 ) -> CorrectionResult:
     """Fit the correction against a frame stream, pairing within each frame.
 
-    Same alternation and acceptance rule as :func:`fit_correction`, but the
-    nearest-neighbor pairings never cross frame boundaries, which keeps them
-    meaningful when detections from many timestamps would otherwise crowd
-    the image plane.
+    The nearest-neighbor pairings never cross frame boundaries, which keeps
+    them meaningful when detections from many timestamps would otherwise
+    crowd the image plane. A round is accepted only if the loss, recomputed
+    after re-pairing, does not increase; the loss trace over accepted rounds
+    is therefore non-increasing. With fewer than ``cfg.min_pairs`` initial
+    pairings the refinement is not applicable: raises ``InsufficientPairs``,
+    or returns an identity correction when ``lenient`` is set.
     """
     lidar: list[PlanePoint] = []
     camera: list[PixelPoint] = []

@@ -24,7 +24,7 @@ from .geometry import (
 )
 from .pipeline import HISTOGRAM_EDGE
 from .refine import CheckpointRecord
-from .simulator import GroundTruth, ObjectTruth, SimFrame
+from .simulator import GroundTruth, SimFrame
 
 
 def _dump_json(path: str | Path, obj) -> None:
@@ -40,6 +40,13 @@ def _malformed(where: str, exc: Exception) -> ValueError:
     ``where`` is ``path`` or ``path:line``."""
     what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
     return ValueError(f"{where}: malformed record: {what}")
+
+
+def _frame_id(value) -> int:
+    """A record's frame id, which must be a JSON integer (not 1.7 or true)."""
+    if type(value) is not int:
+        raise TypeError(f"frame_id must be an integer, got {value!r}")
+    return value
 
 
 # -- homographies -------------------------------------------------------------
@@ -95,14 +102,14 @@ def read_frames_jsonl(path: str | Path) -> list[Frame]:
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
             try:
+                d = json.loads(line)
                 frame = Frame(
-                    frame_id=int(d["frame_id"]),
+                    frame_id=_frame_id(d["frame_id"]),
                     lidar_centers=tuple(PlanePoint(float(x), float(y)) for x, y in d["lidar"]),
                     camera_centers=tuple(PixelPoint(float(u), float(v)) for u, v in d["camera"]),
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise _malformed(f"{path}:{n}", exc) from exc
             if frames and frame.frame_id <= frames[-1].frame_id:
                 raise ValueError(
@@ -141,19 +148,19 @@ def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
             try:
+                d = json.loads(line)
                 lidar = d["lidar"]
                 pixel = d["pixel"]
                 if len(lidar) != 2 or len(pixel) != 2:
-                    raise ValueError(f"{path}:{n}: lidar/pixel must each hold 2 values")
+                    raise ValueError("lidar/pixel must each hold 2 values")
                 pair = Correspondence(
                     lidar=PlanePoint(float(lidar[0]), float(lidar[1])),
                     pixel=PixelPoint(float(pixel[0]), float(pixel[1])),
-                    frame_id=int(d.get("frame_id", 0)),
+                    frame_id=_frame_id(d.get("frame_id", 0)),
                     source=Source(d.get("source", "manual")),
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise _malformed(f"{path}:{n}", exc) from exc
             pairs.append(pair)
     return pairs
@@ -162,52 +169,8 @@ def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
 # -- ground truth sidecar --------------------------------------------------------
 
 def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
-    _dump_json(
-        path,
-        {
-            "h_true": homography_to_dict(gt.h_true)["h"],
-            "frames": [
-                {
-                    "frame_id": i,
-                    "objects": [
-                        {
-                            "object_id": e.object_id,
-                            "plane": [e.plane.x, e.plane.y],
-                            "pixel": [e.pixel.u, e.pixel.v],
-                            "visible_to_camera": e.visible_to_camera,
-                            "visible_to_lidar": e.visible_to_lidar,
-                        }
-                        for e in entries
-                    ],
-                }
-                for i, entries in enumerate(gt.frames)
-            ],
-        },
-    )
-
-
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    """Read the ground-truth sidecar; a malformed file is invalid input
-    (``ValueError``)."""
-    d = _load_json(path)
-    frames = []
-    try:
-        for fd in d["frames"]:
-            frames.append(
-                tuple(
-                    ObjectTruth(
-                        object_id=int(o["object_id"]),
-                        plane=PlanePoint(*map(float, o["plane"])),
-                        pixel=PixelPoint(*map(float, o["pixel"])),
-                        visible_to_camera=bool(o["visible_to_camera"]),
-                        visible_to_lidar=bool(o["visible_to_lidar"]),
-                    )
-                    for o in fd["objects"]
-                )
-            )
-        return GroundTruth(h_true=Homography(d["h_true"]), frames=tuple(frames))
-    except (KeyError, TypeError) as exc:
-        raise _malformed(str(path), exc) from exc
+    """Write the true matrix in the matrix format; ``load_homography`` reads it."""
+    _dump_json(path, homography_to_dict(gt.h_true))
 
 
 # -- reports and logs ------------------------------------------------------------

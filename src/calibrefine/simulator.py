@@ -70,36 +70,32 @@ class SceneConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ObjectTruth:
-    """Where one object really is in one frame, and which sensors can see it
-    (field-of-view only; dropout is applied on top of these flags)."""
-
-    object_id: int
-    plane: PlanePoint
-    pixel: PixelPoint
-    visible_to_camera: bool
-    visible_to_lidar: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    h_true: Homography
-    frames: tuple[tuple[ObjectTruth, ...], ...]
+    """Where every object really is in every frame, as arrays indexed by
+    (frame, object): ``plane`` and ``pixel`` are ``(F, O, 2)`` positions and
+    ``in_camera``/``in_lidar`` the ``(F, O)`` field-of-view masks (dropout is
+    applied on top of these)."""
 
-    def correspondences(self, require_both: bool = True) -> list[Correspondence]:
-        """Noise-free evaluation pairs; by default only objects in both FOVs."""
-        out = []
-        for frame_id, entries in enumerate(self.frames):
-            for e in entries:
-                if require_both and not (e.visible_to_camera and e.visible_to_lidar):
-                    continue
-                out.append(
-                    Correspondence(
-                        lidar=e.plane, pixel=e.pixel, frame_id=frame_id, source=Source.ORACLE
-                    )
-                )
-        return out
+    h_true: Homography
+    plane: np.ndarray
+    pixel: np.ndarray
+    in_camera: np.ndarray
+    in_lidar: np.ndarray
+
+    def correspondences(self) -> list[Correspondence]:
+        """Noise-free evaluation pairs of the objects in both fields of view,
+        frame by frame in object order."""
+        frame_ids, objects = np.nonzero(self.in_camera & self.in_lidar)
+        # One flat list per coordinate, so no [x, y] list is built per pair.
+        xs, ys = self.plane[frame_ids, objects].T.tolist()
+        us, vs = self.pixel[frame_ids, objects].T.tolist()
+        return [
+            Correspondence(
+                lidar=PlanePoint(x, y), pixel=PixelPoint(u, v), frame_id=f, source=Source.ORACLE
+            )
+            for f, x, y, u, v in zip(frame_ids.tolist(), xs, ys, us, vs)
+        ]
 
 
 @dataclass(frozen=True)
@@ -243,42 +239,19 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
     )
     in_lidar = np.linalg.norm(positions - disc_center, axis=2) <= disc_radius
 
+    lidar_det = positions + lidar_noise
+    cam_det = pixels + pixel_noise
+    lidar_keep = in_lidar & ~lidar_drop
+    cam_keep = in_cam & ~cam_drop
+
     frames: list[SimFrame] = []
-    truth_frames: list[tuple[ObjectTruth, ...]] = []
     for f in range(cfg.n_frames):
-        entries = []
-        lidar_pts: list[PlanePoint] = []
-        lidar_labels: list[int | None] = []
-        cam_pts: list[PixelPoint] = []
-        cam_labels: list[int | None] = []
-        for o in range(cfg.n_objects):
-            plane = PlanePoint(float(positions[f, o, 0]), float(positions[f, o, 1]))
-            pixel = PixelPoint(float(pixels[f, o, 0]), float(pixels[f, o, 1]))
-            entries.append(
-                ObjectTruth(
-                    object_id=o,
-                    plane=plane,
-                    pixel=pixel,
-                    visible_to_camera=bool(in_cam[f, o]),
-                    visible_to_lidar=bool(in_lidar[f, o]),
-                )
-            )
-            if in_lidar[f, o] and not lidar_drop[f, o]:
-                lidar_pts.append(
-                    PlanePoint(
-                        plane.x + float(lidar_noise[f, o, 0]),
-                        plane.y + float(lidar_noise[f, o, 1]),
-                    )
-                )
-                lidar_labels.append(o)
-            if in_cam[f, o] and not cam_drop[f, o]:
-                cam_pts.append(
-                    PixelPoint(
-                        pixel.u + float(pixel_noise[f, o, 0]),
-                        pixel.v + float(pixel_noise[f, o, 1]),
-                    )
-                )
-                cam_labels.append(o)
+        lidar_idx = np.flatnonzero(lidar_keep[f])
+        cam_idx = np.flatnonzero(cam_keep[f])
+        lidar_pts = [PlanePoint(x, y) for x, y in lidar_det[f, lidar_idx].tolist()]
+        lidar_labels: list[int | None] = lidar_idx.tolist()
+        cam_pts = [PixelPoint(u, v) for u, v in cam_det[f, cam_idx].tolist()]
+        cam_labels: list[int | None] = cam_idx.tolist()
 
         for _ in range(int(clutter_counts[f, 0])):
             r = disc_radius * math.sqrt(rng.random())
@@ -312,9 +285,10 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
                 camera_labels=tuple(cam_labels[i] for i in cam_order),
             )
         )
-        truth_frames.append(tuple(entries))
 
-    return frames, GroundTruth(h_true=h_true, frames=tuple(truth_frames))
+    return frames, GroundTruth(
+        h_true=h_true, plane=positions, pixel=pixels, in_camera=in_cam, in_lidar=in_lidar
+    )
 
 
 def oracle_pairs(
@@ -332,7 +306,7 @@ def oracle_pairs(
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
     fid = frame.frame.frame_id
-    if not 0 <= fid < len(gt.frames):
+    if not 0 <= fid < len(gt.plane):
         raise ValueError(f"frame {fid} is not part of this ground truth")
     rng = np.random.default_rng([seed, fid, 2])
     camera_by_id = {

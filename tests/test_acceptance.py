@@ -11,6 +11,7 @@ from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample
 from calibrefine.cli import main
 from calibrefine.geometry import (
     Correspondence,
+    Frame,
     PixelPoint,
     correspondence_arrays,
     estimate_homography,
@@ -30,7 +31,7 @@ from calibrefine.serialize import read_checkpoints_csv, write_checkpoints_csv
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs, random_homography
 from calibrefine.correction import (
     CorrectionConfig,
-    fit_correction,
+    fit_correction_stream,
     reprojection_loss,
     reprojection_loss_gradient,
 )
@@ -290,7 +291,7 @@ def test_c8_correction_gradient_and_recovery():
     lidar = [c.lidar for c in pairs]
     camera = [c.pixel for c in pairs]
     h0 = compose(translation_homography(2.0, 0.0), h_true)
-    result = fit_correction(h0, lidar, camera, CorrectionConfig())
+    result = fit_correction_stream(h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig())
     assert np.max(np.abs(result.h_star.m - h_true.m)) < 1e-6
     trace = result.loss_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))

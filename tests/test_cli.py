@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -59,6 +60,32 @@ class TestSimulate:
         for name in ("frames.jsonl", "oracle_pairs.jsonl", "ground_truth.json", "gt_pairs.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    # sha256 of the files ``simulate`` writes for two 60-frame scenes (recorded
+    # with numpy 2.4 on x86-64). Unlike the rerun test above, these catch a
+    # change of the scenes between commits: a reordered random draw or a
+    # changed writer. Update them only when the scenes are meant to change.
+    SCENE_DIGESTS = {
+        0: {
+            "frames.jsonl": "bc19b58c72927313ea143a888303176c0ba3930b827bdd234efdf616aa78491a",
+            "oracle_pairs.jsonl": "b8098ef9892cc6867dbc4417650efafa8f61d42efc8184f27924a9e233fc7e23",
+            "gt_pairs.jsonl": "e6e3460d389fee1a60c8a75c87fd093bc55987ba46def9f40f7d36fec45ffe76",
+        },
+        3: {
+            "frames.jsonl": "a4df6d12d31e336b3e89f04661e512c1025006003dd7cb80ff42762c17d7521a",
+            "oracle_pairs.jsonl": "da2f41086c510ee0c6517d1516952ace98609f99f788965235249ac4556e1513",
+            "gt_pairs.jsonl": "51a56550e0a93ad1906606362d91e7576d110a40d25e2367c9c0e4bd1974b5fa",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SCENE_DIGESTS))
+    def test_scene_files_match_recorded_digests(self, tmp_path, seed):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scene": {"n_frames": 60}}))
+        out = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--seed", str(seed), "simulate", "--out", str(out)]) == 0
+        for name, digest in self.SCENE_DIGESTS[seed].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_seed_sweep_writes_subdirs(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(
@@ -104,8 +131,8 @@ class TestCalibrate:
         printed = capsys.readouterr().out
         assert "aed=" in printed and "rmse=" in printed
         h = serialize.load_homography(matrix)
-        gt = serialize.read_ground_truth(out / "ground_truth.json")
-        assert np.max(np.abs(h.m - gt.h_true.m)) < 0.05
+        h_true = serialize.load_homography(out / "ground_truth.json")
+        assert np.max(np.abs(h.m - h_true.m)) < 0.05
 
     def test_empty_oracle_exits_2(self, tmp_path, sim_dir, capsys):
         cfg, out = sim_dir
@@ -248,11 +275,11 @@ class TestRefine:
     def test_lenient_flag_keeps_matrix_when_no_pairs(self, tmp_path, sim_dir):
         cfg, out = sim_dir
         # a matrix translated far off-screen: nothing matches within the gate
-        gt = serialize.read_ground_truth(out / "ground_truth.json")
+        h_true = serialize.load_homography(out / "ground_truth.json")
         from calibrefine.geometry import compose
         from conftest import translation_homography
 
-        hopeless = compose(translation_homography(3000.0, 3000.0), gt.h_true)
+        hopeless = compose(translation_homography(3000.0, 3000.0), h_true)
         matrix = tmp_path / "hopeless.json"
         serialize.save_homography(matrix, hopeless)
         args = [
@@ -299,9 +326,9 @@ class TestRefine:
 class TestEvaluate:
     def test_zero_residual_pairs(self, tmp_path, sim_dir, capsys):
         cfg, out = sim_dir
-        gt = serialize.read_ground_truth(out / "ground_truth.json")
+        h_true = serialize.load_homography(out / "ground_truth.json")
         matrix = tmp_path / "true.json"
-        serialize.save_homography(matrix, gt.h_true)
+        serialize.save_homography(matrix, h_true)
         report_path = tmp_path / "report.json"
         code = main(
             [
@@ -319,6 +346,22 @@ class TestEvaluate:
         assert report["aed"] < 1e-9
         assert report_path.with_name(report_path.stem + "_hist.csv").exists()
 
+    def test_ground_truth_file_is_a_matrix_that_scores_zero(self, tmp_path, sim_dir):
+        _, out = sim_dir
+        report_path = tmp_path / "report.json"
+        code = main(
+            [
+                "evaluate",
+                "--matrix", str(out / "ground_truth.json"),
+                "--pairs", str(out / "gt_pairs.jsonl"),
+                "--out", str(report_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["n"] > 0
+        assert report["aed"] == 0.0
+
     def test_empty_pairs_exit_2(self, tmp_path):
         matrix = tmp_path / "m.json"
         serialize.save_homography(matrix, Homography.identity())
@@ -331,9 +374,9 @@ class TestEvaluate:
 
     def test_cli_report_matches_library_bitwise(self, tmp_path, sim_dir):
         cfg, out = sim_dir
-        gt = serialize.read_ground_truth(out / "ground_truth.json")
+        h_true = serialize.load_homography(out / "ground_truth.json")
         matrix = tmp_path / "m.json"
-        serialize.save_homography(matrix, gt.h_true)
+        serialize.save_homography(matrix, h_true)
         report_path = tmp_path / "report.json"
         main(
             [
@@ -416,8 +459,7 @@ class TestInputValidation:
         frames = serialize.read_frames_jsonl(out / "frames.jsonl")
         shuffled = tmp_path / "shuffled.jsonl"
         serialize.write_frames_jsonl(shuffled, [frames[0], frames[4], frames[3]] + frames[5:])
-        matrix = tmp_path / "m.json"
-        serialize.save_homography(matrix, serialize.read_ground_truth(out / "ground_truth.json").h_true)
+        matrix = out / "ground_truth.json"
         code = main(
             [
                 "--config", str(cfg),
@@ -446,14 +488,24 @@ class TestInputValidation:
         assert "singular" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "record", [{"frame_id": 0}, {"frame_id": 0, "lidar": 5, "camera": []}]
+        "record",
+        [
+            {"frame_id": 0},
+            {"frame_id": 0, "lidar": 5, "camera": []},
+            {"frame_id": 0, "lidar": [[1.0, 2.0, 3.0]], "camera": []},
+            {"frame_id": 0, "lidar": [], "camera": [["a", 2.0]]},
+            {"frame_id": 0, "lidar": [[float("nan"), 2.0]], "camera": []},
+            {"frame_id": 0, "lidar": [], "camera": [[1.0, float("inf")]]},
+            {"frame_id": 1.7, "lidar": [], "camera": []},
+            {"frame_id": True, "lidar": [], "camera": []},
+            '{"frame_id": 0, "lidar": [',
+        ],
     )
     def test_malformed_frame_record_exits_2(self, tmp_path, sim_dir, capsys, record):
         cfg, out = sim_dir
         frames = tmp_path / "frames.jsonl"
-        frames.write_text(json.dumps(record) + "\n")
-        matrix = tmp_path / "m.json"
-        serialize.save_homography(matrix, serialize.read_ground_truth(out / "ground_truth.json").h_true)
+        frames.write_text((record if isinstance(record, str) else json.dumps(record)) + "\n")
+        matrix = out / "ground_truth.json"
         code = main(
             [
                 "--config", str(cfg),
@@ -470,13 +522,42 @@ class TestInputValidation:
         _, out = sim_dir
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"lidar": [1, 2]}) + "\n")
-        matrix = tmp_path / "m.json"
-        serialize.save_homography(matrix, serialize.read_ground_truth(out / "ground_truth.json").h_true)
+        matrix = out / "ground_truth.json"
         code = main(
             ["evaluate", "--matrix", str(matrix), "--pairs", str(pairs), "--out", str(tmp_path / "r.json")]
         )
         assert code == 2
         assert f"{pairs}:1: malformed record: missing key 'pixel'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"lidar": [1.0, 2.0, 3.0], "pixel": [1.0, 2.0]},
+            {"lidar": [1.0, 2.0], "pixel": ["a", 2.0]},
+            {"lidar": [float("nan"), 2.0], "pixel": [1.0, 2.0]},
+            {"lidar": [1.0, 2.0], "pixel": [float("-inf"), 2.0]},
+            {"lidar": [1.0, 2.0], "pixel": [1.0, 2.0], "source": "psychic"},
+            {"frame_id": 1.7, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+            {"frame_id": True, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+            '{"lidar": [1.0, 2.0], "pixel"',
+        ],
+    )
+    def test_malformed_pair_record_exits_2(self, tmp_path, sim_dir, capsys, record):
+        _, out = sim_dir
+        pairs = tmp_path / "pairs.jsonl"
+        good = json.dumps({"frame_id": 0, "lidar": [1.0, 2.0], "pixel": [3.0, 4.0]})
+        bad = record if isinstance(record, str) else json.dumps(record)
+        pairs.write_text(good + "\n" + bad + "\n")
+        code = main(
+            [
+                "evaluate",
+                "--matrix", str(out / "ground_truth.json"),
+                "--pairs", str(pairs),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert f"{pairs}:2: malformed record" in capsys.readouterr().err
 
     def test_matrix_file_without_h_exits_2(self, tmp_path, sim_dir, capsys):
         _, out = sim_dir

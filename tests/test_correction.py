@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from calibrefine.correction import (
     CorrectionConfig,
-    fit_correction,
     fit_correction_stream,
     implicit_pairs,
     reprojection_loss,
@@ -143,7 +142,9 @@ class TestFitCorrection:
         rng = np.random.default_rng(1)
         h = scene_homography()
         lidar, camera = dense_scene(rng, h, 60)
-        result = fit_correction(h, lidar, camera, CorrectionConfig())
+        result = fit_correction_stream(
+            h, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+        )
         assert np.max(np.abs(result.h_delta.m - Homography.identity().m)) < 1e-8
         assert len(result.loss_trace) == 1
         assert result.loss_trace[0] == pytest.approx(0.0, abs=1e-12)
@@ -153,7 +154,9 @@ class TestFitCorrection:
         h_true = scene_homography()
         lidar, camera = dense_scene(rng, h_true, 200)
         h_perturbed = compose(translation_homography(2.0, 0.0), h_true)
-        result = fit_correction(h_perturbed, lidar, camera, CorrectionConfig())
+        result = fit_correction_stream(
+            h_perturbed, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+        )
         assert np.max(np.abs(result.h_star.m - h_true.m)) < 1e-6
         assert result.loss_trace[-1] < 1e-10
 
@@ -163,7 +166,9 @@ class TestFitCorrection:
         lidar, camera = dense_scene(rng, h_true, 150)
         camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
         h0 = compose(translation_homography(3.0, -2.0), h_true)
-        result = fit_correction(h0, lidar, camera, CorrectionConfig())
+        result = fit_correction_stream(
+            h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+        )
         trace = result.loss_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert trace[-1] <= trace[0]
@@ -174,8 +179,10 @@ class TestFitCorrection:
         camera = [project(h, lidar[0])]
         cfg = CorrectionConfig(min_pairs=12)
         with pytest.raises(InsufficientPairs):
-            fit_correction(h, lidar, camera, cfg)
-        result = fit_correction(h, lidar, camera, cfg, lenient=True)
+            fit_correction_stream(h, [Frame(0, tuple(lidar), tuple(camera))], cfg)
+        result = fit_correction_stream(
+            h, [Frame(0, tuple(lidar), tuple(camera))], cfg, lenient=True
+        )
         assert result.h_delta == Homography.identity()
         assert np.allclose(result.h_star.m, h.m, atol=1e-15)
         assert result.loss_trace == ()
@@ -185,7 +192,9 @@ class TestFitCorrection:
         h_true = scene_homography()
         lidar, camera = dense_scene(rng, h_true, 100)
         h0 = compose(translation_homography(1.5, 1.0), h_true)
-        result = fit_correction(h0, lidar, camera, CorrectionConfig())
+        result = fit_correction_stream(
+            h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+        )
         assert np.linalg.norm(result.h_delta.m) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(result.h_star.m) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(compose(h0, result.h_delta).m - result.h_star.m)) < 1e-12
@@ -201,7 +210,9 @@ class TestFitCorrection:
         camera = [project(h_true, p) for p in lidar]
         camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
         h0 = compose(translation_homography(2.0, -1.5), h_true)
-        result = fit_correction(h0, lidar, camera, CorrectionConfig())
+        result = fit_correction_stream(
+            h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+        )
         assert result.pairs_used == len(lidar)
         refit = refine_homography(point_array(lidar), point_array(camera), h0)
         assert np.max(np.abs(result.h_star.m - refit.m)) < 1e-9
@@ -225,7 +236,9 @@ class TestFitCorrectionHypothesis:
         pixel_warp = Homography([[1.0 + a, b, shift[0]], [c, 1.0 + d, shift[1]], [0.0, 0.0, 1.0]])
         h0 = compose(pixel_warp, scene_homography())
         cfg = CorrectionConfig()
-        result = fit_correction(h0, _PERTURBED_SCENE[0], _NOISY_CAMERA, cfg)
+        result = fit_correction_stream(
+            h0, [Frame(0, tuple(_PERTURBED_SCENE[0]), tuple(_NOISY_CAMERA))], cfg
+        )
         trace = result.loss_trace
         assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
         assert np.max(np.abs(compose(h0, result.h_delta).m - result.h_star.m)) <= 1e-12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibrefine.geometry import Frame, project
+from calibrefine.geometry import Frame, Source, project, transform_points
 from calibrefine.simulator import (
     SceneConfig,
     SimFrame,
@@ -63,7 +63,8 @@ class TestGenerate:
         frames_b, gt_b = generate(cfg)
         assert frames_a == frames_b
         assert np.array_equal(gt_a.h_true.m, gt_b.h_true.m)
-        assert gt_a.frames == gt_b.frames
+        for name in ("plane", "pixel", "in_camera", "in_lidar"):
+            assert np.array_equal(getattr(gt_a, name), getattr(gt_b, name))
 
     def test_full_dropout_leaves_only_clutter(self):
         cfg = light_scene(camera_dropout=1.0, lidar_dropout=1.0)
@@ -92,11 +93,24 @@ class TestGenerate:
                     assert pp.u == cp.u and pp.v == cp.v
 
     def test_ground_truth_consistency(self):
-        frames, gt = generate(light_scene())
-        for entries in gt.frames:
-            for e in entries:
-                pp = project(gt.h_true, e.plane)
-                assert math.hypot(pp.u - e.pixel.u, pp.v - e.pixel.v) < 1e-12
+        cfg = light_scene()
+        _, gt = generate(cfg)
+        assert gt.plane.shape == gt.pixel.shape == (cfg.n_frames, cfg.n_objects, 2)
+        assert gt.in_camera.shape == gt.in_lidar.shape == (cfg.n_frames, cfg.n_objects)
+        uv, _ = transform_points(gt.h_true.m, gt.plane.reshape(-1, 2))
+        assert np.array_equal(uv.reshape(gt.pixel.shape), gt.pixel)
+
+    def test_gt_correspondences_follow_the_arrays(self):
+        _, gt = generate(light_scene(seed=3, n_frames=30))
+        expected = []
+        for f in range(gt.plane.shape[0]):
+            for o in range(gt.plane.shape[1]):
+                if gt.in_camera[f, o] and gt.in_lidar[f, o]:
+                    expected.append((f, *map(float, gt.plane[f, o]), *map(float, gt.pixel[f, o])))
+        pairs = gt.correspondences()
+        assert 0 < len(pairs) < gt.in_camera.size
+        assert [(c.frame_id, c.lidar.x, c.lidar.y, c.pixel.u, c.pixel.v) for c in pairs] == expected
+        assert all(type(c.frame_id) is int and c.source is Source.ORACLE for c in pairs)
 
     def test_label_secrecy_frame_type_has_no_identity_fields(self):
         field_names = {f.name for f in dataclasses.fields(Frame)}
@@ -114,7 +128,7 @@ class TestGenerate:
             cfg = light_scene(seed=seed, n_frames=120)
             frames, gt = generate(cfg)
             n_frames_total += cfg.n_frames
-            n_fov += sum(e.visible_to_camera for fr in gt.frames for e in fr)
+            n_fov += int(np.count_nonzero(gt.in_camera))
             for sf in frames:
                 n_emitted += sum(label is not None for label in sf.camera_labels)
                 n_clutter += sum(label is None for label in sf.camera_labels)
@@ -127,12 +141,8 @@ class TestGenerate:
 
     def test_fov_asymmetry_present(self):
         frames, gt = generate(light_scene(n_frames=200))
-        only_cam = sum(
-            e.visible_to_camera and not e.visible_to_lidar for fr in gt.frames for e in fr
-        )
-        only_lidar = sum(
-            e.visible_to_lidar and not e.visible_to_camera for fr in gt.frames for e in fr
-        )
+        only_cam = np.count_nonzero(gt.in_camera & ~gt.in_lidar)
+        only_lidar = np.count_nonzero(gt.in_lidar & ~gt.in_camera)
         assert only_cam > 0 and only_lidar > 0
 
 
