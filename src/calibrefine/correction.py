@@ -17,14 +17,11 @@ from .errors import InsufficientPairs
 from .geometry import (
     Frame,
     Homography,
-    PixelPoint,
-    PlanePoint,
     compose,
-    pixel_array,
-    plane_array,
     projectable,
     projection_residuals,
     refine_homography,
+    stream_arrays,
     transform_points,
 )
 from .matching import MatchGate, greedy_match
@@ -152,16 +149,7 @@ def fit_correction_stream(
     pairings the refinement is not applicable: raises ``InsufficientPairs``,
     or returns an identity correction when ``lenient`` is set.
     """
-    lidar: list[PlanePoint] = []
-    camera: list[PixelPoint] = []
-    lidar_counts: list[int] = []
-    camera_counts: list[int] = []
-    for f in frames:
-        lidar.extend(f.lidar_centers)
-        camera.extend(f.camera_centers)
-        lidar_counts.append(len(f.lidar_centers))
-        camera_counts.append(len(f.camera_centers))
-    xy, uv = plane_array(lidar), pixel_array(camera)
+    xy, uv, lidar_counts, camera_counts = stream_arrays(frames)
 
     def pair_fn(g: Homography) -> Pairs:
         return implicit_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate)

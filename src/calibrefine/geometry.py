@@ -89,13 +89,40 @@ class Correspondence:
             raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """Time-synchronized object centers from both sensors for one timestamp."""
+    """Time-synchronized object centers from both sensors for one timestamp:
+    ``lidar_centers`` holds (K, 2) ground points (x, y) and
+    ``camera_centers`` (M, 2) pixels (u, v), as read-only float arrays."""
 
     frame_id: int
-    lidar_centers: tuple[PlanePoint, ...]
-    camera_centers: tuple[PixelPoint, ...]
+    lidar_centers: np.ndarray
+    camera_centers: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lidar_centers", "camera_centers"):
+            points = np.array(getattr(self, name), dtype=float)
+            if points.shape == (0,):
+                points = points.reshape(0, 2)  # an empty list of points
+            if points.ndim != 2 or points.shape[1] != 2:
+                raise ValueError(f"{name} must be a (K, 2) array, got shape {points.shape}")
+            if not np.isfinite(points).all():
+                raise ValueError(f"{name} must be finite")
+            points.flags.writeable = False
+            object.__setattr__(self, name, points)
+
+
+def stream_arrays(frames: Iterable[Frame]) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """A stream's LiDAR and camera centers, each concatenated in frame order
+    into one (N, 2) array, and each frame's number of rows in them."""
+    lidar = [f.lidar_centers for f in frames]
+    camera = [f.camera_centers for f in frames]
+    return (
+        np.concatenate(lidar) if lidar else np.empty((0, 2)),
+        np.concatenate(camera) if camera else np.empty((0, 2)),
+        [len(xy) for xy in lidar],
+        [len(uv) for uv in camera],
+    )
 
 
 def _canonical(matrix: np.ndarray) -> np.ndarray:
@@ -208,24 +235,6 @@ def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
     uv, w = transform_points(matrix, xy)
     kept = np.flatnonzero((np.abs(w) > W_EPSILON) & np.isfinite(uv).all(axis=1))
     return uv[kept], kept
-
-
-def plane_array(points: Sequence[PlanePoint]) -> np.ndarray:
-    """Ground-plane points as an (N, 2) array of (x, y)."""
-    # Filled column by column: a tuple per point costs time and, on a whole
-    # stream, garbage-collector passes.
-    out = np.empty((len(points), 2))
-    out[:, 0] = [p.x for p in points]
-    out[:, 1] = [p.y for p in points]
-    return out
-
-
-def pixel_array(points: Sequence[PixelPoint]) -> np.ndarray:
-    """Pixel points as an (N, 2) array of (u, v)."""
-    out = np.empty((len(points), 2))
-    out[:, 0] = [p.u for p in points]
-    out[:, 1] = [p.v for p in points]
-    return out
 
 
 def correspondence_arrays(pairs: Sequence[Correspondence]) -> tuple[np.ndarray, np.ndarray]:

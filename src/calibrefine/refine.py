@@ -24,12 +24,12 @@ from .geometry import (
     Frame,
     Homography,
     PixelPoint,
+    PlanePoint,
     Source,
     correspondence_arrays,
-    pixel_array,
-    plane_array,
     projectable,
     reprojection_metrics,
+    stream_arrays,
 )
 from .matching import MatchGate, greedy_match
 from .ransac import RansacConfig, ransac_homography
@@ -97,14 +97,14 @@ def _metric_value(h: Homography, xy: np.ndarray, uv: np.ndarray, metric: GuardMe
     return report.aed if metric is GuardMetric.AED else report.rmse
 
 
-def _admits(members: Sequence[PixelPoint], pixel: PixelPoint, radius: float) -> bool:
+def _admits(members: Sequence[PixelPoint], u: float, v: float, radius: float) -> bool:
     """Occupancy rule for one block, given the camera points it already
     stores: an empty block always admits; an occupied one only if the new
-    camera point is at least ``radius`` from every stored point, up to
-    BLOCK_CAPACITY points."""
+    camera point ``(u, v)`` is at least ``radius`` from every stored point,
+    up to BLOCK_CAPACITY points."""
     if len(members) >= BLOCK_CAPACITY:
         return False
-    return all(hypot(pixel.u - m.u, pixel.v - m.v) >= radius for m in members)
+    return all(hypot(u - m.u, v - m.v) >= radius for m in members)
 
 
 def _occupancy_map(state: CalibrationState, grid: BlockGrid) -> dict:
@@ -170,40 +170,41 @@ def ingest_frame(
         last_id = frame.frame_id
 
     if len(window) == 1:
-        lidar, camera = window[0].lidar_centers, window[0].camera_centers
-    else:
-        lidar = [p for frame in window for p in frame.lidar_centers]
-        camera = [p for frame in window for p in frame.camera_centers]
-    uv, kept = projectable(state.h_best.m, plane_array(lidar))
-    camera_uv = pixel_array(camera)
-    if len(window) == 1:
+        lidar_xy, camera_uv = window[0].lidar_centers, window[0].camera_centers
+        uv, kept = projectable(state.h_best.m, lidar_xy)
         matched = greedy_match(uv, camera_uv, cfg.gate)
         frame_of = np.zeros(len(matched.camera), dtype=np.intp)
     else:
+        lidar_xy, camera_uv, lidar_counts, camera_counts = stream_arrays(window)
+        uv, kept = projectable(state.h_best.m, lidar_xy)
         frame_idx = np.arange(len(window))
-        lidar_counts = [len(frame.lidar_centers) for frame in window]
-        camera_counts = [len(frame.camera_centers) for frame in window]
         kept_counts = np.bincount(np.repeat(frame_idx, lidar_counts)[kept], minlength=len(window))
         matched = greedy_match(uv, camera_uv, cfg.gate, kept_counts, camera_counts)
         frame_of = np.repeat(frame_idx, camera_counts)[matched.camera]
-    rows, ix, iy = _block_winners(camera_uv[matched.camera], frame_of, cfg.grid, cfg.skip_parity)
+    pixels = camera_uv[matched.camera]
+    rows, ix, iy = _block_winners(pixels, frame_of, cfg.grid, cfg.skip_parity)
 
     # Block sampling keeps at most one winner per block and frame, so within
     # a frame admitting one never changes what another is checked against.
     occupancy = _occupancy_map(state, cfg.grid)
     radius = half_block_diagonal(cfg.grid)
     admitted = []
-    for k, block in zip(rows.tolist(), zip(ix.tolist(), iy.tolist())):
-        pixel = camera[matched.camera[k]]
+    for (u, v), (x, y), f, block in zip(
+        pixels[rows].tolist(),
+        lidar_xy[kept[matched.lidar[rows]]].tolist(),
+        frame_of[rows].tolist(),
+        zip(ix.tolist(), iy.tolist()),
+    ):
         members = occupancy.get(block, ())
-        if _admits(members, pixel, radius):
+        if _admits(members, u, v, radius):
+            pixel = PixelPoint(u, v)
             if not admitted:
                 occupancy = dict(occupancy)
             occupancy[block] = members + (pixel,)
             admitted.append(Correspondence(
-                lidar=lidar[kept[matched.lidar[k]]],
+                lidar=PlanePoint(x, y),
                 pixel=pixel,
-                frame_id=window[frame_of[k]].frame_id,
+                frame_id=window[f].frame_id,
                 source=Source.GREEDY_MATCHED,
             ))
 
@@ -213,7 +214,7 @@ def ingest_frame(
         accumulated=accumulated,
         frames_seen=state.frames_seen + len(window),
         last_frame_id=last_id,
-        degenerate_skipped=state.degenerate_skipped + len(lidar) - len(kept),
+        degenerate_skipped=state.degenerate_skipped + len(lidar_xy) - len(kept),
         _occupancy=(accumulated, cfg.grid, occupancy),
     )
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -49,6 +50,12 @@ def _frame_id(value) -> int:
     return value
 
 
+def _require_numbers(values) -> None:
+    """Coordinates must be JSON numbers (not "1.5", true or null)."""
+    if not {*map(type, values)} <= {int, float}:
+        raise TypeError("coordinates must be JSON numbers")
+
+
 # -- homographies -------------------------------------------------------------
 
 def homography_to_dict(h: Homography) -> dict:
@@ -66,12 +73,11 @@ def save_homography(path: str | Path, h: Homography) -> None:
 def load_homography(path: str | Path) -> Homography:
     """Read a matrix file; a malformed or singular matrix is invalid input
     (``ValueError``)."""
-    d = _load_json(path)
     try:
-        return homography_from_dict(d)
+        return homography_from_dict(_load_json(path))
     except SingularMatrixError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(str(path), exc) from exc
 
 
@@ -84,8 +90,8 @@ def write_frames_jsonl(path: str | Path, frames: Sequence[Frame]) -> None:
                 json.dumps(
                     {
                         "frame_id": f.frame_id,
-                        "lidar": [[p.x, p.y] for p in f.lidar_centers],
-                        "camera": [[p.u, p.v] for p in f.camera_centers],
+                        "lidar": f.lidar_centers.tolist(),
+                        "camera": f.camera_centers.tolist(),
                     },
                     sort_keys=True,
                 )
@@ -104,12 +110,14 @@ def read_frames_jsonl(path: str | Path) -> list[Frame]:
                 continue
             try:
                 d = json.loads(line)
+                _require_numbers(chain(*d["lidar"], *d["camera"]))
+                # Frame converts the lists to arrays and checks their shape
                 frame = Frame(
                     frame_id=_frame_id(d["frame_id"]),
-                    lidar_centers=tuple(PlanePoint(float(x), float(y)) for x, y in d["lidar"]),
-                    camera_centers=tuple(PixelPoint(float(u), float(v)) for u, v in d["camera"]),
+                    lidar_centers=d["lidar"],
+                    camera_centers=d["camera"],
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise _malformed(f"{path}:{n}", exc) from exc
             if frames and frame.frame_id <= frames[-1].frame_id:
                 raise ValueError(
@@ -154,13 +162,14 @@ def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
                 pixel = d["pixel"]
                 if len(lidar) != 2 or len(pixel) != 2:
                     raise ValueError("lidar/pixel must each hold 2 values")
+                _require_numbers(lidar + pixel)
                 pair = Correspondence(
                     lidar=PlanePoint(float(lidar[0]), float(lidar[1])),
                     pixel=PixelPoint(float(pixel[0]), float(pixel[1])),
                     frame_id=_frame_id(d.get("frame_id", 0)),
                     source=Source(d.get("source", "manual")),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise _malformed(f"{path}:{n}", exc) from exc
             pairs.append(pair)
     return pairs

@@ -248,41 +248,30 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
     for f in range(cfg.n_frames):
         lidar_idx = np.flatnonzero(lidar_keep[f])
         cam_idx = np.flatnonzero(cam_keep[f])
-        lidar_pts = [PlanePoint(x, y) for x, y in lidar_det[f, lidar_idx].tolist()]
-        lidar_labels: list[int | None] = lidar_idx.tolist()
-        cam_pts = [PixelPoint(u, v) for u, v in cam_det[f, cam_idx].tolist()]
-        cam_labels: list[int | None] = cam_idx.tolist()
-
+        lidar_clutter = []
         for _ in range(int(clutter_counts[f, 0])):
             r = disc_radius * math.sqrt(rng.random())
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            lidar_pts.append(
-                PlanePoint(
-                    float(disc_center[0] + r * math.cos(ang)),
-                    float(disc_center[1] + r * math.sin(ang)),
-                )
+            lidar_clutter.append(
+                (disc_center[0] + r * math.cos(ang), disc_center[1] + r * math.sin(ang))
             )
-            lidar_labels.append(None)
-        for _ in range(int(clutter_counts[f, 1])):
-            cam_pts.append(
-                PixelPoint(
-                    float(rng.uniform(cam_lo_u, cam_hi_u)),
-                    float(rng.uniform(cam_lo_v, cam_hi_v)),
-                )
-            )
-            cam_labels.append(None)
+        cam_clutter = [
+            (rng.uniform(cam_lo_u, cam_hi_u), rng.uniform(cam_lo_v, cam_hi_v))
+            for _ in range(int(clutter_counts[f, 1]))
+        ]
+        # observed rows first, then clutter, then one shuffle per sensor
+        lidar = np.concatenate([lidar_det[f, lidar_idx], np.reshape(lidar_clutter, (-1, 2))])
+        camera = np.concatenate([cam_det[f, cam_idx], np.reshape(cam_clutter, (-1, 2))])
+        lidar_labels: list[int | None] = lidar_idx.tolist() + [None] * len(lidar_clutter)
+        cam_labels: list[int | None] = cam_idx.tolist() + [None] * len(cam_clutter)
 
-        lidar_order = rng.permutation(len(lidar_pts))
-        cam_order = rng.permutation(len(cam_pts))
+        lidar_order = rng.permutation(len(lidar))
+        cam_order = rng.permutation(len(camera))
         frames.append(
             SimFrame(
-                frame=Frame(
-                    frame_id=f,
-                    lidar_centers=tuple(lidar_pts[i] for i in lidar_order),
-                    camera_centers=tuple(cam_pts[i] for i in cam_order),
-                ),
-                lidar_labels=tuple(lidar_labels[i] for i in lidar_order),
-                camera_labels=tuple(cam_labels[i] for i in cam_order),
+                frame=Frame(f, lidar[lidar_order], camera[cam_order]),
+                lidar_labels=tuple(lidar_labels[i] for i in lidar_order.tolist()),
+                camera_labels=tuple(cam_labels[i] for i in cam_order.tolist()),
             )
         )
 
@@ -312,7 +301,9 @@ def oracle_pairs(
     camera_by_id = {
         label: j for j, label in enumerate(frame.camera_labels) if label is not None
     }
-    n_cam = len(frame.frame.camera_centers)
+    lidar_rows = frame.frame.lidar_centers.tolist()
+    camera_rows = frame.frame.camera_centers.tolist()
+    n_cam = len(camera_rows)
     pairs: list[Correspondence] = []
     for i, label in enumerate(frame.lidar_labels):
         if label is None or label not in camera_by_id:
@@ -325,8 +316,8 @@ def oracle_pairs(
             j = wrong
         pairs.append(
             Correspondence(
-                lidar=frame.frame.lidar_centers[i],
-                pixel=frame.frame.camera_centers[j],
+                lidar=PlanePoint(*lidar_rows[i]),
+                pixel=PixelPoint(*camera_rows[j]),
                 frame_id=fid,
                 source=Source.ORACLE,
             )

@@ -288,10 +288,8 @@ def test_c8_correction_gradient_and_recovery():
     rng = np.random.default_rng(88)
     h_true = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.0, 0.0, 1.0]])
     pairs = exact_pairs(h_true, rng, 200, span=40.0)
-    lidar = [c.lidar for c in pairs]
-    camera = [c.pixel for c in pairs]
     h0 = compose(translation_homography(2.0, 0.0), h_true)
-    result = fit_correction_stream(h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig())
+    result = fit_correction_stream(h0, [Frame(0, *correspondence_arrays(pairs))], CorrectionConfig())
     assert np.max(np.abs(result.h_star.m - h_true.m)) < 1e-6
     trace = result.loss_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))

@@ -499,6 +499,11 @@ class TestInputValidation:
             {"frame_id": 1.7, "lidar": [], "camera": []},
             {"frame_id": True, "lidar": [], "camera": []},
             '{"frame_id": 0, "lidar": [',
+            # coordinates must be JSON numbers, not strings or booleans
+            {"frame_id": 0, "lidar": [["1.5", 2.0]], "camera": []},
+            {"frame_id": 0, "lidar": [], "camera": [[1.0, True]]},
+            # an integer too large for a float
+            {"frame_id": 0, "lidar": [[10**400, 2.0]], "camera": []},
         ],
     )
     def test_malformed_frame_record_exits_2(self, tmp_path, sim_dir, capsys, record):
@@ -540,6 +545,11 @@ class TestInputValidation:
             {"frame_id": 1.7, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
             {"frame_id": True, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
             '{"lidar": [1.0, 2.0], "pixel"',
+            # coordinates must be JSON numbers, not strings or booleans
+            {"lidar": ["1.5", 2.0], "pixel": [1.0, 2.0]},
+            {"lidar": [1.0, 2.0], "pixel": [1.0, True]},
+            # an integer too large for a float
+            {"lidar": [10**400, 2.0], "pixel": [1.0, 2.0]},
         ],
     )
     def test_malformed_pair_record_exits_2(self, tmp_path, sim_dir, capsys, record):
@@ -573,3 +583,28 @@ class TestInputValidation:
         )
         assert code == 2
         assert f"{matrix}: malformed record: missing key 'h'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"h": [[1.0, 0.0], [0.0, 1.0]', "Expecting"),
+            (json.dumps({"h": [[1.0, 0.0], [0.0, 1.0]]}), "homography must be 3x3"),
+        ],
+        ids=["not-json", "2x2"],
+    )
+    def test_malformed_matrix_file_names_the_file_and_exits_2(
+        self, tmp_path, sim_dir, capsys, text, reason
+    ):
+        _, out = sim_dir
+        matrix = tmp_path / "m.json"
+        matrix.write_text(text)
+        code = main(
+            [
+                "evaluate",
+                "--matrix", str(matrix),
+                "--pairs", str(out / "gt_pairs.jsonl"),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert f"{matrix}: malformed record: {reason}" in capsys.readouterr().err

@@ -143,7 +143,7 @@ class TestFitCorrection:
         h = scene_homography()
         lidar, camera = dense_scene(rng, h, 60)
         result = fit_correction_stream(
-            h, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+            h, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
         )
         assert np.max(np.abs(result.h_delta.m - Homography.identity().m)) < 1e-8
         assert len(result.loss_trace) == 1
@@ -155,7 +155,7 @@ class TestFitCorrection:
         lidar, camera = dense_scene(rng, h_true, 200)
         h_perturbed = compose(translation_homography(2.0, 0.0), h_true)
         result = fit_correction_stream(
-            h_perturbed, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+            h_perturbed, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
         )
         assert np.max(np.abs(result.h_star.m - h_true.m)) < 1e-6
         assert result.loss_trace[-1] < 1e-10
@@ -167,7 +167,7 @@ class TestFitCorrection:
         camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
         h0 = compose(translation_homography(3.0, -2.0), h_true)
         result = fit_correction_stream(
-            h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+            h0, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
         )
         trace = result.loss_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
@@ -179,9 +179,9 @@ class TestFitCorrection:
         camera = [project(h, lidar[0])]
         cfg = CorrectionConfig(min_pairs=12)
         with pytest.raises(InsufficientPairs):
-            fit_correction_stream(h, [Frame(0, tuple(lidar), tuple(camera))], cfg)
+            fit_correction_stream(h, [Frame(0, point_array(lidar), point_array(camera))], cfg)
         result = fit_correction_stream(
-            h, [Frame(0, tuple(lidar), tuple(camera))], cfg, lenient=True
+            h, [Frame(0, point_array(lidar), point_array(camera))], cfg, lenient=True
         )
         assert result.h_delta == Homography.identity()
         assert np.allclose(result.h_star.m, h.m, atol=1e-15)
@@ -193,7 +193,7 @@ class TestFitCorrection:
         lidar, camera = dense_scene(rng, h_true, 100)
         h0 = compose(translation_homography(1.5, 1.0), h_true)
         result = fit_correction_stream(
-            h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+            h0, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
         )
         assert np.linalg.norm(result.h_delta.m) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(result.h_star.m) == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +211,7 @@ class TestFitCorrection:
         camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
         h0 = compose(translation_homography(2.0, -1.5), h_true)
         result = fit_correction_stream(
-            h0, [Frame(0, tuple(lidar), tuple(camera))], CorrectionConfig()
+            h0, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
         )
         assert result.pairs_used == len(lidar)
         refit = refine_homography(point_array(lidar), point_array(camera), h0)
@@ -237,7 +237,7 @@ class TestFitCorrectionHypothesis:
         h0 = compose(pixel_warp, scene_homography())
         cfg = CorrectionConfig()
         result = fit_correction_stream(
-            h0, [Frame(0, tuple(_PERTURBED_SCENE[0]), tuple(_NOISY_CAMERA))], cfg
+            h0, [Frame(0, point_array(_PERTURBED_SCENE[0]), point_array(_NOISY_CAMERA))], cfg
         )
         trace = result.loss_trace
         assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
@@ -262,13 +262,7 @@ class TestFitCorrectionStream:
         frames = []
         for fid in range(40):
             pairs = exact_pairs(h_true, rng, 6)
-            frames.append(
-                Frame(
-                    frame_id=fid,
-                    lidar_centers=tuple(c.lidar for c in pairs),
-                    camera_centers=tuple(c.pixel for c in pairs),
-                )
-            )
+            frames.append(Frame(fid, *correspondence_arrays(pairs)))
         h0 = compose(translation_homography(-2.0, 1.0), h_true)
         result = fit_correction_stream(h0, frames, CorrectionConfig())
         assert np.max(np.abs(result.h_star.m - h_true.m)) < 1e-6
@@ -277,31 +271,35 @@ class TestFitCorrectionStream:
     def test_empty_and_degenerate_frames_pair_within_frames(self):
         rng = np.random.default_rng(7)
         h = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.001, 0.0, 1.0]])
-        frames = []
+        points = []
         for fid in range(10):
             pairs = exact_pairs(h, rng, 6)
-            frames.append(Frame(fid, tuple(c.lidar for c in pairs), tuple(c.pixel for c in pairs)))
+            points.append(([c.lidar for c in pairs], [c.pixel for c in pairs]))
         orphans = exact_pairs(h, rng, 6)
         # LiDAR without detections, then the matching detections one frame
         # later: a pairing that crossed frames would pair all six.
-        frames.append(Frame(10, tuple(c.lidar for c in orphans), ()))
-        frames.append(Frame(11, (), tuple(c.pixel for c in orphans)))
+        points.append(([c.lidar for c in orphans], []))
+        points.append(([], [c.pixel for c in orphans]))
         # every LiDAR point on the horizon line (w = 0) projects degenerately
-        horizon = tuple(PlanePoint(-1000.0, float(y)) for y in rng.uniform(-5, 5, 4))
-        frames.append(Frame(12, horizon, tuple(c.pixel for c in exact_pairs(h, rng, 4))))
-        frames.append(Frame(13, (), ()))
+        horizon = [PlanePoint(-1000.0, float(y)) for y in rng.uniform(-5, 5, 4)]
+        points.append((horizon, [c.pixel for c in exact_pairs(h, rng, 4)]))
+        points.append(([], []))
+        frames = [
+            Frame(fid, point_array(lidar), point_array(camera))
+            for fid, (lidar, camera) in enumerate(points)
+        ]
 
         expected = degenerate = 0
-        for frame in frames:
+        for lidar, camera in points:
             projected = []
-            for p in frame.lidar_centers:
+            for p in lidar:
                 try:
                     projected.append(project(h, p))
                 except DegenerateProjection:
                     degenerate += 1
             costs = np.array(
-                [[np.hypot(p.u - d.u, p.v - d.v) for d in frame.camera_centers] for p in projected]
-            ).reshape(len(projected), len(frame.camera_centers))
+                [[np.hypot(p.u - d.u, p.v - d.v) for d in camera] for p in projected]
+            ).reshape(len(projected), len(camera))
             expected += len(naive_greedy(costs, 40.0))
 
         result = fit_correction_stream(h, frames, CorrectionConfig())

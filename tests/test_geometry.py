@@ -15,6 +15,7 @@ from calibrefine.errors import (
 )
 from calibrefine.geometry import (
     Correspondence,
+    Frame,
     Homography,
     PixelPoint,
     PlanePoint,
@@ -135,6 +136,38 @@ class TestHomographyType:
             PixelPoint(0.0, math.nan)
         with pytest.raises(ValueError):
             Correspondence(PlanePoint(0, 0), PixelPoint(0, 0), frame_id=-1)
+
+
+class TestFrame:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1.0, math.nan]],
+            [[math.inf, 2.0]],
+            [[1.0, 2.0], [-math.inf, 0.0]],
+            [[1.0, 2.0, 3.0]],
+            [1.0, 2.0],
+            [[[1.0, 2.0]]],
+            np.empty((0, 3)),
+        ],
+        ids=["nan", "inf", "-inf", "three-columns", "flat", "three-dims", "empty-three-columns"],
+    )
+    def test_rejects_non_finite_and_misshaped_points(self, points):
+        with pytest.raises(ValueError):
+            Frame(0, points, [])
+        with pytest.raises(ValueError):
+            Frame(0, [], points)
+
+    def test_holds_read_only_float_copies(self):
+        lidar = np.array([[1.0, 2.0], [3.0, 4.0]])
+        frame = Frame(3, lidar, [[5, 6]])
+        lidar[0, 0] = -1.0
+        assert frame.lidar_centers.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert frame.camera_centers.dtype == np.float64
+        assert Frame(4, [], ()).lidar_centers.shape == (0, 2)
+        for points in (frame.lidar_centers, frame.camera_centers):
+            with pytest.raises(ValueError):
+                points[0, 0] = 0.0
 
 
 class TestCompose:

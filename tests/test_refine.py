@@ -33,7 +33,7 @@ from calibrefine.refine import (
 )
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import naive_occupancy_admit, translation_homography
+from conftest import naive_occupancy_admit, point_array, translation_homography
 
 GRID = BlockGrid(1000, 1000, 5, 5)
 CFG = RefineConfig(recalib_interval=100, gate=MatchGate(40.0), grid=GRID, ransac=RansacConfig(seed=5))
@@ -51,7 +51,7 @@ def frame_from(h, frame_id, plane_pts, jitter=None):
         pp = project(h, p)
         du, dv = (0.0, 0.0) if jitter is None else jitter[i]
         camera.append(PixelPoint(pp.u + du, pp.v + dv))
-    return Frame(frame_id=frame_id, lidar_centers=lidar, camera_centers=tuple(camera))
+    return Frame(frame_id, point_array(lidar), point_array(camera))
 
 
 class TestIngestFrame:
@@ -105,8 +105,8 @@ class TestIngestFrame:
         state = CalibrationState.initial(h)
         frame = Frame(
             frame_id=0,
-            lidar_centers=(PlanePoint(-10.0, 0.0), PlanePoint(1.0, 1.0)),
-            camera_centers=(),
+            lidar_centers=np.array([[-10.0, 0.0], [1.0, 1.0]]),
+            camera_centers=np.empty((0, 2)),
         )
         out = ingest_frame(state, frame, CFG)
         assert out.degenerate_skipped == 1
@@ -142,15 +142,13 @@ class TestOccupancyHypothesis:
         state = CalibrationState.initial(h, seed_pairs)
         expected = list(seed_pairs)
         for frame_id, pixels in enumerate(frames):
-            frame = Frame(
-                frame_id=frame_id,
-                lidar_centers=tuple(PlanePoint(u - 1.0, v) for u, v in pixels),
-                camera_centers=tuple(PixelPoint(u, v) for u, v in pixels),
-            )
+            lidar = [PlanePoint(u - 1.0, v) for u, v in pixels]
+            camera = [PixelPoint(u, v) for u, v in pixels]
+            frame = Frame(frame_id, point_array(lidar), point_array(camera))
             state = ingest_frame(state, frame, cfg)
             matched = [
-                Correspondence(lidar, pixel, frame_id, Source.GREEDY_MATCHED)
-                for lidar, pixel in zip(frame.lidar_centers, frame.camera_centers)
+                Correspondence(p, pixel, frame_id, Source.GREEDY_MATCHED)
+                for p, pixel in zip(lidar, camera)
             ]
             survivors = block_sample(matched, GRID, skip_parity=skip_parity)
             expected = naive_occupancy_admit(expected, survivors, GRID, BLOCK_CAPACITY)
@@ -203,21 +201,21 @@ class TestWindowHypothesis:
         grid = replace(GRID, parity=parity)
         cfg = replace(CFG, grid=grid, skip_parity=skip_parity)
         seed_pairs = [Correspondence(PlanePoint(u - 1.0, v), PixelPoint(u, v)) for u, v in seeds]
+        points = [
+            ([PlanePoint(u - 1.0, v) for u, v in pixels], [PixelPoint(u, v) for u, v in pixels])
+            for pixels in frames
+        ]
         window = [
-            Frame(
-                frame_id=2 * frame_id,
-                lidar_centers=tuple(PlanePoint(u - 1.0, v) for u, v in pixels),
-                camera_centers=tuple(PixelPoint(u, v) for u, v in pixels),
-            )
-            for frame_id, pixels in enumerate(frames)
+            Frame(2 * frame_id, point_array(lidar), point_array(camera))
+            for frame_id, (lidar, camera) in enumerate(points)
         ]
         state = ingest_frame(CalibrationState.initial(h, seed_pairs), window, cfg)
 
         expected = list(seed_pairs)
-        for frame in window:
+        for frame, (lidar, camera) in zip(window, points):
             matched = [
-                Correspondence(lidar, pixel, frame.frame_id, Source.GREEDY_MATCHED)
-                for lidar, pixel in zip(frame.lidar_centers, frame.camera_centers)
+                Correspondence(p, pixel, frame.frame_id, Source.GREEDY_MATCHED)
+                for p, pixel in zip(lidar, camera)
             ]
             survivors = block_sample(matched, grid, skip_parity=skip_parity)
             expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
@@ -261,7 +259,7 @@ class TestWindowHypothesis:
                     pp = project(h_true, p)
                     camera.append(PixelPoint(pp.u + offset, pp.v - offset))
             camera.extend(PixelPoint(u, v) for u, v in clutter)
-            frames.append(Frame(frame_id, lidar, tuple(camera)))
+            frames.append(Frame(frame_id, point_array(lidar), point_array(camera)))
         seed_pairs = []
         if seeded:
             for spot in [(1.0, 1.0), (35.0, 1.0), (1.0, 35.0), (35.0, 35.0), (60.0, 70.0)]:

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calibrefine import serialize
 from calibrefine.errors import SingularResult
@@ -17,7 +20,24 @@ from calibrefine.geometry import (
 from calibrefine.refine import CheckpointRecord
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import well_conditioned_homography
+from conftest import point_array, well_conditioned_homography
+
+
+def assert_same_frames(read, written):
+    """Same ids and bit-identical arrays (this tells -0.0 from 0.0)."""
+    assert [f.frame_id for f in read] == [f.frame_id for f in written]
+    for a, b in zip(read, written):
+        for name in ("lidar_centers", "camera_centers"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# Finite floats over the whole range: hypothesis draws -0.0, subnormals and
+# values near +-1.8e308 among them.
+_xy = st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False))
+_frame_points = st.tuples(st.lists(_xy, max_size=4), st.lists(_xy, max_size=4))
+_EDGES = [(-0.0, 0.0), (5e-324, -2.2250738585072014e-308), (1e308, -1e308)]
 
 
 class TestHomographyIO:
@@ -40,12 +60,31 @@ class TestHomographyIO:
 class TestFramesAndPairsIO:
     def test_frames_round_trip(self, tmp_path):
         frames = [
-            Frame(0, (PlanePoint(1.5, -2.25),), (PixelPoint(10.0, 20.0), PixelPoint(0.1, 0.2))),
-            Frame(1, (), ()),
+            Frame(
+                0,
+                point_array([PlanePoint(1.5, -2.25)]),
+                point_array([PixelPoint(10.0, 20.0), PixelPoint(0.1, 0.2)]),
+            ),
+            Frame(1, np.empty((0, 2)), np.empty((0, 2))),
         ]
         path = tmp_path / "frames.jsonl"
         serialize.write_frames_jsonl(path, frames)
-        assert serialize.read_frames_jsonl(path) == frames
+        assert path.read_text().splitlines() == [
+            '{"camera": [[10.0, 20.0], [0.1, 0.2]], "frame_id": 0, "lidar": [[1.5, -2.25]]}',
+            '{"camera": [], "frame_id": 1, "lidar": []}',
+        ]
+        assert_same_frames(serialize.read_frames_jsonl(path), frames)
+
+    @settings(max_examples=100)
+    @given(stream=st.lists(_frame_points, max_size=5))
+    @example(stream=[])
+    @example(stream=[([], []), (_EDGES, _EDGES[::-1]), ([], [])])
+    def test_frames_round_trip_is_bit_exact(self, stream):
+        frames = [Frame(2 * i, lidar, camera) for i, (lidar, camera) in enumerate(stream)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frames.jsonl"
+            serialize.write_frames_jsonl(path, frames)
+            assert_same_frames(serialize.read_frames_jsonl(path), frames)
 
     def test_pairs_round_trip_with_source(self, tmp_path):
         pairs = [

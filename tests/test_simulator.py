@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calibrefine.geometry import Frame, Source, project, transform_points
+from calibrefine.geometry import Frame, PixelPoint, PlanePoint, Source, project, transform_points
 from calibrefine.simulator import (
     SceneConfig,
     SimFrame,
@@ -61,7 +61,12 @@ class TestGenerate:
         cfg = light_scene()
         frames_a, gt_a = generate(cfg)
         frames_b, gt_b = generate(cfg)
-        assert frames_a == frames_b
+        assert len(frames_a) == len(frames_b) == cfg.n_frames
+        for a, b in zip(frames_a, frames_b):
+            assert a.frame.frame_id == b.frame.frame_id
+            assert a.frame.lidar_centers.tobytes() == b.frame.lidar_centers.tobytes()
+            assert a.frame.camera_centers.tobytes() == b.frame.camera_centers.tobytes()
+            assert (a.lidar_labels, a.camera_labels) == (b.lidar_labels, b.camera_labels)
         assert np.array_equal(gt_a.h_true.m, gt_b.h_true.m)
         for name in ("plane", "pixel", "in_camera", "in_lidar"):
             assert np.array_equal(getattr(gt_a, name), getattr(gt_b, name))
@@ -83,14 +88,11 @@ class TestGenerate:
         )
         frames, gt = generate(cfg)
         for sf in frames:
-            cam_by_label = {
-                label: p for label, p in zip(sf.camera_labels, sf.frame.camera_centers)
-            }
-            for label, lp in zip(sf.lidar_labels, sf.frame.lidar_centers):
+            cam_by_label = dict(zip(sf.camera_labels, sf.frame.camera_centers.tolist()))
+            for label, (x, y) in zip(sf.lidar_labels, sf.frame.lidar_centers.tolist()):
                 if label in cam_by_label:
-                    pp = project(gt.h_true, lp)
-                    cp = cam_by_label[label]
-                    assert pp.u == cp.u and pp.v == cp.v
+                    pp = project(gt.h_true, PlanePoint(x, y))
+                    assert [pp.u, pp.v] == cam_by_label[label]
 
     def test_ground_truth_consistency(self):
         cfg = light_scene()
@@ -151,11 +153,11 @@ class TestOraclePairs:
         frames, gt = generate(light_scene())
         for sf in frames[:20]:
             cam_by_label = {
-                label: p for label, p in zip(sf.camera_labels, sf.frame.camera_centers)
+                label: PixelPoint(*p) for label, p in zip(sf.camera_labels, sf.frame.camera_centers)
             }
             pairs = oracle_pairs(sf, gt, 0.0, seed=1)
             lidar_by_label = {
-                label: p for label, p in zip(sf.lidar_labels, sf.frame.lidar_centers)
+                label: PlanePoint(*p) for label, p in zip(sf.lidar_labels, sf.frame.lidar_centers)
             }
             expected_ids = set(lidar_by_label) & set(cam_by_label) - {None}
             assert len(pairs) == len(expected_ids)
@@ -170,9 +172,6 @@ class TestOraclePairs:
         for sf in frames[:20]:
             if len(sf.frame.camera_centers) < 2:
                 continue
-            cam_by_label = {
-                label: p for label, p in zip(sf.camera_labels, sf.frame.camera_centers)
-            }
             for pair, clean in zip(
                 oracle_pairs(sf, gt, 1.0, seed=2), oracle_pairs(sf, gt, 0.0, seed=2)
             ):
