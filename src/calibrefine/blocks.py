@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .geometry import Correspondence, PixelPoint
+from .geometry import Correspondence, PairSet, PixelPoint, correspondence_arrays
 
 
 class Parity(Enum):
@@ -64,7 +64,7 @@ def block_of(grid: BlockGrid, p: PixelPoint) -> tuple[int, int] | None:
 
 
 def block_sample(
-    pairs: Sequence[Correspondence],
+    pairs: PairSet | Sequence[Correspondence],
     grid: BlockGrid,
     skip_parity: bool = True,
 ) -> list[Correspondence]:
@@ -75,15 +75,16 @@ def block_sample(
     blocks of the non-retained checkerboard class are discarded entirely.
     Output preserves input order.
     """
+    _, uv = correspondence_arrays(pairs)
     best: dict[tuple[int, int], tuple[float, int]] = {}
-    for idx, pair in enumerate(pairs):
-        block = block_of(grid, pair.pixel)
+    for idx, (u, v) in enumerate(uv.tolist()):
+        block = block_of(grid, PixelPoint(u, v))
         if block is None:
             continue
         if skip_parity and not grid.retained(*block):
             continue
         cx, cy = grid.block_center(*block)
-        d2 = (pair.pixel.u - cx) ** 2 + (pair.pixel.v - cy) ** 2
+        d2 = (u - cx) ** 2 + (v - cy) ** 2
         incumbent = best.get(block)
         if incumbent is None or d2 < incumbent[0]:
             best[block] = (d2, idx)

@@ -18,11 +18,13 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import serialize
 from .blocks import BlockGrid, Parity
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet
-from .geometry import Correspondence, Homography
+from .geometry import Homography, PairSet
 from .matching import MatchGate
 from .pipeline import coarse_fit, error_histogram, evaluate
 from .ransac import RansacConfig
@@ -192,11 +194,9 @@ def _simulate_seed(scene: SceneConfig, out_dir: str) -> str:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sim_frames, gt = generate(scene)
-    pairs = [
-        p
-        for sf in sim_frames
-        for p in oracle_pairs(sf, gt, scene.oracle_error_rate, scene.seed)
-    ]
+    pairs = PairSet.concat(
+        oracle_pairs(sf, gt, scene.oracle_error_rate, scene.seed) for sf in sim_frames
+    )
     serialize.write_sim_frames(out / "frames.jsonl", sim_frames)
     serialize.write_pairs_jsonl(out / "oracle_pairs.jsonl", pairs)
     serialize.write_ground_truth(out / "ground_truth.json", gt)
@@ -224,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- calibrate ----------------------------------------------------------------
 
-def _load_pairs(path: str) -> list[Correspondence]:
+def _load_pairs(path: str) -> PairSet:
     pairs = serialize.read_pairs_jsonl(path)
     if not pairs:
         raise EmptySet(f"no pairs in {path}")
@@ -238,10 +238,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print("error: frames file is empty", file=sys.stderr)
         return EXIT_CONFIG
     pairs = _load_pairs(args.oracle)
-    frame_ids = {f.frame_id for f in frames}
-    bad = [p.frame_id for p in pairs if p.frame_id not in frame_ids]
-    if bad:
-        print(f"error: oracle pair references unknown frame_id {bad[0]}", file=sys.stderr)
+    unknown = np.flatnonzero(~np.isin(pairs.frame_ids, [f.frame_id for f in frames]))
+    if unknown.size:
+        bad = pairs.frame_ids[unknown[0]]
+        print(f"error: oracle pair references unknown frame_id {bad}", file=sys.stderr)
         return EXIT_CONFIG
 
     result, inliers = coarse_fit(pairs, cfg.refine.grid, cfg.refine.ransac, cfg.refine.skip_parity)

@@ -1,6 +1,7 @@
-"""Homogeneous 2D projective geometry: the point, pair and frame types, the
-homography type, projection, composition, reprojection-error metrics, and
-the DLT / least-squares estimators that everything else builds on.
+"""Homogeneous 2D projective geometry: the point, pair, pair-set and frame
+types, the homography type, projection, composition, reprojection-error
+metrics, and the DLT / least-squares estimators that everything else builds
+on.
 
 Conventions: the ground plane is metric (x, y in meters), the image plane is
 pixels (u, v). A homography maps ground points to pixels via
@@ -89,27 +90,105 @@ class Correspondence:
             raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
 
 
+def _point_array(name: str, points) -> np.ndarray:
+    """A read-only (K, 2) float copy of finite points; an empty list is (0, 2)."""
+    points = np.array(points, dtype=float)
+    if points.shape == (0,):
+        points = points.reshape(0, 2)  # an empty list of points
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"{name} must be a (K, 2) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name} must be finite")
+    points.flags.writeable = False
+    return points
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Time-synchronized object centers from both sensors for one timestamp:
-    ``lidar_centers`` holds (K, 2) ground points (x, y) and
-    ``camera_centers`` (M, 2) pixels (u, v), as read-only float arrays."""
+    """Time-synchronized object centers from both sensors for one timestamp,
+    under a non-negative ``frame_id``: ``lidar_centers`` holds (K, 2) ground
+    points (x, y) and ``camera_centers`` (M, 2) pixels (u, v), as read-only
+    float arrays."""
 
     frame_id: int
     lidar_centers: np.ndarray
     camera_centers: np.ndarray
 
     def __post_init__(self):
+        if self.frame_id < 0:
+            raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
         for name in ("lidar_centers", "camera_centers"):
-            points = np.array(getattr(self, name), dtype=float)
-            if points.shape == (0,):
-                points = points.reshape(0, 2)  # an empty list of points
-            if points.ndim != 2 or points.shape[1] != 2:
-                raise ValueError(f"{name} must be a (K, 2) array, got shape {points.shape}")
-            if not np.isfinite(points).all():
-                raise ValueError(f"{name} must be finite")
-            points.flags.writeable = False
-            object.__setattr__(self, name, points)
+            object.__setattr__(self, name, _point_array(name, getattr(self, name)))
+
+
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Correspondences held as columns: ``xy`` the (N, 2) ground points,
+    ``uv`` the (N, 2) pixels, ``frame_ids`` the (N,) frame of each pair and
+    ``source`` the (N,) ``Source`` of each (one ``Source`` stands for all
+    rows), as read-only arrays checked once when built.
+
+    A sequence of correspondences: an integer index, and iteration, yield a
+    ``Correspondence``; an index array or a slice yields a ``PairSet``.
+    """
+
+    xy: np.ndarray
+    uv: np.ndarray
+    frame_ids: np.ndarray
+    source: np.ndarray
+
+    def __post_init__(self):
+        xy, uv = _point_array("xy", self.xy), _point_array("uv", self.uv)
+        frame_ids = np.array(self.frame_ids)
+        if frame_ids.size and frame_ids.dtype.kind != "i":
+            raise ValueError(f"frame_ids must be 64-bit integers, got dtype {frame_ids.dtype}")
+        frame_ids = frame_ids.astype(np.int64, copy=False)
+        n = len(xy)
+        if frame_ids.shape != (n,) or uv.shape != (n, 2):
+            raise ValueError(
+                f"xy, uv and frame_ids must hold one row per pair, got shapes "
+                f"{xy.shape}, {uv.shape} and {frame_ids.shape}"
+            )
+        if (frame_ids < 0).any():
+            raise ValueError(f"frame_id must be non-negative, got {frame_ids.min()}")
+        if isinstance(self.source, Source):
+            source = np.full(n, self.source, dtype=object)
+        else:
+            source = np.empty(len(self.source), dtype=object)
+            source[:] = self.source
+            if source.shape != (n,) or not {*map(type, source.tolist())} <= {Source}:
+                raise ValueError("source must hold one Source per pair")
+        for name, column in (("xy", xy), ("uv", uv), ("frame_ids", frame_ids), ("source", source)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def concat(cls, sets: Iterable["PairSet"]) -> "PairSet":
+        """The rows of several pair sets, in order."""
+        sets = list(sets)
+        return cls(
+            np.concatenate([np.empty((0, 2))] + [s.xy for s in sets]),
+            np.concatenate([np.empty((0, 2))] + [s.uv for s in sets]),
+            np.concatenate([np.empty(0, np.int64)] + [s.frame_ids for s in sets]),
+            np.concatenate([np.empty(0, object)] + [s.source for s in sets]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            (x, y), (u, v) = self.xy[index].tolist(), self.uv[index].tolist()
+            return Correspondence(
+                PlanePoint(x, y), PixelPoint(u, v), int(self.frame_ids[index]), self.source[index]
+            )
+        return PairSet(self.xy[index], self.uv[index], self.frame_ids[index], self.source[index])
+
+    def __iter__(self):
+        for (x, y), (u, v), frame_id, source in zip(
+            self.xy.tolist(), self.uv.tolist(), self.frame_ids.tolist(), self.source.tolist()
+        ):
+            yield Correspondence(PlanePoint(x, y), PixelPoint(u, v), frame_id, source)
 
 
 def stream_arrays(frames: Iterable[Frame]) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
@@ -237,8 +316,13 @@ def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uv[kept], kept
 
 
-def correspondence_arrays(pairs: Sequence[Correspondence]) -> tuple[np.ndarray, np.ndarray]:
-    """Split correspondences into (N, 2) ground and (N, 2) pixel arrays."""
+def correspondence_arrays(
+    pairs: PairSet | Sequence[Correspondence],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split correspondences into (N, 2) ground and (N, 2) pixel arrays: a
+    ``PairSet``'s own read-only columns, or new arrays for a plain sequence."""
+    if isinstance(pairs, PairSet):
+        return pairs.xy, pairs.uv
     xy = np.empty((len(pairs), 2))
     uv = np.empty((len(pairs), 2))
     xy[:, 0] = [c.lidar.x for c in pairs]

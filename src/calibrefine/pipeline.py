@@ -17,6 +17,7 @@ from .geometry import (
     Correspondence,
     Frame,
     Homography,
+    PairSet,
     ResidualReport,
     correspondence_arrays,
     reprojection_metrics,
@@ -26,7 +27,7 @@ from .refine import CalibrationState, RefineConfig, run as run_refinement
 
 #: Histogram layout: 1 px buckets over [0, 200) plus one overflow bucket.
 HISTOGRAM_EDGE = 200
-OracleFn = Callable[[Frame], Sequence[Correspondence]]
+OracleFn = Callable[[Frame], PairSet]
 
 
 class StageFailure(CalibrationError):
@@ -68,7 +69,7 @@ class PipelineReport:
 
 
 def coarse_fit(
-    oracle_pairs: Sequence[Correspondence],
+    oracle_pairs: PairSet | Sequence[Correspondence],
     grid: BlockGrid,
     cfg: RansacConfig,
     skip_parity: bool = True,
@@ -85,7 +86,7 @@ def coarse_fit(
     return result, inliers
 
 
-def evaluate(h: Homography, eval_pairs: Sequence[Correspondence]) -> ResidualReport:
+def evaluate(h: Homography, eval_pairs: PairSet | Sequence[Correspondence]) -> ResidualReport:
     """Reprojection metrics of ``h`` on an evaluation pair set."""
     return reprojection_metrics(h, *correspondence_arrays(eval_pairs))
 
@@ -103,23 +104,21 @@ def error_histogram(report: ResidualReport) -> np.ndarray:
     return counts
 
 
-def split_eval_pairs(
-    gt_pairs: Sequence[Correspondence], fraction: float, seed: int
-) -> list[Correspondence]:
+def split_eval_pairs(gt_pairs: PairSet, fraction: float, seed: int) -> PairSet:
     """Seeded held-out selection of ground-truth pairs for evaluation."""
     if not gt_pairs:
         raise EmptySet("no ground-truth pairs to split")
     rng = np.random.default_rng([seed, 9])
     k = max(1, int(round(fraction * len(gt_pairs))))
     idx = np.sort(rng.choice(len(gt_pairs), size=k, replace=False))
-    return [gt_pairs[i] for i in idx]
+    return gt_pairs[idx]
 
 
 def run_full(
     frames: Sequence[Frame],
     oracle: OracleFn,
     cfg: PipelineConfig,
-    gt_pairs: Sequence[Correspondence],
+    gt_pairs: PairSet,
 ) -> PipelineReport:
     """Execute coarse -> iterative -> correction and score each stage on the
     held-out split of ``gt_pairs``.
@@ -131,9 +130,7 @@ def run_full(
     """
     eval_pairs = split_eval_pairs(gt_pairs, cfg.eval_fraction, cfg.split_seed)
 
-    coarse_input = [
-        pair for frame in frames[: cfg.coarse_frames] for pair in oracle(frame)
-    ]
+    coarse_input = PairSet.concat(oracle(frame) for frame in frames[: cfg.coarse_frames])
     try:
         coarse_result, coarse_inliers = coarse_fit(
             coarse_input, cfg.grid, cfg.ransac, cfg.skip_parity

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -14,15 +15,7 @@ import numpy as np
 
 from .correction import CorrectionResult
 from .errors import SingularMatrixError
-from .geometry import (
-    Correspondence,
-    Frame,
-    Homography,
-    PixelPoint,
-    PlanePoint,
-    ResidualReport,
-    Source,
-)
+from .geometry import Frame, Homography, PairSet, ResidualReport, Source
 from .pipeline import HISTOGRAM_EDGE
 from .refine import CheckpointRecord
 from .simulator import GroundTruth, SimFrame
@@ -130,27 +123,28 @@ def read_frames_jsonl(path: str | Path) -> list[Frame]:
 
 # -- correspondences -----------------------------------------------------------
 
-def write_pairs_jsonl(path: str | Path, pairs: Sequence[Correspondence]) -> None:
+# One record per pair, byte for byte as ``json.dumps(..., sort_keys=True)``
+# writes it: a PairSet holds only finite floats, whose JSON form is their repr.
+_PAIR_RECORD = '{"frame_id": %d, "lidar": [%r, %r], "pixel": [%r, %r], "source": "%s"}\n'
+
+
+def write_pairs_jsonl(path: str | Path, pairs: PairSet) -> None:
+    rows = zip(
+        pairs.frame_ids.tolist(),
+        *pairs.xy.T.tolist(),
+        *pairs.uv.T.tolist(),
+        [s.value for s in pairs.source.tolist()],
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for c in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "frame_id": c.frame_id,
-                        "lidar": [c.lidar.x, c.lidar.y],
-                        "pixel": [c.pixel.u, c.pixel.v],
-                        "source": c.source.value,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(_PAIR_RECORD % row for row in rows)
 
 
-def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
+def read_pairs_jsonl(path: str | Path) -> PairSet:
     """Read correspondences; a record that fails to parse is invalid input
     (``ValueError`` naming path:line)."""
-    pairs = []
+    coordinates: list[list[float]] = []
+    frame_ids: list[int] = []
+    sources: list[Source] = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
@@ -163,16 +157,20 @@ def read_pairs_jsonl(path: str | Path) -> list[Correspondence]:
                 if len(lidar) != 2 or len(pixel) != 2:
                     raise ValueError("lidar/pixel must each hold 2 values")
                 _require_numbers(lidar + pixel)
-                pair = Correspondence(
-                    lidar=PlanePoint(float(lidar[0]), float(lidar[1])),
-                    pixel=PixelPoint(float(pixel[0]), float(pixel[1])),
-                    frame_id=_frame_id(d.get("frame_id", 0)),
-                    source=Source(d.get("source", "manual")),
-                )
+                row = [float(v) for v in lidar + pixel]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"coordinates must be finite, got {row}")
+                frame_id = _frame_id(d.get("frame_id", 0))
+                if not 0 <= frame_id < 2**63:
+                    raise ValueError(f"frame_id must be in [0, 2**63), got {frame_id}")
+                source = Source(d.get("source", "manual"))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise _malformed(f"{path}:{n}", exc) from exc
-            pairs.append(pair)
-    return pairs
+            coordinates.append(row)
+            frame_ids.append(frame_id)
+            sources.append(source)
+    table = np.array(coordinates, dtype=float).reshape(-1, 4)
+    return PairSet(table[:, :2], table[:, 2:], frame_ids, sources)
 
 
 # -- ground truth sidecar --------------------------------------------------------

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Correspondence,
-    Frame,
-    Homography,
-    PixelPoint,
-    PlanePoint,
-    Source,
-    transform_points,
-)
+from .geometry import Frame, Homography, PairSet, Source, transform_points
 
 #: Half-size (meters) of the ground patch that must land inside the image.
 PATCH_HALF = 30.0
@@ -83,19 +75,13 @@ class GroundTruth:
     in_camera: np.ndarray
     in_lidar: np.ndarray
 
-    def correspondences(self) -> list[Correspondence]:
+    def correspondences(self) -> PairSet:
         """Noise-free evaluation pairs of the objects in both fields of view,
         frame by frame in object order."""
         frame_ids, objects = np.nonzero(self.in_camera & self.in_lidar)
-        # One flat list per coordinate, so no [x, y] list is built per pair.
-        xs, ys = self.plane[frame_ids, objects].T.tolist()
-        us, vs = self.pixel[frame_ids, objects].T.tolist()
-        return [
-            Correspondence(
-                lidar=PlanePoint(x, y), pixel=PixelPoint(u, v), frame_id=f, source=Source.ORACLE
-            )
-            for f, x, y, u, v in zip(frame_ids.tolist(), xs, ys, us, vs)
-        ]
+        return PairSet(
+            self.plane[frame_ids, objects], self.pixel[frame_ids, objects], frame_ids, Source.ORACLE
+        )
 
 
 @dataclass(frozen=True)
@@ -285,12 +271,13 @@ def oracle_pairs(
     gt: GroundTruth,
     error_rate: float,
     seed: int,
-) -> list[Correspondence]:
+) -> PairSet:
     """Identity-oracle correspondences for one frame.
 
-    Returns one pair per object detected by both sensors; with probability
-    ``error_rate`` a pair's camera endpoint is swapped for another detection
-    or clutter point in the same frame (when one exists).
+    Returns one pair per object detected by both sensors, in LiDAR row
+    order; with probability ``error_rate`` a pair's camera endpoint is
+    swapped for another detection or clutter point in the same frame (when
+    one exists).
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
@@ -301,10 +288,9 @@ def oracle_pairs(
     camera_by_id = {
         label: j for j, label in enumerate(frame.camera_labels) if label is not None
     }
-    lidar_rows = frame.frame.lidar_centers.tolist()
-    camera_rows = frame.frame.camera_centers.tolist()
-    n_cam = len(camera_rows)
-    pairs: list[Correspondence] = []
+    n_cam = len(frame.frame.camera_centers)
+    lidar_rows: list[int] = []
+    camera_rows: list[int] = []
     for i, label in enumerate(frame.lidar_labels):
         if label is None or label not in camera_by_id:
             continue
@@ -314,12 +300,11 @@ def oracle_pairs(
             if wrong >= j:
                 wrong += 1
             j = wrong
-        pairs.append(
-            Correspondence(
-                lidar=PlanePoint(*lidar_rows[i]),
-                pixel=PixelPoint(*camera_rows[j]),
-                frame_id=fid,
-                source=Source.ORACLE,
-            )
-        )
-    return pairs
+        lidar_rows.append(i)
+        camera_rows.append(j)
+    return PairSet(
+        frame.frame.lidar_centers[lidar_rows],
+        frame.frame.camera_centers[camera_rows],
+        np.full(len(lidar_rows), fid),
+        Source.ORACLE,
+    )

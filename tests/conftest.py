@@ -12,8 +12,10 @@ from calibrefine.blocks import block_of
 from calibrefine.geometry import (
     Correspondence,
     Homography,
+    PairSet,
     PixelPoint,
     PlanePoint,
+    correspondence_arrays,
     project,
 )
 
@@ -59,6 +61,21 @@ def exact_pairs(
         pairs.append(Correspondence(lidar=p, pixel=project(h, p)))
     assert len(pairs) == n, "could not sample enough points clear of the horizon"
     return pairs
+
+
+def pair_set(pairs) -> PairSet:
+    """The PairSet holding the given correspondences, in order."""
+    return PairSet(
+        *correspondence_arrays(pairs), [c.frame_id for c in pairs], [c.source for c in pairs]
+    )
+
+
+def assert_same_pairs(a: PairSet, b: PairSet) -> None:
+    """Same rows, bit for bit (this tells -0.0 from 0.0), frame ids and sources."""
+    for name in ("xy", "uv", "frame_ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.source.tolist() == b.source.tolist()
 
 
 def translation_homography(dx: float, dy: float) -> Homography:

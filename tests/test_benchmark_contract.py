@@ -5,9 +5,17 @@ call path that no longer reaches a required function fails here first."""
 import importlib
 import json
 import types
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
+from calibrefine import pipeline, refine, serialize
+from calibrefine.blocks import BlockGrid
 from calibrefine.cli import main
+from calibrefine.geometry import PairSet
+from calibrefine.ransac import RansacConfig
+from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -92,3 +100,56 @@ def test_cli_flow_reaches_every_traced_serialize_and_cli_function(tmp_path, monk
     ]) == 0
     assert {"serialize.write_frames_jsonl", "cli.main"} <= calls.keys()
     assert [name for name, made in calls.items() if not made] == []
+
+
+def same_report(a, b) -> bool:
+    return (a.aed, a.rmse, a.n) == (b.aed, b.rmse, b.n) and a.per_pair.tobytes() == b.per_pair.tobytes()
+
+
+def test_library_call_shapes_of_the_benchmark_agree(tmp_path):
+    # The stream and dense workloads feed ``coarse_fit`` the list made by
+    # iterating each frame's oracle pairs, score files read back with
+    # ``read_pairs_jsonl``, and require the online loop, run frame by frame,
+    # to end on ``run_full``'s iterative matrix.
+    scene = SceneConfig(seed=5, n_frames=130, n_objects=10)
+    sim_frames, gt = generate(scene)
+    by_id = {sf.frame.frame_id: sf for sf in sim_frames}
+
+    def oracle(frame):
+        return oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, scene.seed)
+
+    frames = [sf.frame for sf in sim_frames]
+    cfg = pipeline.PipelineConfig(
+        grid=BlockGrid(scene.image_width, scene.image_height),
+        ransac=RansacConfig(seed=5),
+        refine=refine.RefineConfig(recalib_interval=40),
+    )
+    per_frame = [oracle(f) for f in frames[: cfg.coarse_frames]]
+    listed, listed_inliers = pipeline.coarse_fit(
+        [p for pairs in per_frame for p in pairs], cfg.grid, cfg.ransac, cfg.skip_parity
+    )
+    joined, joined_inliers = pipeline.coarse_fit(
+        PairSet.concat(per_frame), cfg.grid, cfg.ransac, cfg.skip_parity
+    )
+    assert listed.h.m.tobytes() == joined.h.m.tobytes()
+    assert listed_inliers == joined_inliers and len(listed_inliers) >= 4
+
+    report = pipeline.run_full(frames, oracle, cfg, gt.correspondences())
+    assert report.h_coarse.m.tobytes() == listed.h.m.tobytes()
+    refine_cfg = replace(cfg.refine, grid=cfg.grid, ransac=cfg.ransac, skip_parity=cfg.skip_parity)
+    state = refine.CalibrationState.initial(listed.h, tuple(listed_inliers))
+    for frame in frames:
+        state = refine.ingest_frame(state, frame, refine_cfg)
+        if state.frames_seen % refine_cfg.recalib_interval == 0:
+            state = refine.checkpoint_recalibrate(state, refine_cfg)
+    state = refine.checkpoint_recalibrate(state, refine_cfg)  # the partial last window
+    assert state.h_best.m.tobytes() == report.h_iterative.m.tobytes()
+    assert state.checkpoints == report.checkpoints
+
+    path = tmp_path / "gt_pairs.jsonl"
+    serialize.write_pairs_jsonl(path, gt.correspondences())
+    for h in (report.h_coarse, report.h_iterative, report.h_star):
+        assert same_report(
+            pipeline.evaluate(h, serialize.read_pairs_jsonl(path)),
+            pipeline.evaluate(h, gt.correspondences()),
+        )

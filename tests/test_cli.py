@@ -7,7 +7,7 @@ import pytest
 
 from calibrefine.cli import load_config, main
 from calibrefine import serialize
-from calibrefine.geometry import Homography
+from calibrefine.geometry import Homography, PairSet
 from calibrefine.matching import MatchGate
 from calibrefine.pipeline import evaluate
 
@@ -175,17 +175,8 @@ class TestCalibrate:
         frames = serialize.read_frames_jsonl(out / "frames.jsonl")
         pairs = serialize.read_pairs_jsonl(out / "oracle_pairs.jsonl")
         # squeeze every camera endpoint into one block: sampling leaves < 4 pairs
-        from calibrefine.geometry import Correspondence, PixelPoint
-
-        clustered = [
-            Correspondence(
-                p.lidar,
-                PixelPoint(5.0 + 0.01 * i, 5.0 + 0.01 * i),
-                frame_id=p.frame_id,
-                source=p.source,
-            )
-            for i, p in enumerate(pairs)
-        ]
+        step = 5.0 + 0.01 * np.arange(len(pairs))
+        clustered = PairSet(pairs.xy, np.column_stack([step, step]), pairs.frame_ids, pairs.source)
         bad = tmp_path / "clustered.jsonl"
         serialize.write_pairs_jsonl(bad, clustered)
         code = main(
@@ -203,6 +194,27 @@ class TestCalibrate:
         )
         assert code == 4
         assert frames  # inputs themselves were fine
+
+    def test_pair_of_unknown_frame_exits_2(self, tmp_path, sim_dir, capsys):
+        cfg, out = sim_dir
+        # frames.jsonl holds frames 0-39: ids 45 and then 41 are unknown
+        pairs = serialize.read_pairs_jsonl(out / "oracle_pairs.jsonl")
+        frame_ids = pairs.frame_ids.copy()
+        frame_ids[[3, 7]] = [45, 41]
+        bad = tmp_path / "unknown.jsonl"
+        serialize.write_pairs_jsonl(bad, PairSet(pairs.xy, pairs.uv, frame_ids, pairs.source))
+        code = main(
+            [
+                "--config", str(cfg),
+                "calibrate",
+                "--frames", str(out / "frames.jsonl"),
+                "--oracle", str(bad),
+                "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: oracle pair references unknown frame_id 45\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_malformed_pairs_exit_2(self, tmp_path, sim_dir):
         cfg, out = sim_dir
@@ -504,6 +516,8 @@ class TestInputValidation:
             {"frame_id": 0, "lidar": [], "camera": [[1.0, True]]},
             # an integer too large for a float
             {"frame_id": 0, "lidar": [[10**400, 2.0]], "camera": []},
+            # frame ids are non-negative
+            {"frame_id": -1, "lidar": [[1.0, 2.0]], "camera": []},
         ],
     )
     def test_malformed_frame_record_exits_2(self, tmp_path, sim_dir, capsys, record):
@@ -522,6 +536,24 @@ class TestInputValidation:
         )
         assert code == 2
         assert f"{frames}:1: malformed record" in capsys.readouterr().err
+
+    def test_negative_frame_id_exits_2_in_lenient_correction(self, tmp_path, sim_dir, capsys):
+        # the lenient correction would otherwise keep the matrix and exit 0
+        cfg, out = sim_dir
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps({"frame_id": -1, "lidar": [[1.0, 2.0]], "camera": []}) + "\n")
+        code = main(
+            [
+                "--config", str(cfg),
+                "refine",
+                "--frames", str(frames),
+                "--matrix", str(out / "ground_truth.json"),
+                "--mode", "correction", "--lenient",
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert f"{frames}:1: malformed record: frame_id must be non-negative" in capsys.readouterr().err
 
     def test_pair_record_without_pixel_exits_2(self, tmp_path, sim_dir, capsys):
         _, out = sim_dir
@@ -550,6 +582,9 @@ class TestInputValidation:
             {"lidar": [1.0, 2.0], "pixel": [1.0, True]},
             # an integer too large for a float
             {"lidar": [10**400, 2.0], "pixel": [1.0, 2.0]},
+            # frame ids are non-negative 64-bit integers
+            {"frame_id": -1, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+            {"frame_id": 2**63, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
         ],
     )
     def test_malformed_pair_record_exits_2(self, tmp_path, sim_dir, capsys, record):

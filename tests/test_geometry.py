@@ -17,9 +17,11 @@ from calibrefine.geometry import (
     Correspondence,
     Frame,
     Homography,
+    PairSet,
     PixelPoint,
     PlanePoint,
     ResidualReport,
+    Source,
     compose,
     correspondence_arrays,
     estimate_homography,
@@ -168,6 +170,99 @@ class TestFrame:
         for points in (frame.lidar_centers, frame.camera_centers):
             with pytest.raises(ValueError):
                 points[0, 0] = 0.0
+
+
+    def test_rejects_negative_frame_id(self):
+        with pytest.raises(ValueError, match="frame_id must be non-negative"):
+            Frame(-1, [[1.0, 2.0]], [])
+
+
+def two_pairs(**columns) -> PairSet:
+    return PairSet(**{
+        "xy": [[0.5, -1.0], [2.0, 3.0]],
+        "uv": [[10.0, 20.0], [-0.0, 5e-324]],
+        "frame_ids": [4, 9],
+        "source": [Source.ORACLE, Source.MANUAL],
+        **columns,
+    })
+
+
+class TestPairSet:
+    def test_integer_index_and_iteration_yield_correspondences(self):
+        pairs = two_pairs()
+        expected = [
+            Correspondence(PlanePoint(0.5, -1.0), PixelPoint(10.0, 20.0), 4, Source.ORACLE),
+            Correspondence(PlanePoint(2.0, 3.0), PixelPoint(-0.0, 5e-324), 9, Source.MANUAL),
+        ]
+        assert len(pairs) == 2
+        assert list(pairs) == expected
+        assert [pairs[0], pairs[-1], pairs[np.int64(1)]] == [expected[0], expected[1], expected[1]]
+        for c in [*pairs, pairs[1]]:
+            assert {type(c.lidar.x), type(c.pixel.v), type(c.frame_id)} == {float, int}
+        with pytest.raises(IndexError):
+            pairs[2]
+
+    def test_index_array_and_slice_yield_pair_sets(self):
+        pairs = two_pairs()
+        for index in (np.array([1, 0, 1]), [1], slice(1, None), np.array([False, True]), []):
+            picked = pairs[index]
+            assert isinstance(picked, PairSet)
+            rows = np.arange(2)[index]
+            assert list(picked) == [pairs[int(i)] for i in rows]
+
+    def test_one_source_stands_for_every_row(self):
+        pairs = two_pairs(source=Source.GREEDY_MATCHED)
+        assert pairs.source.tolist() == [Source.GREEDY_MATCHED] * 2
+
+    def test_holds_read_only_copies(self):
+        xy = np.array([[0.5, -1.0], [2.0, 3.0]])
+        frame_ids = np.array([4, 9])
+        pairs = two_pairs(xy=xy, frame_ids=frame_ids)
+        xy[0, 0] = frame_ids[0] = 7
+        assert pairs.xy[0, 0] == 0.5 and pairs.frame_ids[0] == 4
+        assert pairs.frame_ids.dtype == np.int64
+        for column in (pairs.xy, pairs.uv, pairs.frame_ids, pairs.source):
+            assert not column.flags.writeable
+
+    def test_empty(self):
+        pairs = PairSet([], [], [], [])
+        assert len(pairs) == 0 and not pairs and list(pairs) == []
+        assert pairs.xy.shape == pairs.uv.shape == (0, 2)
+        assert len(PairSet.concat([])) == 0
+
+    def test_concat_keeps_row_order(self):
+        a, b = two_pairs(), two_pairs(frame_ids=[11, 12], source=Source.ORACLE)
+        joined = PairSet.concat([a, PairSet([], [], [], []), b])
+        assert list(joined) == list(a) + list(b)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"xy": [[0.5, math.nan], [2.0, 3.0]]},
+            {"uv": [[10.0, 20.0], [math.inf, 0.0]]},
+            {"xy": [[0.5, -1.0, 0.0], [2.0, 3.0, 0.0]]},
+            {"uv": [[10.0, 20.0]]},
+            {"frame_ids": [4]},
+            {"frame_ids": [4, -1]},
+            {"frame_ids": [4.0, 9.0]},
+            {"frame_ids": [True, False]},
+            {"frame_ids": [4, 2**63]},
+            {"source": [Source.ORACLE]},
+            {"source": ["oracle", "manual"]},
+        ],
+        ids=["nan", "inf", "three-columns", "short-uv", "short-ids", "negative-id",
+             "float-ids", "bool-ids", "uint64-ids", "short-source", "source-strings"],
+    )
+    def test_rejects_invalid_columns(self, columns):
+        with pytest.raises(ValueError):
+            two_pairs(**columns)
+
+    def test_correspondence_arrays_returns_the_columns(self):
+        pairs = two_pairs()
+        xy, uv = correspondence_arrays(pairs)
+        assert xy is pairs.xy and uv is pairs.uv
+        listed_xy, listed_uv = correspondence_arrays(list(pairs))
+        assert listed_xy.tobytes() == xy.tobytes() and listed_uv.tobytes() == uv.tobytes()
 
 
 class TestCompose:

@@ -9,6 +9,7 @@ from calibrefine.errors import EmptySet, InsufficientPairs
 from calibrefine.geometry import (
     Correspondence,
     Homography,
+    PairSet,
     PixelPoint,
     PlanePoint,
     ResidualReport,
@@ -27,7 +28,7 @@ from calibrefine.pipeline import (
 from calibrefine.ransac import RansacConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
-from conftest import exact_pairs
+from conftest import assert_same_pairs, exact_pairs, pair_set
 
 
 def sim_setup(**overrides):
@@ -170,11 +171,12 @@ class TestRunFull:
         scene, sim_frames, gt, oracle = sim_setup(n_frames=200)
         cfg = PipelineConfig(grid=BlockGrid(scene.image_width, scene.image_height))
         gt_pairs = gt.correspondences()
-        consumed = {id(p) for sf in sim_frames for p in oracle(sf.frame)}
-        eval_ids = {
-            id(p) for p in split_eval_pairs(gt_pairs, cfg.eval_fraction, cfg.split_seed)
-        }
-        assert consumed.isdisjoint(eval_ids)
+        held_out = split_eval_pairs(gt_pairs, cfg.eval_fraction, cfg.split_seed)
+        # the stages see only the frames' detections (the oracle pairs are
+        # drawn from them), never a held-out ground-truth point or pixel
+        for column, name in ((held_out.xy, "lidar_centers"), (held_out.uv, "camera_centers")):
+            seen = {tuple(p) for sf in sim_frames for p in getattr(sf.frame, name).tolist()}
+            assert seen.isdisjoint(map(tuple, column.tolist()))
         report = run_full([sf.frame for sf in sim_frames], oracle, cfg, gt_pairs)
         assert report.eval_pair_count == max(1, round(cfg.eval_fraction * len(gt_pairs)))
 
@@ -193,7 +195,7 @@ class TestRunFull:
         scene, sim_frames, gt, _ = sim_setup(n_frames=30)
 
         def hopeless_oracle(frame):
-            return []
+            return PairSet([], [], [], [])
 
         cfg = PipelineConfig(grid=BlockGrid(scene.image_width, scene.image_height))
         with pytest.raises(StageFailure) as err:
@@ -214,10 +216,10 @@ class TestSplitEvalPairs:
     def test_deterministic_and_sized(self):
         rng = np.random.default_rng(8)
         h = Homography.identity()
-        pairs = exact_pairs(h, rng, 200)
+        pairs = pair_set(exact_pairs(h, rng, 200))
         a = split_eval_pairs(pairs, 0.1, 3)
         b = split_eval_pairs(pairs, 0.1, 3)
-        assert a == b
+        assert_same_pairs(a, b)
         assert len(a) == 20
 
     def test_empty_raises(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from calibrefine import serialize
 from calibrefine.errors import SingularResult
 from calibrefine.geometry import (
-    Correspondence,
     Frame,
     Homography,
+    PairSet,
     PixelPoint,
     PlanePoint,
     Source,
@@ -20,7 +21,7 @@ from calibrefine.geometry import (
 from calibrefine.refine import CheckpointRecord
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import point_array, well_conditioned_homography
+from conftest import assert_same_pairs, point_array, well_conditioned_homography
 
 
 def assert_same_frames(read, written):
@@ -38,6 +39,7 @@ _xy = st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                 st.floats(allow_nan=False, allow_infinity=False))
 _frame_points = st.tuples(st.lists(_xy, max_size=4), st.lists(_xy, max_size=4))
 _EDGES = [(-0.0, 0.0), (5e-324, -2.2250738585072014e-308), (1e308, -1e308)]
+_pair_row = st.tuples(_xy, _xy, st.integers(0, 2**62), st.sampled_from(Source))
 
 
 class TestHomographyIO:
@@ -87,13 +89,40 @@ class TestFramesAndPairsIO:
             assert_same_frames(serialize.read_frames_jsonl(path), frames)
 
     def test_pairs_round_trip_with_source(self, tmp_path):
-        pairs = [
-            Correspondence(PlanePoint(0.5, 1.5), PixelPoint(3.25, 4.75), 7, Source.ORACLE),
-            Correspondence(PlanePoint(-1.0, 2.0), PixelPoint(8.0, 9.0), 8, Source.GREEDY_MATCHED),
-        ]
+        pairs = PairSet(
+            [[0.5, 1.5], [-1.0, 2.0]],
+            [[3.25, 4.75], [8.0, 9.0]],
+            [7, 8],
+            [Source.ORACLE, Source.GREEDY_MATCHED],
+        )
         path = tmp_path / "pairs.jsonl"
         serialize.write_pairs_jsonl(path, pairs)
-        assert serialize.read_pairs_jsonl(path) == pairs
+        assert path.read_text().splitlines() == [
+            '{"frame_id": 7, "lidar": [0.5, 1.5], "pixel": [3.25, 4.75], "source": "oracle"}',
+            '{"frame_id": 8, "lidar": [-1.0, 2.0], "pixel": [8.0, 9.0], "source": "greedy_matched"}',
+        ]
+        assert_same_pairs(serialize.read_pairs_jsonl(path), pairs)
+
+    @settings(max_examples=100)
+    @given(rows=st.lists(_pair_row, max_size=6))
+    @example(rows=[])
+    @example(rows=[(e, e[::-1], i, s) for i, (e, s) in enumerate(zip(_EDGES, Source))])
+    def test_pairs_round_trip_is_bit_exact(self, rows):
+        lidar, pixel, frame_ids, sources = zip(*rows) if rows else ([], [], [], [])
+        pairs = PairSet(lidar, pixel, frame_ids, sources)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.jsonl"
+            serialize.write_pairs_jsonl(path, pairs)
+            # each line is the record as json.dumps writes it; no pairs, no lines
+            assert path.read_text() == "".join(
+                json.dumps(
+                    {"frame_id": f, "lidar": list(xy), "pixel": list(uv), "source": s.value},
+                    sort_keys=True,
+                )
+                + "\n"
+                for xy, uv, f, s in rows
+            )
+            assert_same_pairs(serialize.read_pairs_jsonl(path), pairs)
 
     def test_ground_truth_round_trip(self, tmp_path):
         _, gt = generate(SceneConfig(seed=2, n_frames=5, n_objects=3))
