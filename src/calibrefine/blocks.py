@@ -9,7 +9,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .geometry import Correspondence, PairSet, PixelPoint, correspondence_arrays
+import numpy as np
+
+from .geometry import Correspondence, PairSet, correspondence_arrays
 
 
 class Parity(Enum):
@@ -43,24 +45,45 @@ class BlockGrid:
     def block_height(self) -> float:
         return self.image_height / self.blocks_y
 
-    def block_center(self, ix: int, iy: int) -> tuple[float, float]:
-        return ((ix + 0.5) * self.block_width, (iy + 0.5) * self.block_height)
 
-    def retained(self, ix: int, iy: int) -> bool:
-        return (ix + iy) % 2 == self.parity.value
+def block_of(grid: BlockGrid, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block index of each row of an ``(N, 2)`` pixel array.
 
-
-def block_of(grid: BlockGrid, p: PixelPoint) -> tuple[int, int] | None:
-    """Block index of a pixel point, or None when outside the image.
-
-    Floor semantics: a point exactly on a block boundary belongs to the
-    higher-index block; ``u == image_width`` is already outside.
+    Returns the rows inside the image (``0 <= u < image_width`` and
+    ``0 <= v < image_height``, so ``u == image_width`` is outside) and their
+    block columns ``ix`` and rows ``iy``. Floor semantics: a point exactly on
+    a block boundary belongs to the higher-index block, clamped to the last
+    block of each axis.
     """
-    if not (0.0 <= p.u < grid.image_width and 0.0 <= p.v < grid.image_height):
-        return None
-    ix = min(int(p.u // grid.block_width), grid.blocks_x - 1)
-    iy = min(int(p.v // grid.block_height), grid.blocks_y - 1)
-    return ix, iy
+    u, v = uv[:, 0], uv[:, 1]
+    rows = np.flatnonzero((0.0 <= u) & (u < grid.image_width) & (0.0 <= v) & (v < grid.image_height))
+    ix = np.minimum(u[rows] // grid.block_width, grid.blocks_x - 1).astype(np.intp)
+    iy = np.minimum(v[rows] // grid.block_height, grid.blocks_y - 1).astype(np.intp)
+    return rows, ix, iy
+
+
+def block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_parity: bool):
+    """The block rule, on every frame of ``(N, 2)`` pixels at once.
+
+    Per (frame, block) it keeps the row nearest the block center, the
+    earliest row winning a tie. Rows outside the image are dropped, and with
+    ``skip_parity`` so are blocks of the non-retained checkerboard class.
+    ``frame_of`` holds the frame of each row. Returns the winning rows in
+    input order and their block indices ``ix``, ``iy``.
+    """
+    rows, ix, iy = block_of(grid, uv)
+    if skip_parity:
+        keep = (ix + iy) % 2 == grid.parity.value
+        rows, ix, iy = rows[keep], ix[keep], iy[keep]
+    u, v = uv[:, 0][rows], uv[:, 1][rows]
+    d2 = (u - (ix + 0.5) * grid.block_width) ** 2 + (v - (iy + 0.5) * grid.block_height) ** 2
+    key = (frame_of[rows] * grid.blocks_y + iy) * grid.blocks_x + ix
+    order = np.lexsort((rows, d2, key))
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    won = np.sort(order[first])
+    return rows[won], ix[won], iy[won]
 
 
 def block_sample(
@@ -68,28 +91,11 @@ def block_sample(
     grid: BlockGrid,
     skip_parity: bool = True,
 ) -> list[Correspondence]:
-    """Keep at most one pair per retained block: the one whose camera point
-    is nearest the block center (ties go to the earlier input index).
-
-    Pairs outside the image are dropped. With ``skip_parity`` (the default)
-    blocks of the non-retained checkerboard class are discarded entirely.
-    Output preserves input order.
-    """
+    """:func:`block_winners` of the pairs' camera points as one frame: at
+    most one pair per retained block, in input order."""
     _, uv = correspondence_arrays(pairs)
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    for idx, (u, v) in enumerate(uv.tolist()):
-        block = block_of(grid, PixelPoint(u, v))
-        if block is None:
-            continue
-        if skip_parity and not grid.retained(*block):
-            continue
-        cx, cy = grid.block_center(*block)
-        d2 = (u - cx) ** 2 + (v - cy) ** 2
-        incumbent = best.get(block)
-        if incumbent is None or d2 < incumbent[0]:
-            best[block] = (d2, idx)
-    winners = sorted(idx for _, idx in best.values())
-    return [pairs[i] for i in winners]
+    rows, _, _ = block_winners(uv, np.zeros(len(uv), dtype=np.intp), grid, skip_parity)
+    return [pairs[i] for i in rows.tolist()]
 
 
 def half_block_diagonal(grid: BlockGrid) -> float:

@@ -8,6 +8,7 @@ ICP over the same refiner RANSAC uses.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +44,10 @@ class CorrectionConfig:
             raise ValueError(f"max_outer_rounds must be >= 1, got {self.max_outer_rounds}")
         if self.min_pairs < 4:
             raise ValueError(f"min_pairs must be >= 4, got {self.min_pairs}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 0.0 < self.init_damping < math.inf:
+            raise ValueError(f"init_damping must be finite and > 0, got {self.init_damping}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ NaN-padded block of whole frames, with no pair crossing frames.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class MatchGate:
     max_distance: float = 40.0
 
     def __post_init__(self):
-        if not self.max_distance > 0:
-            raise ValueError(f"max_distance must be > 0, got {self.max_distance}")
+        if not 0.0 < self.max_distance < math.inf:
+            raise ValueError(f"max_distance must be finite and > 0, got {self.max_distance}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, block_of, half_block_diagonal
+from .blocks import BlockGrid, block_of, block_winners, half_block_diagonal
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame
 from .geometry import (
     Correspondence,
@@ -113,40 +113,12 @@ def _occupancy_map(state: CalibrationState, grid: BlockGrid) -> dict:
     cache = state._occupancy
     if cache is not None and cache[0] is state.accumulated and cache[1] == grid:
         return cache[2]
+    _, uv = correspondence_arrays(state.accumulated)
+    rows, ix, iy = block_of(grid, uv)
     occupancy: dict[tuple[int, int], tuple[PixelPoint, ...]] = {}
-    for pair in state.accumulated:
-        block = block_of(grid, pair.pixel)
-        if block is not None:
-            occupancy[block] = occupancy.get(block, ()) + (pair.pixel,)
+    for (u, v), block in zip(uv[rows].tolist(), zip(ix.tolist(), iy.tolist())):
+        occupancy[block] = occupancy.get(block, ()) + (PixelPoint(u, v),)
     return occupancy
-
-
-def _block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_parity: bool):
-    """``block_sample`` of every frame of a window at once.
-
-    ``uv`` holds the matched camera points in (frame, greedy) order and
-    ``frame_of`` the window frame of each. Returns the rows of the winners
-    in that same order and their block indices ``ix``, ``iy``.
-    """
-    u, v = uv[:, 0], uv[:, 1]
-    rows = np.flatnonzero((0.0 <= u) & (u < grid.image_width) & (0.0 <= v) & (v < grid.image_height))
-    u, v = u[rows], v[rows]
-    bw, bh = grid.block_width, grid.block_height
-    # Floor division and the clamp, as block_of does them on Python floats.
-    ix = np.minimum(u // bw, grid.blocks_x - 1).astype(np.intp)
-    iy = np.minimum(v // bh, grid.blocks_y - 1).astype(np.intp)
-    if skip_parity:
-        keep = (ix + iy) % 2 == grid.parity.value
-        rows, u, v, ix, iy = rows[keep], u[keep], v[keep], ix[keep], iy[keep]
-    d2 = (u - (ix + 0.5) * bw) ** 2 + (v - (iy + 0.5) * bh) ** 2
-    key = (frame_of[rows] * grid.blocks_y + iy) * grid.blocks_x + ix
-    # Per (frame, block): nearest the block center, the earliest row on a tie.
-    order = np.lexsort((rows, d2, key))
-    key = key[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    won = np.sort(order[first])
-    return rows[won], ix[won], iy[won]
 
 
 def ingest_frame(
@@ -182,7 +154,7 @@ def ingest_frame(
         matched = greedy_match(uv, camera_uv, cfg.gate, kept_counts, camera_counts)
         frame_of = np.repeat(frame_idx, camera_counts)[matched.camera]
     pixels = camera_uv[matched.camera]
-    rows, ix, iy = _block_winners(pixels, frame_of, cfg.grid, cfg.skip_parity)
+    rows, ix, iy = block_winners(pixels, frame_of, cfg.grid, cfg.skip_parity)
 
     # Block sampling keeps at most one winner per block and frame, so within
     # a frame admitting one never changes what another is checked against.

@@ -8,7 +8,6 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from calibrefine.blocks import block_of
 from calibrefine.geometry import (
     Correspondence,
     Homography,
@@ -122,6 +121,56 @@ def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]
         out.append((i, j, c))
 
 
+def naive_block(grid, u: float, v: float) -> tuple[int, int] | None:
+    """Reference block index of one camera point: None outside the image
+    (``0 <= u < image_width`` and ``0 <= v < image_height``), else each
+    coordinate floor-divided by the block size and clamped to the last block."""
+    if not (0.0 <= u < grid.image_width and 0.0 <= v < grid.image_height):
+        return None
+    ix = int(u // (grid.image_width / grid.blocks_x))
+    iy = int(v // (grid.image_height / grid.blocks_y))
+    return min(ix, grid.blocks_x - 1), min(iy, grid.blocks_y - 1)
+
+
+def naive_retained(grid, block: tuple[int, int]) -> bool:
+    """Reference checkerboard rule: a block is kept when ``ix + iy`` has the
+    grid's parity."""
+    return (block[0] + block[1]) % 2 == grid.parity.value
+
+
+def naive_center_d2(grid, block: tuple[int, int], u: float, v: float) -> float:
+    """Squared distance of ``(u, v)`` from the center of its block."""
+    du = u - (block[0] + 0.5) * (grid.image_width / grid.blocks_x)
+    dv = v - (block[1] + 0.5) * (grid.image_height / grid.blocks_y)
+    return du * du + dv * dv
+
+
+def naive_block_winners(pixels, frames, grid, skip_parity: bool = True) -> list[int]:
+    """Reference block rule over rows ``(u, v)`` of the given frames: a row
+    wins when it lies in the image, its block is retained (or parity is not
+    skipped), and no other row of its frame and block is nearer the block
+    center or as near and earlier. Returns the winning rows in order."""
+    candidates = []
+    for row, ((u, v), frame) in enumerate(zip(pixels, frames)):
+        block = naive_block(grid, u, v)
+        if block is None or (skip_parity and not naive_retained(grid, block)):
+            continue
+        candidates.append((row, frame, block, naive_center_d2(grid, block, u, v)))
+    return [
+        row
+        for row, frame, block, d2 in candidates
+        if not any(
+            (f, b) == (frame, block) and (e, r) < (d2, row) for r, f, b, e in candidates
+        )
+    ]
+
+
+def naive_block_sample(pairs, grid, skip_parity: bool = True) -> list:
+    """Reference block sampling: the winning pairs, all in one frame."""
+    pixels = [(c.pixel.u, c.pixel.v) for c in pairs]
+    return [pairs[i] for i in naive_block_winners(pixels, [0] * len(pixels), grid, skip_parity)]
+
+
 def naive_occupancy_admit(accumulated, survivors, grid, capacity: int) -> list:
     """Reference occupancy rule: each survivor, in order, rescans the whole
     accumulated set (including survivors admitted before it) for the pairs in
@@ -130,8 +179,8 @@ def naive_occupancy_admit(accumulated, survivors, grid, capacity: int) -> list:
     out = list(accumulated)
     radius = 0.5 * math.hypot(grid.image_width / grid.blocks_x, grid.image_height / grid.blocks_y)
     for cand in survivors:
-        block = block_of(grid, cand.pixel)
-        members = [p for p in out if block_of(grid, p.pixel) == block]
+        block = naive_block(grid, cand.pixel.u, cand.pixel.v)
+        members = [p for p in out if naive_block(grid, p.pixel.u, p.pixel.v) == block]
         if not members:
             out.append(cand)
         elif len(members) < capacity and all(

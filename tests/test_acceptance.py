@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample
+from calibrefine.blocks import BlockGrid, Parity, block_sample
 from calibrefine.cli import main
 from calibrefine.geometry import (
     Correspondence,
@@ -40,8 +40,12 @@ from calibrefine.geometry import Homography, compose
 from conftest import (
     backprojected_points,
     exact_pairs,
+    naive_block,
+    naive_block_sample,
+    naive_center_d2,
     naive_greedy,
     naive_metrics,
+    naive_retained,
     point_array,
     random_pair_cloud,
     translation_homography,
@@ -147,17 +151,17 @@ def test_c4_block_sampling_invariants():
         )
         pairs = random_pair_cloud(rng, int(rng.integers(0, 60)))
         out = block_sample(pairs, grid)
+        assert out == naive_block_sample(pairs, grid)
 
         seen = set()
         for pair in out:
-            block = block_of(grid, pair.pixel)
-            assert block is not None and grid.retained(*block) and block not in seen
+            block = naive_block(grid, pair.pixel.u, pair.pixel.v)
+            assert block is not None and naive_retained(grid, block) and block not in seen
             seen.add(block)
-            cx, cy = grid.block_center(*block)
-            d_win = (pair.pixel.u - cx) ** 2 + (pair.pixel.v - cy) ** 2
+            d_win = naive_center_d2(grid, block, pair.pixel.u, pair.pixel.v)
             for other in pairs:
-                if block_of(grid, other.pixel) == block:
-                    assert d_win <= (other.pixel.u - cx) ** 2 + (other.pixel.v - cy) ** 2
+                if naive_block(grid, other.pixel.u, other.pixel.v) == block:
+                    assert d_win <= naive_center_d2(grid, block, other.pixel.u, other.pixel.v)
         assert block_sample(out, grid) == out
     _report("criterion 4 (block sampling, 1000 sets)", started, 5.0)
 

@@ -102,6 +102,48 @@ def test_cli_flow_reaches_every_traced_serialize_and_cli_function(tmp_path, monk
     assert [name for name, made in calls.items() if not made] == []
 
 
+BLOCK_FUNCTIONS = ("block_of", "block_sample", "half_block_diagonal")
+
+
+def test_run_full_reaches_the_wrapped_block_functions(monkeypatch):
+    # The benchmark's traced stream and dense runs require all three.
+    scene = SceneConfig(seed=2, n_frames=60, n_objects=8)
+    sim_frames, gt = generate(scene)
+    by_id = {sf.frame.frame_id: sf for sf in sim_frames}
+    cfg = pipeline.PipelineConfig(
+        grid=BlockGrid(scene.image_width, scene.image_height),
+        ransac=RansacConfig(seed=2),
+        refine=refine.RefineConfig(recalib_interval=20),
+    )
+    calls = {name: count_calls(monkeypatch, "blocks", name) for name in BLOCK_FUNCTIONS}
+    pipeline.run_full(
+        [sf.frame for sf in sim_frames],
+        lambda frame: oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, scene.seed),
+        cfg,
+        gt.correspondences(),
+    )
+    assert [name for name, made in calls.items() if not made] == []
+
+
+def test_cli_calibrate_and_iterative_refine_reach_the_wrapped_block_functions(tmp_path, monkeypatch):
+    # The benchmark's traced cli run requires all three.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": {"n_frames": 30, "n_objects": 8, "seed": 1}}))
+    common = ["--config", str(config)]
+    sim, coarse = tmp_path / "sim", tmp_path / "coarse.json"
+    assert main(common + ["simulate", "--out", str(sim)]) == 0
+    calls = {name: count_calls(monkeypatch, "blocks", name) for name in BLOCK_FUNCTIONS}
+    assert main(common + [
+        "calibrate", "--frames", str(sim / "frames.jsonl"),
+        "--oracle", str(sim / "oracle_pairs.jsonl"), "--out", str(coarse),
+    ]) == 0
+    assert main(common + [
+        "refine", "--frames", str(sim / "frames.jsonl"), "--matrix", str(coarse),
+        "--mode", "iterative", "--out", str(tmp_path / "refined.json"),
+    ]) == 0
+    assert [name for name, made in calls.items() if not made] == []
+
+
 def same_report(a, b) -> bool:
     return (a.aed, a.rmse, a.n) == (b.aed, b.rmse, b.n) and a.per_pair.tobytes() == b.per_pair.tobytes()
 

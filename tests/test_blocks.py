@@ -1,35 +1,61 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample
+from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample, block_winners
 from calibrefine.geometry import Correspondence, PixelPoint, PlanePoint
 
-from conftest import random_pair_cloud
+from conftest import (
+    naive_block,
+    naive_block_sample,
+    naive_block_winners,
+    naive_center_d2,
+    naive_retained,
+    pair_set,
+    random_pair_cloud,
+)
 
 
 def pair_at(u, v):
     return Correspondence(PlanePoint(0.0, 0.0), PixelPoint(u, v))
 
 
+def one_block(grid, u, v):
+    """``block_of`` of a single point: its ``(ix, iy)``, or None outside the image."""
+    rows, ix, iy = block_of(grid, np.array([[u, v]]))
+    return (int(ix[0]), int(iy[0])) if rows.size else None
+
+
 class TestBlockOf:
     def test_interior_of_first_block(self):
         grid = BlockGrid(100, 100, 5, 5)
-        assert block_of(grid, PixelPoint(10.0, 10.0)) == (0, 0)
+        assert one_block(grid, 10.0, 10.0) == (0, 0)
 
     def test_last_block_interior(self):
         grid = BlockGrid(100, 100, 5, 5)
-        assert block_of(grid, PixelPoint(99.9, 99.9)) == (4, 4)
+        assert one_block(grid, 99.9, 99.9) == (4, 4)
 
     def test_outside_image(self):
         grid = BlockGrid(100, 100, 5, 5)
-        assert block_of(grid, PixelPoint(-1.0, 50.0)) is None
-        assert block_of(grid, PixelPoint(100.0, 50.0)) is None
-        assert block_of(grid, PixelPoint(50.0, 100.0)) is None
+        assert one_block(grid, -1.0, 50.0) is None
+        assert one_block(grid, 100.0, 50.0) is None
+        assert one_block(grid, 50.0, 100.0) is None
 
     def test_boundary_goes_to_higher_block(self):
         grid = BlockGrid(100, 100, 5, 5)
-        assert block_of(grid, PixelPoint(20.0, 0.0)) == (1, 0)
-        assert block_of(grid, PixelPoint(0.0, 40.0)) == (0, 2)
+        assert one_block(grid, 20.0, 0.0) == (1, 0)
+        assert one_block(grid, 0.0, 40.0) == (0, 2)
+
+    def test_rows_and_indices_of_an_array(self):
+        grid = BlockGrid(100, 100, 5, 5)
+        uv = np.array([[-1.0, 50.0], [20.0, 0.0], [100.0, 50.0], [99.9, 99.9], [np.nan, 1.0]])
+        rows, ix, iy = block_of(grid, uv)
+        assert rows.tolist() == [1, 3]
+        assert ix.tolist() == [1, 4] and iy.tolist() == [0, 4]
+        rows, ix, iy = block_of(grid, np.empty((0, 2)))
+        assert rows.size == ix.size == iy.size == 0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -88,20 +114,74 @@ class TestBlockSampleProperties:
 
         seen_blocks = set()
         for pair in out:
-            block = block_of(grid, pair.pixel)
+            block = naive_block(grid, pair.pixel.u, pair.pixel.v)
             assert block is not None
-            assert grid.retained(*block)
+            assert naive_retained(grid, block)
             assert block not in seen_blocks
             seen_blocks.add(block)
 
         # survivor minimality against a brute-force per-block scan
         for pair in out:
-            block = block_of(grid, pair.pixel)
-            cx, cy = grid.block_center(*block)
-            d_win = (pair.pixel.u - cx) ** 2 + (pair.pixel.v - cy) ** 2
+            block = naive_block(grid, pair.pixel.u, pair.pixel.v)
+            d_win = naive_center_d2(grid, block, pair.pixel.u, pair.pixel.v)
             for other in pairs:
-                if block_of(grid, other.pixel) == block:
-                    d_other = (other.pixel.u - cx) ** 2 + (other.pixel.v - cy) ** 2
+                if naive_block(grid, other.pixel.u, other.pixel.v) == block:
+                    d_other = naive_center_d2(grid, block, other.pixel.u, other.pixel.v)
                     assert d_win <= d_other
 
         assert block_sample(out, grid) == out  # idempotence
+
+
+# Grids whose block edges are exact (100 px, 384 x 216 px) and inexact
+# (1000 / 3 and 600 / 7 px, on either axis) in binary floating point.
+_GRIDS = [
+    BlockGrid(100, 100, 5, 5),
+    BlockGrid(1920, 1080, 5, 5),
+    BlockGrid(1000, 600, 3, 7),
+    BlockGrid(600, 1000, 7, 3),
+]
+
+
+@st.composite
+def _lattice_points(draw, grid):
+    """Pixels on the quarter-block lattice of ``grid`` (block edges, centers
+    and points between, so center ties are common), one block beyond each
+    side, on the block edges as multiples of the block size and just below
+    them, plus the image edges, just inside them and negative coordinates."""
+
+    def coord(size, blocks):
+        block = size / blocks
+        return draw(st.one_of(
+            st.integers(-4, 4 * blocks + 4).map(lambda k: k * (size / (4 * blocks))),
+            st.integers(0, blocks).map(lambda k: k * block),
+            st.integers(1, blocks).map(lambda k: float(np.nextafter(k * block, 0.0))),
+            st.sampled_from([-0.5, -0.0, float(size), float(np.nextafter(size, 0.0)), size + 0.5]),
+        ))
+
+    return coord(grid.image_width, grid.blocks_x), coord(grid.image_height, grid.blocks_y)
+
+
+@st.composite
+def _block_case(draw):
+    grid = replace(draw(st.sampled_from(_GRIDS)), parity=draw(st.sampled_from(Parity)))
+    pixels = draw(st.lists(_lattice_points(grid), max_size=30))
+    steps = draw(st.lists(st.integers(0, 1), min_size=len(pixels), max_size=len(pixels)))
+    return grid, pixels, np.cumsum(steps).tolist(), draw(st.booleans())
+
+
+class TestBlockRuleHypothesis:
+    @settings(max_examples=400)
+    @given(case=_block_case())
+    def test_block_sample_and_window_selection_equal_the_reference(self, case):
+        grid, pixels, frames, skip_parity = case
+        pairs = [pair_at(u, v) for u, v in pixels]
+        out = block_sample(pairs, grid, skip_parity=skip_parity)
+        expected = naive_block_sample(pairs, grid, skip_parity)
+        assert [id(p) for p in out] == [id(p) for p in expected]
+        assert block_sample(pair_set(pairs), grid, skip_parity) == expected
+
+        uv = np.array(pixels, dtype=float).reshape(-1, 2)
+        rows, ix, iy = block_winners(uv, np.array(frames, dtype=np.intp), grid, skip_parity)
+        winners = naive_block_winners(pixels, frames, grid, skip_parity)
+        assert rows.tolist() == winners
+        assert list(zip(ix.tolist(), iy.tolist())) == [naive_block(grid, *pixels[r]) for r in winners]

@@ -443,6 +443,39 @@ class TestInputValidation:
         assert code == 2
         assert f"{section}.{key} must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("max_iterations", "0", "max_iterations must be >= 1, got 0"),
+            ("max_iterations", "-3", "max_iterations must be >= 1, got -3"),
+            ("init_damping", "-1.0", "init_damping must be finite and > 0, got -1.0"),
+            ("init_damping", "0", "init_damping must be finite and > 0, got 0"),
+            ("init_damping", "1e400", "init_damping must be finite and > 0, got inf"),
+            ("gate", "1e400", "max_distance must be finite and > 0, got inf"),
+        ],
+    )
+    def test_out_of_range_correction_value_exits_2(self, tmp_path, sim_dir, capsys, key, text, message):
+        # JSON reads 1e400 as inf. Each value used to run the correction and
+        # write a matrix: no solver iteration, a damping that never backs
+        # off, or no gate at all.
+        _, out = sim_dir
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{{"correction": {{"{key}": {text}}}}}')
+        refined = tmp_path / "r.json"
+        code = main(
+            [
+                "--config", str(cfg),
+                "refine",
+                "--frames", str(out / "frames.jsonl"),
+                "--matrix", str(out / "ground_truth.json"),
+                "--mode", "correction",
+                "--out", str(refined),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not refined.exists()
+
     def test_integer_values_load_for_float_fields(self, tmp_path):
         cfg = tmp_path / "ints.json"
         cfg.write_text(json.dumps({"refine": {"gate": 25}, "ransac": {"inlier_threshold": 2}}))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid, block_of
+from calibrefine.blocks import BlockGrid
 from calibrefine.errors import EmptySet, InsufficientPairs
 from calibrefine.geometry import (
     Correspondence,
@@ -28,7 +28,7 @@ from calibrefine.pipeline import (
 from calibrefine.ransac import RansacConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
-from conftest import assert_same_pairs, exact_pairs, pair_set
+from conftest import assert_same_pairs, exact_pairs, naive_block, naive_block_sample, pair_set
 
 
 def sim_setup(**overrides):
@@ -52,7 +52,7 @@ class TestCoarseCalibrate:
         )
         pairs = [p for sf in sim_frames for p in oracle(sf.frame)]
         grid = BlockGrid(scene.image_width, scene.image_height)
-        covered = {b for b in (block_of(grid, p.pixel) for p in pairs) if b is not None}
+        covered = {b for b in (naive_block(grid, p.pixel.u, p.pixel.v) for p in pairs) if b is not None}
         assert len(covered) >= 8
         h = coarse_fit(pairs, grid, RansacConfig(seed=4))[0].h
         assert np.max(np.abs(h.m - gt.h_true.m)) < 1e-6
@@ -71,8 +71,6 @@ class TestCoarseCalibrate:
     @pytest.mark.parametrize("seed", range(10))
     def test_corrupted_oracle_pairs_excluded(self, seed):
         scene, sim_frames, gt, _ = sim_setup(seed=seed, n_frames=150)
-        from calibrefine.blocks import block_sample
-
         by_id = {sf.frame.frame_id: sf for sf in sim_frames}
         clean, noisy = [], []
         for sf in sim_frames:
@@ -84,7 +82,7 @@ class TestCoarseCalibrate:
         grid = BlockGrid(scene.image_width, scene.image_height)
         result, inliers = coarse_fit(noisy, grid, RansacConfig(seed=seed))
         admitted = sum(1 for p in inliers if id(p) in corrupted_ids)
-        sampled = block_sample(noisy, grid)
+        sampled = naive_block_sample(noisy, grid)
         sampled_corrupted = sum(1 for p in sampled if id(p) in corrupted_ids)
         excluded = sampled_corrupted - admitted
         assert admitted <= max(0.05 * sampled_corrupted, 1)

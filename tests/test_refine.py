@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calibrefine import refine
-from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample
+from calibrefine.blocks import BlockGrid, Parity
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
     Correspondence,
@@ -33,7 +33,14 @@ from calibrefine.refine import (
 )
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import naive_occupancy_admit, point_array, translation_homography
+from conftest import (
+    naive_block,
+    naive_block_sample,
+    naive_occupancy_admit,
+    naive_retained,
+    point_array,
+    translation_homography,
+)
 
 GRID = BlockGrid(1000, 1000, 5, 5)
 CFG = RefineConfig(recalib_interval=100, gate=MatchGate(40.0), grid=GRID, ransac=RansacConfig(seed=5))
@@ -91,7 +98,8 @@ class TestIngestFrame:
             state = ingest_frame(state, frame_from(h, i, [spot]), CFG)
         block_counts = {}
         for c in state.accumulated:
-            block_counts[block_of(GRID, c.pixel)] = block_counts.get(block_of(GRID, c.pixel), 0) + 1
+            block = naive_block(GRID, c.pixel.u, c.pixel.v)
+            block_counts[block] = block_counts.get(block, 0) + 1
         assert max(block_counts.values()) <= BLOCK_CAPACITY
 
     def test_out_of_order_frame_rejected(self):
@@ -150,7 +158,7 @@ class TestOccupancyHypothesis:
                 Correspondence(p, pixel, frame_id, Source.GREEDY_MATCHED)
                 for p, pixel in zip(lidar, camera)
             ]
-            survivors = block_sample(matched, GRID, skip_parity=skip_parity)
+            survivors = naive_block_sample(matched, GRID, skip_parity)
             expected = naive_occupancy_admit(expected, survivors, GRID, BLOCK_CAPACITY)
             assert state.accumulated == tuple(expected)
 
@@ -217,7 +225,7 @@ class TestWindowHypothesis:
                 Correspondence(p, pixel, frame.frame_id, Source.GREEDY_MATCHED)
                 for p, pixel in zip(lidar, camera)
             ]
-            survivors = block_sample(matched, grid, skip_parity=skip_parity)
+            survivors = naive_block_sample(matched, grid, skip_parity)
             expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
         assert state.accumulated == tuple(expected)
         assert state.frames_seen == len(window)
@@ -457,7 +465,7 @@ class TestRun:
             sizes.append(len(state.accumulated))
         assert sizes == sorted(sizes)  # non-decreasing
         retained = sum(
-            grid.retained(ix, iy) for ix in range(grid.blocks_x) for iy in range(grid.blocks_y)
+            naive_retained(grid, (ix, iy)) for ix in range(grid.blocks_x) for iy in range(grid.blocks_y)
         )
         assert sizes[-1] <= retained * BLOCK_CAPACITY
 
