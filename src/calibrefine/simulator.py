@@ -26,7 +26,9 @@ CAMERA_INSET = 0.04
 LIDAR_COVERAGE = 0.85
 
 _MAX_HOMOGRAPHY_TRIES = 20000
+_HOMOGRAPHY_BATCH = 250  # trials drawn and tested at once; divides the cap
 _CONDITION_LIMIT = 1e4
+_FRAME_BLOCK_CELLS = 1 << 13  # (frame, object) cells whose frames generate assembles at once
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,9 @@ class SceneConfig:
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         for name in ("pixel_noise_sigma", "lidar_noise_sigma", "clutter_per_frame", "max_projective"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("camera_dropout", "lidar_dropout", "oracle_error_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -105,50 +108,40 @@ def random_homography(seed: int, cfg: SceneConfig) -> Homography:
     number is below 1e4."""
     rng = np.random.default_rng([seed, 0])
     w_img, h_img = float(cfg.image_width), float(cfg.image_height)
-    corners = np.array(
-        [
-            [-PATCH_HALF, -PATCH_HALF],
-            [PATCH_HALF, -PATCH_HALF],
-            [PATCH_HALF, PATCH_HALF],
-            [-PATCH_HALF, PATCH_HALF],
-        ]
-    )
+    x, y = PATCH_HALF * np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])  # corners
     # Translations are drawn from the near-origin part of the image: large
     # offsets push the condition number past the limit, so sampling the full
     # image would almost always be rejected.
     t_hi_x = min(0.25 * w_img, 480.0)
     t_hi_y = min(0.4 * h_img, 480.0)
-    for _ in range(_MAX_HOMOGRAPHY_TRIES):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        ax, ay = rng.uniform(0.5, 2.0, size=2)
-        tx = rng.uniform(0.0, t_hi_x)
-        ty = rng.uniform(0.0, t_hi_y)
-        p1, p2 = rng.uniform(-cfg.max_projective, cfg.max_projective, size=2)
-        c, s = math.cos(theta), math.sin(theta)
-        linear = np.array([[c * ax, -s * ay], [s * ax, c * ay]])
-        h = np.eye(3)
-        h[:2, :2] = linear
-        h[:2, 2] = (tx, ty)
-        h[2, :2] = (p1, p2)
-        # Right-multiplying leaves the projective row as (p1, p2, 1), so the
-        # translated linear part picks up t * p^T.
-        h[:2, :2] += np.outer((tx, ty), (p1, p2))
-
-        uv, w = transform_points(h, corners)
-        if np.any(w <= 1e-3):
-            continue
-        inside = (
-            np.all(uv[:, 0] >= 0.0)
-            and np.all(uv[:, 0] < w_img)
-            and np.all(uv[:, 1] >= 0.0)
-            and np.all(uv[:, 1] < h_img)
-        )
-        if not inside:
-            continue
-        if np.linalg.cond(h) >= _CONDITION_LIMIT:
-            continue
-        return Homography(h)
-    raise RuntimeError("could not sample a homography satisfying the constraints")
+    # One trial per row: theta, ax, ay, tx, ty, p1, p2, each drawn as
+    # ``rng.uniform(lo, hi)`` draws it, ``lo + (hi - lo) * rng.random()``.
+    lo = np.array([0.0, 0.5, 0.5, 0.0, 0.0, -cfg.max_projective, -cfg.max_projective])
+    hi = np.array([2.0 * math.pi, 2.0, 2.0, t_hi_x, t_hi_y, cfg.max_projective, cfg.max_projective])
+    inside_any = False
+    # trials that overflow (a huge max_projective) fail the corner test
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_HOMOGRAPHY_TRIES // _HOMOGRAPHY_BATCH):
+            theta, ax, ay, tx, ty, p1, p2 = (lo + (hi - lo) * rng.random((_HOMOGRAPHY_BATCH, 7))).T
+            c, s = _cos_sin(theta)
+            # Right-multiplying leaves the projective row as (p1, p2, 1), so the
+            # translated linear part picks up t * p^T. One row-major 3x3 per trial:
+            m = np.stack([c * ax + tx * p1, -s * ay + tx * p2, tx,
+                          s * ax + ty * p1, c * ay + ty * p2, ty,
+                          p1, p2, np.ones_like(p1)], axis=1)[:, :, None]
+            # transform_points of the four corners under every trial at once
+            w = m[:, 6] * x + m[:, 7] * y + m[:, 8]
+            u = (m[:, 0] * x + m[:, 1] * y + m[:, 2]) / w
+            v = (m[:, 3] * x + m[:, 4] * y + m[:, 5]) / w
+            inside = ~np.any(w <= 1e-3, axis=1)
+            inside &= np.all((u >= 0.0) & (u < w_img) & (v >= 0.0) & (v < h_img), axis=1)
+            inside_any |= bool(inside.any())
+            for h in m[inside].reshape(-1, 3, 3):
+                if not np.linalg.cond(h) >= _CONDITION_LIMIT:
+                    return Homography(h)
+    patch = f"the central {2 * PATCH_HALF:g} m square in the {cfg.image_width}x{cfg.image_height} image"
+    unmet = f"that puts {patch} is conditioned below {_CONDITION_LIMIT:g}" if inside_any else f"puts {patch}"
+    raise ValueError(f"no homography in {_MAX_HOMOGRAPHY_TRIES} trials {unmet}")
 
 
 def _scene_samples(
@@ -176,7 +169,7 @@ def _scene_samples(
         have += take
         if have == count:
             return points
-    raise RuntimeError("scene sampling starved; homography maps too little image area")
+    raise ValueError(f"too little of the image maps to the ground: {count} points not sampled")
 
 
 def _trajectory(
@@ -193,14 +186,38 @@ def _trajectory(
     return np.column_stack([x, y])
 
 
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin from ``math``, as the scenes were made (numpy's may differ in the last bit)."""
+    values = angles.tolist()
+    return np.fromiter(map(math.cos, values), float), np.fromiter(map(math.sin, values), float)
+
+
+def _shuffled(
+    keep: np.ndarray, observed: np.ndarray, clutter: np.ndarray, clutter_counts: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, list[int | None]]:
+    """One sensor's rows over a block of frames: frame f lays out its kept
+    rows ``observed[f, keep[f]]`` in object order, then its
+    ``clutter_counts[f]`` rows of ``clutter``, and is shuffled by its slice of
+    ``order`` (which is overwritten). Returns the rows, frame after frame, and
+    their labels (None for clutter)."""
+    frame_ids, objects = np.nonzero(keep)
+    frame_ids = np.concatenate([frame_ids, np.repeat(np.arange(len(keep)), clutter_counts)])
+    counts = np.bincount(frame_ids, minlength=len(keep))
+    order += np.repeat(np.cumsum(counts) - counts, counts)  # frame rows to stream rows
+    # a stable sort by frame keeps each frame's observed rows ahead of its clutter
+    rows = np.argsort(frame_ids, kind="stable")[order]
+    labels = np.concatenate([objects, np.full(len(clutter), -1)])[rows]
+    return np.concatenate([observed[keep], clutter])[rows], np.where(labels < 0, None, labels).tolist()
+
+
 def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
     """Synthesize a deterministic frame stream and its ground truth."""
     h_true = random_homography(cfg.seed, cfg)
     hinv = np.linalg.inv(h_true.m)
     rng = np.random.default_rng([cfg.seed, 1])
 
-    cam_lo_u, cam_hi_u = CAMERA_INSET * cfg.image_width, (1 - CAMERA_INSET) * cfg.image_width
-    cam_lo_v, cam_hi_v = CAMERA_INSET * cfg.image_height, (1 - CAMERA_INSET) * cfg.image_height
+    size = np.array([cfg.image_width, cfg.image_height])
+    cam_lo, cam_hi = CAMERA_INSET * size, (1 - CAMERA_INSET) * size  # (u, v) bounds
 
     probe = _scene_samples(rng, hinv, cfg, 256)
     disc_center = probe.mean(axis=0)
@@ -213,53 +230,55 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
 
     cam_drop = rng.random((cfg.n_frames, cfg.n_objects)) < cfg.camera_dropout
     lidar_drop = rng.random((cfg.n_frames, cfg.n_objects)) < cfg.lidar_dropout
-    pixel_noise = rng.normal(0.0, 1.0, (cfg.n_frames, cfg.n_objects, 2)) * cfg.pixel_noise_sigma
-    lidar_noise = rng.normal(0.0, 1.0, (cfg.n_frames, cfg.n_objects, 2)) * cfg.lidar_noise_sigma
+    cam_det = pixels + rng.normal(0.0, 1.0, (cfg.n_frames, cfg.n_objects, 2)) * cfg.pixel_noise_sigma
+    lidar_det = positions + rng.normal(0.0, 1.0, (cfg.n_frames, cfg.n_objects, 2)) * cfg.lidar_noise_sigma
     clutter_counts = rng.poisson(cfg.clutter_per_frame, (cfg.n_frames, 2))
 
-    in_cam = (
-        (pixels[..., 0] >= cam_lo_u)
-        & (pixels[..., 0] < cam_hi_u)
-        & (pixels[..., 1] >= cam_lo_v)
-        & (pixels[..., 1] < cam_hi_v)
-    )
+    in_cam = np.all((pixels >= cam_lo) & (pixels < cam_hi), axis=2)
     in_lidar = np.linalg.norm(positions - disc_center, axis=2) <= disc_radius
 
-    lidar_det = positions + lidar_noise
-    cam_det = pixels + pixel_noise
     lidar_keep = in_lidar & ~lidar_drop
     cam_keep = in_cam & ~cam_drop
 
-    frames: list[SimFrame] = []
-    for f in range(cfg.n_frames):
-        lidar_idx = np.flatnonzero(lidar_keep[f])
-        cam_idx = np.flatnonzero(cam_keep[f])
-        lidar_clutter = []
-        for _ in range(int(clutter_counts[f, 0])):
-            r = disc_radius * math.sqrt(rng.random())
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            lidar_clutter.append(
-                (disc_center[0] + r * math.cos(ang), disc_center[1] + r * math.sin(ang))
-            )
-        cam_clutter = [
-            (rng.uniform(cam_lo_u, cam_hi_u), rng.uniform(cam_lo_v, cam_hi_v))
-            for _ in range(int(clutter_counts[f, 1]))
-        ]
-        # observed rows first, then clutter, then one shuffle per sensor
-        lidar = np.concatenate([lidar_det[f, lidar_idx], np.reshape(lidar_clutter, (-1, 2))])
-        camera = np.concatenate([cam_det[f, cam_idx], np.reshape(cam_clutter, (-1, 2))])
-        lidar_labels: list[int | None] = lidar_idx.tolist() + [None] * len(lidar_clutter)
-        cam_labels: list[int | None] = cam_idx.tolist() + [None] * len(cam_clutter)
+    def frames_of(part: slice) -> list[SimFrame]:
+        # Only the draws stay per frame, in the order that defines the scene:
+        # the frame's clutter doubles (radius and angle per LiDAR point, then u
+        # and v per camera point), then the LiDAR shuffle, then the camera one.
+        counts = clutter_counts[part]
+        lidar_rows = np.count_nonzero(lidar_keep[part], axis=1) + counts[:, 0]
+        cam_rows = np.count_nonzero(cam_keep[part], axis=1) + counts[:, 1]
+        draws = np.empty((int(counts.sum()), 2))
+        lidar_order = np.empty(int(lidar_rows.sum()), dtype=np.intp)
+        cam_order = np.empty(int(cam_rows.sum()), dtype=np.intp)
+        d = a = c = 0
+        for k, n_l, n_c in zip(counts.sum(axis=1).tolist(), lidar_rows.tolist(), cam_rows.tolist()):
+            rng.random(out=draws[d : d + k])
+            lidar_order[a : a + n_l] = rng.permutation(n_l)
+            cam_order[c : c + n_c] = rng.permutation(n_c)
+            d, a, c = d + k, a + n_l, c + n_c
 
-        lidar_order = rng.permutation(len(lidar))
-        cam_order = rng.permutation(len(camera))
-        frames.append(
-            SimFrame(
-                frame=Frame(f, lidar[lidar_order], camera[cam_order]),
-                lidar_labels=tuple(lidar_labels[i] for i in lidar_order.tolist()),
-                camera_labels=tuple(cam_labels[i] for i in cam_order.tolist()),
-            )
-        )
+        # each draw as rng.uniform(lo, hi) makes it, lo + (hi - lo) * d
+        is_lidar = np.repeat(np.tile([True, False], len(counts)), counts.ravel())
+        radius = disc_radius * np.sqrt(draws[is_lidar, :1])
+        lidar_clutter = disc_center + radius * np.column_stack(_cos_sin(2.0 * math.pi * draws[is_lidar, 1]))
+        cam_clutter = cam_lo + (cam_hi - cam_lo) * draws[~is_lidar]
+
+        lidar, lidar_labels = _shuffled(lidar_keep[part], lidar_det[part], lidar_clutter, counts[:, 0],
+                                        lidar_order)
+        camera, cam_labels = _shuffled(cam_keep[part], cam_det[part], cam_clutter, counts[:, 1], cam_order)
+        la = np.concatenate([[0], np.cumsum(lidar_rows)]).tolist()
+        ca = np.concatenate([[0], np.cumsum(cam_rows)]).tolist()
+        return [
+            SimFrame(Frame(part.start + f, lidar[la[f] : la[f + 1]], camera[ca[f] : ca[f + 1]]),
+                     tuple(lidar_labels[la[f] : la[f + 1]]), tuple(cam_labels[ca[f] : ca[f + 1]]))
+            for f in range(len(counts))
+        ]
+
+    # A block of frames at a time: the frames then reuse the memory of the
+    # previous block's arrays, where stream-sized arrays would stay behind
+    # them as heap holes (about 3 MB more peak RSS on 3000x12 and 150x200).
+    step = max(1, _FRAME_BLOCK_CELLS // cfg.n_objects)
+    frames = [sf for first in range(0, cfg.n_frames, step) for sf in frames_of(slice(first, first + step))]
 
     return frames, GroundTruth(
         h_true=h_true, plane=positions, pixel=pixels, in_camera=in_cam, in_lidar=in_lidar

@@ -8,14 +8,17 @@ import math
 import numpy as np
 from hypothesis import settings
 
+from calibrefine import simulator
 from calibrefine.geometry import (
     Correspondence,
+    Frame,
     Homography,
     PairSet,
     PixelPoint,
     PlanePoint,
     correspondence_arrays,
     project,
+    transform_points,
 )
 
 # Every property test runs under this profile and sets only ``max_examples``:
@@ -225,3 +228,118 @@ def random_pair_cloud(
             Correspondence(lidar=PlanePoint(float(x), float(y)), pixel=PixelPoint(float(u), float(v)))
         )
     return pairs
+
+
+def naive_random_homography(seed: int, cfg) -> Homography:
+    """Reference homography sampler: one trial per iteration, drawn with
+    scalar ``rng.uniform`` calls and tested one by one (the simulator's
+    sampler before it tested trials in batches)."""
+    rng = np.random.default_rng([seed, 0])
+    w_img, h_img = float(cfg.image_width), float(cfg.image_height)
+    half = simulator.PATCH_HALF
+    corners = np.array([[-half, -half], [half, -half], [half, half], [-half, half]])
+    t_hi_x = min(0.25 * w_img, 480.0)
+    t_hi_y = min(0.4 * h_img, 480.0)
+    for _ in range(simulator._MAX_HOMOGRAPHY_TRIES):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        ax, ay = rng.uniform(0.5, 2.0, size=2)
+        tx = rng.uniform(0.0, t_hi_x)
+        ty = rng.uniform(0.0, t_hi_y)
+        p1, p2 = rng.uniform(-cfg.max_projective, cfg.max_projective, size=2)
+        c, s = math.cos(theta), math.sin(theta)
+        h = np.eye(3)
+        h[:2, :2] = np.array([[c * ax, -s * ay], [s * ax, c * ay]])
+        h[:2, 2] = (tx, ty)
+        h[2, :2] = (p1, p2)
+        h[:2, :2] += np.outer((tx, ty), (p1, p2))
+        uv, w = transform_points(h, corners)
+        if np.any(w <= 1e-3):
+            continue
+        inside = (
+            np.all(uv[:, 0] >= 0.0)
+            and np.all(uv[:, 0] < w_img)
+            and np.all(uv[:, 1] >= 0.0)
+            and np.all(uv[:, 1] < h_img)
+        )
+        if not inside:
+            continue
+        if np.linalg.cond(h) >= simulator._CONDITION_LIMIT:
+            continue
+        return Homography(h)
+    raise RuntimeError("could not sample a homography satisfying the constraints")
+
+
+def naive_generate(cfg) -> tuple[list, "simulator.GroundTruth"]:
+    """Reference scene generator: the stream arrays as ``generate`` builds
+    them, then a frame-by-frame loop that draws each clutter point with
+    scalar RNG calls, concatenates observed and clutter rows and shuffles
+    them (the simulator before it assembled the frames in bulk)."""
+    h_true = naive_random_homography(cfg.seed, cfg)
+    hinv = np.linalg.inv(h_true.m)
+    rng = np.random.default_rng([cfg.seed, 1])
+
+    inset = simulator.CAMERA_INSET
+    cam_lo_u, cam_hi_u = inset * cfg.image_width, (1 - inset) * cfg.image_width
+    cam_lo_v, cam_hi_v = inset * cfg.image_height, (1 - inset) * cfg.image_height
+
+    probe = simulator._scene_samples(rng, hinv, cfg, 256)
+    disc_center = probe.mean(axis=0)
+    disc_radius = float(
+        np.quantile(np.linalg.norm(probe - disc_center, axis=1), simulator.LIDAR_COVERAGE)
+    )
+
+    positions = np.stack(
+        [simulator._trajectory(rng, hinv, cfg) for _ in range(cfg.n_objects)], axis=1
+    )
+    uv_flat, _ = transform_points(h_true.m, positions.reshape(-1, 2))
+    pixels = uv_flat.reshape(cfg.n_frames, cfg.n_objects, 2)
+
+    cam_drop = rng.random((cfg.n_frames, cfg.n_objects)) < cfg.camera_dropout
+    lidar_drop = rng.random((cfg.n_frames, cfg.n_objects)) < cfg.lidar_dropout
+    pixel_noise = rng.normal(0.0, 1.0, (cfg.n_frames, cfg.n_objects, 2)) * cfg.pixel_noise_sigma
+    lidar_noise = rng.normal(0.0, 1.0, (cfg.n_frames, cfg.n_objects, 2)) * cfg.lidar_noise_sigma
+    clutter_counts = rng.poisson(cfg.clutter_per_frame, (cfg.n_frames, 2))
+
+    in_cam = (
+        (pixels[..., 0] >= cam_lo_u)
+        & (pixels[..., 0] < cam_hi_u)
+        & (pixels[..., 1] >= cam_lo_v)
+        & (pixels[..., 1] < cam_hi_v)
+    )
+    in_lidar = np.linalg.norm(positions - disc_center, axis=2) <= disc_radius
+    lidar_det = positions + lidar_noise
+    cam_det = pixels + pixel_noise
+    lidar_keep = in_lidar & ~lidar_drop
+    cam_keep = in_cam & ~cam_drop
+
+    frames = []
+    for f in range(cfg.n_frames):
+        lidar_idx = np.flatnonzero(lidar_keep[f])
+        cam_idx = np.flatnonzero(cam_keep[f])
+        lidar_clutter = []
+        for _ in range(int(clutter_counts[f, 0])):
+            r = disc_radius * math.sqrt(rng.random())
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            lidar_clutter.append(
+                (disc_center[0] + r * math.cos(ang), disc_center[1] + r * math.sin(ang))
+            )
+        cam_clutter = [
+            (rng.uniform(cam_lo_u, cam_hi_u), rng.uniform(cam_lo_v, cam_hi_v))
+            for _ in range(int(clutter_counts[f, 1]))
+        ]
+        lidar = np.concatenate([lidar_det[f, lidar_idx], np.reshape(lidar_clutter, (-1, 2))])
+        camera = np.concatenate([cam_det[f, cam_idx], np.reshape(cam_clutter, (-1, 2))])
+        lidar_labels = lidar_idx.tolist() + [None] * len(lidar_clutter)
+        cam_labels = cam_idx.tolist() + [None] * len(cam_clutter)
+        lidar_order = rng.permutation(len(lidar))
+        cam_order = rng.permutation(len(camera))
+        frames.append(
+            simulator.SimFrame(
+                frame=Frame(f, lidar[lidar_order], camera[cam_order]),
+                lidar_labels=tuple(lidar_labels[i] for i in lidar_order.tolist()),
+                camera_labels=tuple(cam_labels[i] for i in cam_order.tolist()),
+            )
+        )
+    return frames, simulator.GroundTruth(
+        h_true=h_true, plane=positions, pixel=pixels, in_camera=in_cam, in_lidar=in_lidar
+    )

@@ -102,6 +102,27 @@ def test_cli_flow_reaches_every_traced_serialize_and_cli_function(tmp_path, monk
     assert [name for name, made in calls.items() if not made] == []
 
 
+SIMULATOR_FUNCTIONS = ("generate", "oracle_pairs", "random_homography")
+
+
+def test_library_generate_and_cli_simulate_reach_the_wrapped_simulator_functions(tmp_path, monkeypatch):
+    # Every traced workload requires all three; ``generate`` must reach
+    # ``random_homography`` through the module global, once per scene.
+    calls = {name: count_calls(monkeypatch, "simulator", name) for name in SIMULATOR_FUNCTIONS}
+    simulator = importlib.import_module("calibrefine.simulator")  # its names are now the counted ones
+    simulator.generate(SceneConfig(seed=4, n_frames=20, n_objects=6))
+    assert {name: len(made) for name, made in calls.items()} == {
+        "generate": 1, "oracle_pairs": 0, "random_homography": 1,
+    }
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": {"n_frames": 30, "n_objects": 8}, "seeds": [1, 2]}))
+    assert main(["--config", str(config), "simulate", "--out", str(tmp_path / "sim")]) == 0
+    assert {name: len(made) for name, made in calls.items()} == {
+        "generate": 3, "oracle_pairs": 2 * 30, "random_homography": 3,
+    }
+
+
 BLOCK_FUNCTIONS = ("block_of", "block_sample", "half_block_diagonal")
 
 

@@ -476,6 +476,37 @@ class TestInputValidation:
         assert message in capsys.readouterr().err
         assert not refined.exists()
 
+    @pytest.mark.parametrize(
+        "scene, message",
+        [
+            (
+                '"max_projective": 1.0',
+                "error: invalid input: no homography in 20000 trials that puts the central 60 m square "
+                "in the 1920x1080 image is conditioned below 10000",
+            ),
+            (
+                '"image_width": 40, "image_height": 30',
+                "error: invalid input: no homography in 20000 trials puts the central 60 m square "
+                "in the 40x30 image",
+            ),
+            ('"max_projective": 1e400', "max_projective must be finite and >= 0, got inf"),
+            ('"pixel_noise_sigma": 1e400', "pixel_noise_sigma must be finite and >= 0, got inf"),
+        ],
+        ids=["projective-1", "image-40x30", "projective-inf", "pixel-noise-inf"],
+    )
+    def test_unsatisfiable_scene_exits_2(self, tmp_path, capsys, scene, message):
+        # The first two used to end in a RuntimeError traceback after 20000
+        # homography trials, 1e400 (inf in JSON) as max_projective in an
+        # OverflowError, and as pixel_noise_sigma in a message that named
+        # camera_centers.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{{"scene": {{"n_frames": 5, {scene}}}}}')
+        out = tmp_path / "x"
+        code = main(["--config", str(cfg), "simulate", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "frames.jsonl").exists()
+
     def test_integer_values_load_for_float_fields(self, tmp_path):
         cfg = tmp_path / "ints.json"
         cfg.write_text(json.dumps({"refine": {"gate": 25}, "ransac": {"inlier_threshold": 2}}))

@@ -12,6 +12,7 @@ from calibrefine.simulator import (
     oracle_pairs,
     random_homography,
 )
+from conftest import naive_generate, naive_random_homography
 
 
 def light_scene(**overrides):
@@ -28,6 +29,14 @@ class TestSceneConfig:
             SceneConfig(camera_dropout=1.5)
         with pytest.raises(ValueError):
             SceneConfig(pixel_noise_sigma=-1.0)
+
+    @pytest.mark.parametrize(
+        "name", ["pixel_noise_sigma", "lidar_noise_sigma", "clutter_per_frame", "max_projective"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            SceneConfig(**{name: value})
 
 
 class TestRandomHomography:
@@ -54,6 +63,91 @@ class TestRandomHomography:
                 p = project(h, PlanePoint(x, y))
                 assert 0.0 <= p.u < cfg.image_width
                 assert 0.0 <= p.v < cfg.image_height
+
+
+class TestRandomHomographyMatchesReference:
+    # Bit for bit against the one-trial-per-iteration sampler in conftest.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"image_width": 1280, "image_height": 720},
+            {"image_width": 640, "image_height": 480, "max_projective": 0.0},
+            {"image_width": 640, "image_height": 480, "max_projective": 0.01},
+            {"image_width": 320, "image_height": 240},
+        ],
+        ids=["default", "1280x720", "640x480-affine", "640x480-projective-0.01", "320x240"],
+    )
+    def test_same_matrix_or_same_failure(self, overrides):
+        cfg = SceneConfig(**overrides)
+        for seed in range(300):
+            try:
+                expected = naive_random_homography(seed, cfg)
+            except RuntimeError:
+                with pytest.raises(ValueError):
+                    random_homography(seed, cfg)
+                continue
+            assert random_homography(seed, cfg).m.tobytes() == expected.m.tobytes(), seed
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"image_width": 64, "image_height": 48}, "puts the central 60 m square in the 64x48 image"),
+            ({"max_projective": 0.5}, "that puts the central 60 m square .* is conditioned below 10000"),
+        ],
+        ids=["corners", "condition"],
+    )
+    def test_failure_names_the_unmet_constraint(self, overrides, message):
+        # Seed 0 fails in both samplers: no trial puts the patch inside the
+        # image, or none that does is conditioned well enough.
+        cfg = SceneConfig(**overrides)
+        with pytest.raises(RuntimeError):
+            naive_random_homography(0, cfg)
+        with pytest.raises(ValueError, match=message):
+            random_homography(0, cfg)
+
+
+class TestGenerateMatchesReference:
+    # Bit for bit against the frame-by-frame generator in conftest: frames,
+    # labels (with their Python types) and ground truth.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"n_frames": 3000},
+            {"n_frames": 150, "n_objects": 200},
+            {"clutter_per_frame": 0.0},
+            {"clutter_per_frame": 6.0},
+            {"camera_dropout": 1.0},
+            {"lidar_dropout": 1.0, "n_objects": 1},
+            {"camera_dropout": 1.0, "lidar_dropout": 1.0},
+            {"image_width": 640, "image_height": 480},
+            {"max_projective": 0.0},
+        ],
+        ids=[
+            "default", "3000x12", "150x200", "no-clutter", "clutter-6", "camera-dropout-1",
+            "lidar-dropout-1-one-object", "both-dropouts-1", "640x480", "affine",
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frames_labels_and_ground_truth(self, overrides, seed):
+        cfg = SceneConfig(seed=seed, **overrides)
+        frames, gt = generate(cfg)
+        ref_frames, ref_gt = naive_generate(cfg)
+        assert len(frames) == len(ref_frames) == cfg.n_frames
+        for a, b in zip(frames, ref_frames):
+            assert a.frame.frame_id == b.frame.frame_id
+            for name in ("lidar_centers", "camera_centers"):
+                x, y = getattr(a.frame, name), getattr(b.frame, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (a.frame.frame_id, name)
+            assert a.lidar_labels == b.lidar_labels and a.camera_labels == b.camera_labels
+            assert [type(x) for x in a.lidar_labels + a.camera_labels] == [
+                type(x) for x in b.lidar_labels + b.camera_labels
+            ]
+        assert gt.h_true.m.tobytes() == ref_gt.h_true.m.tobytes()
+        for name in ("plane", "pixel", "in_camera", "in_lidar"):
+            x, y = getattr(gt, name), getattr(ref_gt, name)
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 class TestGenerate:
