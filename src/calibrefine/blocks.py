@@ -7,11 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
 import numpy as np
 
-from .geometry import Correspondence, PairSet, correspondence_arrays
+from .geometry import PairSet
 
 
 class Parity(Enum):
@@ -35,7 +33,10 @@ class BlockGrid:
             if int(value) != value or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value}")
         if self.blocks_x * self.blocks_y < 4:
-            raise ValueError("grid needs at least 4 blocks to ever calibrate")
+            raise ValueError(
+                "grid needs at least 4 blocks: block sampling keeps at most one pair "
+                "per block and a fit needs 4 pairs"
+            )
 
     @property
     def block_width(self) -> float:
@@ -86,16 +87,21 @@ def block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_pa
     return rows[won], ix[won], iy[won]
 
 
-def block_sample(
-    pairs: PairSet | Sequence[Correspondence],
-    grid: BlockGrid,
-    skip_parity: bool = True,
-) -> list[Correspondence]:
+def block_sample(pairs: PairSet, grid: BlockGrid, skip_parity: bool = True) -> PairSet:
     """:func:`block_winners` of the pairs' camera points as one frame: at
     most one pair per retained block, in input order."""
-    _, uv = correspondence_arrays(pairs)
-    rows, _, _ = block_winners(uv, np.zeros(len(uv), dtype=np.intp), grid, skip_parity)
-    return [pairs[i] for i in rows.tolist()]
+    rows, _, _ = block_winners(pairs.uv, np.zeros(len(pairs), dtype=np.intp), grid, skip_parity)
+    return pairs[rows]
+
+
+def kept_blocks(grid: BlockGrid, skip_parity: bool = True) -> int:
+    """How many blocks block sampling keeps: every block, or with
+    ``skip_parity`` those of the retained checkerboard class (block (0, 0)
+    is even)."""
+    n = grid.blocks_x * grid.blocks_y
+    if not skip_parity:
+        return n
+    return (n + 1) // 2 if grid.parity is Parity.EVEN else n // 2
 
 
 def half_block_diagonal(grid: BlockGrid) -> float:

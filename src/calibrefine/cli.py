@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import serialize
-from .blocks import BlockGrid, Parity
+from .blocks import BlockGrid, Parity, kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet
 from .geometry import Homography, PairSet
@@ -213,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for s in seeds
     ]
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             for line in pool.map(_simulate_seed, *zip(*jobs)):
                 print(line)
     else:
@@ -233,6 +233,15 @@ def _load_pairs(path: str) -> PairSet:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = apply_overrides(load_config(args.config), args)
+    grid, skip_parity = cfg.refine.grid, cfg.refine.skip_parity
+    kept = kept_blocks(grid, skip_parity)
+    if kept < 4:
+        print(
+            f"error: grid {grid.blocks_x}x{grid.blocks_y} keeps {kept} blocks after "
+            "block sampling; calibrate needs at least 4",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     frames = serialize.read_frames_jsonl(args.frames)
     if not frames:
         print("error: frames file is empty", file=sys.stderr)
@@ -244,7 +253,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"error: oracle pair references unknown frame_id {bad}", file=sys.stderr)
         return EXIT_CONFIG
 
-    result, inliers = coarse_fit(pairs, cfg.refine.grid, cfg.refine.ransac, cfg.refine.skip_parity)
+    result, inliers = coarse_fit(pairs, grid, cfg.refine.ransac, skip_parity)
     serialize.save_homography(args.out, result.h)
     report = result.inlier_report
     print(

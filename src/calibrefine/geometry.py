@@ -163,6 +163,19 @@ class PairSet:
             object.__setattr__(self, name, column)
 
     @classmethod
+    def of(cls, pairs: "PairSet | Sequence[Correspondence]") -> "PairSet":
+        """The pair set of a correspondence sequence, in order; a ``PairSet``
+        is returned as it is."""
+        if isinstance(pairs, PairSet):
+            return pairs
+        return cls(
+            np.column_stack([[c.lidar.x for c in pairs], [c.lidar.y for c in pairs]]),
+            np.column_stack([[c.pixel.u for c in pairs], [c.pixel.v for c in pairs]]),
+            [c.frame_id for c in pairs],
+            [c.source for c in pairs],
+        )
+
+    @classmethod
     def concat(cls, sets: Iterable["PairSet"]) -> "PairSet":
         """The rows of several pair sets, in order."""
         sets = list(sets)
@@ -319,17 +332,10 @@ def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
 def correspondence_arrays(
     pairs: PairSet | Sequence[Correspondence],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split correspondences into (N, 2) ground and (N, 2) pixel arrays: a
-    ``PairSet``'s own read-only columns, or new arrays for a plain sequence."""
-    if isinstance(pairs, PairSet):
-        return pairs.xy, pairs.uv
-    xy = np.empty((len(pairs), 2))
-    uv = np.empty((len(pairs), 2))
-    xy[:, 0] = [c.lidar.x for c in pairs]
-    xy[:, 1] = [c.lidar.y for c in pairs]
-    uv[:, 0] = [c.pixel.u for c in pairs]
-    uv[:, 1] = [c.pixel.v for c in pairs]
-    return xy, uv
+    """Split correspondences into (N, 2) ground and (N, 2) pixel arrays: the
+    read-only columns of ``PairSet.of(pairs)``."""
+    pairs = PairSet.of(pairs)
+    return pairs.xy, pairs.uv
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, block_sample
+from .blocks import BlockGrid, block_sample, kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet, InsufficientPairs
 from .geometry import (
@@ -54,6 +54,12 @@ class PipelineConfig:
             raise ValueError(f"coarse_frames must be >= 1, got {self.coarse_frames}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
+        kept = kept_blocks(self.grid, self.skip_parity)
+        if kept < 4:
+            raise ValueError(
+                f"grid {self.grid.blocks_x}x{self.grid.blocks_y} keeps {kept} blocks after "
+                "block sampling; the coarse fit needs at least 4"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,17 +79,18 @@ def coarse_fit(
     grid: BlockGrid,
     cfg: RansacConfig,
     skip_parity: bool = True,
-) -> tuple[RansacResult, list[Correspondence]]:
+) -> tuple[RansacResult, PairSet]:
     """Block-sample the oracle pairs, then RANSAC with an inlier refit;
-    returns the RANSAC result and the inlier pairs."""
+    returns the RANSAC result and the inlier pairs. A correspondence
+    sequence is converted to a ``PairSet`` first."""
+    oracle_pairs = PairSet.of(oracle_pairs)
     sampled = block_sample(oracle_pairs, grid, skip_parity=skip_parity)
     if len(sampled) < 4:
         raise InsufficientPairs(
             f"only {len(sampled)} pairs left after block sampling ({len(oracle_pairs)} in)"
         )
-    result = ransac_homography(*correspondence_arrays(sampled), cfg)
-    inliers = [sampled[i] for i in result.inlier_indices]
-    return result, inliers
+    result = ransac_homography(sampled.xy, sampled.uv, cfg)
+    return result, sampled[np.array(result.inlier_indices, dtype=np.intp)]
 
 
 def evaluate(h: Homography, eval_pairs: PairSet | Sequence[Correspondence]) -> ResidualReport:

@@ -23,10 +23,8 @@ from .geometry import (
     Correspondence,
     Frame,
     Homography,
-    PixelPoint,
-    PlanePoint,
+    PairSet,
     Source,
-    correspondence_arrays,
     projectable,
     reprojection_metrics,
     stream_arrays,
@@ -69,24 +67,26 @@ class CheckpointRecord:
 @dataclass(frozen=True)
 class CalibrationState:
     h_best: Homography
-    accumulated: tuple[Correspondence, ...] = ()
+    accumulated: PairSet = PairSet.of(())
     frames_seen: int = 0
     checkpoints: tuple[CheckpointRecord, ...] = ()
     last_frame_id: int = -1
     degenerate_skipped: int = 0
-    # Caches derived from ``accumulated``, each holding the very tuple it was
+    # Caches derived from ``accumulated``, each holding the very set it was
     # derived from and used only while ``accumulated`` is that object, so a
     # state built by hand or by ``replace`` can never read a stale one:
-    # (set, grid, camera points of the set by block) and
+    # (set, grid, camera pixels of the set by block) and
     # (set, RANSAC config, the checkpoint fit on it or None on no consensus).
     _occupancy: tuple | None = field(default=None, compare=False, repr=False)
     _fit: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(
-        cls, h0: Homography, seed_pairs: Sequence[Correspondence] = ()
+        cls, h0: Homography, seed_pairs: PairSet | Sequence[Correspondence] = ()
     ) -> "CalibrationState":
-        return cls(h_best=h0, accumulated=tuple(seed_pairs))
+        """The state before any frame, seeded with ``seed_pairs``; a
+        correspondence sequence is converted to a ``PairSet``."""
+        return cls(h_best=h0, accumulated=PairSet.of(seed_pairs))
 
 
 def _metric_value(h: Homography, xy: np.ndarray, uv: np.ndarray, metric: GuardMetric) -> float:
@@ -97,27 +97,27 @@ def _metric_value(h: Homography, xy: np.ndarray, uv: np.ndarray, metric: GuardMe
     return report.aed if metric is GuardMetric.AED else report.rmse
 
 
-def _admits(members: Sequence[PixelPoint], u: float, v: float, radius: float) -> bool:
-    """Occupancy rule for one block, given the camera points it already
+def _admits(members: Sequence[Sequence[float]], u: float, v: float, radius: float) -> bool:
+    """Occupancy rule for one block, given the ``(u, v)`` pixels it already
     stores: an empty block always admits; an occupied one only if the new
-    camera point ``(u, v)`` is at least ``radius`` from every stored point,
-    up to BLOCK_CAPACITY points."""
+    pixel ``(u, v)`` is at least ``radius`` from every stored one, up to
+    BLOCK_CAPACITY pixels."""
     if len(members) >= BLOCK_CAPACITY:
         return False
-    return all(hypot(u - m.u, v - m.v) >= radius for m in members)
+    return all(hypot(u - mu, v - mv) >= radius for mu, mv in members)
 
 
 def _occupancy_map(state: CalibrationState, grid: BlockGrid) -> dict:
-    """Camera points of the accumulated set by block, from the state's cache
-    when it was built for this very set and grid."""
+    """``(u, v)`` pixels of the accumulated set by block, from the state's
+    cache when it was built for this very set and grid."""
     cache = state._occupancy
     if cache is not None and cache[0] is state.accumulated and cache[1] == grid:
         return cache[2]
-    _, uv = correspondence_arrays(state.accumulated)
+    uv = state.accumulated.uv
     rows, ix, iy = block_of(grid, uv)
-    occupancy: dict[tuple[int, int], tuple[PixelPoint, ...]] = {}
-    for (u, v), block in zip(uv[rows].tolist(), zip(ix.tolist(), iy.tolist())):
-        occupancy[block] = occupancy.get(block, ()) + (PixelPoint(u, v),)
+    occupancy: dict[tuple[int, int], tuple] = {}
+    for pixel, block in zip(uv[rows].tolist(), zip(ix.tolist(), iy.tolist())):
+        occupancy[block] = occupancy.get(block, ()) + (pixel,)
     return occupancy
 
 
@@ -161,26 +161,23 @@ def ingest_frame(
     occupancy = _occupancy_map(state, cfg.grid)
     radius = half_block_diagonal(cfg.grid)
     admitted = []
-    for (u, v), (x, y), f, block in zip(
-        pixels[rows].tolist(),
-        lidar_xy[kept[matched.lidar[rows]]].tolist(),
-        frame_of[rows].tolist(),
-        zip(ix.tolist(), iy.tolist()),
-    ):
+    for i, pixel, block in zip(rows.tolist(), pixels[rows].tolist(), zip(ix.tolist(), iy.tolist())):
         members = occupancy.get(block, ())
-        if _admits(members, u, v, radius):
-            pixel = PixelPoint(u, v)
+        if _admits(members, *pixel, radius):
             if not admitted:
                 occupancy = dict(occupancy)
             occupancy[block] = members + (pixel,)
-            admitted.append(Correspondence(
-                lidar=PlanePoint(x, y),
-                pixel=pixel,
-                frame_id=window[f].frame_id,
-                source=Source.GREEDY_MATCHED,
-            ))
+            admitted.append(i)
 
-    accumulated = state.accumulated + tuple(admitted) if admitted else state.accumulated
+    accumulated = state.accumulated
+    if admitted:
+        frame_ids = np.array([frame.frame_id for frame in window])
+        accumulated = PairSet.concat([accumulated, PairSet(
+            lidar_xy[kept[matched.lidar[admitted]]],
+            pixels[admitted],
+            frame_ids[frame_of[admitted]],
+            Source.GREEDY_MATCHED,
+        )])
     return replace(
         state,
         accumulated=accumulated,
@@ -212,7 +209,7 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
 
     if len(state.accumulated) < 4:
         return skipped()
-    xy, uv = correspondence_arrays(state.accumulated)
+    xy, uv = state.accumulated.xy, state.accumulated.uv
     if fit_cache is None or fit_cache[0] is not state.accumulated or fit_cache[1] != cfg.ransac:
         try:
             fit = ransac_homography(xy, uv, cfg.ransac)
@@ -244,7 +241,7 @@ def run(
     frames: Iterable[Frame],
     h0: Homography,
     cfg: RefineConfig,
-    initial_pairs: Sequence[Correspondence] = (),
+    initial_pairs: PairSet | Sequence[Correspondence] = (),
 ) -> CalibrationState:
     """Drive the loop over a frame stream and return the final state.
 

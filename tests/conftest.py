@@ -16,7 +16,6 @@ from calibrefine.geometry import (
     PairSet,
     PixelPoint,
     PlanePoint,
-    correspondence_arrays,
     project,
     transform_points,
 )
@@ -63,13 +62,6 @@ def exact_pairs(
         pairs.append(Correspondence(lidar=p, pixel=project(h, p)))
     assert len(pairs) == n, "could not sample enough points clear of the horizon"
     return pairs
-
-
-def pair_set(pairs) -> PairSet:
-    """The PairSet holding the given correspondences, in order."""
-    return PairSet(
-        *correspondence_arrays(pairs), [c.frame_id for c in pairs], [c.source for c in pairs]
-    )
 
 
 def assert_same_pairs(a: PairSet, b: PairSet) -> None:

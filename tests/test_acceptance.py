@@ -12,6 +12,7 @@ from calibrefine.cli import main
 from calibrefine.geometry import (
     Correspondence,
     Frame,
+    PairSet,
     PixelPoint,
     correspondence_arrays,
     estimate_homography,
@@ -150,7 +151,7 @@ def test_c4_block_sampling_invariants():
             Parity(int(rng.integers(0, 2))),
         )
         pairs = random_pair_cloud(rng, int(rng.integers(0, 60)))
-        out = block_sample(pairs, grid)
+        out = list(block_sample(PairSet.of(pairs), grid))
         assert out == naive_block_sample(pairs, grid)
 
         seen = set()
@@ -162,7 +163,7 @@ def test_c4_block_sampling_invariants():
             for other in pairs:
                 if naive_block(grid, other.pixel.u, other.pixel.v) == block:
                     assert d_win <= naive_center_d2(grid, block, other.pixel.u, other.pixel.v)
-        assert block_sample(out, grid) == out
+        assert list(block_sample(PairSet.of(out), grid)) == out
     _report("criterion 4 (block sampling, 1000 sets)", started, 5.0)
 
 

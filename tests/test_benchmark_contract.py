@@ -17,6 +17,8 @@ from calibrefine.geometry import PairSet
 from calibrefine.ransac import RansacConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
+from conftest import assert_same_pairs
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -35,13 +37,14 @@ def test_every_traced_target_resolves():
 
 def count_calls(monkeypatch, module_name: str, fn_name: str) -> list:
     """Rebind the function in every calibrefine module that holds it, as the
-    benchmark's tracer does; returns the list that each call appends to."""
+    benchmark's tracer does; returns the list that each call appends its
+    result to."""
     original = getattr(importlib.import_module(f"calibrefine.{module_name}"), fn_name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
     for holder_name in ["calibrefine"] + [f"calibrefine.{m}" for m in load_tracer().MODULES]:
         holder = importlib.import_module(holder_name)
@@ -195,7 +198,8 @@ def test_library_call_shapes_of_the_benchmark_agree(tmp_path):
         PairSet.concat(per_frame), cfg.grid, cfg.ransac, cfg.skip_parity
     )
     assert listed.h.m.tobytes() == joined.h.m.tobytes()
-    assert listed_inliers == joined_inliers and len(listed_inliers) >= 4
+    assert_same_pairs(listed_inliers, joined_inliers)
+    assert len(listed_inliers) >= 4
 
     report = pipeline.run_full(frames, oracle, cfg, gt.correspondences())
     assert report.h_coarse.m.tobytes() == listed.h.m.tobytes()
@@ -216,3 +220,49 @@ def test_library_call_shapes_of_the_benchmark_agree(tmp_path):
             pipeline.evaluate(h, serialize.read_pairs_jsonl(path)),
             pipeline.evaluate(h, gt.correspondences()),
         )
+
+
+def test_tracer_counter_hooks_read_the_library_results(monkeypatch):
+    # The traced runs' counters read fields of what the wrapped functions take
+    # and return: a type change there fails here instead of in the benchmark.
+    # Coarse fit, seeds and online loop are set up as the stream workload does.
+    scene = SceneConfig(seed=2, n_frames=150, n_objects=10)
+    sim_frames, gt = generate(scene)
+    by_id = {sf.frame.frame_id: sf for sf in sim_frames}
+
+    def oracle(frame):
+        return oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, scene.seed)
+
+    frames = [sf.frame for sf in sim_frames]
+    cfg = pipeline.PipelineConfig(
+        grid=BlockGrid(scene.image_width, scene.image_height),
+        ransac=RansacConfig(seed=2),
+        refine=refine.RefineConfig(recalib_interval=40),
+    )
+    refine_cfg = replace(cfg.refine, grid=cfg.grid, ransac=cfg.ransac, skip_parity=cfg.skip_parity)
+    fits = count_calls(monkeypatch, "ransac", "ransac_homography")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        report = pipeline.run_full(frames, oracle, cfg, gt.correspondences())
+        coarse_input = [p for f in frames[: cfg.coarse_frames] for p in oracle(f)]
+        fit, inliers = pipeline.coarse_fit(coarse_input, cfg.grid, cfg.ransac, cfg.skip_parity)
+        state = refine.CalibrationState.initial(fit.h, tuple(inliers))
+        for frame in frames:
+            state = refine.ingest_frame(state, frame, refine_cfg)
+            if state.frames_seen % refine_cfg.recalib_interval == 0:
+                state = refine.checkpoint_recalibrate(state, refine_cfg)
+        state = refine.checkpoint_recalibrate(state, refine_cfg)  # the partial last window
+    finally:
+        tracer.uninstall()
+
+    counters = tracer.counters
+    records = report.checkpoints + state.checkpoints
+    assert state.checkpoints == report.checkpoints  # the loop replays run_full's
+    assert counters["refine.accumulated_pairs"] == len(state.accumulated) > len(inliers)
+    assert counters["refine.checkpoints"] == len(records) == 8
+    assert counters["refine.checkpoints_adopted"] == sum(r.updated for r in records) > 0
+    assert len(fits) >= 3  # two coarse fits and at least one checkpoint fit
+    assert counters["ransac.iterations"] == sum(f.iterations_run for f in fits)
+    # on this path only ``evaluate`` splits pairs into arrays, once per stage
+    assert counters["geometry.correspondence_arrays.pairs"] == 3 * report.eval_pair_count

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample, block_winners
-from calibrefine.geometry import Correspondence, PixelPoint, PlanePoint
+from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample, block_winners, kept_blocks
+from calibrefine.geometry import Correspondence, PairSet, PixelPoint, PlanePoint
 
 from conftest import (
+    assert_same_pairs,
     naive_block,
     naive_block_sample,
     naive_block_winners,
     naive_center_d2,
     naive_retained,
-    pair_set,
     random_pair_cloud,
 )
 
 
-def pair_at(u, v):
-    return Correspondence(PlanePoint(0.0, 0.0), PixelPoint(u, v))
+def pair_at(u, v, frame_id=0):
+    return Correspondence(PlanePoint(0.0, 0.0), PixelPoint(u, v), frame_id)
+
+
+def sample(pairs, grid, skip_parity=True):
+    """``block_sample`` of a list of correspondences, as a list."""
+    return list(block_sample(PairSet.of(pairs), grid, skip_parity))
 
 
 def one_block(grid, u, v):
@@ -64,38 +69,48 @@ class TestBlockOf:
             BlockGrid(100, 100, 1, 2)  # fewer than 4 blocks
 
 
+class TestKeptBlocks:
+    @pytest.mark.parametrize("bx, by", [(1, 4), (2, 2), (3, 3), (4, 5), (7, 3)])
+    @pytest.mark.parametrize("parity", Parity)
+    def test_counts_the_blocks_block_sampling_keeps(self, bx, by, parity):
+        grid = BlockGrid(100, 100, bx, by, parity)
+        retained = [(ix, iy) for ix in range(bx) for iy in range(by) if naive_retained(grid, (ix, iy))]
+        assert kept_blocks(grid) == len(retained)
+        assert kept_blocks(grid, skip_parity=False) == bx * by
+
+
 class TestBlockSample:
     def test_empty_input(self):
-        assert block_sample([], BlockGrid(100, 100)) == []
+        assert sample([], BlockGrid(100, 100)) == []
 
     def test_equidistant_tie_keeps_first(self):
         grid = BlockGrid(100, 100, 5, 5, Parity.EVEN)
         first, second = pair_at(8.0, 8.0), pair_at(12.0, 12.0)
-        out = block_sample([first, second], grid)
+        out = sample([first, second], grid)
         assert out == [first]
         # order flipped: the new first pair wins the tie instead
-        assert block_sample([second, first], grid) == [second]
+        assert sample([second, first], grid) == [second]
 
     def test_parity_filter(self):
         grid_even = BlockGrid(100, 100, 5, 5, Parity.EVEN)
         grid_odd = BlockGrid(100, 100, 5, 5, Parity.ODD)
         pair = pair_at(10.0, 30.0)  # block (0, 1): odd parity
-        assert block_sample([pair], grid_even) == []
-        assert block_sample([pair], grid_odd) == [pair]
+        assert sample([pair], grid_even) == []
+        assert sample([pair], grid_odd) == [pair]
 
     def test_skip_parity_disabled_keeps_all_blocks(self):
         grid = BlockGrid(100, 100, 5, 5, Parity.EVEN)
         pair = pair_at(10.0, 30.0)
-        assert block_sample([pair], grid, skip_parity=False) == [pair]
+        assert sample([pair], grid, skip_parity=False) == [pair]
 
     def test_out_of_image_pairs_dropped(self):
         grid = BlockGrid(100, 100)
-        assert block_sample([pair_at(-5.0, 10.0), pair_at(10.0, 200.0)], grid) == []
+        assert sample([pair_at(-5.0, 10.0), pair_at(10.0, 200.0)], grid) == []
 
     def test_output_follows_input_order(self):
         grid = BlockGrid(100, 100, 5, 5, Parity.EVEN)
         pairs = [pair_at(90.0, 90.0), pair_at(10.0, 10.0)]  # blocks (4,4), (0,0)
-        assert block_sample(pairs, grid) == pairs
+        assert sample(pairs, grid) == pairs
 
 
 class TestBlockSampleProperties:
@@ -110,7 +125,7 @@ class TestBlockSampleProperties:
             Parity(int(rng.integers(0, 2))),
         )
         pairs = random_pair_cloud(rng, int(rng.integers(0, 120)))
-        out = block_sample(pairs, grid)
+        out = sample(pairs, grid)
 
         seen_blocks = set()
         for pair in out:
@@ -129,7 +144,7 @@ class TestBlockSampleProperties:
                     d_other = naive_center_d2(grid, block, other.pixel.u, other.pixel.v)
                     assert d_win <= d_other
 
-        assert block_sample(out, grid) == out  # idempotence
+        assert sample(out, grid) == out  # idempotence
 
 
 # Grids whose block edges are exact (100 px, 384 x 216 px) and inexact
@@ -174,11 +189,10 @@ class TestBlockRuleHypothesis:
     @given(case=_block_case())
     def test_block_sample_and_window_selection_equal_the_reference(self, case):
         grid, pixels, frames, skip_parity = case
-        pairs = [pair_at(u, v) for u, v in pixels]
-        out = block_sample(pairs, grid, skip_parity=skip_parity)
-        expected = naive_block_sample(pairs, grid, skip_parity)
-        assert [id(p) for p in out] == [id(p) for p in expected]
-        assert block_sample(pair_set(pairs), grid, skip_parity) == expected
+        # each pair's frame id is its row, so equal pixels stay apart
+        pairs = [pair_at(u, v, row) for row, (u, v) in enumerate(pixels)]
+        out = block_sample(PairSet.of(pairs), grid, skip_parity=skip_parity)
+        assert_same_pairs(out, PairSet.of(naive_block_sample(pairs, grid, skip_parity)))
 
         uv = np.array(pixels, dtype=float).reshape(-1, 2)
         rows, ix, iy = block_winners(uv, np.array(frames, dtype=np.intp), grid, skip_parity)

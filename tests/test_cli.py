@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from calibrefine.cli import load_config, main
-from calibrefine import serialize
+from calibrefine import cli, serialize
 from calibrefine.geometry import Homography, PairSet
 from calibrefine.matching import MatchGate
 from calibrefine.pipeline import evaluate
@@ -109,6 +109,34 @@ class TestSimulate:
             b = (parallel / f"seed_{seed}" / "frames.jsonl").read_bytes()
             assert a == b
 
+    def test_workers_capped_at_the_number_of_seeds(self, tmp_path, monkeypatch):
+        workers = []
+
+        class InProcessPool:
+            """Records ``max_workers`` and maps in this process: no process is started."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps({"scene": {"n_frames": 10, "n_objects": 4}, "seeds": [1, 2]})
+        )
+        out = tmp_path / "sweep"
+        assert main(["--config", str(cfg), "--jobs", "64", "simulate", "--out", str(out)]) == 0
+        assert workers == [2]
+        assert (out / "seed_2" / "frames.jsonl").exists()
+
 
 class TestCalibrate:
     def test_calibrate_and_evaluate_flow(self, tmp_path, sim_dir, capsys):
@@ -194,6 +222,29 @@ class TestCalibrate:
         )
         assert code == 4
         assert frames  # inputs themselves were fine
+
+    @pytest.mark.parametrize(
+        "flags, grid, named",
+        [(["--blocks", "2"], {}, "grid 2x2 keeps 2 blocks"), ([], {"blocks_x": 1, "blocks_y": 4}, "grid 1x4 keeps 2 blocks")],
+    )
+    def test_grid_keeping_fewer_than_4_blocks_exits_2(self, tmp_path, sim_dir, capsys, flags, grid, named):
+        cfg, out = sim_dir
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({**json.loads(cfg.read_text()), "grid": grid}))
+        common = ["--config", str(config), *flags]
+        matrix = tmp_path / "m.json"
+        code = main(common + [
+            "calibrate", "--frames", str(out / "frames.jsonl"),
+            "--oracle", str(out / "oracle_pairs.jsonl"), "--out", str(matrix),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not matrix.exists()
+        # the online loop holds up to 3 pairs per block, so refine takes the grid
+        assert main(common + [
+            "refine", "--frames", str(out / "frames.jsonl"), "--matrix", str(out / "ground_truth.json"),
+            "--mode", "iterative", "--out", str(tmp_path / "refined.json"),
+        ]) == 0
 
     def test_pair_of_unknown_frame_exits_2(self, tmp_path, sim_dir, capsys):
         cfg, out = sim_dir

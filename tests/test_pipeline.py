@@ -28,7 +28,7 @@ from calibrefine.pipeline import (
 from calibrefine.ransac import RansacConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
-from conftest import assert_same_pairs, exact_pairs, naive_block, naive_block_sample, pair_set
+from conftest import assert_same_pairs, exact_pairs, naive_block, naive_block_sample
 
 
 def sim_setup(**overrides):
@@ -40,6 +40,15 @@ def sim_setup(**overrides):
         return oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, scene.seed)
 
     return scene, sim_frames, gt, oracle
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("bx, by, kept", [(2, 2, 2), (1, 4, 2), (3, 2, 3)])
+    def test_grid_keeping_fewer_than_4_blocks_is_rejected(self, bx, by, kept):
+        grid = BlockGrid(1920, 1080, bx, by)
+        with pytest.raises(ValueError, match=f"grid {bx}x{by} keeps {kept} blocks"):
+            PipelineConfig(grid=grid)
+        PipelineConfig(grid=grid, skip_parity=False)  # every block is kept
 
 
 class TestCoarseCalibrate:
@@ -76,14 +85,12 @@ class TestCoarseCalibrate:
         for sf in sim_frames:
             clean.extend(oracle_pairs(sf, gt, 0.0, seed=seed))
             noisy.extend(oracle_pairs(sf, gt, 0.02, seed=seed))
-        corrupted_ids = {
-            id(n) for c, n in zip(clean, noisy) if c.pixel != n.pixel
-        }
+        corrupted = {n for c, n in zip(clean, noisy) if c.pixel != n.pixel}
         grid = BlockGrid(scene.image_width, scene.image_height)
         result, inliers = coarse_fit(noisy, grid, RansacConfig(seed=seed))
-        admitted = sum(1 for p in inliers if id(p) in corrupted_ids)
+        admitted = sum(1 for p in inliers if p in corrupted)
         sampled = naive_block_sample(noisy, grid)
-        sampled_corrupted = sum(1 for p in sampled if id(p) in corrupted_ids)
+        sampled_corrupted = sum(1 for p in sampled if p in corrupted)
         excluded = sampled_corrupted - admitted
         assert admitted <= max(0.05 * sampled_corrupted, 1)
         assert excluded >= 0
@@ -214,7 +221,7 @@ class TestSplitEvalPairs:
     def test_deterministic_and_sized(self):
         rng = np.random.default_rng(8)
         h = Homography.identity()
-        pairs = pair_set(exact_pairs(h, rng, 200))
+        pairs = PairSet.of(exact_pairs(h, rng, 200))
         a = split_eval_pairs(pairs, 0.1, 3)
         b = split_eval_pairs(pairs, 0.1, 3)
         assert_same_pairs(a, b)

@@ -12,6 +12,7 @@ from calibrefine.geometry import (
     Correspondence,
     Frame,
     Homography,
+    PairSet,
     PixelPoint,
     PlanePoint,
     Source,
@@ -34,6 +35,7 @@ from calibrefine.refine import (
 from calibrefine.simulator import SceneConfig, generate
 
 from conftest import (
+    assert_same_pairs,
     naive_block,
     naive_block_sample,
     naive_occupancy_admit,
@@ -67,7 +69,7 @@ class TestIngestFrame:
         frame = Frame(frame_id=0, lidar_centers=(), camera_centers=())
         out = ingest_frame(state, frame, CFG)
         assert out.frames_seen == 1
-        assert out.accumulated == ()
+        assert tuple(out.accumulated) == ()
         assert out.h_best is state.h_best
 
     def test_self_consistent_frame_appends_survivors(self):
@@ -160,7 +162,7 @@ class TestOccupancyHypothesis:
             ]
             survivors = naive_block_sample(matched, GRID, skip_parity)
             expected = naive_occupancy_admit(expected, survivors, GRID, BLOCK_CAPACITY)
-            assert state.accumulated == tuple(expected)
+            assert tuple(state.accumulated) == tuple(expected)
 
 
 def per_frame_loop(frames, h0, cfg, seed_pairs=()):
@@ -178,7 +180,7 @@ def per_frame_loop(frames, h0, cfg, seed_pairs=()):
 def assert_same_state(a, b):
     assert np.array_equal(a.h_best.m, b.h_best.m)
     assert a.checkpoints == b.checkpoints
-    assert a.accumulated == b.accumulated
+    assert_same_pairs(a.accumulated, b.accumulated)
     assert (a.frames_seen, a.last_frame_id, a.degenerate_skipped) == (
         b.frames_seen, b.last_frame_id, b.degenerate_skipped
     )
@@ -227,7 +229,7 @@ class TestWindowHypothesis:
             ]
             survivors = naive_block_sample(matched, grid, skip_parity)
             expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
-        assert state.accumulated == tuple(expected)
+        assert tuple(state.accumulated) == tuple(expected)
         assert state.frames_seen == len(window)
         assert state.last_frame_id == window[-1].frame_id
 
@@ -272,14 +274,27 @@ class TestWindowHypothesis:
         if seeded:
             for spot in [(1.0, 1.0), (35.0, 1.0), (1.0, 35.0), (35.0, 35.0), (60.0, 70.0)]:
                 p = PlanePoint(*spot)
-                seed_pairs.append(Correspondence(p, project(h_true, p)))
+                seed_pairs.append(Correspondence(p, project(h_true, p), 7, Source.ORACLE))
+        seed_set = PairSet.of(seed_pairs)
         cfg = replace(
             CFG, recalib_interval=interval, grid=replace(GRID, parity=parity),
             skip_parity=skip_parity,
         )
-        assert_same_state(
-            run(iter(frames), h0, cfg, seed_pairs), per_frame_loop(frames, h0, cfg, seed_pairs)
-        )
+        state = run(iter(frames), h0, cfg, seed_set)
+        assert_same_state(state, per_frame_loop(frames, h0, cfg, seed_set))
+        # a PairSet seed passes through; the same pairs as a tuple agree bit for bit
+        assert CalibrationState.initial(h0, seed_set).accumulated is seed_set
+        assert_same_state(state, run(iter(frames), h0, cfg, tuple(seed_pairs)))
+
+        # seed rows keep their own frame id and source; each admitted row
+        # carries the id of the frame it was matched in (here its position)
+        assert_same_pairs(state.accumulated[: len(seed_set)], seed_set)
+        admitted = state.accumulated[len(seed_set):]
+        assert all(source is Source.GREEDY_MATCHED for source in admitted.source)
+        assert admitted.frame_ids.tolist() == sorted(admitted.frame_ids.tolist())
+        for xy, uv, frame_id in zip(admitted.xy.tolist(), admitted.uv.tolist(), admitted.frame_ids.tolist()):
+            frame = frames[frame_id]
+            assert xy in frame.lidar_centers.tolist() and uv in frame.camera_centers.tolist()
 
     @settings(max_examples=100)
     @given(ids=st.lists(st.integers(0, 6), max_size=10), interval=st.integers(1, 4))
@@ -290,7 +305,7 @@ class TestWindowHypothesis:
         outcomes = []
         for drive in (run, per_frame_loop):
             try:
-                outcomes.append(drive(frames, h, cfg).accumulated)
+                outcomes.append(tuple(drive(frames, h, cfg).accumulated))
             except OutOfOrderFrame as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -301,23 +316,23 @@ class TestWindowHypothesis:
         h = scene_homography()
         state = ingest_frame(CalibrationState.initial(h), frame_from(h, 0, [(1.0, 1.0)]), CFG)
         # same length, other block: the cached occupancy belongs to the old set
-        other = (Correspondence(PlanePoint(35.0, 1.0), project(h, PlanePoint(35.0, 1.0))),)
+        other = PairSet.of([Correspondence(PlanePoint(35.0, 1.0), project(h, PlanePoint(35.0, 1.0)))])
         frame = frame_from(h, 1, [(2.0, 2.0), (36.0, 2.0)])
         out = ingest_frame(replace(state, accumulated=other), frame, CFG)
         fresh = ingest_frame(
             CalibrationState(h_best=h, accumulated=other, frames_seen=1, last_frame_id=0), frame, CFG
         )
-        assert out.accumulated == fresh.accumulated
+        assert_same_pairs(out.accumulated, fresh.accumulated)
         assert len(out.accumulated) == 2  # (2, 2) is admitted, (36, 2) is not
 
 
 def exact_parabola_pairs(h, ks):
     """Exact pairs of ``h`` at ground points on a parabola, so that no three
     are collinear and every minimal sample is well posed."""
-    return tuple(
+    return PairSet.of([
         Correspondence(p, project(h, p))
         for p in (PlanePoint(5.0 * k - 10.0, 0.75 * k * k - 10.0) for k in ks)
-    )
+    ])
 
 
 class TestCheckpointFitReuse:
@@ -383,7 +398,7 @@ class TestCheckpointRecalibrate:
         for i, spot in enumerate([(1, 1), (35, 1), (1, 35), (35, 35), (-30, 1), (1, -30)]):
             p = PlanePoint(*map(float, spot))
             pairs.append(Correspondence(p, project(h_true, p), frame_id=i))
-        state = CalibrationState(h_best=h0, accumulated=tuple(pairs), frames_seen=6, last_frame_id=5)
+        state = CalibrationState(h_best=h0, accumulated=PairSet.of(pairs), frames_seen=6, last_frame_id=5)
         out = checkpoint_recalibrate(state, CFG)
         record = out.checkpoints[-1]
         assert record.updated is True
@@ -392,14 +407,14 @@ class TestCheckpointRecalibrate:
 
     def test_too_few_pairs_is_skipped(self):
         h = scene_homography()
-        state = CalibrationState(h_best=h, accumulated=(), frames_seen=3, last_frame_id=2)
+        state = CalibrationState(h_best=h, frames_seen=3, last_frame_id=2)
         out = checkpoint_recalibrate(state, CFG)
         record = out.checkpoints[-1]
         assert record.skipped is True
         assert record.updated is False
         assert math.isnan(record.err_new)
         assert out.h_best is h
-        assert out.accumulated == state.accumulated
+        assert out.accumulated is state.accumulated
 
 
 class TestRun:
