@@ -63,6 +63,17 @@ def block_of(grid: BlockGrid, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return rows, ix, iy
 
 
+def retained_rows(grid: BlockGrid, uv: np.ndarray, skip_parity: bool):
+    """:func:`block_of`, less the rows in blocks of the non-retained
+    checkerboard class when ``skip_parity`` is set: the rows the block rule
+    can keep, and their block indices ``ix``, ``iy``."""
+    rows, ix, iy = block_of(grid, uv)
+    if skip_parity:
+        keep = (ix + iy) % 2 == grid.parity.value
+        rows, ix, iy = rows[keep], ix[keep], iy[keep]
+    return rows, ix, iy
+
+
 def block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_parity: bool):
     """The block rule, on every frame of ``(N, 2)`` pixels at once.
 
@@ -72,10 +83,7 @@ def block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_pa
     ``frame_of`` holds the frame of each row. Returns the winning rows in
     input order and their block indices ``ix``, ``iy``.
     """
-    rows, ix, iy = block_of(grid, uv)
-    if skip_parity:
-        keep = (ix + iy) % 2 == grid.parity.value
-        rows, ix, iy = rows[keep], ix[keep], iy[keep]
+    rows, ix, iy = retained_rows(grid, uv, skip_parity)
     u, v = uv[:, 0][rows], uv[:, 1][rows]
     d2 = (u - (ix + 0.5) * grid.block_width) ** 2 + (v - (iy + 0.5) * grid.block_height) ** 2
     key = (frame_of[rows] * grid.blocks_y + iy) * grid.blocks_x + ix

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, block_of, block_winners, half_block_diagonal
+from .blocks import BlockGrid, block_of, block_winners, half_block_diagonal, retained_rows
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame
 from .geometry import (
     Correspondence,
@@ -34,6 +34,11 @@ from .ransac import RansacConfig, ransac_homography
 
 #: Pairs a single block keeps at most, counting the "sufficiently distinct" ones.
 BLOCK_CAPACITY = 3
+
+# Relative slack of the bulk distance refusal in a window: np.hypot may differ
+# from math.hypot in the last ulp, so a pixel that close to the radius is left
+# to the sequential rule, which decides on math.hypot.
+_OPEN_SLACK = 1e-9
 
 
 class GuardMetric(Enum):
@@ -121,6 +126,35 @@ def _occupancy_map(state: CalibrationState, grid: BlockGrid) -> dict:
     return occupancy
 
 
+def _open_detections(
+    occupancy: dict, uv: np.ndarray, grid: BlockGrid, skip_parity: bool, radius: float
+) -> np.ndarray:
+    """Mask of the ``(N, 2)`` camera pixels that ``occupancy`` could still
+    admit: in the image, in a block the block rule keeps, that block holding
+    fewer than BLOCK_CAPACITY pixels, none of them nearer than ``radius``.
+
+    Refuses a pixel only where :func:`_admits` would too: the distance test
+    leaves a pixel within ``_OPEN_SLACK`` of the radius open.
+    """
+    n_blocks = grid.blocks_x * grid.blocks_y
+    counts = np.zeros(n_blocks, dtype=np.intp)
+    # A block seeded with more than BLOCK_CAPACITY pixels is refused by its
+    # count, so its first BLOCK_CAPACITY pixels are all the test needs; the
+    # NaN padding of a block holding fewer is never near.
+    stored = np.full((n_blocks, BLOCK_CAPACITY, 2), np.nan)
+    for (ix, iy), members in occupancy.items():
+        block = iy * grid.blocks_x + ix
+        counts[block] = len(members)
+        stored[block, : min(len(members), BLOCK_CAPACITY)] = members[:BLOCK_CAPACITY]
+    rows, ix, iy = retained_rows(grid, uv, skip_parity)
+    key = iy * grid.blocks_x + ix
+    d = uv[rows, None, :] - stored[key]
+    near = (np.hypot(d[..., 0], d[..., 1]) < radius * (1.0 - _OPEN_SLACK)).any(axis=1)
+    is_open = np.zeros(len(uv), dtype=bool)
+    is_open[rows[(counts[key] < BLOCK_CAPACITY) & ~near]] = True
+    return is_open
+
+
 def ingest_frame(
     state: CalibrationState, frames: Frame | Sequence[Frame], cfg: RefineConfig
 ) -> CalibrationState:
@@ -130,9 +164,12 @@ def ingest_frame(
     A window is folded exactly as its frames would be one by one: one
     projection through ``h_best``, one greedy matching inside each frame,
     one block sampling of each frame, then admission to the accumulated set
-    in frame order. Never touches ``h_best``. LiDAR centers that project
-    degenerately are skipped and tallied. Raises ``OutOfOrderFrame`` before
-    anything is folded when the frame ids do not strictly increase.
+    in frame order. A frame of a window is matched only when one of its
+    detections could still be admitted under the set as the window found
+    it; the others could add nothing. Never touches ``h_best``. LiDAR
+    centers that project degenerately are skipped and tallied. Raises
+    ``OutOfOrderFrame`` before anything is folded when the frame ids do not
+    strictly increase.
     """
     window = (frames,) if isinstance(frames, Frame) else tuple(frames)
     last_id = state.last_frame_id
@@ -141,25 +178,50 @@ def ingest_frame(
             raise OutOfOrderFrame(f"frame {frame.frame_id} after frame {last_id}")
         last_id = frame.frame_id
 
+    occupancy = _occupancy_map(state, cfg.grid)
+    radius = half_block_diagonal(cfg.grid)
     if len(window) == 1:
         lidar_xy, camera_uv = window[0].lidar_centers, window[0].camera_centers
         uv, kept = projectable(state.h_best.m, lidar_xy)
         matched = greedy_match(uv, camera_uv, cfg.gate)
-        frame_of = np.zeros(len(matched.camera), dtype=np.intp)
+        lidar_rows, camera_rows = matched.lidar, matched.camera
+        frame_of = np.zeros(len(camera_rows), dtype=np.intp)
+        is_open = None
     else:
         lidar_xy, camera_uv, lidar_counts, camera_counts = stream_arrays(window)
         uv, kept = projectable(state.h_best.m, lidar_xy)
         frame_idx = np.arange(len(window))
-        kept_counts = np.bincount(np.repeat(frame_idx, lidar_counts)[kept], minlength=len(window))
-        matched = greedy_match(uv, camera_uv, cfg.gate, kept_counts, camera_counts)
-        frame_of = np.repeat(frame_idx, camera_counts)[matched.camera]
-    pixels = camera_uv[matched.camera]
+        lidar_frame = np.repeat(frame_idx, lidar_counts)[kept]
+        camera_frame = np.repeat(frame_idx, camera_counts)
+        # Occupancy only grows within a window, so a detection its starting
+        # occupancy refuses stays refused: a frame without an open detection
+        # can admit nothing and is not matched.
+        is_open = _open_detections(occupancy, camera_uv, cfg.grid, cfg.skip_parity, radius)
+        live = np.zeros(len(window), dtype=bool)
+        live[camera_frame[is_open]] = True
+        lidar_rows = np.flatnonzero(live[lidar_frame])
+        camera_rows = np.flatnonzero(live[camera_frame])
+        if len(camera_rows):
+            matched = greedy_match(
+                uv[lidar_rows],
+                camera_uv[camera_rows],
+                cfg.gate,
+                np.bincount(lidar_frame, minlength=len(window))[live],
+                np.asarray(camera_counts)[live],
+            )
+            lidar_rows, camera_rows = lidar_rows[matched.lidar], camera_rows[matched.camera]
+        frame_of = camera_frame[camera_rows]
+    pixels = camera_uv[camera_rows]
     rows, ix, iy = block_winners(pixels, frame_of, cfg.grid, cfg.skip_parity)
+    if is_open is not None:
+        # Winners are picked among every match, open or not, as a non-open
+        # detection still takes its block for its frame; only then are the
+        # non-open winners refused in bulk.
+        keep = is_open[camera_rows[rows]]
+        rows, ix, iy = rows[keep], ix[keep], iy[keep]
 
     # Block sampling keeps at most one winner per block and frame, so within
     # a frame admitting one never changes what another is checked against.
-    occupancy = _occupancy_map(state, cfg.grid)
-    radius = half_block_diagonal(cfg.grid)
     admitted = []
     for i, pixel, block in zip(rows.tolist(), pixels[rows].tolist(), zip(ix.tolist(), iy.tolist())):
         members = occupancy.get(block, ())
@@ -173,7 +235,7 @@ def ingest_frame(
     if admitted:
         frame_ids = np.array([frame.frame_id for frame in window])
         accumulated = PairSet.concat([accumulated, PairSet(
-            lidar_xy[kept[matched.lidar[admitted]]],
+            lidar_xy[kept[lidar_rows[admitted]]],
             pixels[admitted],
             frame_ids[frame_of[admitted]],
             Source.GREEDY_MATCHED,

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from calibrefine import refine
-from calibrefine.blocks import BlockGrid, Parity
+from calibrefine.blocks import BlockGrid, Parity, half_block_diagonal
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
     Correspondence,
@@ -19,9 +19,10 @@ from calibrefine.geometry import (
     compose,
     correspondence_arrays,
     project,
+    projectable,
     reprojection_metrics,
 )
-from calibrefine.matching import MatchGate
+from calibrefine.matching import MatchGate, greedy_match
 from calibrefine.ransac import RansacConfig
 from calibrefine.refine import (
     BLOCK_CAPACITY,
@@ -38,6 +39,7 @@ from conftest import (
     assert_same_pairs,
     naive_block,
     naive_block_sample,
+    naive_greedy,
     naive_occupancy_admit,
     naive_retained,
     point_array,
@@ -324,6 +326,197 @@ class TestWindowHypothesis:
         )
         assert_same_pairs(out.accumulated, fresh.accumulated)
         assert len(out.accumulated) == 2  # (2, 2) is admitted, (36, 2) is not
+
+
+# Horizon at x = -4096 m (w is exactly 0 there), so a LiDAR point at
+# DEGENERATE is skipped; elsewhere on GRID it maps ground (x, y) to about
+# (x, y) / (1 + x / 4096), and lidar_of inverts that.
+PROJECTIVE = Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0**-12, 0.0, 1.0]])
+DEGENERATE = PlanePoint(-4096.0, 0.0)
+
+
+def lidar_of(u, v):
+    """A ground point that PROJECTIVE maps to about ``(u, v)``."""
+    w = 1.0 - u / 4096.0
+    return PlanePoint(u / w, v / w)
+
+
+# Pixels around GRID's blocks (200 px, radius ~141 px): block corners and
+# centres, near-duplicates of the seed spots below, and the blocks one past
+# each edge, which lie outside the image.
+_spot = st.builds(
+    lambda block, offset: 200.0 * block + offset,
+    st.integers(-1, 5),
+    st.sampled_from([0.0, 10.0, 12.5, 60.0, 100.0, 150.0, 188.0, 190.0, 199.5]),
+)
+_frame = st.tuples(
+    st.integers(0, 2),  # LiDAR points on the horizon, skipped as degenerate
+    # LiDAR points by the pixel they project to, each with the offset of its
+    # detection on both axes (None: not detected)
+    st.lists(
+        st.tuples(_spot, _spot, st.one_of(st.none(), st.sampled_from([0.0, -1.0, 3.0, 25.0]))),
+        max_size=4,
+    ),
+    st.lists(st.tuples(_spot, _spot), max_size=2),  # clutter detections
+)
+
+
+def naive_open(accumulated, u, v, grid, skip_parity):
+    """Whether the occupancy of ``accumulated`` could still admit the camera
+    point ``(u, v)`` as a block winner, by the reference rules."""
+    block = naive_block(grid, u, v)
+    if block is None or (skip_parity and not naive_retained(grid, block)):
+        return False
+    radius = 0.5 * math.hypot(grid.image_width / grid.blocks_x, grid.image_height / grid.blocks_y)
+    members = [p.pixel for p in accumulated if naive_block(grid, p.pixel.u, p.pixel.v) == block]
+    return len(members) < BLOCK_CAPACITY and all(
+        math.hypot(u - m.u, v - m.v) >= radius for m in members
+    )
+
+
+class TestLiveFrames:
+    """Windows skip the matching of every frame the window's starting
+    occupancy leaves no open detection in; seeds fill most blocks here, so
+    most frames are dead."""
+
+    @settings(max_examples=300)
+    # the non-open (194, 194) takes the LiDAR point from the open (205, 205):
+    # nothing is admitted
+    @example(
+        full=[], seeds=[(190.0, 190.0)],
+        frames=[(0, [(195.0, 195.0, -1.0)], [(205.0, 205.0)]), (0, [], [])],
+        interval=2, parity=Parity.EVEN, skip_parity=True,
+    )
+    # the non-open (100, 100) is nearer the block centre than the open
+    # (190, 190) and wins the block: nothing is admitted
+    @example(
+        full=[], seeds=[(10.0, 10.0)],
+        frames=[(1, [(100.0, 100.0, 0.0), (190.0, 190.0, 0.0)], []), (0, [], [])],
+        interval=2, parity=Parity.EVEN, skip_parity=True,
+    )
+    # a block seeded with more than BLOCK_CAPACITY pairs, a dead frame with
+    # degenerate points, detections outside the image and in a skipped block
+    @example(
+        full=[(0, 0, 5), (2, 0, 3)], seeds=[(1010.0, 100.0), (300.0, 100.0)],
+        frames=[
+            (2, [(100.0, 100.0, 0.0), (-190.0, 60.0, 0.0), (300.0, 60.0, 0.0)], [(500.0, 100.0)]),
+            (1, [(600.0, 190.0, 3.0)], []),
+            (0, [(450.0, 150.0, 0.0)], []),
+        ],
+        interval=3, parity=Parity.EVEN, skip_parity=True,
+    )
+    @given(
+        # blocks seeded at their corners and centre, up to 5 pairs per block
+        full=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 5)), max_size=25),
+        seeds=st.lists(st.tuples(_spot, _spot), max_size=6),
+        frames=st.lists(_frame, min_size=1, max_size=8),
+        interval=st.integers(2, 6),
+        parity=st.sampled_from(Parity),
+        skip_parity=st.booleans(),
+    )
+    def test_windows_equal_the_per_frame_reference(
+        self, full, seeds, frames, interval, parity, skip_parity
+    ):
+        grid = replace(GRID, parity=parity)
+        cfg = replace(CFG, grid=grid, skip_parity=skip_parity)
+        spots = [(10.0, 10.0), (190.0, 10.0), (10.0, 190.0), (190.0, 190.0), (100.0, 100.0)]
+        seed_pixels = [
+            (200.0 * bx + du, 200.0 * by + dv) for bx, by, n in full for du, dv in spots[:n]
+        ] + seeds
+        seed_pairs = [Correspondence(lidar_of(u, v), PixelPoint(u, v)) for u, v in seed_pixels]
+        window_frames = []
+        for frame_id, (degenerate, points, clutter) in enumerate(frames):
+            lidar = [DEGENERATE] * degenerate + [lidar_of(u, v) for u, v, _ in points]
+            camera = [PixelPoint(u + d, v + d) for u, v, d in points if d is not None]
+            camera += [PixelPoint(u, v) for u, v in clutter]
+            window_frames.append((Frame(frame_id, point_array(lidar), point_array(camera)), lidar, camera))
+
+        state = CalibrationState.initial(PROJECTIVE, seed_pairs)
+        expected, degenerate_total = list(seed_pairs), 0
+        for start in range(0, len(window_frames), interval):
+            window = window_frames[start : start + interval]
+            live = [
+                frame for frame, _, camera in window
+                if any(naive_open(expected, p.u, p.v, grid, skip_parity) for p in camera)
+            ]
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(refine, "greedy_match", lambda *a: calls.append(a) or greedy_match(*a))
+                state = ingest_frame(state, [frame for frame, _, _ in window], cfg)
+            if len(window) > 1:
+                # only the live frames are matched, and a window without one
+                # makes no call
+                assert len(calls) == (1 if live else 0)
+                for args in calls:
+                    assert np.array_equal(
+                        args[1], np.concatenate([f.camera_centers for f in live]).reshape(-1, 2)
+                    )
+                    assert list(args[4]) == [len(f.camera_centers) for f in live]
+
+            for frame, lidar, camera in window:
+                uv, kept = projectable(PROJECTIVE.m, frame.lidar_centers)
+                degenerate_total += len(lidar) - len(kept)
+                costs = np.hypot(
+                    uv[:, None, 0] - frame.camera_centers[None, :, 0],
+                    uv[:, None, 1] - frame.camera_centers[None, :, 1],
+                )
+                matched = [
+                    Correspondence(lidar[kept[i]], camera[j], frame.frame_id, Source.GREEDY_MATCHED)
+                    for i, j, _ in naive_greedy(costs, cfg.gate.max_distance)
+                ]
+                survivors = naive_block_sample(matched, grid, skip_parity)
+                expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
+            assert tuple(state.accumulated) == tuple(expected)
+            assert state.degenerate_skipped == degenerate_total
+        assert state.frames_seen == len(frames)
+
+    def test_dead_window_is_not_matched_and_counts_its_degenerate_points(self, monkeypatch):
+        # block (0, 0) is full and (1, 0) is skipped, so no frame is live
+        seeds = [Correspondence(lidar_of(u, v), PixelPoint(u, v)) for u, v in
+                 [(10.0, 10.0), (190.0, 10.0), (10.0, 190.0)]]
+        frames = [
+            Frame(k, point_array([DEGENERATE, lidar_of(100.0, 100.0), lidar_of(300.0, 100.0)]),
+                  point_array([PixelPoint(100.0, 100.0), PixelPoint(300.0, 100.0), PixelPoint(-5.0, 1.0)]))
+            for k in range(4)
+        ]
+        calls = []
+        monkeypatch.setattr(refine, "greedy_match", lambda *a: calls.append(a) or greedy_match(*a))
+        state = ingest_frame(CalibrationState.initial(PROJECTIVE, seeds), frames, CFG)
+        assert calls == []
+        assert state.degenerate_skipped == 4
+        assert state.frames_seen == 4 and state.last_frame_id == 3
+        assert len(state.accumulated) == 3
+
+
+class TestBulkRefusalBoundary:
+    # 6 x 8 px blocks: the radius is exactly hypot(6, 8) / 2 = 5.0
+    GRID = BlockGrid(30, 40, 5, 5)
+
+    @pytest.mark.parametrize(
+        "pixel, admitted",
+        [
+            ((5.0, 0.0), True),
+            ((3.0, 4.0), True),
+            ((float(np.nextafter(5.0, 0.0)), 0.0), False),
+            ((2.0, 0.0), False),
+        ],
+    )
+    def test_pixel_at_the_radius_is_admitted_and_inside_it_refused(self, pixel, admitted):
+        assert half_block_diagonal(self.GRID) == 5.0
+        cfg = replace(CFG, grid=self.GRID)
+        h = translation_homography(1.0, 0.0)
+        stored = Correspondence(PlanePoint(-1.0, 0.0), PixelPoint(0.0, 0.0))
+        u, v = pixel
+        window = [
+            Frame(0, np.empty((0, 2)), np.empty((0, 2))),
+            Frame(1, np.array([[u - 1.0, v]]), np.array([[u, v]])),
+        ]
+        state = ingest_frame(CalibrationState.initial(h, [stored]), window, cfg)
+        assert [(c.pixel.u, c.pixel.v) for c in state.accumulated] == [(0.0, 0.0)] + [pixel] * admitted
+        one_by_one = CalibrationState.initial(h, [stored])
+        for frame in window:
+            one_by_one = ingest_frame(one_by_one, frame, cfg)
+        assert_same_pairs(one_by_one.accumulated, state.accumulated)
 
 
 def exact_parabola_pairs(h, ks):
