@@ -4,13 +4,16 @@ points and their nearest camera detections. The nearest-neighbor pairings
 are the supervision; they are rebuilt after every solver pass (an "outer
 round") because they depend on the current H*. Each solver pass is the
 shared geometric refit ``refine_homography`` on H* itself, so the stage is
-ICP over the same refiner RANSAC uses.
+ICP over the same refiner RANSAC uses. Between rounds the projections move
+by about a pixel, so a fit carries the candidate edges of its first pairing
+through its later ones (:class:`CarriedEdges`) instead of searching every
+frame again.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,13 +22,13 @@ from .geometry import (
     Frame,
     Homography,
     compose,
-    projectable,
+    projection_mask,
     projection_residuals,
     refine_homography,
     stream_arrays,
     transform_points,
 )
-from .matching import MatchGate, greedy_match
+from .matching import MatchGate, candidate_edges, frame_counts, match_edges
 
 #: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
 Pairs = tuple[np.ndarray, np.ndarray]
@@ -58,6 +61,83 @@ class CorrectionResult:
     pairs_used: int
 
 
+# The first pairing of a fit collects every edge within the gate plus this
+# fraction of it. A smaller margin sends more rows of a later pairing to the
+# whole of their frame: at 0.5 px of a 40 px gate, dense scenes got slower.
+_CARRY_MARGIN = 0.1
+
+# Relative slack of the stability test. It only has to cover the few ulps
+# by which the three computed distances of the triangle inequality can
+# round; the gate itself is always decided on ``hypot``.
+_STABLE_SLACK = 1e-9
+
+
+class CarriedEdges:
+    """Candidate edges that one fit carries from pairing to pairing.
+
+    Empty when made. The first pairing it is passed to *anchors* it: it keeps
+    that pairing's projection of every LiDAR row, which rows were
+    projectable, and every within-frame edge within the gate plus a margin,
+    indexed by stream rows. A later pairing under another matrix scores a
+    *stable* row, one projectable under both whose pixel moved at most the
+    margin (less a slack), on its carried edges only: an edge the gate admits
+    now lies within the gate plus that move of the anchor pixel, so it is
+    among them. Any other projectable row is scored against every detection
+    of its frame. When those rows would add more edges than are carried, the
+    pairing anchors again instead. An anchor serves only the stream arrays,
+    frame counts and gate it was built on; any other stream anchors anew.
+    """
+
+    def __init__(self) -> None:
+        self._stream: tuple = ()
+        self.uv = self.ok = self.lidar = self.camera = np.empty(0)
+
+    def _anchored_on(self, stream: tuple) -> bool:
+        if not self._stream:
+            return False
+        (xy, uv, lidar_counts, camera_counts, gate), new = self._stream, stream
+        return (
+            xy is new[0]
+            and uv is new[1]
+            and np.array_equal(lidar_counts, new[2])
+            and np.array_equal(camera_counts, new[3])
+            and gate == new[4]
+        )
+
+    def edges(self, uv, ok, frame_of, stream: tuple):
+        """The candidate edges ``(lidar rows, camera rows)`` for a pairing
+        that projects the LiDAR rows to ``uv``, projectable where ``ok``;
+        ``frame_of`` gives each row's frame and ``stream`` is the pairing's
+        ``(lidar_xy, camera_uv, lidar_counts, camera_counts, gate)``."""
+        _, camera_uv, _, camera_counts, gate = stream
+        margin = _CARRY_MARGIN * gate.max_distance
+        if self._anchored_on(stream):
+            with np.errstate(invalid="ignore", over="ignore"):
+                moved = np.hypot(uv[:, 0] - self.uv[:, 0], uv[:, 1] - self.uv[:, 1])
+            stable = ok & self.ok & (moved <= margin * (1.0 - _STABLE_SLACK))
+            unstable = np.flatnonzero(ok & ~stable)
+            widths = camera_counts[frame_of[unstable]]
+            n_wide = int(widths.sum())
+            if n_wide <= len(self.lidar):
+                carried = stable[self.lidar]
+                # Each such row against camera rows first .. first + width - 1 of its frame.
+                first = (np.cumsum(camera_counts) - camera_counts)[frame_of[unstable]]
+                start = np.cumsum(widths) - widths
+                wide_camera = np.arange(n_wide) + np.repeat(first - start, widths)
+                return (
+                    np.concatenate([self.lidar[carried], np.repeat(unstable, widths)]),
+                    np.concatenate([self.camera[carried], wide_camera]),
+                )
+        kept = np.flatnonzero(ok)
+        kept_counts = np.bincount(frame_of[kept], minlength=len(camera_counts))
+        lidar, camera = candidate_edges(
+            uv[kept], camera_uv, kept_counts, camera_counts, gate.max_distance + margin
+        )
+        self._stream = stream
+        self.uv, self.ok, self.lidar, self.camera = uv, ok, kept[lidar], camera
+        return self.lidar, self.camera
+
+
 def implicit_pairs(
     h: Homography,
     lidar_xy: np.ndarray,
@@ -65,22 +145,31 @@ def implicit_pairs(
     lidar_counts,
     camera_counts,
     gate: MatchGate,
+    carried: CarriedEdges | None = None,
 ) -> Pairs:
     """Pair each projected LiDAR point with its nearest camera detection
     inside the gate (greedy, one-to-one, within its frame); degenerate
     projections are skipped.
 
     Takes the stream's ``(N, 2)`` ground and ``(M, 2)`` pixel arrays,
-    concatenated in frame order, and each frame's number of rows in them.
+    concatenated in frame order, and each frame's number of rows in them;
+    raises ``ValueError`` when the counts do not partition the arrays.
     Returns the paired ``(K, 2)`` ground and pixel arrays, frame by frame
-    and each frame in greedy order.
+    and each frame in greedy order. Successive pairings of one stream that
+    share ``carried`` reuse the candidate edges it holds; the result is the
+    same without it.
     """
-    lidar_counts = np.asarray(lidar_counts, dtype=np.intp)
-    uv, kept = projectable(h.m, lidar_xy)
+    lidar_counts, camera_counts = frame_counts(
+        lidar_counts, camera_counts, len(lidar_xy), len(camera_uv)
+    )
     frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
-    kept_counts = np.bincount(frame_of[kept], minlength=len(lidar_counts))
-    matched = greedy_match(uv, camera_uv, gate, kept_counts, camera_counts)
-    return lidar_xy[kept[matched.lidar]], camera_uv[matched.camera]
+    uv, ok = projection_mask(h.m, lidar_xy)
+    if carried is None:
+        carried = CarriedEdges()
+    stream = (lidar_xy, camera_uv, lidar_counts, camera_counts, gate)
+    lidar, camera = carried.edges(uv, ok, frame_of, stream)
+    matched = match_edges(uv, camera_uv, lidar, camera, frame_of, gate)
+    return lidar_xy[matched.lidar], camera_uv[matched.camera]
 
 
 def reprojection_loss(
@@ -140,7 +229,7 @@ def _alternate(
 
 def fit_correction_stream(
     h: Homography,
-    frames: Sequence[Frame],
+    frames: Iterable[Frame],
     cfg: CorrectionConfig,
     lenient: bool = False,
 ) -> CorrectionResult:
@@ -155,9 +244,10 @@ def fit_correction_stream(
     or returns an identity correction when ``lenient`` is set.
     """
     xy, uv, lidar_counts, camera_counts = stream_arrays(frames)
+    carried = CarriedEdges()
 
     def pair_fn(g: Homography) -> Pairs:
-        return implicit_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate)
+        return implicit_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate, carried)
 
     pairs = pair_fn(h)
     n_pairs = len(pairs[0])

@@ -206,7 +206,9 @@ class PairSet:
 
 def stream_arrays(frames: Iterable[Frame]) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
     """A stream's LiDAR and camera centers, each concatenated in frame order
-    into one (N, 2) array, and each frame's number of rows in them."""
+    into one (N, 2) array, and each frame's number of rows in them. The
+    frames are read once, so any iterable will do."""
+    frames = list(frames)
     lidar = [f.lidar_centers for f in frames]
     camera = [f.camera_centers for f in frames]
     return (
@@ -318,14 +320,25 @@ def compose(outer: Homography, inner: Homography) -> Homography:
         raise SingularResult("composition produced a singular matrix") from exc
 
 
+def projection_mask(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project (N, 2) ground points through a raw 3x3 matrix.
+
+    Returns the (N, 2) pixels and the (N,) mask of the rows that map to a
+    finite pixel, not to infinity; the pixels of the other rows are
+    meaningless.
+    """
+    uv, w = transform_points(matrix, xy)
+    return uv, (np.abs(w) > W_EPSILON) & np.isfinite(uv).all(axis=1)
+
+
 def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project (N, 2) ground points through a raw 3x3 matrix and drop the
     rows that map to infinity or to a non-finite pixel.
 
     Returns the (K, 2) pixels of the kept rows and their (K,) row indices.
     """
-    uv, w = transform_points(matrix, xy)
-    kept = np.flatnonzero((np.abs(w) > W_EPSILON) & np.isfinite(uv).all(axis=1))
+    uv, ok = projection_mask(matrix, xy)
+    kept = np.flatnonzero(ok)
     return uv[kept], kept
 
 

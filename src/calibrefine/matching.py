@@ -2,9 +2,13 @@
 detections: repeatedly take the globally cheapest remaining pair under a
 distance gate, leaving the rest unmatched.
 
-One entry point, :func:`greedy_match`, matches one frame, or every frame of
-a stream at once when given per-frame row counts: then in batches, each a
-NaN-padded block of whole frames, with no pair crossing frames.
+:func:`greedy_match` matches one frame, or every frame of a stream at once
+when given per-frame row counts: then in batches, each a NaN-padded block of
+whole frames, with no pair crossing frames. For a stream matched again and
+again under slightly moved projections, :func:`candidate_edges` lists each
+frame's edges within a radius by the same batched cost grid, and
+:func:`match_edges` matches over such a list alone. Both matchers end in
+one greedy sweep.
 """
 from __future__ import annotations
 
@@ -51,39 +55,43 @@ class MatchSet:
         return tuple(zip(self.lidar.tolist(), self.camera.tolist(), self.cost.tolist()))
 
 
-def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
-    """Greedy matching inside each frame of ``(L, 2)`` / ``(C, 2)`` arrays
-    (one frame) or ``(S, L, 2)`` / ``(S, C, 2)`` blocks (S frames).
+def _grid_edges(proj: np.ndarray, dets: np.ndarray, radius: float):
+    """Every edge within ``radius`` inside each frame of ``(L, 2)`` /
+    ``(C, 2)`` arrays (one frame) or ``(S, L, 2)`` / ``(S, C, 2)`` blocks
+    (S frames), by the full cost grid.
 
     NaN cells fail the prefilter, so they pad a block without ever matching.
-    Returns the lidar rows, camera rows and costs of the taken pairs as
-    lists, frame by frame and each frame in greedy order; rows index
-    ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)``.
+    Returns the edges in C order, i.e. sorted by (frame, i, j): a list
+    holding their frames for a block and nothing for one frame, their rows
+    of ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)``, and their costs
+    ``hypot(du, dv)``, each at most ``radius``.
     """
     n_l, n_c = proj.shape[-2], dets.shape[-2]
     du = proj[..., :, None, 0] - dets[..., None, :, 0]
     dv = proj[..., :, None, 1] - dets[..., None, :, 1]
-    idx = np.nonzero(du * du + dv * dv <= gate * gate * (1.0 + _PREFILTER_SLACK))
+    idx = np.nonzero(du * du + dv * dv <= radius * radius * (1.0 + _PREFILTER_SLACK))
     cost = np.hypot(du[idx], dv[idx])
-    admitted = cost <= gate
+    admitted = cost <= radius
     *frame, li, ci = [k[admitted] for k in idx]
-    cost = cost[admitted]
-    # np.nonzero lists edges in C order, i.e. sorted by (frame, i, j), and
-    # lexsort is stable, so this orders them by (frame, cost, i, j).
-    order = np.lexsort((cost, *frame))
     if frame:
         li = frame[0] * n_l + li
         ci = frame[0] * n_c + ci
+    return frame, li, ci, cost[admitted]
 
-    lidar_used = [False] * (proj.size // 2)
-    camera_used = [False] * (dets.size // 2)
+
+def _take(cost: np.ndarray, lidar: np.ndarray, camera: np.ndarray, n_lidar: int, n_camera: int):
+    """The greedy sweep over edges in greedy order: take each edge whose two
+    rows are both still free. Returns the lidar rows, camera rows and costs
+    of the taken edges as lists, in the order taken."""
+    lidar_used = [False] * n_lidar
+    camera_used = [False] * n_camera
     # Three flat lists rather than a tuple per pair: over a whole stream the
     # tuples set off garbage-collector passes that cost about as much as the
     # matching itself.
     lidar_taken: list[int] = []
     camera_taken: list[int] = []
     cost_taken: list[float] = []
-    for c, i, j in zip(cost[order].tolist(), li[order].tolist(), ci[order].tolist()):
+    for c, i, j in zip(cost.tolist(), lidar.tolist(), camera.tolist()):
         if lidar_used[i] or camera_used[j]:
             continue
         lidar_used[i] = True
@@ -92,6 +100,74 @@ def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
         camera_taken.append(j)
         cost_taken.append(c)
     return lidar_taken, camera_taken, cost_taken
+
+
+def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
+    """Greedy matching inside each frame of one frame or a block of frames
+    (see :func:`_grid_edges`); :func:`_take` gives the result, frame by
+    frame and each frame in greedy order."""
+    frame, li, ci, cost = _grid_edges(proj, dets, gate)
+    # The edges come sorted by (frame, i, j) and lexsort is stable, so this
+    # orders them by (frame, cost, i, j).
+    order = np.lexsort((cost, *frame))
+    return _take(cost[order], li[order], ci[order], proj.size // 2, dets.size // 2)
+
+
+def _cost_order(cost: np.ndarray, lidar: np.ndarray, camera: np.ndarray) -> np.ndarray:
+    """Permutation sorting edges by (cost, lidar row, camera row).
+
+    An unstable argsort plus a fix of the runs of equal cost: a stable sort
+    of float keys takes several times longer, and exact ties are rare.
+    """
+    order = np.argsort(cost)
+    sorted_cost = cost[order]
+    tied = sorted_cost[1:] == sorted_cost[:-1]
+    if tied.any():
+        in_run = np.zeros(len(cost), dtype=bool)
+        in_run[1:] = tied
+        in_run[:-1] |= tied
+        pos = np.flatnonzero(in_run)
+        # Each run of equal cost occupies consecutive positions, so sorting
+        # the tied positions by (cost, lidar, camera) reorders within runs.
+        run = order[pos]
+        order[pos] = run[np.lexsort((camera[run], lidar[run], cost[run]))]
+    return order
+
+
+def match_edges(projected, detections, lidar, camera, frame_of, gate: MatchGate) -> MatchSet:
+    """Greedy matching over given candidate edges of a stream.
+
+    ``projected`` and ``detections`` are ``(N, 2)`` and ``(M, 2)`` pixel
+    arrays; edge k joins LiDAR row ``lidar[k]`` to camera row ``camera[k]``,
+    in any order, and ``frame_of[r]`` is the frame of LiDAR row r. Edges must
+    not cross frames, and every edge of a frame that the gate could admit
+    must be given. The cost of an edge is ``hypot(du, dv)`` and the gate
+    admits it when that is at most ``gate.max_distance``; then the result is
+    the one :func:`greedy_match` gives: frame by frame, each frame in greedy
+    order, ties broken on (cost, lidar row, camera row).
+    """
+    proj = np.asarray(projected, dtype=float).reshape(-1, 2)
+    dets = np.asarray(detections, dtype=float).reshape(-1, 2)
+    lidar = np.asarray(lidar, dtype=np.intp)
+    camera = np.asarray(camera, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        cost = np.hypot(proj[lidar, 0] - dets[camera, 0], proj[lidar, 1] - dets[camera, 1])
+    admitted = np.flatnonzero(cost <= gate.max_distance)
+    cost, lidar, camera = cost[admitted], lidar[admitted], camera[admitted]
+    # Frames share no rows, so one sweep over every frame in (cost, lidar,
+    # camera) order takes in each frame what that frame alone would; the
+    # taken pairs are then grouped frame by frame, keeping the order taken.
+    order = _cost_order(cost, lidar, camera)
+    lidar_taken, camera_taken, cost_taken = _take(
+        cost[order], lidar[order], camera[order], len(proj), len(dets)
+    )
+    lidar = np.array(lidar_taken, dtype=np.intp)
+    by_frame = np.argsort(np.asarray(frame_of)[lidar] * len(lidar) + np.arange(len(lidar)))
+    return MatchSet(
+        lidar=lidar[by_frame],
+        camera=np.array(camera_taken, dtype=np.intp)[by_frame],
+        cost=np.array(cost_taken, dtype=float)[by_frame],
+    )
 
 
 def _batches(lidar_counts: np.ndarray, camera_counts: np.ndarray):
@@ -124,6 +200,62 @@ def _pack(points: np.ndarray, offsets: np.ndarray, counts: np.ndarray):
     return block, block_rows
 
 
+def _blocks(
+    proj: np.ndarray, dets: np.ndarray, lidar_counts: np.ndarray, camera_counts: np.ndarray
+):
+    """The stream's frames in batches (see :func:`_batches`): per batch its
+    LiDAR block, the row behind each of its rows, its camera block and the
+    row behind each of those (see :func:`_pack`)."""
+    lidar_offsets = np.cumsum(lidar_counts) - lidar_counts
+    camera_offsets = np.cumsum(camera_counts) - camera_counts
+    for a, b in _batches(lidar_counts, camera_counts):
+        yield (
+            *_pack(proj, lidar_offsets[a:b], lidar_counts[a:b]),
+            *_pack(dets, camera_offsets[a:b], camera_counts[a:b]),
+        )
+
+
+def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
+    """Per-frame row counts as ``(F,)`` integer arrays, checked to partition
+    ``n_lidar`` LiDAR and ``n_camera`` camera rows into frames; raises
+    ``ValueError`` otherwise."""
+    lidar_counts = np.asarray(lidar_counts, dtype=np.intp)
+    camera_counts = np.asarray(camera_counts, dtype=np.intp)
+    if (
+        len(lidar_counts) != len(camera_counts)
+        or lidar_counts.sum() != n_lidar
+        or camera_counts.sum() != n_camera
+        or (lidar_counts < 0).any()
+        or (camera_counts < 0).any()
+    ):
+        raise ValueError("frame counts do not partition the point arrays")
+    return lidar_counts, camera_counts
+
+
+def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: float):
+    """Every within-frame edge of a stream whose cost ``hypot(du, dv)`` is at
+    most ``radius``, found by the cost grid of NaN-padded batches of whole
+    frames.
+
+    The arrays and counts are as in :func:`greedy_match`. Returns the
+    edges' ``(E,)`` LiDAR and camera rows, sorted by (LiDAR row, camera
+    row).
+    """
+    proj = np.asarray(projected, dtype=float).reshape(-1, 2)
+    dets = np.asarray(detections, dtype=float).reshape(-1, 2)
+    lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
+    lidar_out = [np.empty(0, dtype=np.intp)]
+    camera_out = [np.empty(0, dtype=np.intp)]
+    for proj_block, lidar_rows, det_block, camera_rows in _blocks(
+        proj, dets, lidar_counts, camera_counts
+    ):
+        # C order within a block, and block rows map to increasing rows.
+        _, li, ci, _ = _grid_edges(proj_block, det_block, radius)
+        lidar_out.append(lidar_rows[li])
+        camera_out.append(camera_rows[ci])
+    return np.concatenate(lidar_out), np.concatenate(camera_out)
+
+
 def greedy_match(
     projected, detections, gate: MatchGate, lidar_counts=None, camera_counts=None
 ) -> MatchSet:
@@ -151,25 +283,13 @@ def greedy_match(
             cost=np.array(cost_taken, dtype=float),
         )
 
-    lidar_counts = np.asarray(lidar_counts, dtype=np.intp)
-    camera_counts = np.asarray(camera_counts, dtype=np.intp)
-    if (
-        len(lidar_counts) != len(camera_counts)
-        or lidar_counts.sum() != len(proj)
-        or camera_counts.sum() != len(dets)
-        or (lidar_counts < 0).any()
-        or (camera_counts < 0).any()
-    ):
-        raise ValueError("frame counts do not partition the point arrays")
-    lidar_offsets = np.cumsum(lidar_counts) - lidar_counts
-    camera_offsets = np.cumsum(camera_counts) - camera_counts
-
+    lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
     lidar_out = [np.empty(0, dtype=np.intp)]
     camera_out = [np.empty(0, dtype=np.intp)]
     cost_out = [np.empty(0)]
-    for a, b in _batches(lidar_counts, camera_counts):
-        proj_block, lidar_rows = _pack(proj, lidar_offsets[a:b], lidar_counts[a:b])
-        det_block, camera_rows = _pack(dets, camera_offsets[a:b], camera_counts[a:b])
+    for proj_block, lidar_rows, det_block, camera_rows in _blocks(
+        proj, dets, lidar_counts, camera_counts
+    ):
         lidar_taken, camera_taken, cost_taken = _greedy(proj_block, det_block, gate.max_distance)
         lidar_out.append(lidar_rows[np.array(lidar_taken, dtype=np.intp)])
         camera_out.append(camera_rows[np.array(camera_taken, dtype=np.intp)])

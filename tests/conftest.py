@@ -8,7 +8,8 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from calibrefine import simulator
+from calibrefine import correction, simulator
+from calibrefine.errors import InsufficientPairs
 from calibrefine.geometry import (
     Correspondence,
     Frame,
@@ -16,9 +17,13 @@ from calibrefine.geometry import (
     PairSet,
     PixelPoint,
     PlanePoint,
+    compose,
     project,
+    projectable,
+    stream_arrays,
     transform_points,
 )
+from calibrefine.matching import greedy_match
 
 # Every property test runs under this profile and sets only ``max_examples``:
 # no deadline (timings vary from run to run), no example database, and
@@ -114,6 +119,42 @@ def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]
         free_l.remove(i)
         free_c.remove(j)
         out.append((i, j, c))
+
+
+def grid_pairs(h: Homography, lidar_xy, camera_uv, lidar_counts, camera_counts, gate):
+    """Reference implicit pairing from scratch: each frame projected on its
+    own and matched by the one-frame cost grid of ``greedy_match``."""
+    xy_out, uv_out = [np.empty((0, 2))], [np.empty((0, 2))]
+    lidar_start = camera_start = 0
+    for n_l, n_c in zip(lidar_counts, camera_counts):
+        frame_xy = lidar_xy[lidar_start : lidar_start + n_l]
+        frame_uv = camera_uv[camera_start : camera_start + n_c]
+        uv, kept = projectable(h.m, frame_xy)
+        matched = greedy_match(uv, frame_uv, gate)
+        xy_out.append(frame_xy[kept[matched.lidar]])
+        uv_out.append(frame_uv[matched.camera])
+        lidar_start += n_l
+        camera_start += n_c
+    return np.concatenate(xy_out), np.concatenate(uv_out)
+
+
+def grid_fit(h: Homography, frames, cfg, lenient: bool = False) -> correction.CorrectionResult:
+    """Reference correction fit: the fit's rounds (``correction._alternate``)
+    with every pairing made from scratch by ``grid_pairs``."""
+    xy, uv, lidar_counts, camera_counts = stream_arrays(frames)
+
+    def pair_fn(g: Homography):
+        return grid_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate)
+
+    pairs = pair_fn(h)
+    n_pairs = len(pairs[0])
+    if n_pairs < cfg.min_pairs:
+        if not lenient:
+            raise InsufficientPairs(f"only {n_pairs} implicit pairs; need >= {cfg.min_pairs}")
+        return correction.CorrectionResult(Homography.identity(), h, (), n_pairs)
+    g, trace, final_pairs = correction._alternate(h, pair_fn, cfg, pairs)
+    h_delta = Homography(np.linalg.solve(h.m, g.m))
+    return correction.CorrectionResult(h_delta, compose(h, h_delta), tuple(trace), len(final_pairs[0]))
 
 
 def naive_block(grid, u: float, v: float) -> tuple[int, int] | None:

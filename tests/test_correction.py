@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calibrefine import simulator
 from calibrefine.correction import (
+    CarriedEdges,
     CorrectionConfig,
     fit_correction_stream,
     implicit_pairs,
@@ -18,12 +22,17 @@ from calibrefine.geometry import (
     compose,
     correspondence_arrays,
     project,
+    projection_mask,
     refine_homography,
+    stream_arrays,
+    transform_points,
 )
 from calibrefine.matching import MatchGate
 
 from conftest import (
     exact_pairs,
+    grid_fit,
+    grid_pairs,
     naive_greedy,
     point_array,
     translation_homography,
@@ -315,3 +324,261 @@ class TestFitCorrectionStream:
         assert result.h_star == h
         assert result.loss_trace == ()
         assert result.pairs_used == 0
+
+
+class TestImplicitPairsBoundary:
+    @pytest.mark.parametrize(
+        "lidar_counts, camera_counts",
+        [([1, 1], [1, 1]), ([2, 2], [1, 1]), ([3], [1, 1]), ([4, -1], [1, 1]), ([3, 0], [3, -1])],
+    )
+    def test_counts_must_partition_the_arrays(self, lidar_counts, camera_counts):
+        lidar, camera = np.zeros((3, 2)), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="frame counts do not partition"):
+            implicit_pairs(scene_homography(), lidar, camera, lidar_counts, camera_counts, MatchGate(40.0))
+
+
+# w = 0 on the ground line x = -1000: points there project degenerately.
+_HORIZON = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.001, 0.0, 1.0]])
+_GATE = MatchGate(40.0)
+
+
+def same_arrays(got, want) -> bool:
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def pair_in_turn(matrices, frames) -> tuple[CarriedEdges, list[int]]:
+    """Pair one stream of ``(lidar, camera)`` frames under each matrix in
+    turn, all pairings sharing one CarriedEdges, and check each against the
+    from-scratch grid reference; returns the CarriedEdges and pair counts."""
+    xy, uv, lidar_counts, camera_counts = stream_arrays(
+        Frame(fid, lidar, camera) for fid, (lidar, camera) in enumerate(frames)
+    )
+    carried = CarriedEdges()
+    counts = []
+    for h in matrices:
+        got = implicit_pairs(h, xy, uv, lidar_counts, camera_counts, _GATE, carried)
+        assert same_arrays(got, grid_pairs(h, xy, uv, lidar_counts, camera_counts, _GATE))
+        counts.append(len(got[0]))
+    return carried, counts
+
+
+def projected(h: Homography, xy) -> np.ndarray:
+    return transform_points(h.m, np.asarray(xy, dtype=float).reshape(-1, 2))[0]
+
+
+@st.composite
+def pixel_warps(draw):
+    """A near-identity warp of the image: a move of one of a few sizes
+    (below, at and past the 4 px margin, and far past it) plus optional
+    affine and projective terms, which move rows by different amounts."""
+    move = draw(st.sampled_from([0.0, 1e-6, 0.5, 3.9, 4.0, 4.1, 12.0, 400.0]))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    affine = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+    projective = draw(st.sampled_from([0.0, 1e-7, 1e-4]))
+    a, b, c, d = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    return Homography(
+        [
+            [1.0 + affine * a, affine * b, move * math.cos(angle)],
+            [affine * c, 1.0 + affine * d, move * math.sin(angle)],
+            [projective * a, projective * c, 1.0],
+        ]
+    )
+
+
+def random_frames(seed: int, matrices) -> list:
+    """1-5 frames of 0-8 LiDAR points, some on or next to the horizon of
+    ``_HORIZON`` and some repeated, with detections at, 40 px from or near
+    the projection of a point under one of ``matrices``, repeated ones and
+    clutter."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(rng.integers(1, 6)):
+        n = int(rng.integers(0, 9))
+        xy = rng.uniform(-5.0, 5.0, (n, 2))
+        kind = rng.integers(0, 6, n)
+        xy[kind == 0, 0] = -1000.0
+        xy[kind == 1, 0] = -1000.0 + rng.uniform(-1e-3, 1e-3, int((kind == 1).sum()))
+        if n > 1 and rng.random() < 0.3:
+            xy[1] = xy[0]
+        dets = []
+        for row in rng.permutation(n)[: rng.integers(0, n + 1)]:
+            uv = projected(matrices[rng.integers(len(matrices))], xy[row])[0]
+            offset = [(0.0, 0.0), (24.0, 32.0), rng.normal(0.0, 3.0, 2), rng.normal(0.0, 30.0, 2)]
+            if np.isfinite(uv).all():
+                dets.append(uv + offset[rng.integers(4)])
+        dets.extend(rng.uniform((0.0, 0.0), (1920.0, 1080.0), (rng.integers(0, 3), 2)))
+        if dets and rng.random() < 0.3:
+            dets.append(dets[0])
+        frames.append((xy, np.array(dets, dtype=float).reshape(-1, 2)))
+    return frames
+
+
+class TestCarriedEdgesHypothesis:
+    @settings(max_examples=300)
+    @given(warps=st.lists(pixel_warps(), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_pairings_equal_the_grid_reference(self, warps, seed):
+        matrices = [_HORIZON]
+        for warp in warps:
+            matrices.append(compose(warp, matrices[-1]))
+        pair_in_turn(matrices, random_frames(seed, matrices))
+
+
+class TestCarriedEdgesExamples:
+    def test_row_moved_to_the_margin_within_rounding_is_not_stable(self):
+        # Found by search: the row moves 4 px less a rounding error, the
+        # detection is at 40 px from its new pixel, yet 44 px plus one ulp
+        # from its anchor pixel, so it is not among the carried edges. Only
+        # the slack of the stability test sends the row to its whole frame.
+        xy = np.array([[-216.126, 16.264]])
+        detection = np.array([[-218.37581797220616, 60.20644325355542]])
+        anchor = Homography.identity()
+        g = Homography([[1.0, 0.0, -0.20452890656421752], [0.0, 1.0, 3.9947675685050372], [0.0, 0.0, 1.0]])
+        a, p = projected(anchor, xy)[0], projected(g, xy)[0]
+        assert 4.0 * (1.0 - 1e-9) < np.hypot(*(p - a)) <= 4.0
+        assert np.hypot(*(detection[0] - p)) <= 40.0
+        assert np.hypot(*(detection[0] - a)) > 44.0
+        _, counts = pair_in_turn([anchor, g], [(xy, detection)])
+        assert counts == [0, 1]
+
+    @pytest.mark.parametrize(
+        "du, dv",
+        [(4.0, 0.0), (0.0, -4.0), (np.nextafter(4.0, 5.0), 0.0), (0.0, np.nextafter(4.0, 5.0)), (3.999, 0.0)],
+    )
+    def test_moves_at_the_margin_and_one_float_past(self, du, dv):
+        matrices = [_HORIZON, compose(translation_homography(du, dv), _HORIZON)]
+        for seed in range(20):
+            pair_in_turn(matrices + [_HORIZON], random_frames(seed, matrices))
+
+    def test_horizon_crossings_both_ways(self):
+        # x = -1000 is on the horizon of _HORIZON only, x = -2000 on that of g.
+        g = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.0005, 0.0, 1.0]])
+        xy = np.array([[-1000.0, 0.5], [-2000.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
+        assert projection_mask(_HORIZON.m, xy)[1].tolist() == [False, True, True, True]
+        assert projection_mask(g.m, xy)[1].tolist() == [True, False, True, True]
+        detections = np.concatenate(
+            [projected(g, xy[0]) + 3.0, projected(_HORIZON, xy[1]) - 2.0, projected(_HORIZON, xy[2:]) + 1.0]
+        )
+        _, counts = pair_in_turn([_HORIZON, g, _HORIZON, g], [(xy, detections)])
+        assert counts == [3, 3, 3, 3]
+
+    def test_row_that_becomes_projectable_near_its_anchor_pixel(self):
+        # Under the anchor, ground point (0, 0) has |w| < W_EPSILON yet a
+        # finite pixel; under g it is projectable at about the same pixel.
+        # It has no carried edge, so it must take its whole frame.
+        anchor = Homography([[0.7, 0.0, 5e-12], [0.0, 0.7, 0.0], [-0.7, 0.0, 0.9e-12]])
+        g = Homography([[0.7, 0.0, 5e-12 * 1.3 / 0.9], [0.0, 0.7, 0.0], [-0.7, 0.0, 1.3e-12]])
+        xy = np.array([[0.0, 0.0], [1.0, -100.0]])
+        uv_anchor, ok_anchor = projection_mask(anchor.m, xy)
+        uv_g, ok_g = projection_mask(g.m, xy)
+        assert ok_anchor.tolist() == [False, True] and ok_g.tolist() == [True, True]
+        assert np.isfinite(uv_anchor).all() and np.hypot(*(uv_g[0] - uv_anchor[0])) < 1e-6
+        frames = [(xy[:1], uv_g[:1] + [3.0, 0.0]), (xy[1:], uv_g[1:] + [0.0, 1.0])]
+        _, counts = pair_in_turn([anchor, g], frames)
+        assert counts == [1, 2]
+
+    def test_empty_frames(self):
+        rng = np.random.default_rng(3)
+        xy = rng.uniform(-5.0, 5.0, (6, 2))
+        frames = [
+            (np.empty((0, 2)), np.empty((0, 2))),
+            (xy[:3], np.empty((0, 2))),
+            (np.empty((0, 2)), projected(_HORIZON, xy[:3])),
+            (xy[3:], projected(_HORIZON, xy[3:]) + 5.0),
+            (np.empty((0, 2)), np.empty((0, 2))),
+        ]
+        moves = [(0.5, 0.0), (3.0, 3.0), (100.0, 0.0), (0.0, 0.0)]
+        matrices = [_HORIZON] + [compose(translation_homography(*m), _HORIZON) for m in moves]
+        _, counts = pair_in_turn(matrices, frames)
+        assert counts == [3, 3, 3, 0, 3]
+
+    def test_costs_exactly_at_the_gate(self):
+        g = compose(translation_homography(1.5, -0.5), _HORIZON)
+        xy = np.array([[1.0, 2.0], [-2.0, 3.0]])
+        p = projected(g, xy)
+        at_gate = p[0] + [24.0, 32.0]
+        past_gate = p[1] + [24.0, 32.0]
+        past_gate[1] = np.nextafter(past_gate[1], np.inf)
+        assert np.hypot(*(at_gate - p[0])) == 40.0 and np.hypot(*(past_gate - p[1])) > 40.0
+        _, counts = pair_in_turn([_HORIZON, g], [(xy[:1], at_gate[None]), (xy[1:], past_gate[None])])
+        assert counts[1] == 1
+
+    def test_tied_costs(self):
+        # Repeated points and detections tie exactly, within a row and
+        # between rows; the lower row must win each tie.
+        xy = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
+        p = projected(_HORIZON, xy)
+        detections = np.array([p[0] + 3.0, p[0] + 3.0, p[2] - 3.0, p[0] - 3.0])
+        moves = [(0.1, 0.0), (5.0, 0.0), (0.0, 0.0)]
+        matrices = [_HORIZON] + [compose(translation_homography(*m), _HORIZON) for m in moves]
+        pair_in_turn(matrices, [(xy, detections), (xy[::-1], detections[::-1])])
+
+    def test_a_large_move_anchors_anew(self):
+        rng = np.random.default_rng(4)
+        xy = rng.uniform(-5.0, 5.0, (8, 2))
+        frames = [(xy, projected(_HORIZON, xy) + rng.normal(0.0, 2.0, (8, 2)))]
+        small = compose(translation_homography(1.0, 0.5), _HORIZON)
+        large = compose(translation_homography(100.0, 0.0), _HORIZON)
+        carried, _ = pair_in_turn([_HORIZON, small], frames)
+        assert np.array_equal(carried.uv, projected(_HORIZON, xy))
+        carried, _ = pair_in_turn([_HORIZON, small, large], frames)
+        assert np.array_equal(carried.uv, projected(large, xy))
+
+    def test_another_stream_anchors_anew(self):
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(-5.0, 5.0, (8, 2))
+        uv = projected(_HORIZON, xy) + 1.0
+        carried = CarriedEdges()
+        implicit_pairs(_HORIZON, xy, uv, [8], [8], _GATE, carried)
+        other_uv = uv[::-1].copy()
+        got = implicit_pairs(_HORIZON, xy, other_uv, [8], [8], _GATE, carried)
+        assert same_arrays(got, grid_pairs(_HORIZON, xy, other_uv, [8], [8], _GATE))
+        # the same arrays split into other frames
+        got = implicit_pairs(_HORIZON, xy, other_uv, [4, 4], [4, 4], _GATE, carried)
+        assert same_arrays(got, grid_pairs(_HORIZON, xy, other_uv, [4, 4], [4, 4], _GATE))
+
+
+def _simulated(seed: int):
+    frames, gt = simulator.generate(simulator.SceneConfig(seed=seed, n_frames=12, n_objects=80))
+    return [f.frame for f in frames], gt.h_true
+
+
+_SIMULATED = [_simulated(seed) for seed in (0, 1)]
+
+
+def same_result(a, b) -> bool:
+    return (
+        a.h_star.m.tobytes() == b.h_star.m.tobytes()
+        and a.h_delta.m.tobytes() == b.h_delta.m.tobytes()
+        and a.loss_trace == b.loss_trace
+        and a.pairs_used == b.pairs_used
+    )
+
+
+class TestFitEqualsGridReference:
+    @settings(max_examples=40)
+    @given(scene=st.sampled_from([0, 1]), warp=pixel_warps())
+    def test_fit_equals_rounds_of_grid_pairings(self, scene, warp):
+        frames, h_true = _SIMULATED[scene]
+        h0 = compose(warp, h_true)
+        cfg = CorrectionConfig()
+        assert same_result(fit_correction_stream(h0, frames, cfg), grid_fit(h0, frames, cfg))
+
+    def test_lenient_branch_equals_the_reference(self):
+        frames, h_true = _SIMULATED[0]
+        h0 = compose(translation_homography(2.0, 1.0), h_true)
+        cfg = CorrectionConfig(min_pairs=10**6)
+        with pytest.raises(InsufficientPairs):
+            fit_correction_stream(h0, frames, cfg)
+        with pytest.raises(InsufficientPairs):
+            grid_fit(h0, frames, cfg)
+        result = fit_correction_stream(h0, frames, cfg, lenient=True)
+        assert same_result(result, grid_fit(h0, frames, cfg, lenient=True))
+        assert result.loss_trace == () and result.pairs_used > 0
+
+    def test_frames_may_be_a_generator(self):
+        frames, h_true = _SIMULATED[1]
+        h0 = compose(translation_homography(-1.0, 2.0), h_true)
+        cfg = CorrectionConfig()
+        from_list = fit_correction_stream(h0, frames, cfg)
+        assert from_list.pairs_used > 0
+        assert same_result(fit_correction_stream(h0, iter(frames), cfg), from_list)

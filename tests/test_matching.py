@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from calibrefine import matching
 from calibrefine.geometry import PixelPoint
-from calibrefine.matching import MatchGate, greedy_match
+from calibrefine.matching import MatchGate, candidate_edges, greedy_match, match_edges
 
 from conftest import naive_greedy, point_array
 
@@ -167,14 +167,18 @@ _lattice_points = st.lists(
 _streams = st.lists(st.tuples(_lattice_points, _lattice_points), max_size=8)
 
 
+def stream_arrays_of(frames):
+    """The (projected, detections) frames as concatenated arrays and counts."""
+    proj = np.concatenate([p for p, _ in frames] or [np.empty((0, 2))])
+    dets = np.concatenate([d for _, d in frames] or [np.empty((0, 2))])
+    return proj, dets, [len(p) for p, _ in frames], [len(d) for _, d in frames]
+
+
 def match_stream(frames, gate):
     """greedy_match with frame counts, on frames given as (projected,
     detections) pairs."""
-    proj = np.concatenate([p for p, _ in frames] or [np.empty((0, 2))])
-    dets = np.concatenate([d for _, d in frames] or [np.empty((0, 2))])
-    out = greedy_match(
-        proj, dets, MatchGate(gate), [len(p) for p, _ in frames], [len(d) for _, d in frames]
-    )
+    proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
+    out = greedy_match(proj, dets, MatchGate(gate), lidar_counts, camera_counts)
     return out.lidar.tolist(), out.camera.tolist(), out.cost.tolist()
 
 
@@ -228,3 +232,38 @@ class TestGreedyMatchFramesHypothesis:
         for cells in (1, 7):
             with mock.patch.object(matching, "_BATCH_CELLS", cells):
                 assert match_stream(frames, gate) == expected
+
+
+class TestEdgeListHypothesis:
+    @settings(max_examples=300)
+    @given(frames=_streams, radius=_gates)
+    def test_candidate_edges_are_every_edge_within_the_radius(self, frames, radius):
+        proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
+        lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, radius)
+        expected = []
+        lidar_offset = camera_offset = 0
+        for p, d in frames:
+            for i in range(len(p)):
+                for j in range(len(d)):
+                    if np.hypot(p[i, 0] - d[j, 0], p[i, 1] - d[j, 1]) <= radius:
+                        expected.append((lidar_offset + i, camera_offset + j))
+            lidar_offset += len(p)
+            camera_offset += len(d)
+        assert list(zip(lidar.tolist(), camera.tolist())) == expected
+
+    @settings(max_examples=300)
+    @given(
+        frames=_streams,
+        gate=_gates,
+        widen=st.sampled_from([0.0, 0.5, 4.0, 50.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_edges_equals_per_frame_naive_greedy(self, frames, gate, widen, seed):
+        # Candidates from a wider radius, in any order: the lattice makes
+        # many exact ties, which must still break on (lidar row, camera row).
+        proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
+        lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate + widen)
+        shuffled = np.random.default_rng(seed).permutation(len(lidar))
+        frame_of = np.repeat(np.arange(len(frames)), lidar_counts)
+        out = match_edges(proj, dets, lidar[shuffled], camera[shuffled], frame_of, MatchGate(gate))
+        assert (out.lidar.tolist(), out.camera.tolist(), out.cost.tolist()) == naive_stream(frames, gate)
