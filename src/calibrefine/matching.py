@@ -2,13 +2,13 @@
 detections: repeatedly take the globally cheapest remaining pair under a
 distance gate, leaving the rest unmatched.
 
-:func:`greedy_match` matches one frame, or every frame of a stream at once
-when given per-frame row counts: then in batches, each a NaN-padded block of
-whole frames, with no pair crossing frames. For a stream matched again and
-again under slightly moved projections, :func:`candidate_edges` lists each
-frame's edges within a radius by the same batched cost grid, and
-:func:`match_edges` matches over such a list alone. Both matchers end in
-one greedy sweep.
+:func:`greedy_match` matches one frame by its cost grid, or every frame of a
+stream at once when given per-frame row counts. A stream is matched over an
+edge list: :func:`candidate_edges` lists each frame's edges within a radius
+by the cost grid of NaN-padded batches of whole frames, and
+:func:`match_edges` matches over such a list alone, so a stream matched
+again under slightly moved projections can reuse the edges of an earlier
+radius. Both matchers end in one greedy sweep.
 """
 from __future__ import annotations
 
@@ -26,6 +26,9 @@ _PREFILTER_SLACK = 1e-9
 # camera row) that greedy_match matches in one pass; a frame larger
 # than this is a batch of its own. Bounds the memory of the cost grid.
 _BATCH_CELLS = 1 << 15
+
+# Edges that the greedy sweep turns into Python ints at a time.
+_SWEEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,8 @@ def _grid_edges(proj: np.ndarray, dets: np.ndarray, radius: float):
     (S frames), by the full cost grid.
 
     NaN cells fail the prefilter, so they pad a block without ever matching.
-    Returns the edges in C order, i.e. sorted by (frame, i, j): a list
-    holding their frames for a block and nothing for one frame, their rows
-    of ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)``, and their costs
+    Returns the edges in C order, i.e. sorted by (frame, i, j): their rows
+    of ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)`` and their costs
     ``hypot(du, dv)``, each at most ``radius``.
     """
     n_l, n_c = proj.shape[-2], dets.shape[-2]
@@ -76,41 +78,40 @@ def _grid_edges(proj: np.ndarray, dets: np.ndarray, radius: float):
     if frame:
         li = frame[0] * n_l + li
         ci = frame[0] * n_c + ci
-    return frame, li, ci, cost[admitted]
+    return li, ci, cost[admitted]
 
 
-def _take(cost: np.ndarray, lidar: np.ndarray, camera: np.ndarray, n_lidar: int, n_camera: int):
+def _take(lidar: np.ndarray, camera: np.ndarray, n_lidar: int, n_camera: int) -> list[int]:
     """The greedy sweep over edges in greedy order: take each edge whose two
-    rows are both still free. Returns the lidar rows, camera rows and costs
-    of the taken edges as lists, in the order taken."""
+    rows are both still free. Returns the positions of the taken edges, in
+    the order taken."""
     lidar_used = [False] * n_lidar
     camera_used = [False] * n_camera
-    # Three flat lists rather than a tuple per pair: over a whole stream the
-    # tuples set off garbage-collector passes that cost about as much as the
-    # matching itself.
-    lidar_taken: list[int] = []
-    camera_taken: list[int] = []
-    cost_taken: list[float] = []
-    for c, i, j in zip(cost.tolist(), lidar.tolist(), camera.tolist()):
-        if lidar_used[i] or camera_used[j]:
-            continue
-        lidar_used[i] = True
-        camera_used[j] = True
-        lidar_taken.append(i)
-        camera_taken.append(j)
-        cost_taken.append(c)
-    return lidar_taken, camera_taken, cost_taken
+    taken: list[int] = []
+    # One position per taken edge, and the edges as Python ints a chunk at a
+    # time: over a whole stream, lists of every edge's rows and cost raise
+    # the peak memory by megabytes.
+    for start in range(0, len(lidar), _SWEEP_CHUNK):
+        stop = start + _SWEEP_CHUNK
+        rows = zip(lidar[start:stop].tolist(), camera[start:stop].tolist())
+        for k, (i, j) in enumerate(rows, start):
+            if lidar_used[i] or camera_used[j]:
+                continue
+            lidar_used[i] = True
+            camera_used[j] = True
+            taken.append(k)
+    return taken
 
 
-def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float):
-    """Greedy matching inside each frame of one frame or a block of frames
-    (see :func:`_grid_edges`); :func:`_take` gives the result, frame by
-    frame and each frame in greedy order."""
-    frame, li, ci, cost = _grid_edges(proj, dets, gate)
-    # The edges come sorted by (frame, i, j) and lexsort is stable, so this
-    # orders them by (frame, cost, i, j).
-    order = np.lexsort((cost, *frame))
-    return _take(cost[order], li[order], ci[order], proj.size // 2, dets.size // 2)
+def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float) -> MatchSet:
+    """Greedy matching inside one frame by its cost grid (see
+    :func:`_grid_edges`); :func:`_take` gives the result in greedy order."""
+    li, ci, cost = _grid_edges(proj, dets, gate)
+    # The edges come sorted by (i, j) and lexsort is stable, so this orders
+    # them by (cost, i, j).
+    order = np.lexsort((cost,))
+    taken = order[_take(li[order], ci[order], len(proj), len(dets))]
+    return MatchSet(lidar=li[taken], camera=ci[taken], cost=cost[taken])
 
 
 def _cost_order(cost: np.ndarray, lidar: np.ndarray, camera: np.ndarray) -> np.ndarray:
@@ -158,16 +159,10 @@ def match_edges(projected, detections, lidar, camera, frame_of, gate: MatchGate)
     # camera) order takes in each frame what that frame alone would; the
     # taken pairs are then grouped frame by frame, keeping the order taken.
     order = _cost_order(cost, lidar, camera)
-    lidar_taken, camera_taken, cost_taken = _take(
-        cost[order], lidar[order], camera[order], len(proj), len(dets)
-    )
-    lidar = np.array(lidar_taken, dtype=np.intp)
-    by_frame = np.argsort(np.asarray(frame_of)[lidar] * len(lidar) + np.arange(len(lidar)))
-    return MatchSet(
-        lidar=lidar[by_frame],
-        camera=np.array(camera_taken, dtype=np.intp)[by_frame],
-        cost=np.array(cost_taken, dtype=float)[by_frame],
-    )
+    taken = order[_take(lidar[order], camera[order], len(proj), len(dets))]
+    by_frame = np.argsort(np.asarray(frame_of)[lidar[taken]] * len(taken) + np.arange(len(taken)))
+    taken = taken[by_frame]
+    return MatchSet(lidar=lidar[taken], camera=camera[taken], cost=cost[taken])
 
 
 def _batches(lidar_counts: np.ndarray, camera_counts: np.ndarray):
@@ -200,21 +195,6 @@ def _pack(points: np.ndarray, offsets: np.ndarray, counts: np.ndarray):
     return block, block_rows
 
 
-def _blocks(
-    proj: np.ndarray, dets: np.ndarray, lidar_counts: np.ndarray, camera_counts: np.ndarray
-):
-    """The stream's frames in batches (see :func:`_batches`): per batch its
-    LiDAR block, the row behind each of its rows, its camera block and the
-    row behind each of those (see :func:`_pack`)."""
-    lidar_offsets = np.cumsum(lidar_counts) - lidar_counts
-    camera_offsets = np.cumsum(camera_counts) - camera_counts
-    for a, b in _batches(lidar_counts, camera_counts):
-        yield (
-            *_pack(proj, lidar_offsets[a:b], lidar_counts[a:b]),
-            *_pack(dets, camera_offsets[a:b], camera_counts[a:b]),
-        )
-
-
 def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
     """Per-frame row counts as ``(F,)`` integer arrays, checked to partition
     ``n_lidar`` LiDAR and ``n_camera`` camera rows into frames; raises
@@ -244,13 +224,15 @@ def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: 
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
     lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
+    lidar_offsets = np.cumsum(lidar_counts) - lidar_counts
+    camera_offsets = np.cumsum(camera_counts) - camera_counts
     lidar_out = [np.empty(0, dtype=np.intp)]
     camera_out = [np.empty(0, dtype=np.intp)]
-    for proj_block, lidar_rows, det_block, camera_rows in _blocks(
-        proj, dets, lidar_counts, camera_counts
-    ):
+    for a, b in _batches(lidar_counts, camera_counts):
+        proj_block, lidar_rows = _pack(proj, lidar_offsets[a:b], lidar_counts[a:b])
+        det_block, camera_rows = _pack(dets, camera_offsets[a:b], camera_counts[a:b])
         # C order within a block, and block rows map to increasing rows.
-        _, li, ci, _ = _grid_edges(proj_block, det_block, radius)
+        li, ci, _ = _grid_edges(proj_block, det_block, radius)
         lidar_out.append(lidar_rows[li])
         camera_out.append(camera_rows[ci])
     return np.concatenate(lidar_out), np.concatenate(camera_out)
@@ -276,26 +258,8 @@ def greedy_match(
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
     if lidar_counts is None and camera_counts is None:
-        lidar_taken, camera_taken, cost_taken = _greedy(proj, dets, gate.max_distance)
-        return MatchSet(
-            lidar=np.array(lidar_taken, dtype=np.intp),
-            camera=np.array(camera_taken, dtype=np.intp),
-            cost=np.array(cost_taken, dtype=float),
-        )
-
+        return _greedy(proj, dets, gate.max_distance)
     lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
-    lidar_out = [np.empty(0, dtype=np.intp)]
-    camera_out = [np.empty(0, dtype=np.intp)]
-    cost_out = [np.empty(0)]
-    for proj_block, lidar_rows, det_block, camera_rows in _blocks(
-        proj, dets, lidar_counts, camera_counts
-    ):
-        lidar_taken, camera_taken, cost_taken = _greedy(proj_block, det_block, gate.max_distance)
-        lidar_out.append(lidar_rows[np.array(lidar_taken, dtype=np.intp)])
-        camera_out.append(camera_rows[np.array(camera_taken, dtype=np.intp)])
-        cost_out.append(np.array(cost_taken, dtype=float))
-    return MatchSet(
-        lidar=np.concatenate(lidar_out),
-        camera=np.concatenate(camera_out),
-        cost=np.concatenate(cost_out),
-    )
+    lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate.max_distance)
+    frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
+    return match_edges(proj, dets, lidar, camera, frame_of, gate)

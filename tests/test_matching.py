@@ -228,10 +228,16 @@ class TestGreedyMatchFramesHypothesis:
     @settings(max_examples=200)
     @given(frames=_streams, gate=_gates)
     def test_batch_size_does_not_change_the_result(self, frames, gate):
-        expected = match_stream(frames, gate)
-        for cells in (1, 7):
-            with mock.patch.object(matching, "_BATCH_CELLS", cells):
-                assert match_stream(frames, gate) == expected
+        # The grid's batches of frames and the sweep's chunks of edges.
+        proj, dets, _, _ = stream_arrays_of(frames)
+        expected = match_stream(frames, gate), greedy_match(proj, dets, MatchGate(gate)).matches
+        sizes = (("_BATCH_CELLS", 1), ("_BATCH_CELLS", 7), ("_SWEEP_CHUNK", 1), ("_SWEEP_CHUNK", 3))
+        for name, size in sizes:
+            with mock.patch.object(matching, name, size):
+                assert (
+                    match_stream(frames, gate),
+                    greedy_match(proj, dets, MatchGate(gate)).matches,
+                ) == expected
 
 
 class TestEdgeListHypothesis:
