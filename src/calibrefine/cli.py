@@ -123,9 +123,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         except KeyError as exc:
             raise ConfigError(f"grid.parity must be 'even' or 'odd', got {grid_raw['parity']}") from exc
     grid = _build(
-        BlockGrid,
-        {"image_width": scene.image_width, "image_height": scene.image_height, **grid_raw},
-        "grid",
+        BlockGrid, grid_raw, "grid", image_width=scene.image_width, image_height=scene.image_height
     )
 
     ransac = _build(RansacConfig, _section(data, "ransac"), "ransac")
@@ -371,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("CALIBREFINE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
+    # getLevelName maps a level name to its number and anything else to a
+    # string; a logging attribute such as BASIC_FORMAT is not a level.
+    level = logging.getLevelName(os.environ.get("CALIBREFINE_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

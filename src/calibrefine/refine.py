@@ -35,9 +35,9 @@ from .ransac import RansacConfig, ransac_homography
 #: Pairs a single block keeps at most, counting the "sufficiently distinct" ones.
 BLOCK_CAPACITY = 3
 
-# Relative slack of the bulk distance refusal in a window: np.hypot may differ
-# from math.hypot in the last ulp, so a pixel that close to the radius is left
-# to the sequential rule, which decides on math.hypot.
+# Relative slack of a window's live-frame distance test: np.hypot may differ
+# from math.hypot in the last ulp, so a pixel that close to the radius counts
+# as open and is left to the admission loop, which decides on math.hypot.
 _OPEN_SLACK = 1e-9
 
 
@@ -80,7 +80,9 @@ class CalibrationState:
     # Caches derived from ``accumulated``, each holding the very set it was
     # derived from and used only while ``accumulated`` is that object, so a
     # state built by hand or by ``replace`` can never read a stale one:
-    # (set, grid, camera pixels of the set by block) and
+    # (set, grid, per-block pixel counts, per-block first pixels), the
+    # occupancy arrays of _occupancy_arrays, replaced by copies when a frame
+    # admits a pair so the arrays of an earlier state never change, and
     # (set, RANSAC config, the checkpoint fit on it or None on no consensus).
     _occupancy: tuple | None = field(default=None, compare=False, repr=False)
     _fit: tuple | None = field(default=None, compare=False, repr=False)
@@ -102,57 +104,27 @@ def _metric_value(h: Homography, xy: np.ndarray, uv: np.ndarray, metric: GuardMe
     return report.aed if metric is GuardMetric.AED else report.rmse
 
 
-def _admits(members: Sequence[Sequence[float]], u: float, v: float, radius: float) -> bool:
-    """Occupancy rule for one block, given the ``(u, v)`` pixels it already
-    stores: an empty block always admits; an occupied one only if the new
-    pixel ``(u, v)`` is at least ``radius`` from every stored one, up to
-    BLOCK_CAPACITY pixels."""
-    if len(members) >= BLOCK_CAPACITY:
-        return False
-    return all(hypot(u - mu, v - mv) >= radius for mu, mv in members)
-
-
-def _occupancy_map(state: CalibrationState, grid: BlockGrid) -> dict:
-    """``(u, v)`` pixels of the accumulated set by block, from the state's
+def _occupancy_arrays(state: CalibrationState, grid: BlockGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy of the accumulated set, by flat block ``iy * blocks_x + ix``:
+    the ``(B,)`` count of its camera pixels in each block and the
+    ``(B, BLOCK_CAPACITY, 2)`` first of them in set order, NaN past the
+    count. A block holding BLOCK_CAPACITY pixels or more admits nothing, so
+    its first pixels are all the distance test needs. Taken from the state's
     cache when it was built for this very set and grid."""
     cache = state._occupancy
     if cache is not None and cache[0] is state.accumulated and cache[1] == grid:
-        return cache[2]
+        return cache[2], cache[3]
     uv = state.accumulated.uv
     rows, ix, iy = block_of(grid, uv)
-    occupancy: dict[tuple[int, int], tuple] = {}
-    for pixel, block in zip(uv[rows].tolist(), zip(ix.tolist(), iy.tolist())):
-        occupancy[block] = occupancy.get(block, ()) + (pixel,)
-    return occupancy
-
-
-def _open_detections(
-    occupancy: dict, uv: np.ndarray, grid: BlockGrid, skip_parity: bool, radius: float
-) -> np.ndarray:
-    """Mask of the ``(N, 2)`` camera pixels that ``occupancy`` could still
-    admit: in the image, in a block the block rule keeps, that block holding
-    fewer than BLOCK_CAPACITY pixels, none of them nearer than ``radius``.
-
-    Refuses a pixel only where :func:`_admits` would too: the distance test
-    leaves a pixel within ``_OPEN_SLACK`` of the radius open.
-    """
+    block = iy * grid.blocks_x + ix
     n_blocks = grid.blocks_x * grid.blocks_y
-    counts = np.zeros(n_blocks, dtype=np.intp)
-    # A block seeded with more than BLOCK_CAPACITY pixels is refused by its
-    # count, so its first BLOCK_CAPACITY pixels are all the test needs; the
-    # NaN padding of a block holding fewer is never near.
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    rank = np.arange(len(block)) - np.searchsorted(block, block)
+    first = rank < BLOCK_CAPACITY
     stored = np.full((n_blocks, BLOCK_CAPACITY, 2), np.nan)
-    for (ix, iy), members in occupancy.items():
-        block = iy * grid.blocks_x + ix
-        counts[block] = len(members)
-        stored[block, : min(len(members), BLOCK_CAPACITY)] = members[:BLOCK_CAPACITY]
-    rows, ix, iy = retained_rows(grid, uv, skip_parity)
-    key = iy * grid.blocks_x + ix
-    d = uv[rows, None, :] - stored[key]
-    near = (np.hypot(d[..., 0], d[..., 1]) < radius * (1.0 - _OPEN_SLACK)).any(axis=1)
-    is_open = np.zeros(len(uv), dtype=bool)
-    is_open[rows[(counts[key] < BLOCK_CAPACITY) & ~near]] = True
-    return is_open
+    stored[block[first], rank[first]] = uv[rows[order[first]]]
+    return np.bincount(block, minlength=n_blocks), stored
 
 
 def ingest_frame(
@@ -163,13 +135,13 @@ def ingest_frame(
 
     A window is folded exactly as its frames would be one by one: one
     projection through ``h_best``, one greedy matching inside each frame,
-    one block sampling of each frame, then admission to the accumulated set
-    in frame order. A frame of a window is matched only when one of its
-    detections could still be admitted under the set as the window found
-    it; the others could add nothing. Never touches ``h_best``. LiDAR
-    centers that project degenerately are skipped and tallied. Raises
-    ``OutOfOrderFrame`` before anything is folded when the frame ids do not
-    strictly increase.
+    one block sampling of each frame, then one admission loop over the
+    block winners in frame order. A frame of a window is matched only when
+    one of its detections could still be admitted under the set as the
+    window found it; the others could add nothing. Never touches
+    ``h_best``. LiDAR centers that project degenerately are skipped and
+    tallied. Raises ``OutOfOrderFrame`` before anything is folded when the
+    frame ids do not strictly increase.
     """
     window = (frames,) if isinstance(frames, Frame) else tuple(frames)
     last_id = state.last_frame_id
@@ -178,7 +150,7 @@ def ingest_frame(
             raise OutOfOrderFrame(f"frame {frame.frame_id} after frame {last_id}")
         last_id = frame.frame_id
 
-    occupancy = _occupancy_map(state, cfg.grid)
+    counts, stored = _occupancy_arrays(state, cfg.grid)
     radius = half_block_diagonal(cfg.grid)
     if len(window) == 1:
         lidar_xy, camera_uv = window[0].lidar_centers, window[0].camera_centers
@@ -186,7 +158,6 @@ def ingest_frame(
         matched = greedy_match(uv, camera_uv, cfg.gate)
         lidar_rows, camera_rows = matched.lidar, matched.camera
         frame_of = np.zeros(len(camera_rows), dtype=np.intp)
-        is_open = None
     else:
         lidar_xy, camera_uv, lidar_counts, camera_counts = stream_arrays(window)
         uv, kept = projectable(state.h_best.m, lidar_xy)
@@ -196,9 +167,12 @@ def ingest_frame(
         # Occupancy only grows within a window, so a detection its starting
         # occupancy refuses stays refused: a frame without an open detection
         # can admit nothing and is not matched.
-        is_open = _open_detections(occupancy, camera_uv, cfg.grid, cfg.skip_parity, radius)
+        rows, ix, iy = retained_rows(cfg.grid, camera_uv, cfg.skip_parity)
+        block = iy * cfg.grid.blocks_x + ix
+        d = camera_uv[rows, None, :] - stored[block]
+        near = (np.hypot(d[..., 0], d[..., 1]) < radius * (1.0 - _OPEN_SLACK)).any(axis=1)
         live = np.zeros(len(window), dtype=bool)
-        live[camera_frame[is_open]] = True
+        live[camera_frame[rows[(counts[block] < BLOCK_CAPACITY) & ~near]]] = True
         lidar_rows = np.flatnonzero(live[lidar_frame])
         camera_rows = np.flatnonzero(live[camera_frame])
         if len(camera_rows):
@@ -212,23 +186,24 @@ def ingest_frame(
             lidar_rows, camera_rows = lidar_rows[matched.lidar], camera_rows[matched.camera]
         frame_of = camera_frame[camera_rows]
     pixels = camera_uv[camera_rows]
+    # Winners are picked among every match: a detection that was not open
+    # when the window started still takes its block for its frame. As
+    # occupancy only grows within a window, the admission loop refuses it.
     rows, ix, iy = block_winners(pixels, frame_of, cfg.grid, cfg.skip_parity)
-    if is_open is not None:
-        # Winners are picked among every match, open or not, as a non-open
-        # detection still takes its block for its frame; only then are the
-        # non-open winners refused in bulk.
-        keep = is_open[camera_rows[rows]]
-        rows, ix, iy = rows[keep], ix[keep], iy[keep]
 
     # Block sampling keeps at most one winner per block and frame, so within
     # a frame admitting one never changes what another is checked against.
     admitted = []
-    for i, pixel, block in zip(rows.tolist(), pixels[rows].tolist(), zip(ix.tolist(), iy.tolist())):
-        members = occupancy.get(block, ())
-        if _admits(members, *pixel, radius):
+    for i, (u, v), x, y in zip(rows.tolist(), pixels[rows].tolist(), ix.tolist(), iy.tolist()):
+        b = y * cfg.grid.blocks_x + x
+        n = counts.item(b)
+        if n < BLOCK_CAPACITY and all(
+            hypot(u - su, v - sv) >= radius for su, sv in stored[b, :n].tolist()
+        ):
             if not admitted:
-                occupancy = dict(occupancy)
-            occupancy[block] = members + (pixel,)
+                counts, stored = counts.copy(), stored.copy()
+            counts[b] = n + 1
+            stored[b, n] = u, v
             admitted.append(i)
 
     accumulated = state.accumulated
@@ -246,7 +221,7 @@ def ingest_frame(
         frames_seen=state.frames_seen + len(window),
         last_frame_id=last_id,
         degenerate_skipped=state.degenerate_skipped + len(lidar_xy) - len(kept),
-        _occupancy=(accumulated, cfg.grid, occupancy),
+        _occupancy=(accumulated, cfg.grid, counts, stored),
     )
 
 

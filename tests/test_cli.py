@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +11,14 @@ import pytest
 
 from calibrefine.cli import load_config, main
 from calibrefine import cli, serialize
+from calibrefine.blocks import BlockGrid
+from calibrefine.correction import CorrectionConfig
 from calibrefine.geometry import Homography, PairSet
 from calibrefine.matching import MatchGate
 from calibrefine.pipeline import evaluate
+from calibrefine.ransac import RansacConfig
+from calibrefine.refine import RefineConfig
+from calibrefine.simulator import SceneConfig
 
 
 def write_config(path: Path, **scene_overrides) -> Path:
@@ -566,14 +575,24 @@ class TestInputValidation:
         assert loaded.refine.ransac.inlier_threshold == 2
 
     @pytest.mark.parametrize(
-        "key, value", [("grid", {"blocks_x": 4}), ("ransac", {"seed": 1}), ("skip_parity", False)]
+        "section, key, value",
+        [
+            pytest.param("refine", "grid", {"blocks_x": 4}, id="grid-value0"),
+            pytest.param("refine", "ransac", {"seed": 1}, id="ransac-value1"),
+            pytest.param("refine", "skip_parity", False, id="skip_parity-False"),
+            # the image size is the scene's; the grid section may not restate it
+            pytest.param("grid", "image_width", 400, id="grid-image_width"),
+            pytest.param("grid", "image_height", 300, id="grid-image_height"),
+        ],
     )
-    def test_refine_section_rejects_keys_of_other_sections(self, tmp_path, capsys, key, value):
+    def test_refine_section_rejects_keys_of_other_sections(
+        self, tmp_path, capsys, section, key, value
+    ):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"refine": {key: value}}))
+        cfg.write_text(json.dumps({section: {key: value}}))
         code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
         assert code == 2
-        assert f"unknown key '{key}' in section 'refine'" in capsys.readouterr().err
+        assert f"unknown key '{key}' in section '{section}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, jobs):
@@ -758,3 +777,51 @@ class TestInputValidation:
         )
         assert code == 2
         assert f"{matrix}: malformed record: {reason}" in capsys.readouterr().err
+
+
+class TestExampleConfig:
+    EXAMPLE = Path(__file__).resolve().parents[1] / "config.example.json"
+
+    def test_holds_every_key_and_loads_to_the_defaults(self):
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        # the keys each section accepts: its dataclass's fields, less those
+        # another section sets (the scene's image size, refine's grid and
+        # RANSAC), plus the grid section's skip_parity; the top-level
+        # "seeds" has no default value, as leaving it out means one scene
+        accepted = {
+            "scene": names(SceneConfig),
+            "grid": names(BlockGrid) - {"image_width", "image_height"} | {"skip_parity"},
+            "ransac": names(RansacConfig),
+            "refine": names(RefineConfig) - {"grid", "ransac", "skip_parity"},
+            "correction": names(CorrectionConfig),
+        }
+        example = json.loads(self.EXAMPLE.read_text())
+        assert {section: set(raw) for section, raw in example.items()} == accepted
+        assert load_config(self.EXAMPLE) == load_config(None)
+
+
+class TestLogLevel:
+    # In a subprocess: in-process, pytest's log handlers make basicConfig a no-op.
+    @pytest.mark.parametrize(
+        "setting, logs_info", [("info", True), ("basic_format", False), ("no_such_level", False)]
+    )
+    def test_level_names_resolve_and_other_values_mean_warning(
+        self, tmp_path, sim_dir, setting, logs_info
+    ):
+        cfg, out = sim_dir
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "CALIBREFINE_LOG": setting,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "calibrefine", "--config", str(cfg), "refine",
+             "--frames", str(out / "frames.jsonl"), "--matrix", str(out / "ground_truth.json"),
+             "--mode", "iterative", "--out", str(tmp_path / "refined.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("INFO:calibrefine:iterative:" in proc.stderr) == logs_info

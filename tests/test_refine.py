@@ -327,6 +327,28 @@ class TestWindowHypothesis:
         assert_same_pairs(out.accumulated, fresh.accumulated)
         assert len(out.accumulated) == 2  # (2, 2) is admitted, (36, 2) is not
 
+    @pytest.mark.parametrize("as_window", [False, True])
+    def test_state_is_not_changed_by_later_ingests(self, as_window):
+        h = scene_homography()
+        # block (0, 0) holds pixel (10, 10); A admits (190, 10) to it, and B's
+        # (190, 30) is 181 px from the first but 20 px from A's pixel
+        start = ingest_frame(CalibrationState.initial(h), frame_from(h, 0, [(-9.0, -9.0)]), CFG)
+
+        def frames(spot):
+            last = frame_from(h, 2, [spot])
+            return [Frame(1, np.empty((0, 2)), np.empty((0, 2))), last] if as_window else last
+
+        after_a = ingest_frame(start, frames((9.0, -9.0)), CFG)
+        assert len(after_a.accumulated) == 2
+        after_b = ingest_frame(start, frames((9.0, -7.0)), CFG)
+        fresh = ingest_frame(
+            CalibrationState(h_best=h, accumulated=start.accumulated, frames_seen=1, last_frame_id=0),
+            frames((9.0, -7.0)),
+            CFG,
+        )
+        assert_same_pairs(after_b.accumulated, fresh.accumulated)
+        assert len(after_b.accumulated) == 2
+
 
 # Horizon at x = -4096 m (w is exactly 0 there), so a LiDAR point at
 # DEGENERATE is skipped; elsewhere on GRID it maps ground (x, y) to about
