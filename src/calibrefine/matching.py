@@ -5,7 +5,7 @@ distance gate, leaving the rest unmatched.
 :func:`greedy_match` matches one frame by its cost grid, or every frame of a
 stream at once when given per-frame row counts. A stream is matched over an
 edge list: :func:`candidate_edges` lists each frame's edges within a radius
-by the cost grid of NaN-padded batches of whole frames, and
+by a band search over the detections sorted by (frame, u), and
 :func:`match_edges` matches over such a list alone, so a stream matched
 again under slightly moved projections can reuse the edges of an earlier
 radius. Both matchers end in one greedy sweep.
@@ -22,10 +22,9 @@ import numpy as np
 # the gate itself is always decided on ``hypot``.
 _PREFILTER_SLACK = 1e-9
 
-# Largest padded block S * Lmax * Cmax (frames x widest LiDAR row x widest
-# camera row) that greedy_match matches in one pass; a frame larger
-# than this is a batch of its own. Bounds the memory of the cost grid.
-_BATCH_CELLS = 1 << 15
+# LiDAR rows whose bands candidate_edges gathers at a time. Bounds the
+# memory of the gathered edges.
+_BAND_CHUNK = 4096
 
 # Edges that the greedy sweep turns into Python ints at a time.
 _SWEEP_CHUNK = 4096
@@ -58,27 +57,28 @@ class MatchSet:
         return tuple(zip(self.lidar.tolist(), self.camera.tolist(), self.cost.tolist()))
 
 
-def _grid_edges(proj: np.ndarray, dets: np.ndarray, radius: float):
-    """Every edge within ``radius`` inside each frame of ``(L, 2)`` /
-    ``(C, 2)`` arrays (one frame) or ``(S, L, 2)`` / ``(S, C, 2)`` blocks
-    (S frames), by the full cost grid.
-
-    NaN cells fail the prefilter, so they pad a block without ever matching.
-    Returns the edges in C order, i.e. sorted by (frame, i, j): their rows
-    of ``proj.reshape(-1, 2)`` and ``dets.reshape(-1, 2)`` and their costs
-    ``hypot(du, dv)``, each at most ``radius``.
-    """
-    n_l, n_c = proj.shape[-2], dets.shape[-2]
-    du = proj[..., :, None, 0] - dets[..., None, :, 0]
-    dv = proj[..., :, None, 1] - dets[..., None, :, 1]
+def _within(du: np.ndarray, dv: np.ndarray, radius: float):
+    """The positions, as :func:`numpy.nonzero` gives them, of the
+    differences whose cost ``hypot(du, dv)`` is at most ``radius``, and
+    those costs. A squared-distance prefilter spares most ``hypot`` calls;
+    ``hypot`` alone decides."""
     idx = np.nonzero(du * du + dv * dv <= radius * radius * (1.0 + _PREFILTER_SLACK))
     cost = np.hypot(du[idx], dv[idx])
     admitted = cost <= radius
-    *frame, li, ci = [k[admitted] for k in idx]
-    if frame:
-        li = frame[0] * n_l + li
-        ci = frame[0] * n_c + ci
-    return li, ci, cost[admitted]
+    return tuple(k[admitted] for k in idx), cost[admitted]
+
+
+def _grid_edges(proj: np.ndarray, dets: np.ndarray, radius: float):
+    """Every edge within ``radius`` between the ``(L, 2)`` and ``(C, 2)``
+    arrays of one frame, by the full cost grid.
+
+    Returns the edges sorted by (i, j): their rows of ``proj`` and ``dets``
+    and their costs ``hypot(du, dv)``, each at most ``radius``.
+    """
+    du = proj[:, None, 0] - dets[None, :, 0]
+    dv = proj[:, None, 1] - dets[None, :, 1]
+    (li, ci), cost = _within(du, dv, radius)
+    return li, ci, cost
 
 
 def _take(lidar: np.ndarray, camera: np.ndarray, n_lidar: int, n_camera: int) -> list[int]:
@@ -165,42 +165,15 @@ def match_edges(projected, detections, lidar, camera, frame_of, gate: MatchGate)
     return MatchSet(lidar=lidar[taken], camera=camera[taken], cost=cost[taken])
 
 
-def _batches(lidar_counts: np.ndarray, camera_counts: np.ndarray):
-    """Split the frames into consecutive ``(start, stop)`` runs whose padded
-    block stays within ``_BATCH_CELLS`` cells."""
-    start, width_l, width_c = 0, 1, 1
-    for s, (n_l, n_c) in enumerate(zip(lidar_counts.tolist(), camera_counts.tolist())):
-        width_l, width_c = max(width_l, n_l), max(width_c, n_c)
-        if s > start and (s + 1 - start) * width_l * width_c > _BATCH_CELLS:
-            yield start, s
-            start, width_l, width_c = s, max(n_l, 1), max(n_c, 1)
-    if start < len(lidar_counts):
-        yield start, len(lidar_counts)
-
-
-def _pack(points: np.ndarray, offsets: np.ndarray, counts: np.ndarray):
-    """Block of the S consecutive frames of ``points`` that start at
-    ``offsets`` and hold ``counts`` rows, plus the row of ``points`` behind
-    each block row (-1 for padding). One frame is its own ``(n, 2)`` slice;
-    more are a NaN-padded ``(S, width, 2)`` block."""
-    first, n = int(offsets[0]), int(counts.sum())
-    rows = np.arange(first, first + n)
-    if len(counts) == 1:
-        return points[first : first + n], rows
-    real = np.arange(counts.max()) < counts[:, None]
-    block = np.full(real.shape + (2,), np.nan)
-    block[real] = points[first : first + n]
-    block_rows = np.full(real.size, -1, dtype=np.intp)
-    block_rows[real.ravel()] = rows
-    return block, block_rows
-
-
 def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
     """Per-frame row counts as ``(F,)`` integer arrays, checked to partition
     ``n_lidar`` LiDAR and ``n_camera`` camera rows into frames; raises
-    ``ValueError`` otherwise."""
-    lidar_counts = np.asarray(lidar_counts, dtype=np.intp)
-    camera_counts = np.asarray(camera_counts, dtype=np.intp)
+    ``ValueError`` otherwise, or when a count is not an integer."""
+    given = np.asarray(lidar_counts), np.asarray(camera_counts)
+    with np.errstate(invalid="ignore"):
+        lidar_counts, camera_counts = (counts.astype(np.intp) for counts in given)
+    if not (np.array_equal(lidar_counts, given[0]) and np.array_equal(camera_counts, given[1])):
+        raise ValueError("frame counts must be integers")
     if (
         len(lidar_counts) != len(camera_counts)
         or lidar_counts.sum() != n_lidar
@@ -214,8 +187,8 @@ def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
 
 def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: float):
     """Every within-frame edge of a stream whose cost ``hypot(du, dv)`` is at
-    most ``radius``, found by the cost grid of NaN-padded batches of whole
-    frames.
+    most ``radius``, found by a band search over the detections sorted by
+    (frame, u).
 
     The arrays and counts are as in :func:`greedy_match`. Returns the
     edges' ``(E,)`` LiDAR and camera rows, sorted by (LiDAR row, camera
@@ -224,18 +197,40 @@ def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: 
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
     lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
-    lidar_offsets = np.cumsum(lidar_counts) - lidar_counts
-    camera_offsets = np.cumsum(camera_counts) - camera_counts
-    lidar_out = [np.empty(0, dtype=np.intp)]
-    camera_out = [np.empty(0, dtype=np.intp)]
-    for a, b in _batches(lidar_counts, camera_counts):
-        proj_block, lidar_rows = _pack(proj, lidar_offsets[a:b], lidar_counts[a:b])
-        det_block, camera_rows = _pack(dets, camera_offsets[a:b], camera_counts[a:b])
-        # C order within a block, and block rows map to increasing rows.
-        li, ci, _ = _grid_edges(proj_block, det_block, radius)
-        lidar_out.append(lidar_rows[li])
-        camera_out.append(camera_rows[ci])
-    return np.concatenate(lidar_out), np.concatenate(camera_out)
+    # A row that is not finite has no edge.
+    lidar = np.flatnonzero(np.isfinite(proj).all(axis=1))
+    camera = np.flatnonzero(np.isfinite(dets).all(axis=1))
+    if not len(lidar) or not len(camera):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    # A row's key is its frame times a stride plus its u clipped to the
+    # detections' span [lo, hi]. Clipping is 1-Lipschitz, so a detection
+    # whose u lies within ``radius`` of a LiDAR row's keys within ``reach``
+    # of that row's key; the 1 px pad covers the keys' rounding. No two keys
+    # of a frame lie further apart than the span, so a huge radius reaches
+    # no further than the whole frame, and the stride keeps each band
+    # inside its frame.
+    u = dets[camera, 0]
+    lo, hi = u.min(), u.max()
+    reach = min(radius, hi - lo) + 1.0
+    stride = hi - lo + 2.0 * reach
+    frames = np.arange(len(lidar_counts))
+    camera_key = np.repeat(frames, camera_counts)[camera] * stride + (u - lo)
+    order = np.argsort(camera_key)
+    camera, camera_key = camera[order], camera_key[order]
+    lidar_key = np.repeat(frames, lidar_counts)[lidar] * stride + (np.clip(proj[lidar, 0], lo, hi) - lo)
+    lidar_out, camera_out = [], []
+    for start in range(0, len(lidar), _BAND_CHUNK):
+        key = lidar_key[start : start + _BAND_CHUNK]
+        first = np.searchsorted(camera_key, key - reach, side="left")
+        widths = np.searchsorted(camera_key, key + reach, side="right") - first
+        li = np.repeat(lidar[start : start + _BAND_CHUNK], widths)
+        ci = camera[np.arange(widths.sum()) + np.repeat(first - (np.cumsum(widths) - widths), widths)]
+        (k,), _ = _within(proj[li, 0] - dets[ci, 0], proj[li, 1] - dets[ci, 1], radius)
+        lidar_out.append(li[k])
+        camera_out.append(ci[k])
+    lidar, camera = np.concatenate(lidar_out), np.concatenate(camera_out)
+    order = np.lexsort((camera, lidar))
+    return lidar[order], camera[order]
 
 
 def greedy_match(
@@ -257,7 +252,9 @@ def greedy_match(
     """
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
-    if lidar_counts is None and camera_counts is None:
+    if (lidar_counts is None) != (camera_counts is None):
+        raise ValueError("give both frame counts or neither")
+    if lidar_counts is None:
         return _greedy(proj, dets, gate.max_distance)
     lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
     lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate.max_distance)

@@ -39,8 +39,8 @@ class RansacConfig:
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if not self.inlier_threshold > 0:
-            raise ValueError(f"inlier_threshold must be > 0, got {self.inlier_threshold}")
+        if not 0.0 < self.inlier_threshold < math.inf:
+            raise ValueError(f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}")
         if not 0.0 < self.min_inlier_ratio <= 1.0:
             raise ValueError(f"min_inlier_ratio must be in (0, 1], got {self.min_inlier_ratio}")
         if not 0.0 < self.confidence < 1.0:

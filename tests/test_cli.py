@@ -537,6 +537,36 @@ class TestInputValidation:
         assert not refined.exists()
 
     @pytest.mark.parametrize(
+        "flags, config",
+        [
+            pytest.param(["--threshold", "inf"], None, id="flag"),
+            pytest.param([], '{"ransac": {"inlier_threshold": 1e400}}', id="config"),
+        ],
+    )
+    def test_infinite_ransac_threshold_exits_2(self, tmp_path, sim_dir, capsys, flags, config):
+        # An infinite threshold used to pass the check and make every pair
+        # an inlier: calibrate exited 0 with a coarse matrix 88 px off on a
+        # 60-frame scene.
+        cfg, out = sim_dir
+        if config is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(config)
+        matrix = tmp_path / "m.json"
+        code = main(
+            [
+                "--config", str(cfg),
+                *flags,
+                "calibrate",
+                "--frames", str(out / "frames.jsonl"),
+                "--oracle", str(out / "oracle_pairs.jsonl"),
+                "--out", str(matrix),
+            ]
+        )
+        assert code == 2
+        assert "inlier_threshold must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not matrix.exists()
+
+    @pytest.mark.parametrize(
         "scene, message",
         [
             (

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from calibrefine import matching
 from calibrefine.geometry import PixelPoint
-from calibrefine.matching import MatchGate, candidate_edges, greedy_match, match_edges
+from calibrefine.matching import (
+    MatchGate,
+    candidate_edges,
+    frame_counts,
+    greedy_match,
+    match_edges,
+)
 
 from conftest import naive_greedy, point_array
 
@@ -218,6 +224,22 @@ class TestGreedyMatchFrames:
         with pytest.raises(ValueError):
             greedy_match(np.zeros((2, 2)), np.zeros((2, 2)), MatchGate(40.0), [1, 1], [2])
 
+    def test_counts_must_be_integers(self):
+        # Fractional counts used to be floored: [1.9, 0.9] read as [1, 0].
+        proj, dets = np.zeros((2, 2)), np.zeros((2, 2))
+        for counts in ([1.9, 0.9], [np.nan, 2.0], [np.inf, 2.0]):
+            with pytest.raises(ValueError, match="must be integers"):
+                greedy_match(proj[:1], dets, MatchGate(40.0), counts, [2, 0])
+        with pytest.raises(ValueError, match="must be integers"):
+            frame_counts([1.9, 0.9], [2, 0], 1, 2)
+        assert [c.tolist() for c in frame_counts([2.0, 0.0], [1, 1], 2, 2)] == [[2, 0], [1, 1]]
+
+    @pytest.mark.parametrize("which", ["lidar", "camera"])
+    def test_counts_come_in_pairs(self, which):
+        counts = {f"{which}_counts": [1, 1]}
+        with pytest.raises(ValueError, match="give both frame counts or neither"):
+            greedy_match(np.zeros((2, 2)), np.zeros((2, 2)), MatchGate(40.0), **counts)
+
 
 class TestGreedyMatchFramesHypothesis:
     @settings(max_examples=300)
@@ -228,10 +250,11 @@ class TestGreedyMatchFramesHypothesis:
     @settings(max_examples=200)
     @given(frames=_streams, gate=_gates)
     def test_batch_size_does_not_change_the_result(self, frames, gate):
-        # The grid's batches of frames and the sweep's chunks of edges.
+        # The band search's chunks of LiDAR rows, whose boundaries fall
+        # inside frames, and the sweep's chunks of edges.
         proj, dets, _, _ = stream_arrays_of(frames)
         expected = match_stream(frames, gate), greedy_match(proj, dets, MatchGate(gate)).matches
-        sizes = (("_BATCH_CELLS", 1), ("_BATCH_CELLS", 7), ("_SWEEP_CHUNK", 1), ("_SWEEP_CHUNK", 3))
+        sizes = (("_BAND_CHUNK", 1), ("_BAND_CHUNK", 7), ("_SWEEP_CHUNK", 1), ("_SWEEP_CHUNK", 3))
         for name, size in sizes:
             with mock.patch.object(matching, name, size):
                 assert (
@@ -240,22 +263,176 @@ class TestGreedyMatchFramesHypothesis:
                 ) == expected
 
 
+def naive_edges(frames, radius):
+    """Every within-frame (LiDAR row, camera row) pair whose hypot is at
+    most ``radius``, pair by pair, in (LiDAR row, camera row) order."""
+    expected = []
+    lidar_offset = camera_offset = 0
+    for p, d in frames:
+        for i in range(len(p)):
+            for j in range(len(d)):
+                with np.errstate(invalid="ignore"):
+                    cost = np.hypot(p[i, 0] - d[j, 0], p[i, 1] - d[j, 1])
+                if cost <= radius:
+                    expected.append((lidar_offset + i, camera_offset + j))
+        lidar_offset += len(p)
+        camera_offset += len(d)
+    return expected
+
+
+def band_edges(frames, radius):
+    proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
+    lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, radius)
+    return list(zip(lidar.tolist(), camera.tolist()))
+
+
+def frame(*uv):
+    return np.array(uv, dtype=float).reshape(-1, 2)
+
+
+_ULP_PAST_14 = np.nextafter(14.0, np.inf)
+_ULP_PAST_6 = np.nextafter(6.0, -np.inf)
+
+
+class TestBandSearch:
+    """The band search against a pair-by-pair search, on its edge cases."""
+
+    @pytest.mark.parametrize(
+        "frames, radius, n_edges",
+        [
+            pytest.param(
+                [(frame((10, 0)), frame((14, 0), (6, 0), (_ULP_PAST_14, 0), (_ULP_PAST_6, 0)))],
+                4.0,
+                2,
+                id="u-exactly-at-radius",
+            ),
+            pytest.param(
+                [(frame((10, 0), (10, 3)), frame((13, 0), (7, 0), (13, 1), (7, 9)))],
+                3.0,
+                2,
+                id="u-at-radius-v-apart",
+            ),
+            pytest.param(
+                [
+                    (frame((3, 0), (3, 1), (3, 1)), frame((3, 0), (3, 2), (3, 0), (4, 9))),
+                    (frame((3, 0)), frame((3, 0), (3, 0))),
+                    (frame((3, 5)), frame((3, 5), (3, 4))),
+                ],
+                1.0,
+                12,
+                id="repeated-u-within-and-across-frames",
+            ),
+            pytest.param(
+                [
+                    (
+                        frame((np.nan, 0), (0, np.nan), (np.inf, 0), (-np.inf, 0), (0, np.inf), (1, 1)),
+                        frame((1, 1), (np.inf, 1), (-np.inf, -np.inf), (np.nan, np.nan), (0, 0)),
+                    ),
+                    (frame((np.inf, np.inf)), frame((np.inf, np.inf))),
+                    (frame((0, 0)), frame((np.nan, 0))),
+                ],
+                5.0,
+                2,
+                id="nan-and-inf-rows",
+            ),
+            pytest.param(
+                [
+                    (frame(), frame()),
+                    (frame((1, 1)), frame()),
+                    (frame(), frame((1, 1))),
+                    (frame((2, 2)), frame((2, 3))),
+                    (frame(), frame()),
+                ],
+                5.0,
+                1,
+                id="empty-and-one-sided-frames",
+            ),
+            pytest.param(
+                [
+                    (frame((1e12, 5), (-1e12, 5), (1900, 5)), frame((0, 5), (1919, 5))),
+                    (frame((-1e12, 0)), frame((0, 0))),
+                ],
+                40.0,
+                1,
+                id="u-far-outside-the-image",
+            ),
+            pytest.param(
+                [(frame((1e12, 0), (-5e11, 0)), frame((1e12 - 30, 0), (1919, 5), (-5e11 + 1, 1)))],
+                2e12,
+                6,
+                id="u-far-outside-within-a-huge-radius",
+            ),
+            pytest.param(
+                [(frame((0, 0)), frame((0, 40), (1e9, 0)))],
+                40.0,
+                1,
+                id="detection-far-outside-the-image",
+            ),
+            pytest.param(
+                [
+                    (frame((0, 0), (1919, 1079)), frame((5, 5), (1900, 1000))),
+                    (frame((1000, 500)), frame((0, 0), (1919, 1079), (5, 5))),
+                    (frame(), frame((3, 3))),
+                    (frame((7, 7), (8, 8)), frame((1919, 0))),
+                ],
+                1e7,
+                9,
+                id="huge-radius-over-several-frames",
+            ),
+            pytest.param(
+                [
+                    (frame((0, 0), (-50, 2000)), frame((5, 5), (1900, 1000), (1e6, 0))),
+                    (frame((1000, 500)), frame((0, 0))),
+                    (frame((1919, 1079)), frame()),
+                ],
+                1e300,
+                7,
+                id="largest-gates-over-several-frames",
+            ),
+        ],
+    )
+    def test_equals_pair_by_pair_search(self, frames, radius, n_edges):
+        edges = band_edges(frames, radius)
+        assert edges == naive_edges(frames, radius)
+        assert len(edges) == n_edges
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edges_at_the_radius_survive_the_keys_rounding(self, seed):
+        # One LiDAR row per frame with a detection at exactly u +- r: the
+        # frame term makes the keys round, and without the 1 px pad some of
+        # these edges fall just outside the band.
+        rng = np.random.default_rng(seed)
+        u, radius = rng.uniform(0, 1920, 40), float(rng.uniform(0.1, 50))
+        side = rng.choice([-1.0, 1.0], 40)
+        frames = [(frame((a, 0)), frame((a + s * radius, 0))) for a, s in zip(u, side)]
+        frames.append((frame(), frame((0, 0))))
+        assert band_edges(frames, radius) == naive_edges(frames, radius)
+
+    @settings(max_examples=200)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([0.0, 3.0, -4.0, 1e9, np.nan, np.inf, -np.inf]), _coords
+                    ),
+                    max_size=6,
+                ).map(frame),
+                _lattice_points,
+            ),
+            max_size=6,
+        ),
+        radius=st.sampled_from([0.5, 3.0, 4.0, 7.0, 1e7]),
+    )
+    def test_equals_pair_by_pair_search_with_odd_projections(self, frames, radius):
+        assert band_edges(frames, radius) == naive_edges(frames, radius)
+
+
 class TestEdgeListHypothesis:
     @settings(max_examples=300)
     @given(frames=_streams, radius=_gates)
     def test_candidate_edges_are_every_edge_within_the_radius(self, frames, radius):
-        proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
-        lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, radius)
-        expected = []
-        lidar_offset = camera_offset = 0
-        for p, d in frames:
-            for i in range(len(p)):
-                for j in range(len(d)):
-                    if np.hypot(p[i, 0] - d[j, 0], p[i, 1] - d[j, 1]) <= radius:
-                        expected.append((lidar_offset + i, camera_offset + j))
-            lidar_offset += len(p)
-            camera_offset += len(d)
-        assert list(zip(lidar.tolist(), camera.tolist())) == expected
+        assert band_edges(frames, radius) == naive_edges(frames, radius)
 
     @settings(max_examples=300)
     @given(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,11 @@ class TestRansacExamples:
             RansacConfig(min_inlier_ratio=0.0)
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.inf, math.nan])
+    def test_inlier_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="inlier_threshold must be finite and > 0"):
+            RansacConfig(inlier_threshold=threshold)
 
 
 class TestRansacProperties:
