@@ -30,7 +30,11 @@ class BlockGrid:
     def __post_init__(self):
         for name in ("image_width", "image_height", "blocks_x", "blocks_y"):
             value = getattr(self, name)
-            if int(value) != value or value <= 0:
+            try:
+                whole = int(value) == value
+            except (TypeError, ValueError, OverflowError):  # "5", nan, inf
+                whole = False
+            if not whole or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value}")
         if self.blocks_x * self.blocks_y < 4:
             raise ValueError(

@@ -4,10 +4,11 @@ points and their nearest camera detections. The nearest-neighbor pairings
 are the supervision; they are rebuilt after every solver pass (an "outer
 round") because they depend on the current H*. Each solver pass is the
 shared geometric refit ``refine_homography`` on H* itself, so the stage is
-ICP over the same refiner RANSAC uses. Between rounds the projections move
-by about a pixel, so a fit carries the candidate edges of its first pairing
-through its later ones (:class:`CarriedEdges`) instead of searching every
-frame again.
+ICP over the same refiner RANSAC uses. A fit concatenates its stream once
+into a :class:`CarriedEdges`, which checks the frame counts and serves every
+pairing of that stream. Between rounds the projections move by about a
+pixel, so it carries the candidate edges of the first pairing through the
+later ones instead of searching every frame again.
 """
 from __future__ import annotations
 
@@ -73,45 +74,38 @@ _STABLE_SLACK = 1e-9
 
 
 class CarriedEdges:
-    """Candidate edges that one fit carries from pairing to pairing.
+    """One stream's arrays and the candidate edges its pairings carry from
+    one to the next.
 
-    Empty when made. The first pairing it is passed to *anchors* it: it keeps
-    that pairing's projection of every LiDAR row, which rows were
-    projectable, and every within-frame edge within the gate plus a margin,
-    indexed by stream rows. A later pairing under another matrix scores a
-    *stable* row, one projectable under both whose pixel moved at most the
-    margin (less a slack), on its carried edges only: an edge the gate admits
-    now lies within the gate plus that move of the anchor pixel, so it is
-    among them. Any other projectable row is scored against every detection
-    of its frame. When those rows would add more edges than are carried, the
-    pairing anchors again instead. An anchor serves only the stream arrays,
-    frame counts and gate it was built on; any other stream anchors anew.
+    Made on the stream's ``(N, 2)`` ground and ``(M, 2)`` pixel arrays,
+    concatenated in frame order, each frame's number of rows in them and the
+    gate; raises ``ValueError`` when the counts do not partition the arrays.
+    The first pairing *anchors* it: it keeps that pairing's projection of
+    every LiDAR row, which rows were projectable, and every within-frame edge
+    within the gate plus a margin. A later pairing under another matrix
+    scores a *stable* row, one projectable under both whose pixel moved at
+    most the margin (less a slack), on its carried edges only: an edge the
+    gate admits now lies within the gate plus that move of the anchor pixel,
+    so it is among them. Any other projectable row is scored against every
+    detection of its frame. When those rows would add more edges than are
+    carried, the pairing anchors again instead.
     """
 
-    def __init__(self) -> None:
-        self._stream: tuple = ()
-        self.uv = self.ok = self.lidar = self.camera = np.empty(0)
-
-    def _anchored_on(self, stream: tuple) -> bool:
-        if not self._stream:
-            return False
-        (xy, uv, lidar_counts, camera_counts, gate), new = self._stream, stream
-        return (
-            xy is new[0]
-            and uv is new[1]
-            and np.array_equal(lidar_counts, new[2])
-            and np.array_equal(camera_counts, new[3])
-            and gate == new[4]
+    def __init__(self, lidar_xy, camera_uv, lidar_counts, camera_counts, gate: MatchGate) -> None:
+        lidar_counts, self.camera_counts = frame_counts(
+            lidar_counts, camera_counts, len(lidar_xy), len(camera_uv)
         )
+        self.lidar_xy, self.camera_uv, self.gate = lidar_xy, camera_uv, gate
+        self.frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
+        self.uv = self.ok = self.lidar = self.camera = None  # no anchor yet
 
-    def edges(self, uv, ok, frame_of, stream: tuple):
+    def edges(self, uv, ok):
         """The candidate edges ``(lidar rows, camera rows)`` for a pairing
-        that projects the LiDAR rows to ``uv``, projectable where ``ok``;
-        ``frame_of`` gives each row's frame and ``stream`` is the pairing's
-        ``(lidar_xy, camera_uv, lidar_counts, camera_counts, gate)``."""
-        _, camera_uv, _, camera_counts, gate = stream
-        margin = _CARRY_MARGIN * gate.max_distance
-        if self._anchored_on(stream):
+        that projects the stream's LiDAR rows to ``uv``, projectable where
+        ``ok``."""
+        camera_counts, frame_of = self.camera_counts, self.frame_of
+        margin = _CARRY_MARGIN * self.gate.max_distance
+        if self.uv is not None:
             with np.errstate(invalid="ignore", over="ignore"):
                 moved = np.hypot(uv[:, 0] - self.uv[:, 0], uv[:, 1] - self.uv[:, 1])
             stable = ok & self.ok & (moved <= margin * (1.0 - _STABLE_SLACK))
@@ -131,45 +125,26 @@ class CarriedEdges:
         kept = np.flatnonzero(ok)
         kept_counts = np.bincount(frame_of[kept], minlength=len(camera_counts))
         lidar, camera = candidate_edges(
-            uv[kept], camera_uv, kept_counts, camera_counts, gate.max_distance + margin
+            uv[kept], self.camera_uv, kept_counts, camera_counts, self.gate.max_distance + margin
         )
-        self._stream = stream
         self.uv, self.ok, self.lidar, self.camera = uv, ok, kept[lidar], camera
         return self.lidar, self.camera
 
 
-def implicit_pairs(
-    h: Homography,
-    lidar_xy: np.ndarray,
-    camera_uv: np.ndarray,
-    lidar_counts,
-    camera_counts,
-    gate: MatchGate,
-    carried: CarriedEdges | None = None,
-) -> Pairs:
-    """Pair each projected LiDAR point with its nearest camera detection
-    inside the gate (greedy, one-to-one, within its frame); degenerate
-    projections are skipped.
+def implicit_pairs(h: Homography, stream: CarriedEdges) -> Pairs:
+    """Pair each projected LiDAR point of ``stream`` with its nearest camera
+    detection inside the stream's gate (greedy, one-to-one, within its
+    frame); degenerate projections are skipped.
 
-    Takes the stream's ``(N, 2)`` ground and ``(M, 2)`` pixel arrays,
-    concatenated in frame order, and each frame's number of rows in them;
-    raises ``ValueError`` when the counts do not partition the arrays.
     Returns the paired ``(K, 2)`` ground and pixel arrays, frame by frame
-    and each frame in greedy order. Successive pairings of one stream that
-    share ``carried`` reuse the candidate edges it holds; the result is the
-    same without it.
+    and each frame in greedy order. Successive pairings of one stream reuse
+    the candidate edges it carries; the result is the same as pairing from
+    scratch.
     """
-    lidar_counts, camera_counts = frame_counts(
-        lidar_counts, camera_counts, len(lidar_xy), len(camera_uv)
-    )
-    frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
-    uv, ok = projection_mask(h.m, lidar_xy)
-    if carried is None:
-        carried = CarriedEdges()
-    stream = (lidar_xy, camera_uv, lidar_counts, camera_counts, gate)
-    lidar, camera = carried.edges(uv, ok, frame_of, stream)
-    matched = match_edges(uv, camera_uv, lidar, camera, frame_of, gate)
-    return lidar_xy[matched.lidar], camera_uv[matched.camera]
+    uv, ok = projection_mask(h.m, stream.lidar_xy)
+    lidar, camera = stream.edges(uv, ok)
+    matched = match_edges(uv, stream.camera_uv, lidar, camera, stream.frame_of, stream.gate)
+    return stream.lidar_xy[matched.lidar], stream.camera_uv[matched.camera]
 
 
 def reprojection_loss(
@@ -243,11 +218,10 @@ def fit_correction_stream(
     pairings the refinement is not applicable: raises ``InsufficientPairs``,
     or returns an identity correction when ``lenient`` is set.
     """
-    xy, uv, lidar_counts, camera_counts = stream_arrays(frames)
-    carried = CarriedEdges()
+    stream = CarriedEdges(*stream_arrays(frames), cfg.gate)
 
     def pair_fn(g: Homography) -> Pairs:
-        return implicit_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate, carried)
+        return implicit_pairs(g, stream)
 
     pairs = pair_fn(h)
     n_pairs = len(pairs[0])

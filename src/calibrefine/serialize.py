@@ -43,10 +43,11 @@ def _frame_id(value) -> int:
     return value
 
 
-def _require_numbers(values) -> None:
-    """Coordinates must be JSON numbers (not "1.5", true or null)."""
+def _require_numbers(values, what: str = "coordinates") -> None:
+    """A record's ``what``, its coordinates unless named, must be JSON
+    numbers (not "1.5", true or null)."""
     if not {*map(type, values)} <= {int, float}:
-        raise TypeError("coordinates must be JSON numbers")
+        raise TypeError(f"{what} must be JSON numbers")
 
 
 # -- homographies -------------------------------------------------------------
@@ -56,6 +57,7 @@ def homography_to_dict(h: Homography) -> dict:
 
 
 def homography_from_dict(d: dict) -> Homography:
+    _require_numbers(chain(*d["h"]), "matrix entries")
     return Homography(d["h"])  # constructor re-canonicalizes any scale
 
 

@@ -149,6 +149,56 @@ def test_run_full_reaches_the_wrapped_block_functions(monkeypatch):
     assert [name for name, made in calls.items() if not made] == []
 
 
+CORRECTION_FUNCTIONS = ("fit_correction_stream", "reprojection_loss", "implicit_pairs")
+
+
+def assert_correction_reached(calls: dict) -> None:
+    """One fit that paired through the module global ``implicit_pairs``:
+    once for its first pairing and once per accepted round after it."""
+    (fit,) = calls["fit_correction_stream"]
+    assert len(fit.loss_trace) >= 2
+    assert len(calls["implicit_pairs"]) >= len(fit.loss_trace)
+    assert calls["reprojection_loss"]
+
+
+def test_run_full_and_cli_refine_reach_the_wrapped_correction_functions(tmp_path, monkeypatch):
+    # Every traced workload requires all three; a fit that pairs through a
+    # private function leaves ``implicit_pairs`` with no call.
+    calls = {name: count_calls(monkeypatch, "correction", name) for name in CORRECTION_FUNCTIONS}
+    scene = SceneConfig(seed=2, n_frames=60, n_objects=8)
+    sim_frames, gt = generate(scene)
+    by_id = {sf.frame.frame_id: sf for sf in sim_frames}
+    cfg = pipeline.PipelineConfig(
+        grid=BlockGrid(scene.image_width, scene.image_height),
+        ransac=RansacConfig(seed=2),
+        refine=refine.RefineConfig(recalib_interval=20),
+    )
+    pipeline.run_full(
+        [sf.frame for sf in sim_frames],
+        lambda frame: oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, scene.seed),
+        cfg,
+        gt.correspondences(),
+    )
+    assert_correction_reached(calls)
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": {"n_frames": 30, "n_objects": 8, "seed": 1}}))
+    common = ["--config", str(config)]
+    sim, coarse = tmp_path / "sim", tmp_path / "coarse.json"
+    assert main(common + ["simulate", "--out", str(sim)]) == 0
+    assert main(common + [
+        "calibrate", "--frames", str(sim / "frames.jsonl"),
+        "--oracle", str(sim / "oracle_pairs.jsonl"), "--out", str(coarse),
+    ]) == 0
+    for made in calls.values():
+        made.clear()
+    assert main(common + [
+        "refine", "--frames", str(sim / "frames.jsonl"), "--matrix", str(coarse),
+        "--mode", "both", "--out", str(tmp_path / "refined.json"),
+    ]) == 0
+    assert_correction_reached(calls)
+
+
 def test_cli_calibrate_and_iterative_refine_reach_the_wrapped_block_functions(tmp_path, monkeypatch):
     # The benchmark's traced cli run requires all three.
     config = tmp_path / "config.json"

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,22 @@ class TestBlockOf:
             BlockGrid(0, 100)
         with pytest.raises(ValueError):
             BlockGrid(100, 100, 1, 2)  # fewer than 4 blocks
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("blocks_x", 2.5),
+            ("blocks_x", math.inf),
+            ("blocks_y", -math.inf),
+            ("image_width", math.nan),
+            ("image_height", 1080.5),
+            ("blocks_y", "5"),
+        ],
+    )
+    def test_grid_fields_must_be_positive_integers(self, name, value):
+        args = {"image_width": 1920, "image_height": 1080, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            BlockGrid(**args)
 
 
 class TestKeptBlocks:

@@ -788,8 +788,16 @@ class TestInputValidation:
         [
             ('{"h": [[1.0, 0.0], [0.0, 1.0]', "Expecting"),
             (json.dumps({"h": [[1.0, 0.0], [0.0, 1.0]]}), "homography must be 3x3"),
+            (
+                json.dumps({"h": [["1.0", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+                "matrix entries must be JSON numbers",
+            ),
+            (
+                json.dumps({"h": [[1.0, False, 0.0], [0.0, True, 0.0], [0.0, 0.0, 1.0]]}),
+                "matrix entries must be JSON numbers",
+            ),
         ],
-        ids=["not-json", "2x2"],
+        ids=["not-json", "2x2", "string", "bool"],
     )
     def test_malformed_matrix_file_names_the_file_and_exits_2(
         self, tmp_path, sim_dir, capsys, text, reason

@@ -52,32 +52,31 @@ def scene_homography():
     return Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.0, 0.0, 1.0]])
 
 
+def one_frame(lidar, camera, gate=MatchGate(40.0)) -> CarriedEdges:
+    """The stream of one frame holding the given points."""
+    return CarriedEdges(point_array(lidar), point_array(camera), [len(lidar)], [len(camera)], gate)
+
+
 class TestImplicitPairs:
     def test_exact_overlay_pairs_everything(self):
         rng = np.random.default_rng(0)
         h = scene_homography()
         lidar, camera = dense_scene(rng, h, 30)
-        xy, uv = implicit_pairs(
-            h, point_array(lidar), point_array(camera), [len(lidar)], [len(camera)], MatchGate(40.0)
-        )
+        xy, uv = implicit_pairs(h, one_frame(lidar, camera))
         assert len(xy) == 30
 
     def test_gate_excludes_all(self):
         h = scene_homography()
         lidar = [PlanePoint(0.0, 0.0)]
         camera = [PixelPoint(project(h, lidar[0]).u + 100.0, project(h, lidar[0]).v)]
-        xy, uv = implicit_pairs(
-            h, point_array(lidar), point_array(camera), [len(lidar)], [len(camera)], MatchGate(40.0)
-        )
+        xy, uv = implicit_pairs(h, one_frame(lidar, camera))
         assert xy.shape == (0, 2) and uv.shape == (0, 2)
 
     def test_injection_two_projections_one_detection(self):
         h = Homography.identity()
         lidar = [PlanePoint(0.0, 0.0), PlanePoint(1.0, 0.0)]
         camera = [PixelPoint(0.4, 0.0)]
-        xy, uv = implicit_pairs(
-            h, point_array(lidar), point_array(camera), [len(lidar)], [len(camera)], MatchGate(40.0)
-        )
+        xy, uv = implicit_pairs(h, one_frame(lidar, camera))
         assert len(xy) == 1
         assert tuple(xy[0]) == (lidar[0].x, lidar[0].y)  # the nearer projection wins
 
@@ -90,14 +89,14 @@ class TestImplicitPairs:
         lidar = [[c.lidar for c in f] for f in frames]
         camera = [[c.pixel for c in f] for f in frames]
         lidar[1].insert(1, PlanePoint(-1000.0, 0.5))
-        xy, uv = implicit_pairs(
-            h,
+        stream = CarriedEdges(
             point_array([p for f in lidar for p in f]),
             point_array([p for f in camera for p in f]),
             [len(f) for f in lidar],
             [len(f) for f in camera],
             MatchGate(40.0),
         )
+        xy, uv = implicit_pairs(h, stream)
 
         expected_xy, expected_uv = [], []
         for frame_lidar, frame_camera in zip(lidar, camera):
@@ -252,14 +251,7 @@ class TestFitCorrectionHypothesis:
         assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
         assert np.max(np.abs(compose(h0, result.h_delta).m - result.h_star.m)) <= 1e-12
         # the last trace entry is the loss of h_star on its own pairing
-        xy, uv = implicit_pairs(
-            result.h_star,
-            point_array(_PERTURBED_SCENE[0]),
-            point_array(_NOISY_CAMERA),
-            [len(_PERTURBED_SCENE[0])],
-            [len(_NOISY_CAMERA)],
-            cfg.gate,
-        )
+        xy, uv = implicit_pairs(result.h_star, one_frame(_PERTURBED_SCENE[0], _NOISY_CAMERA, cfg.gate))
         assert len(xy) == result.pairs_used
         assert reprojection_loss(result.h_star, np.eye(3), xy, uv) == pytest.approx(trace[-1], rel=1e-9)
 
@@ -334,7 +326,7 @@ class TestImplicitPairsBoundary:
     def test_counts_must_partition_the_arrays(self, lidar_counts, camera_counts):
         lidar, camera = np.zeros((3, 2)), np.zeros((2, 2))
         with pytest.raises(ValueError, match="frame counts do not partition"):
-            implicit_pairs(scene_homography(), lidar, camera, lidar_counts, camera_counts, MatchGate(40.0))
+            CarriedEdges(lidar, camera, lidar_counts, camera_counts, MatchGate(40.0))
 
 
 # w = 0 on the ground line x = -1000: points there project degenerately.
@@ -348,15 +340,16 @@ def same_arrays(got, want) -> bool:
 
 def pair_in_turn(matrices, frames) -> tuple[CarriedEdges, list[int]]:
     """Pair one stream of ``(lidar, camera)`` frames under each matrix in
-    turn, all pairings sharing one CarriedEdges, and check each against the
-    from-scratch grid reference; returns the CarriedEdges and pair counts."""
+    turn, all pairings through the stream's one CarriedEdges, and check each
+    against the from-scratch grid reference; returns the CarriedEdges and
+    pair counts."""
     xy, uv, lidar_counts, camera_counts = stream_arrays(
         Frame(fid, lidar, camera) for fid, (lidar, camera) in enumerate(frames)
     )
-    carried = CarriedEdges()
+    carried = CarriedEdges(xy, uv, lidar_counts, camera_counts, _GATE)
     counts = []
     for h in matrices:
-        got = implicit_pairs(h, xy, uv, lidar_counts, camera_counts, _GATE, carried)
+        got = implicit_pairs(h, carried)
         assert same_arrays(got, grid_pairs(h, xy, uv, lidar_counts, camera_counts, _GATE))
         counts.append(len(got[0]))
     return carried, counts
@@ -522,19 +515,6 @@ class TestCarriedEdgesExamples:
         assert np.array_equal(carried.uv, projected(_HORIZON, xy))
         carried, _ = pair_in_turn([_HORIZON, small, large], frames)
         assert np.array_equal(carried.uv, projected(large, xy))
-
-    def test_another_stream_anchors_anew(self):
-        rng = np.random.default_rng(5)
-        xy = rng.uniform(-5.0, 5.0, (8, 2))
-        uv = projected(_HORIZON, xy) + 1.0
-        carried = CarriedEdges()
-        implicit_pairs(_HORIZON, xy, uv, [8], [8], _GATE, carried)
-        other_uv = uv[::-1].copy()
-        got = implicit_pairs(_HORIZON, xy, other_uv, [8], [8], _GATE, carried)
-        assert same_arrays(got, grid_pairs(_HORIZON, xy, other_uv, [8], [8], _GATE))
-        # the same arrays split into other frames
-        got = implicit_pairs(_HORIZON, xy, other_uv, [4, 4], [4, 4], _GATE, carried)
-        assert same_arrays(got, grid_pairs(_HORIZON, xy, other_uv, [4, 4], [4, 4], _GATE))
 
 
 def _simulated(seed: int):

@@ -31,6 +31,23 @@ class TestSceneConfig:
             SceneConfig(pixel_noise_sigma=-1.0)
 
     @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_objects", 2.5),
+            ("n_objects", 12.0),
+            ("n_frames", 5.5),
+            ("image_width", 1920.5),
+            ("image_width", math.inf),
+            ("image_height", math.nan),
+            ("seed", 3.0),
+            ("seed", "3"),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SceneConfig(**{name: value})
+
+    @pytest.mark.parametrize(
         "name", ["pixel_noise_sigma", "lidar_noise_sigma", "clutter_per_frame", "max_projective"]
     )
     @pytest.mark.parametrize("value", [math.inf, math.nan])
