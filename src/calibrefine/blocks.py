@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
+from .errors import check_field_types
 from .geometry import PairSet
 
 
@@ -28,13 +29,10 @@ class BlockGrid:
     parity: Parity = Parity.EVEN
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("image_width", "image_height", "blocks_x", "blocks_y"):
             value = getattr(self, name)
-            try:
-                whole = int(value) == value
-            except (TypeError, ValueError, OverflowError):  # "5", nan, inf
-                whole = False
-            if not whole or value <= 0:
+            if value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value}")
         if self.blocks_x * self.blocks_y < 4:
             raise ValueError(
@@ -114,6 +112,18 @@ def kept_blocks(grid: BlockGrid, skip_parity: bool = True) -> int:
     if not skip_parity:
         return n
     return (n + 1) // 2 if grid.parity is Parity.EVEN else n // 2
+
+
+def require_kept_blocks(grid: BlockGrid, skip_parity: bool = True) -> None:
+    """Refuse, with ``ValueError``, a grid whose :func:`kept_blocks` is below
+    4: block sampling keeps at most one pair per block, and a coarse fit
+    needs 4 pairs."""
+    kept = kept_blocks(grid, skip_parity)
+    if kept < 4:
+        raise ValueError(
+            f"grid {grid.blocks_x}x{grid.blocks_y} keeps {kept} blocks after "
+            "block sampling; the coarse fit needs at least 4"
+        )
 
 
 def half_block_diagonal(grid: BlockGrid) -> float:

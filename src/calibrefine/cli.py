@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import serialize
-from .blocks import BlockGrid, Parity, kept_blocks
+from .blocks import BlockGrid, Parity, require_kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet
 from .geometry import Homography, PairSet
@@ -46,7 +47,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """The parsed config; the block grid, RANSAC settings and parity switch
-    live on ``refine`` only."""
+    live on ``refine`` only. Each part checked its own field types and
+    ranges when it was built."""
 
     scene: SceneConfig
     refine: RefineConfig
@@ -70,37 +72,32 @@ def _section(data: dict, name: str) -> dict:
     return raw
 
 
-def _number(value, name: str) -> float:
-    """A JSON number as a float; booleans (a subclass of int) and strings
-    are rejected."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _build(cls, raw: dict, section: str, **extra):
-    """Construct ``cls`` from a config section; ``extra`` holds fields set by
-    other sections, which this section may not name."""
-    _check_keys(raw, {f.name for f in fields(cls)} - set(extra), section)
-    for f in fields(cls):
-        if f.name not in raw:
-            continue
-        # JSON booleans load as bool, a subclass of int, so test the exact type
-        if f.type in (int, "int") and type(raw[f.name]) is not int:
-            raise ConfigError(f"{section}.{f.name} must be an integer, got {json.dumps(raw[f.name])}")
-        if f.type in (float, "float"):
-            _number(raw[f.name], f"{section}.{f.name}")
-    merged = {**extra, **raw}
+@contextmanager
+def _refusals(section: str):
+    """Report a config that refuses its values as a ``ConfigError`` naming
+    ``section``."""
     try:
-        return cls(**merged)
+        yield
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section '{section}': {exc}") from exc
 
 
+def _build(cls, raw: dict, section: str, **extra):
+    """Construct ``cls`` from a config section; ``extra`` holds fields set by
+    other sections, which this section may not name. A ``gate`` in pixels
+    becomes a ``MatchGate``."""
+    _check_keys(raw, {f.name for f in fields(cls)} - set(extra), section)
+    with _refusals(section):
+        if "gate" in raw:
+            raw = {**raw, "gate": MatchGate(raw["gate"])}
+        return cls(**extra, **raw)
+
+
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse and validate the JSON config; unknown keys are rejected,
-    integer fields must hold JSON integers (not floats or booleans) and float
-    fields JSON numbers (not booleans or strings)."""
+    """Parse the JSON config into the typed configs, which refuse wrong types
+    and out-of-range values themselves; unknown keys are rejected. Only enum
+    names and gates are converted here. A refusal raises
+    ``ConfigError("section '<section>': <field> must be …")``."""
     data = {}
     if path is not None:
         try:
@@ -115,8 +112,6 @@ def load_config(path: str | Path | None) -> RunConfig:
 
     grid_raw = dict(_section(data, "grid"))
     skip_parity = grid_raw.pop("skip_parity", True)
-    if not isinstance(skip_parity, bool):
-        raise ConfigError("grid.skip_parity must be a boolean")
     if "parity" in grid_raw:
         try:
             grid_raw["parity"] = Parity[str(grid_raw["parity"]).upper()]
@@ -129,26 +124,17 @@ def load_config(path: str | Path | None) -> RunConfig:
     ransac = _build(RansacConfig, _section(data, "ransac"), "ransac")
 
     refine_raw = dict(_section(data, "refine"))
-    if "gate" in refine_raw:
-        refine_raw["gate"] = MatchGate(_number(refine_raw["gate"], "refine.gate"))
     if "metric" in refine_raw:
         try:
             refine_raw["metric"] = GuardMetric(str(refine_raw["metric"]).lower())
         except ValueError as exc:
             raise ConfigError(f"refine.metric must be 'aed' or 'rmse', got {refine_raw['metric']}") from exc
-    refine_cfg = _build(
-        RefineConfig,
-        refine_raw,
-        "refine",
-        grid=grid,
-        ransac=ransac,
-        skip_parity=skip_parity,
-    )
+    # skip_parity belongs to the grid section, which names its refusal
+    refine_cfg = _build(RefineConfig, refine_raw, "refine", grid=grid, ransac=ransac, skip_parity=True)
+    with _refusals("grid"):
+        refine_cfg = replace(refine_cfg, skip_parity=skip_parity)
 
-    correction_raw = dict(_section(data, "correction"))
-    if "gate" in correction_raw:
-        correction_raw["gate"] = MatchGate(_number(correction_raw["gate"], "correction.gate"))
-    correction = _build(CorrectionConfig, correction_raw, "correction")
+    correction = _build(CorrectionConfig, _section(data, "correction"), "correction")
 
     seeds = data.get("seeds")
     if seeds is not None:
@@ -232,14 +218,7 @@ def _load_pairs(path: str) -> PairSet:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = apply_overrides(load_config(args.config), args)
     grid, skip_parity = cfg.refine.grid, cfg.refine.skip_parity
-    kept = kept_blocks(grid, skip_parity)
-    if kept < 4:
-        print(
-            f"error: grid {grid.blocks_x}x{grid.blocks_y} keeps {kept} blocks after "
-            "block sampling; calibrate needs at least 4",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+    require_kept_blocks(grid, skip_parity)
     frames = serialize.read_frames_jsonl(args.frames)
     if not frames:
         print("error: frames file is empty", file=sys.stderr)

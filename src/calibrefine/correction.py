@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientPairs
+from .errors import InsufficientPairs, check_field_types
 from .geometry import (
     Frame,
     Homography,
@@ -44,6 +44,7 @@ class CorrectionConfig:
     init_damping: float = 1e-3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_outer_rounds < 1:
             raise ValueError(f"max_outer_rounds must be >= 1, got {self.max_outer_rounds}")
         if self.min_pairs < 4:

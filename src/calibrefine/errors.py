@@ -1,4 +1,44 @@
-"""Exception types shared across the calibration pipeline."""
+"""Exception types shared across the calibration pipeline, and the one type
+rule of every typed config: :func:`check_field_types`."""
+from __future__ import annotations
+
+import numbers
+from dataclasses import fields
+
+# Field annotation -> (accepted type, what the refusal calls it). A bool is
+# an int to isinstance, so only a bool field takes one.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "a boolean"),
+}
+
+
+def check_field_types(config) -> None:
+    """Refuse a wrong type in any ``int``, ``float`` or ``bool`` field of a
+    dataclass config with ``ValueError("<field> must be an integer|a number|
+    a boolean, got <repr>")``.
+
+    An ``int`` field holds an integral number that is not a bool (numpy
+    integers pass, ``2.0`` does not), a ``float`` field a real number that is
+    not a bool and that a float can hold (ints pass, ``10**400`` does not) and
+    a ``bool`` field a bool. Enum- and config-typed fields are left to their
+    own types.
+    """
+    for f in fields(config):
+        rule = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type))
+        if rule is None:
+            continue
+        kind, what = rule
+        value = getattr(config, f.name)
+        ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+        if ok and kind is numbers.Real:
+            try:
+                float(value)
+            except OverflowError:  # an int past the float range
+                ok = False
+        if not ok:
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 class CalibrationError(Exception):

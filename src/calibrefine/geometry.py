@@ -106,17 +106,17 @@ def _point_array(name: str, points) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Time-synchronized object centers from both sensors for one timestamp,
-    under a non-negative ``frame_id``: ``lidar_centers`` holds (K, 2) ground
-    points (x, y) and ``camera_centers`` (M, 2) pixels (u, v), as read-only
-    float arrays."""
+    under a ``frame_id`` in ``[0, 2**63)``, the range of the int64 frame ids
+    of a ``PairSet``: ``lidar_centers`` holds (K, 2) ground points (x, y) and
+    ``camera_centers`` (M, 2) pixels (u, v), as read-only float arrays."""
 
     frame_id: int
     lidar_centers: np.ndarray
     camera_centers: np.ndarray
 
     def __post_init__(self):
-        if self.frame_id < 0:
-            raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
+        if not 0 <= self.frame_id < 2**63:
+            raise ValueError(f"frame_id must be non-negative and below 2**63, got {self.frame_id}")
         for name in ("lidar_centers", "camera_centers"):
             object.__setattr__(self, name, _point_array(name, getattr(self, name)))
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_field_types
+
 # Relative slack of the squared-distance prefilter. It only has to cover the
 # few ulps by which ``du*du + dv*dv`` can round above ``hypot(du, dv)**2``;
 # the gate itself is always decided on ``hypot``.
@@ -37,6 +39,7 @@ class MatchGate:
     max_distance: float = 40.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.max_distance < math.inf:
             raise ValueError(f"max_distance must be finite and > 0, got {self.max_distance}")
 

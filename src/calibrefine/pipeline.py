@@ -10,9 +10,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, block_sample, kept_blocks
+from .blocks import BlockGrid, block_sample, require_kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
-from .errors import CalibrationError, EmptySet, InsufficientPairs
+from .errors import CalibrationError, EmptySet, InsufficientPairs, check_field_types
 from .geometry import (
     Correspondence,
     Frame,
@@ -50,16 +50,14 @@ class PipelineConfig:
     skip_parity: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.coarse_frames < 1:
             raise ValueError(f"coarse_frames must be >= 1, got {self.coarse_frames}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
-        kept = kept_blocks(self.grid, self.skip_parity)
-        if kept < 4:
-            raise ValueError(
-                f"grid {self.grid.blocks_x}x{self.grid.blocks_y} keeps {kept} blocks after "
-                "block sampling; the coarse fit needs at least 4"
-            )
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be non-negative, got {self.split_seed}")
+        require_kept_blocks(self.grid, self.skip_parity)
 
 
 @dataclass(frozen=True)

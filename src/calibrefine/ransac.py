@@ -16,6 +16,7 @@ from .errors import (
     DegenerateConfiguration,
     InsufficientPairs,
     NonConvergenceWarning,
+    check_field_types,
 )
 from .geometry import (
     Homography,
@@ -37,6 +38,7 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_iterations <= 0:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if not 0.0 < self.inlier_threshold < math.inf:

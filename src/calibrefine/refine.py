@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .blocks import BlockGrid, block_of, block_winners, half_block_diagonal, retained_rows
-from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame
+from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame, check_field_types
 from .geometry import (
     Correspondence,
     Frame,
@@ -56,6 +56,7 @@ class RefineConfig:
     skip_parity: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.recalib_interval < 1:
             raise ValueError(f"recalib_interval must be >= 1, got {self.recalib_interval}")
 

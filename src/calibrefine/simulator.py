@@ -10,11 +10,11 @@ some objects are detected by only one sensor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_field_types
 from .geometry import Frame, Homography, PairSet, Source, transform_points
 
 #: Half-size (meters) of the ground patch that must land inside the image.
@@ -48,10 +48,7 @@ class SceneConfig:
     max_projective: float = 1e-3
 
     def __post_init__(self):
-        for name in ("image_width", "image_height", "n_objects", "n_frames", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image_width and image_height must be positive")
         if self.n_objects < 1:

@@ -82,6 +82,13 @@ class TestBlockOf:
     )
     def test_grid_fields_must_be_positive_integers(self, name, value):
         args = {"image_width": 1920, "image_height": 1080, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BlockGrid(**args)
+
+    @pytest.mark.parametrize("name", ["image_width", "image_height", "blocks_x", "blocks_y"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_grid_fields_must_be_positive(self, name, value):
+        args = {"image_width": 1920, "image_height": 1080, name: value}
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             BlockGrid(**args)
 

@@ -483,7 +483,7 @@ class TestInputValidation:
         cfg.write_text(json.dumps({section: {key: value}}))
         code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
         assert code == 2
-        assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+        assert f"section '{section}': {key} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -494,6 +494,8 @@ class TestInputValidation:
             ("correction", "init_damping", True),
             ("scene", "pixel_noise_sigma", False),
             ("ransac", "inlier_threshold", "3"),
+            pytest.param("ransac", "inlier_threshold", 10**400, id="ransac-inlier_threshold-10**400"),
+            pytest.param("correction", "gate", 10**400, id="correction-gate-10**400"),
         ],
     )
     def test_non_number_float_config_value_exits_2(self, tmp_path, capsys, section, key, value):
@@ -501,7 +503,8 @@ class TestInputValidation:
         cfg.write_text(json.dumps({section: {key: value}}))
         code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
         assert code == 2
-        assert f"{section}.{key} must be a number" in capsys.readouterr().err
+        field = "max_distance" if key == "gate" else key  # a gate is a MatchGate
+        assert f"section '{section}': {field} must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, text, message",
@@ -647,6 +650,34 @@ class TestInputValidation:
         )
         assert code == 2
         assert "frame_id 3 after frame_id 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base", [2**63, 2**64], ids=["2**63", "2**64"])
+    def test_frame_ids_past_int64_exit_2_at_their_line(self, tmp_path, sim_dir, capsys, base):
+        # a PairSet holds int64 frame ids; these used to run the whole
+        # online loop and then fail naming no file or line
+        cfg, out = sim_dir
+        frames = tmp_path / "big_ids.jsonl"
+        frames.write_text("".join(
+            json.dumps({"frame_id": base + f.frame_id, "lidar": f.lidar_centers.tolist(),
+                        "camera": f.camera_centers.tolist()}) + "\n"
+            for f in serialize.read_frames_jsonl(out / "frames.jsonl")
+        ))
+        refined = tmp_path / "r.json"
+        code = main(
+            [
+                "--config", str(cfg), "--interval", "5",
+                "refine",
+                "--frames", str(frames),
+                "--matrix", str(out / "ground_truth.json"),
+                "--mode", "both",
+                "--out", str(refined),
+            ]
+        )
+        assert code == 2
+        assert f"{frames}:1: malformed record: frame_id must be non-negative and below 2**63" in (
+            capsys.readouterr().err
+        )
+        assert not refined.exists()
 
     def test_singular_matrix_file_exits_2(self, tmp_path, sim_dir, capsys):
         _, out = sim_dir

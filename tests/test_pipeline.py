@@ -50,6 +50,12 @@ class TestPipelineConfig:
             PipelineConfig(grid=grid)
         PipelineConfig(grid=grid, skip_parity=False)  # every block is kept
 
+    def test_split_seed_must_be_non_negative(self):
+        # numpy's seed refusal inside run_full named no field
+        with pytest.raises(ValueError, match="split_seed must be non-negative, got -1"):
+            PipelineConfig(split_seed=-1)
+        PipelineConfig(split_seed=0)
+
 
 class TestCoarseCalibrate:
     def test_exact_oracle_recovers_truth(self):
