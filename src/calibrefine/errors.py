@@ -16,14 +16,15 @@ _FIELD_TYPES = {
 
 def check_field_types(config) -> None:
     """Refuse a wrong type in any ``int``, ``float`` or ``bool`` field of a
-    dataclass config with ``ValueError("<field> must be an integer|a number|
-    a boolean, got <repr>")``.
+    dataclass config with ``ValueError("<field> must be an integer|a 64-bit
+    integer|a number|a boolean, got <repr>")``.
 
     An ``int`` field holds an integral number that is not a bool (numpy
-    integers pass, ``2.0`` does not), a ``float`` field a real number that is
-    not a bool and that a float can hold (ints pass, ``10**400`` does not) and
-    a ``bool`` field a bool. Enum- and config-typed fields are left to their
-    own types.
+    integers pass, ``2.0`` does not) and that an int64 can hold (``2**63``
+    does not: counts size arrays and sizes become floats), a ``float`` field
+    a real number that is not a bool and that a float can hold (ints pass,
+    ``10**400`` does not) and a ``bool`` field a bool. Enum- and
+    config-typed fields are left to their own types.
     """
     for f in fields(config):
         rule = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type))
@@ -39,6 +40,8 @@ def check_field_types(config) -> None:
                 ok = False
         if not ok:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if kind is numbers.Integral and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{f.name} must be a 64-bit integer, got {value!r}")
 
 
 class CalibrationError(Exception):

@@ -2,13 +2,15 @@
 detections: repeatedly take the globally cheapest remaining pair under a
 distance gate, leaving the rest unmatched.
 
-:func:`greedy_match` matches one frame by its cost grid, or every frame of a
-stream at once when given per-frame row counts. A stream is matched over an
-edge list: :func:`candidate_edges` lists each frame's edges within a radius
-by a band search over the detections sorted by (frame, u), and
-:func:`match_edges` matches over such a list alone, so a stream matched
-again under slightly moved projections can reuse the edges of an earlier
-radius. Both matchers end in one greedy sweep.
+:func:`greedy_match` matches one frame, or every frame of a stream at once
+when given per-frame row counts. Candidate edges come from one band search,
+:func:`_band`, over the detections sorted by u (by frame and u in a
+stream); only a frame of at most ``_GRID_CELLS`` LiDAR × camera cells is
+matched by its full cost grid, which is faster at that size. A stream is
+matched over an edge list: :func:`candidate_edges` lists each frame's edges
+within a radius, and :func:`match_edges` matches over such a list alone, so
+a stream matched again under slightly moved projections can reuse the edges
+of an earlier radius. Both matchers end in one greedy sweep.
 """
 from __future__ import annotations
 
@@ -24,9 +26,15 @@ from .errors import check_field_types
 # the gate itself is always decided on ``hypot``.
 _PREFILTER_SLACK = 1e-9
 
-# LiDAR rows whose bands candidate_edges gathers at a time. Bounds the
+# LiDAR rows whose bands the band search gathers at a time. Bounds the
 # memory of the gathered edges.
 _BAND_CHUNK = 4096
+
+# Cells (LiDAR rows times camera rows) up to which one frame is matched by
+# its full cost grid; a larger frame takes the band search. The two took
+# the same time between 104 x 104 and 120 x 120 rows of a simulated frame
+# (CHANGES.md has the timings); stream frames of 12-20 rows stay far below.
+_GRID_CELLS = 12_000
 
 # Edges that the greedy sweep turns into Python ints at a time.
 _SWEEP_CHUNK = 4096
@@ -107,9 +115,15 @@ def _take(lidar: np.ndarray, camera: np.ndarray, n_lidar: int, n_camera: int) ->
 
 
 def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float) -> MatchSet:
-    """Greedy matching inside one frame by its cost grid (see
-    :func:`_grid_edges`); :func:`_take` gives the result in greedy order."""
-    li, ci, cost = _grid_edges(proj, dets, gate)
+    """Greedy matching inside one frame; :func:`_take` gives the result in
+    greedy order. The edges come from the full cost grid (see
+    :func:`_grid_edges`) when the frame has at most ``_GRID_CELLS`` cells,
+    otherwise from the band search (see :func:`_band`); both list the same
+    edges in the same order."""
+    if len(proj) * len(dets) <= _GRID_CELLS:
+        li, ci, cost = _grid_edges(proj, dets, gate)
+    else:
+        li, ci, cost = _band(proj, dets, gate)
     # The edges come sorted by (i, j) and lexsort is stable, so this orders
     # them by (cost, i, j).
     order = np.lexsort((cost,))
@@ -188,10 +202,65 @@ def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
     return lidar_counts, camera_counts
 
 
+def _band(proj: np.ndarray, dets: np.ndarray, radius: float, lidar_frame=None, camera_frame=None):
+    """Every edge within ``radius`` between the ``(L, 2)`` and ``(C, 2)``
+    arrays, by a band search over the detections sorted by key.
+
+    Without frames the arrays are one frame and a row's key is its u
+    clipped to the finite detections' span [lo, hi]. With ``lidar_frame``
+    and ``camera_frame``, each row's frame index, the key adds the frame
+    times a stride, and only within-frame edges are listed.
+
+    Returns the edges sorted by (i, j) as :func:`_grid_edges` does: their
+    rows of ``proj`` and ``dets`` and their costs ``hypot(du, dv)``, each at
+    most ``radius``.
+    """
+    # A row that is not finite has no edge.
+    lidar = np.isfinite(proj).all(axis=1).nonzero()[0]
+    camera = np.isfinite(dets).all(axis=1).nonzero()[0]
+    if not len(lidar) or not len(camera):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    # Clipping is 1-Lipschitz, so a detection whose u lies within ``radius``
+    # of a LiDAR row's keys within ``reach`` of that row's key; the 1 px pad
+    # covers the keys' rounding. No two keys of a frame lie further apart
+    # than the span, so a huge radius reaches no further than the whole
+    # frame, and the stride keeps each band inside its frame. Array methods
+    # stand in for numpy's wrapper functions, whose overhead was a tenth of
+    # the search on a frame of 200 x 200 rows.
+    u = dets[camera, 0]
+    lo, hi = u.min(), u.max()
+    reach = min(radius, hi - lo) + 1.0
+    lidar_key = np.clip(proj[lidar, 0], lo, hi) - lo
+    camera_key = u - lo
+    if lidar_frame is not None:
+        stride = hi - lo + 2.0 * reach
+        lidar_key += lidar_frame[lidar] * stride
+        camera_key += camera_frame[camera] * stride
+    order = camera_key.argsort()
+    camera, camera_key = camera[order], camera_key[order]
+    lidar_out, camera_out, cost_out = [], [], []
+    for start in range(0, len(lidar), _BAND_CHUNK):
+        key = lidar_key[start : start + _BAND_CHUNK]
+        first = camera_key.searchsorted(key - reach, side="left")
+        widths = camera_key.searchsorted(key + reach, side="right") - first
+        li = lidar[start : start + _BAND_CHUNK].repeat(widths)
+        ci = camera[np.arange(widths.sum()) + (first - (widths.cumsum() - widths)).repeat(widths)]
+        (k,), cost = _within(proj[li, 0] - dets[ci, 0], proj[li, 1] - dets[ci, 1], radius)
+        lidar_out.append(li[k])
+        camera_out.append(ci[k])
+        cost_out.append(cost)
+    lidar, camera, cost = (np.concatenate(out) for out in (lidar_out, camera_out, cost_out))
+    # The edges are distinct (LiDAR row, camera row) pairs that come sorted
+    # by LiDAR row, so a stable sort on one integer key orders them as
+    # lexsort((camera, lidar)) does, about ten times faster on a stream.
+    order = np.argsort(lidar * len(dets) + camera, kind="stable")
+    return lidar[order], camera[order], cost[order]
+
+
 def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: float):
     """Every within-frame edge of a stream whose cost ``hypot(du, dv)`` is at
-    most ``radius``, found by a band search over the detections sorted by
-    (frame, u).
+    most ``radius``, found by the band search over the detections sorted by
+    (frame, u) (see :func:`_band`).
 
     The arrays and counts are as in :func:`greedy_match`. Returns the
     edges' ``(E,)`` LiDAR and camera rows, sorted by (LiDAR row, camera
@@ -200,40 +269,11 @@ def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: 
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
     lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
-    # A row that is not finite has no edge.
-    lidar = np.flatnonzero(np.isfinite(proj).all(axis=1))
-    camera = np.flatnonzero(np.isfinite(dets).all(axis=1))
-    if not len(lidar) or not len(camera):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    # A row's key is its frame times a stride plus its u clipped to the
-    # detections' span [lo, hi]. Clipping is 1-Lipschitz, so a detection
-    # whose u lies within ``radius`` of a LiDAR row's keys within ``reach``
-    # of that row's key; the 1 px pad covers the keys' rounding. No two keys
-    # of a frame lie further apart than the span, so a huge radius reaches
-    # no further than the whole frame, and the stride keeps each band
-    # inside its frame.
-    u = dets[camera, 0]
-    lo, hi = u.min(), u.max()
-    reach = min(radius, hi - lo) + 1.0
-    stride = hi - lo + 2.0 * reach
     frames = np.arange(len(lidar_counts))
-    camera_key = np.repeat(frames, camera_counts)[camera] * stride + (u - lo)
-    order = np.argsort(camera_key)
-    camera, camera_key = camera[order], camera_key[order]
-    lidar_key = np.repeat(frames, lidar_counts)[lidar] * stride + (np.clip(proj[lidar, 0], lo, hi) - lo)
-    lidar_out, camera_out = [], []
-    for start in range(0, len(lidar), _BAND_CHUNK):
-        key = lidar_key[start : start + _BAND_CHUNK]
-        first = np.searchsorted(camera_key, key - reach, side="left")
-        widths = np.searchsorted(camera_key, key + reach, side="right") - first
-        li = np.repeat(lidar[start : start + _BAND_CHUNK], widths)
-        ci = camera[np.arange(widths.sum()) + np.repeat(first - (np.cumsum(widths) - widths), widths)]
-        (k,), _ = _within(proj[li, 0] - dets[ci, 0], proj[li, 1] - dets[ci, 1], radius)
-        lidar_out.append(li[k])
-        camera_out.append(ci[k])
-    lidar, camera = np.concatenate(lidar_out), np.concatenate(camera_out)
-    order = np.lexsort((camera, lidar))
-    return lidar[order], camera[order]
+    lidar, camera, _ = _band(
+        proj, dets, radius, np.repeat(frames, lidar_counts), np.repeat(frames, camera_counts)
+    )
+    return lidar, camera
 
 
 def greedy_match(
@@ -247,7 +287,9 @@ def greedy_match(
     (cost, lidar index, camera index). Each index is used at most once;
     anything without an admissible partner stays unmatched.
 
-    Without counts the arrays are one frame. With ``lidar_counts`` and
+    Without counts the arrays are one frame, whose edges come from its full
+    cost grid up to ``_GRID_CELLS`` cells and from the band search above
+    that; both give the same result. With ``lidar_counts`` and
     ``camera_counts`` they are the frames of a stream concatenated in frame
     order, the counts giving each frame's number of rows in them, and every
     frame is matched exactly as it would be alone; no pair crosses frames.

@@ -108,7 +108,7 @@ def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]
         for i in sorted(free_l):
             for j in sorted(free_c):
                 c = float(costs[i, j])
-                if c > gate:
+                if not c <= gate:  # a NaN cost fails the gate too
                     continue
                 key = (c, i, j)
                 if best is None or key < best:

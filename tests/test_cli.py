@@ -488,6 +488,29 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "section, key, value",
         [
+            pytest.param("scene", "image_width", 10**400, id="scene-image_width-10**400"),
+            pytest.param("scene", "seed", 2**64, id="scene-seed-2**64"),
+            pytest.param("ransac", "seed", -(2**63) - 1, id="ransac-seed--2**63-1"),
+            pytest.param("refine", "recalib_interval", 2**64, id="refine-recalib_interval-2**64"),
+        ],
+    )
+    def test_integer_config_value_past_int64_exits_2(self, tmp_path, capsys, section, key, value):
+        # {"scene": {"image_width": 10**400}} used to load, and simulate then
+        # died with an OverflowError traceback (exit 1). No case here sets a
+        # count that sizes arrays (n_frames, n_objects): code without the
+        # int64 rule would try to simulate that many.
+        config = {"scene": {"n_frames": 5}}
+        config.setdefault(section, {})[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"section '{section}': {key} must be a 64-bit integer, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
             ("refine", "gate", True),
             ("refine", "gate", "40"),
             ("correction", "gate", "40"),

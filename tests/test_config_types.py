@@ -56,6 +56,29 @@ def test_field_refuses_the_wrong_type(cls, base, name, what, value):
         cls(**{**base, name: value})
 
 
+def int_fields():
+    for cls, base in CONFIGS:
+        for f in dataclasses.fields(cls):
+            if kind(f) == "int":
+                for value in (2**63, -(2**63) - 1, 10**400):
+                    yield pytest.param(cls, base, f.name, value, id=f"{cls.__name__}.{f.name}={value!r:.10}")
+
+
+@pytest.mark.parametrize("cls, base, name, value", list(int_fields()))
+def test_int_field_refuses_an_integer_past_int64(cls, base, name, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a 64-bit integer, got {value!r}')}$"):
+        cls(**{**base, name: value})
+
+
+def test_int64_bounds_pass_the_type_rule():
+    assert RansacConfig(seed=2**63 - 1).seed == 2**63 - 1
+    assert RansacConfig(seed=np.uint64(2**63 - 1)).seed == 2**63 - 1
+    with pytest.raises(ValueError, match="seed must be non-negative"):  # not the type rule
+        RansacConfig(seed=-(2**63))
+    with pytest.raises(ValueError, match="must be a 64-bit integer"):
+        RansacConfig(seed=np.uint64(2**63))
+
+
 @pytest.mark.parametrize(
     "cls, name, value",
     [

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,47 @@ class TestGreedyMatchHypothesis:
         assert list(out.matches) == expected
 
 
+# One frame on either side of the size rule: each sensor has a few rows, or
+# just enough that a frame where both have that many takes the band search
+# (matching._GRID_CELLS). Rows lie on a lattice (many exact ties) or are
+# spread over 400 px, and a few coordinates are non-finite or far outside.
+_BAND_SIDE = math.isqrt(matching._GRID_CELLS) + 1
+_ODD_VALUES = [np.nan, np.inf, -np.inf, 1e9, -1e9]
+
+
+@st.composite
+def _frame_rows(draw):
+    n = draw(st.one_of(st.integers(0, 24), st.integers(_BAND_SIDE, _BAND_SIDE + 14)))
+    step = draw(st.sampled_from([0.0, 1.0, 2.5, 7.0]))  # 0.0: spread
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 12, (n, 2)) * step if step else rng.uniform(0.0, 400.0, (n, 2))
+    if n:
+        odd = st.tuples(st.integers(0, n - 1), st.integers(0, 1), st.sampled_from(_ODD_VALUES))
+        for i, axis, value in draw(st.lists(odd, max_size=4)):
+            rows[i, axis] = value
+    return rows
+
+
+class TestOneFrameSizeRuleHypothesis:
+    @settings(max_examples=100)
+    @given(
+        proj=_frame_rows(),
+        dets=_frame_rows(),
+        gate=st.one_of(_gates, st.sampled_from([0.5, 7.0, 40.0, 1e7, 1e154, 1e300])),
+    )
+    def test_grid_and_band_equal_naive_greedy(self, proj, dets, gate):
+        with np.errstate(invalid="ignore", over="ignore"):
+            costs = np.hypot(proj[:, None, 0] - dets[None, :, 0], proj[:, None, 1] - dets[None, :, 1])
+            expected = naive_greedy(costs.reshape(len(proj), len(dets)), gate)
+            # the size rule as it stands, then every frame by the band and
+            # every frame by the grid
+            for cells in (matching._GRID_CELLS, 0, 2**62):
+                with mock.patch.object(matching, "_GRID_CELLS", cells):
+                    out = greedy_match(proj, dets, MatchGate(gate))
+                assert list(out.matches) == expected
+                assert out.lidar.dtype == out.camera.dtype == np.intp and out.cost.dtype == float
+
+
 # Frames of 0-10 points per sensor on a coarse lattice, so costs tie within
 # and across frames; empty frames and empty streams included.
 _lattice_points = st.lists(
@@ -251,10 +293,18 @@ class TestGreedyMatchFramesHypothesis:
     @given(frames=_streams, gate=_gates)
     def test_batch_size_does_not_change_the_result(self, frames, gate):
         # The band search's chunks of LiDAR rows, whose boundaries fall
-        # inside frames, and the sweep's chunks of edges.
+        # inside frames, the sweep's chunks of edges, and the one-frame size
+        # rule: every frame by the band search, then every frame by its grid.
         proj, dets, _, _ = stream_arrays_of(frames)
         expected = match_stream(frames, gate), greedy_match(proj, dets, MatchGate(gate)).matches
-        sizes = (("_BAND_CHUNK", 1), ("_BAND_CHUNK", 7), ("_SWEEP_CHUNK", 1), ("_SWEEP_CHUNK", 3))
+        sizes = (
+            ("_BAND_CHUNK", 1),
+            ("_BAND_CHUNK", 7),
+            ("_SWEEP_CHUNK", 1),
+            ("_SWEEP_CHUNK", 3),
+            ("_GRID_CELLS", 0),
+            ("_GRID_CELLS", 2**62),
+        )
         for name, size in sizes:
             with mock.patch.object(matching, name, size):
                 assert (
@@ -407,6 +457,21 @@ class TestBandSearch:
         frames = [(frame((a, 0)), frame((a + s * radius, 0))) for a, s in zip(u, side)]
         frames.append((frame(), frame((0, 0))))
         assert band_edges(frames, radius) == naive_edges(frames, radius)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_frame_edges_at_the_radius_survive_the_keys_rounding(self, seed):
+        # One frame has no frame term, but its keys still subtract the lowest
+        # detection u (here the last detection's), which rounds.
+        rng = np.random.default_rng(seed)
+        u, radius = rng.uniform(0, 1920, 80), float(rng.uniform(0.1, 50))
+        side = rng.choice([-1.0, 1.0], 80)
+        proj = np.column_stack([u, np.zeros(80)])
+        dets = np.vstack([np.column_stack([u + side * radius, np.zeros(80)]), [[-rng.uniform(0, 5), 900.0]]])
+        lidar, camera, _ = matching._band(proj, dets, radius)
+        assert list(zip(lidar.tolist(), camera.tolist())) == naive_edges([(proj, dets)], radius)
+        by_grid = greedy_match(proj, dets, MatchGate(radius)).matches
+        with mock.patch.object(matching, "_GRID_CELLS", 0):
+            assert greedy_match(proj, dets, MatchGate(radius)).matches == by_grid
 
     @settings(max_examples=200)
     @given(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibrefine import refine
+from calibrefine import matching, refine
 from calibrefine.blocks import BlockGrid, Parity, half_block_diagonal
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
@@ -186,6 +186,40 @@ def assert_same_state(a, b):
     assert (a.frames_seen, a.last_frame_id, a.degenerate_skipped) == (
         b.frames_seen, b.last_frame_id, b.degenerate_skipped
     )
+
+
+class TestPerFrameLoopOnLargeFrames:
+    def test_per_frame_loop_equals_run_bit_for_bit(self, monkeypatch):
+        # 130 objects: most frames have more cells than matching._GRID_CELLS,
+        # so a single-frame ingest matches them by the band search and the
+        # rest by the grid, while run's windows match through candidate_edges.
+        # This is the benchmark's online-loop check on dense-sized frames.
+        scene = SceneConfig(seed=11, n_frames=50, n_objects=130)
+        sim_frames, gt = generate(scene)
+        frames = [sf.frame for sf in sim_frames]
+        h0 = compose(translation_homography(3.0, -2.0), gt.h_true)
+        cfg = RefineConfig(
+            recalib_interval=10,
+            grid=BlockGrid(scene.image_width, scene.image_height),
+            ransac=RansacConfig(seed=3),
+        )
+        one_frame = []
+        for name in ("_grid_edges", "_band"):
+            edges = getattr(matching, name)
+
+            def counted(proj, dets, radius, *frame_of, name=name, edges=edges):
+                if not frame_of:
+                    one_frame.append(name)
+                return edges(proj, dets, radius, *frame_of)
+
+            monkeypatch.setattr(matching, name, counted)
+        looped = per_frame_loop(frames, h0, cfg)
+        assert one_frame.count("_band") >= 40 and one_frame.count("_grid_edges") >= 1
+        del one_frame[:]
+        state = run(frames, h0, cfg)
+        assert one_frame == []  # every window of 10 frames goes through candidate_edges
+        assert_same_state(looped, state)
+        assert len(state.checkpoints) == 5 and any(record.updated for record in state.checkpoints)
 
 
 # Pixels on a 50 px lattice over GRID, plus the image edges and points just
