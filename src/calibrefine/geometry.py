@@ -444,33 +444,46 @@ def estimate_homography(xy: np.ndarray, uv: np.ndarray) -> Homography:
         raise DegenerateConfiguration("estimated matrix is singular") from exc
 
 
+def projection_jacobian(xy: np.ndarray, uv_hat: np.ndarray, w: np.ndarray, columns) -> np.ndarray:
+    """Jacobian of the interleaved (du, dv) residuals of (N, 2) ground points
+    wrt the matrix entries listed in ``columns`` (row-major indices 0-8),
+    from their projection: the (N, 2) pixels ``uv_hat`` and (N,) ``w`` that
+    ``transform_points`` gave.
+
+    Returns a (2N, len(columns)) array in Fortran order, the layout of a
+    column selection from the full Jacobian, so that ``J^T J`` and ``J^T r``
+    come out the same to the bit.
+    """
+    n = len(xy)
+    jac = np.empty((2 * n, len(columns)), order="F")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_w = 1.0 / w
+        x, y = xy[:, 0], xy[:, 1]
+        # Row 0 of the matrix moves only u and row 1 only v, each by
+        # (x, y, 1) / w; row 2 moves both, by -(u, v) times that, computed
+        # as ((-u) * x) * (1 / w): another order of the same product would
+        # move the last bits of every fit.
+        scaled = (x * inv_w, y * inv_w, inv_w)
+        neg_uv = -uv_hat
+        for k, entry in enumerate(columns):
+            row, col = divmod(entry, 3)
+            pairs = jac[:, k].reshape(n, 2)  # a view: the column is contiguous
+            if row < 2:
+                pairs[:, row] = scaled[col]
+                pairs[:, 1 - row] = 0.0
+            else:
+                np.multiply(neg_uv, (x, y, inv_w)[col][:, None], out=pairs)
+                if col < 2:
+                    pairs *= inv_w[:, None]
+    return jac
+
+
 def projection_residuals(params: np.ndarray, xy: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved (du, dv) residuals of the matrix with row-major entries
     ``params`` on paired (N, 2) ground and pixel points, and their Jacobian
     wrt all 9 entries."""
-    m = params.reshape(3, 3)
-    uv_hat, w = transform_points(m, xy)
-    r = (uv_hat - uv).ravel()
-
-    n = xy.shape[0]
-    jac = np.zeros((2 * n, 9))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_w = 1.0 / w
-        x, y = xy[:, 0], xy[:, 1]
-        u_hat, v_hat = uv_hat[:, 0], uv_hat[:, 1]
-        jac[0::2, 0] = x * inv_w
-        jac[0::2, 1] = y * inv_w
-        jac[0::2, 2] = inv_w
-        jac[0::2, 6] = -u_hat * x * inv_w
-        jac[0::2, 7] = -u_hat * y * inv_w
-        jac[0::2, 8] = -u_hat * inv_w
-        jac[1::2, 3] = x * inv_w
-        jac[1::2, 4] = y * inv_w
-        jac[1::2, 5] = inv_w
-        jac[1::2, 6] = -v_hat * x * inv_w
-        jac[1::2, 7] = -v_hat * y * inv_w
-        jac[1::2, 8] = -v_hat * inv_w
-    return r, jac
+    uv_hat, w = transform_points(params.reshape(3, 3), xy)
+    return (uv_hat - uv).ravel(), projection_jacobian(xy, uv_hat, w, range(9))
 
 
 def refine_homography(
@@ -495,16 +508,20 @@ def refine_homography(
     gauge = int(np.argmax(np.abs(p0)))
     free = [i for i in range(9) if i != gauge]
 
-    full = p0.copy()
-
-    def fun(free_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        full[free] = free_params
-        r, jac = projection_residuals(full, xy, uv)
-        return r, jac[:, free]
-
     uv0, w0 = transform_points(h0.m, xy)
     if np.any(np.abs(w0) <= W_EPSILON) or not np.all(np.isfinite(uv0)):
         raise DegenerateProjection("a pair projects degenerately under h0")
+
+    full = p0.copy()
+    start = [(uv0, w0)]  # the solver's first call is at h0, projected just now
+
+    def fun(free_params: np.ndarray):
+        if start:
+            uv_hat, w = start.pop()
+        else:
+            full[free] = free_params
+            uv_hat, w = transform_points(full.reshape(3, 3), xy)
+        return (uv_hat - uv).ravel(), lambda: projection_jacobian(xy, uv_hat, w, free)
 
     result = damped_least_squares(
         fun,

@@ -1,4 +1,10 @@
-"""Damped (Levenberg-style) least-squares minimizer behind ``geometry.refine_homography``."""
+"""Damped (Levenberg-style) least-squares minimizer behind ``geometry.refine_homography``.
+
+The residual function is called as ``r, jacobian = fun(p)``: ``r`` are the
+residuals at ``p`` and ``jacobian()`` builds their Jacobian there. The
+minimizer builds a Jacobian, and the normal equations from it, only at the
+iterates it keeps, so a rejected trial step costs one residual evaluation.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-ResidualFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+ResidualFn = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 _TINY = 1e-300
 _MAX_DAMPING = 1e15
@@ -28,14 +34,18 @@ def damped_least_squares(
     cost_tol: float = 1e-10,
     step_tol: float = 1e-12,
 ) -> LeastSquaresResult:
-    """Minimize ``sum(r**2)`` for ``r, J = fun(p)`` starting at ``p0``.
+    """Minimize ``sum(r**2)`` for ``r, jacobian = fun(p)`` starting at ``p0``,
+    where ``jacobian()`` returns the Jacobian of ``r`` at that ``p``.
 
     Steps solve ``(J^T J + lambda I) dp = -J^T r``; lambda is divided by 10
     on accepted steps and multiplied by 10 on rejected ones. Only improving
     steps are accepted, so the returned cost never exceeds the initial one.
+    ``jacobian()`` is called at most once per kept iterate (the start and
+    each accepted step), and only when a further iteration needs it; a
+    rejected step reuses ``J^T J`` and ``J^T r``.
     """
     p = np.asarray(p0, dtype=float).copy()
-    r, jac = fun(p)
+    r, jacobian = fun(p)
     cost = float(r @ r)
     if not np.isfinite(cost):
         raise ValueError("initial residuals are not finite")
@@ -44,12 +54,16 @@ def damped_least_squares(
     converged = cost == 0.0
     iterations = 0
     eye = np.eye(p.size)
+    normal = None  # (J^T J, -J^T r) at p, built when an iteration needs it
 
     while not converged and iterations < max_iterations:
         iterations += 1
-        grad = jac.T @ r
+        if normal is None:
+            jac = jacobian()
+            normal = jac.T @ jac, -(jac.T @ r)
+        jtj, neg_grad = normal
         try:
-            step = np.linalg.solve(jac.T @ jac + damping * eye, -grad)
+            step = np.linalg.solve(jtj + damping * eye, neg_grad)
         except np.linalg.LinAlgError:
             damping = min(damping * 10.0, _MAX_DAMPING)
             continue
@@ -57,11 +71,12 @@ def damped_least_squares(
             converged = True
             break
         trial = p + step
-        r_trial, jac_trial = fun(trial)
+        r_trial, jacobian_trial = fun(trial)
         trial_cost = float(r_trial @ r_trial)
         if np.isfinite(trial_cost) and trial_cost < cost:
             rel_decrease = (cost - trial_cost) / max(cost, _TINY)
-            p, r, jac, cost = trial, r_trial, jac_trial, trial_cost
+            p, r, jacobian, cost = trial, r_trial, jacobian_trial, trial_cost
+            normal = None
             damping = max(damping / 10.0, 1e-15)
             if rel_decrease < cost_tol or cost == 0.0:
                 converged = True

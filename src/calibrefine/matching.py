@@ -86,8 +86,12 @@ def _grid_edges(proj: np.ndarray, dets: np.ndarray, radius: float):
     Returns the edges sorted by (i, j): their rows of ``proj`` and ``dets``
     and their costs ``hypot(du, dv)``, each at most ``radius``.
     """
-    du = proj[:, None, 0] - dets[None, :, 0]
-    dv = proj[:, None, 1] - dets[None, :, 1]
+    # A row that is not finite has no edge, as in the band search: its
+    # differences are NaN or infinite (inf - inf is NaN, which is no fault
+    # here), and neither passes the gate.
+    with np.errstate(invalid="ignore"):
+        du = proj[:, None, 0] - dets[None, :, 0]
+        dv = proj[:, None, 1] - dets[None, :, 1]
     (li, ci), cost = _within(du, dv, radius)
     return li, ci, cost
 

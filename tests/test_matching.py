@@ -207,6 +207,29 @@ class TestOneFrameSizeRuleHypothesis:
                 assert out.lidar.dtype == out.camera.dtype == np.intp and out.cost.dtype == float
 
 
+class TestOneFrameNonFiniteRows:
+    """A row that is not finite has no edge, on both sides of the size rule.
+    No ``np.errstate`` here: a RuntimeWarning fails the test."""
+
+    @pytest.mark.parametrize("side", [2, 12, _BAND_SIDE])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_dropped_without_a_warning(self, side, value):
+        rng = np.random.default_rng(side)
+        proj = rng.uniform(0.0, 60.0, (side, 2))
+        dets = np.concatenate([proj, [[30.0, 30.0]]]) + rng.normal(0.0, 2.0, (side + 1, 2))
+        proj[0, 0] = value
+        dets[0] = value, -value
+        dets[-1, 1] = value
+        assert (len(proj) * len(dets) > matching._GRID_CELLS) == (side == _BAND_SIDE)
+        out = greedy_match(proj, dets, MatchGate(40.0))
+        lidar, camera = (np.isfinite(a).all(axis=1).nonzero()[0] for a in (proj, dets))
+        want = greedy_match(proj[lidar], dets[camera], MatchGate(40.0))
+        assert out.lidar.tolist() == lidar[want.lidar].tolist()
+        assert out.camera.tolist() == camera[want.camera].tolist()
+        assert out.cost.tolist() == want.cost.tolist()
+        assert len(out.lidar) == side - 1
+
+
 # Frames of 0-10 points per sensor on a coarse lattice, so costs tie within
 # and across frames; empty frames and empty streams included.
 _lattice_points = st.lists(
