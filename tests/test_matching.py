@@ -316,8 +316,10 @@ class TestGreedyMatchFramesHypothesis:
     @given(frames=_streams, gate=_gates)
     def test_batch_size_does_not_change_the_result(self, frames, gate):
         # The band search's chunks of LiDAR rows, whose boundaries fall
-        # inside frames, the sweep's chunks of edges, and the one-frame size
-        # rule: every frame by the band search, then every frame by its grid.
+        # inside frames, the sweep's chunks of edges, the one-frame size
+        # rule (every frame by the band search, then every frame by its
+        # grid) and the rounds' stop rule (rounds until no edge is alive,
+        # then the sweep right after the first round).
         proj, dets, _, _ = stream_arrays_of(frames)
         expected = match_stream(frames, gate), greedy_match(proj, dets, MatchGate(gate)).matches
         sizes = (
@@ -327,6 +329,8 @@ class TestGreedyMatchFramesHypothesis:
             ("_SWEEP_CHUNK", 3),
             ("_GRID_CELLS", 0),
             ("_GRID_CELLS", 2**62),
+            ("_ROUND_SHARE", 0.0),
+            ("_ROUND_SHARE", 1.0),
         )
         for name, size in sizes:
             with mock.patch.object(matching, name, size):
@@ -538,3 +542,88 @@ class TestEdgeListHypothesis:
         frame_of = np.repeat(np.arange(len(frames)), lidar_counts)
         out = match_edges(proj, dets, lidar[shuffled], camera[shuffled], frame_of, MatchGate(gate))
         assert (out.lidar.tolist(), out.camera.tolist(), out.cost.tolist()) == naive_stream(frames, gate)
+
+
+def chain(n_edges):
+    """Edges of a chain in position order: edge k joins LiDAR row
+    ceil(k/2) and camera row floor(k/2). In this order each round takes
+    only the first alive edge and drops the next one."""
+    k = np.arange(n_edges)
+    return (k + 1) // 2, k // 2, n_edges // 2 + 1, (n_edges + 1) // 2
+
+
+@st.composite
+def _edge_lists(draw):
+    """Distinct (LiDAR row, camera row) edges with costs: components that
+    are chains, stars, single edges or random edges, on rows of their own
+    and relabelled at random; the costs rise or fall with the position in
+    the list, are all equal, or lie on a few values. The empty list too."""
+    lidar, camera = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    n_lidar = n_camera = 0
+    for kind in draw(st.lists(st.sampled_from(["chain", "star", "single", "random"]), max_size=4)):
+        if kind == "chain":
+            li, ci, _, _ = chain(draw(st.integers(1, 30)))
+        elif kind == "star":
+            n = draw(st.integers(1, 12))
+            li, ci = np.zeros(n, dtype=np.intp), np.arange(n)
+            if draw(st.booleans()):
+                li, ci = ci, li
+        elif kind == "single":
+            li, ci = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        else:
+            rows = st.tuples(st.integers(0, 5), st.integers(0, 5))
+            pairs = draw(st.sets(rows, min_size=1, max_size=20))
+            li, ci = np.array(sorted(pairs), dtype=np.intp).T
+        lidar.append(li + n_lidar)
+        camera.append(ci + n_camera)
+        n_lidar += int(li.max()) + 1
+        n_camera += int(ci.max()) + 1
+    lidar, camera = np.concatenate(lidar), np.concatenate(camera)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lidar, camera = rng.permutation(n_lidar)[lidar], rng.permutation(n_camera)[camera]
+    costs = draw(st.sampled_from(["rising", "falling", "equal", "few"]))
+    position = np.arange(len(lidar), dtype=float)
+    cost = {
+        "rising": position,
+        "falling": position[::-1].copy(),
+        "equal": np.ones(len(lidar)),
+        "few": rng.integers(0, 3, len(lidar)).astype(float),
+    }[costs]
+    return lidar, camera, cost, n_lidar, n_camera
+
+
+class TestLocallyDominantRounds:
+    @settings(max_examples=400)
+    @given(edges=_edge_lists(), share=st.sampled_from([matching._ROUND_SHARE, 0.0, 1.0]))
+    def test_equal_the_sweep_and_naive_greedy(self, edges, share):
+        lidar, camera, cost, n_lidar, n_camera = edges
+        order = matching._cost_order(cost, lidar, camera)
+        lidar, camera, cost = lidar[order], camera[order], cost[order]
+        with mock.patch.object(matching, "_ROUND_SHARE", share):
+            taken = matching._take_by_rounds(lidar, camera, n_lidar, n_camera)
+        assert taken.tolist() == matching._take(lidar, camera, n_lidar, n_camera)
+        costs = np.full((n_lidar, n_camera), np.nan)  # NaN: no edge
+        costs[lidar, camera] = cost
+        got = list(zip(lidar[taken].tolist(), camera[taken].tolist(), cost[taken].tolist()))
+        assert got == naive_greedy(costs, math.inf)
+
+    def test_a_long_chain_goes_to_the_sweep_after_one_round(self):
+        # The first round removes 2 of the 10,000 edges; without the stop
+        # rule the rounds would go on for 5,000 rounds.
+        lidar, camera, n_lidar, n_camera = chain(10_000)
+        with mock.patch.object(matching, "_first_alive", wraps=matching._first_alive) as first:
+            taken = matching._take_by_rounds(lidar, camera, n_lidar, n_camera)
+        assert first.call_count == 2  # one round: once per side
+        assert taken.tolist() == matching._take(lidar, camera, n_lidar, n_camera)
+
+    def test_without_a_share_the_rounds_run_until_no_edge_is_alive(self):
+        lidar, camera, n_lidar, n_camera = chain(20)
+        with (
+            mock.patch.object(matching, "_ROUND_SHARE", 0.0),
+            mock.patch.object(matching, "_first_alive", wraps=matching._first_alive) as first,
+            mock.patch.object(matching, "_take", wraps=matching._take) as sweep,
+        ):
+            taken = matching._take_by_rounds(lidar, camera, n_lidar, n_camera)
+        assert first.call_count == 2 * 10
+        assert taken.tolist() == list(range(0, 20, 2))
+        assert [len(call.args[0]) for call in sweep.call_args_list] == [0]
