@@ -1,7 +1,8 @@
-"""Homogeneous 2D projective geometry: the point, pair, pair-set and frame
-types, the homography type, projection, composition, reprojection-error
-metrics, and the DLT / least-squares estimators that everything else builds
-on.
+"""Homogeneous 2D projective geometry: the pair-set and frame types, the
+homography type, projection, composition, reprojection-error metrics, and the
+DLT / least-squares estimators that everything else builds on. Points are
+``(N, 2)`` float arrays; the one pair type is ``PairSet``, whose single rows
+are plain ``(x, y, u, v, frame_id, source)`` tuples.
 
 Conventions: the ground plane is metric (x, y in meters), the image plane is
 pixels (u, v). A homography maps ground points to pixels via
@@ -13,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -40,54 +41,12 @@ SINGULARITY_TOL = 1e-12
 _NORM_SLACK = 4.0 * np.finfo(float).eps
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} components must be finite, got {values}")
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point on the 2D ground plane, in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        _require_finite("PlanePoint", self.x, self.y)
-
-
-@dataclass(frozen=True)
-class PixelPoint:
-    """An image-plane point in pixels; may lie outside image bounds."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        _require_finite("PixelPoint", self.u, self.v)
-
-
 class Source(Enum):
     """How a correspondence was produced."""
 
     ORACLE = "oracle"
     GREEDY_MATCHED = "greedy_matched"
     MANUAL = "manual"
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One ground-plane point paired with one pixel-plane point."""
-
-    lidar: PlanePoint
-    pixel: PixelPoint
-    frame_id: int = 0
-    source: Source = Source.MANUAL
-
-    def __post_init__(self):
-        if self.frame_id < 0:
-            raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
 
 
 def _point_array(name: str, points) -> np.ndarray:
@@ -128,8 +87,9 @@ class PairSet:
     ``source`` the (N,) ``Source`` of each (one ``Source`` stands for all
     rows), as read-only arrays checked once when built.
 
-    A sequence of correspondences: an integer index, and iteration, yield a
-    ``Correspondence``; an index array or a slice yields a ``PairSet``.
+    A sequence of rows: an integer index, and iteration, yield a row as a
+    plain ``(x, y, u, v, frame_id, source)`` tuple of Python floats, an int
+    and a ``Source``; an index array, a mask or a slice yields a ``PairSet``.
     """
 
     xy: np.ndarray
@@ -163,17 +123,14 @@ class PairSet:
             object.__setattr__(self, name, column)
 
     @classmethod
-    def of(cls, pairs: "PairSet | Sequence[Correspondence]") -> "PairSet":
-        """The pair set of a correspondence sequence, in order; a ``PairSet``
-        is returned as it is."""
+    def of(cls, pairs: "PairSet | Iterable[tuple]") -> "PairSet":
+        """The pair set of ``(x, y, u, v, frame_id, source)`` rows, in order,
+        checked once as columns: the inverse of iteration. A ``PairSet`` is
+        returned as it is."""
         if isinstance(pairs, PairSet):
             return pairs
-        return cls(
-            np.column_stack([[c.lidar.x for c in pairs], [c.lidar.y for c in pairs]]),
-            np.column_stack([[c.pixel.u for c in pairs], [c.pixel.v for c in pairs]]),
-            [c.frame_id for c in pairs],
-            [c.source for c in pairs],
-        )
+        x, y, u, v, frame_ids, source = tuple(zip(*pairs, strict=True)) or ((),) * 6
+        return cls(np.column_stack([x, y]), np.column_stack([u, v]), frame_ids, source)
 
     @classmethod
     def concat(cls, sets: Iterable["PairSet"]) -> "PairSet":
@@ -192,16 +149,12 @@ class PairSet:
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             (x, y), (u, v) = self.xy[index].tolist(), self.uv[index].tolist()
-            return Correspondence(
-                PlanePoint(x, y), PixelPoint(u, v), int(self.frame_ids[index]), self.source[index]
-            )
+            return x, y, u, v, int(self.frame_ids[index]), self.source[index]
         return PairSet(self.xy[index], self.uv[index], self.frame_ids[index], self.source[index])
 
     def __iter__(self):
-        for (x, y), (u, v), frame_id, source in zip(
-            self.xy.tolist(), self.uv.tolist(), self.frame_ids.tolist(), self.source.tolist()
-        ):
-            yield Correspondence(PlanePoint(x, y), PixelPoint(u, v), frame_id, source)
+        (x, y), (u, v) = self.xy.T.tolist(), self.uv.T.tolist()
+        return zip(x, y, u, v, self.frame_ids.tolist(), self.source.tolist())
 
 
 def stream_arrays(frames: Iterable[Frame]) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
@@ -306,12 +259,6 @@ def project_points(h: Homography, xy: np.ndarray) -> np.ndarray:
     return uv
 
 
-def project(h: Homography, p: PlanePoint) -> PixelPoint:
-    """Project a single ground-plane point to the image plane."""
-    uv = project_points(h, np.array([[p.x, p.y]]))
-    return PixelPoint(float(uv[0, 0]), float(uv[0, 1]))
-
-
 def compose(outer: Homography, inner: Homography) -> Homography:
     """Return the canonical product ``outer @ inner``."""
     try:
@@ -342,12 +289,8 @@ def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uv[kept], kept
 
 
-def correspondence_arrays(
-    pairs: PairSet | Sequence[Correspondence],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split correspondences into (N, 2) ground and (N, 2) pixel arrays: the
-    read-only columns of ``PairSet.of(pairs)``."""
-    pairs = PairSet.of(pairs)
+def correspondence_arrays(pairs: PairSet) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (N, 2) ground and (N, 2) pixel columns of a pair set."""
     return pairs.xy, pairs.uv
 
 

@@ -6,7 +6,7 @@ ground-truth pairs that no stage ever consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .blocks import BlockGrid, block_sample, require_kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet, InsufficientPairs, check_field_types
 from .geometry import (
-    Correspondence,
     Frame,
     Homography,
     PairSet,
@@ -73,14 +72,14 @@ class PipelineReport:
 
 
 def coarse_fit(
-    oracle_pairs: PairSet | Sequence[Correspondence],
+    oracle_pairs: PairSet | Iterable[tuple],
     grid: BlockGrid,
     cfg: RansacConfig,
     skip_parity: bool = True,
 ) -> tuple[RansacResult, PairSet]:
     """Block-sample the oracle pairs, then RANSAC with an inlier refit;
-    returns the RANSAC result and the inlier pairs. A correspondence
-    sequence is converted to a ``PairSet`` first."""
+    returns the RANSAC result and the inlier pairs. Rows are converted to a
+    ``PairSet`` first, by ``PairSet.of``."""
     oracle_pairs = PairSet.of(oracle_pairs)
     sampled = block_sample(oracle_pairs, grid, skip_parity=skip_parity)
     if len(sampled) < 4:
@@ -88,10 +87,10 @@ def coarse_fit(
             f"only {len(sampled)} pairs left after block sampling ({len(oracle_pairs)} in)"
         )
     result = ransac_homography(sampled.xy, sampled.uv, cfg)
-    return result, sampled[np.array(result.inlier_indices, dtype=np.intp)]
+    return result, sampled[result.inlier_indices]
 
 
-def evaluate(h: Homography, eval_pairs: PairSet | Sequence[Correspondence]) -> ResidualReport:
+def evaluate(h: Homography, eval_pairs: PairSet) -> ResidualReport:
     """Reprojection metrics of ``h`` on an evaluation pair set."""
     return reprojection_metrics(h, *correspondence_arrays(eval_pairs))
 

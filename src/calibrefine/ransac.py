@@ -54,7 +54,7 @@ class RansacConfig:
 @dataclass(frozen=True)
 class RansacResult:
     h: Homography
-    inlier_indices: tuple[int, ...]
+    inlier_indices: np.ndarray
     iterations_run: int
     inlier_report: ResidualReport
 
@@ -155,9 +155,11 @@ def ransac_homography(
     else:
         final_h, final_mask, final_residuals = best_h, best_mask, best_residuals
 
+    inlier_indices = np.flatnonzero(final_mask)
+    inlier_indices.flags.writeable = False
     return RansacResult(
         h=final_h,
-        inlier_indices=tuple(int(i) for i in np.flatnonzero(final_mask)),
+        inlier_indices=inlier_indices,
         iterations_run=iterations,
         inlier_report=ResidualReport.from_residuals(final_residuals[final_mask]),
     )

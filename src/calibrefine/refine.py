@@ -20,7 +20,6 @@ import numpy as np
 from .blocks import BlockGrid, block_of, block_winners, half_block_diagonal, retained_rows
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame, check_field_types
 from .geometry import (
-    Correspondence,
     Frame,
     Homography,
     PairSet,
@@ -90,10 +89,10 @@ class CalibrationState:
 
     @classmethod
     def initial(
-        cls, h0: Homography, seed_pairs: PairSet | Sequence[Correspondence] = ()
+        cls, h0: Homography, seed_pairs: PairSet | Iterable[tuple] = ()
     ) -> "CalibrationState":
-        """The state before any frame, seeded with ``seed_pairs``; a
-        correspondence sequence is converted to a ``PairSet``."""
+        """The state before any frame, seeded with ``seed_pairs``; rows are
+        converted to a ``PairSet`` by ``PairSet.of``."""
         return cls(h_best=h0, accumulated=PairSet.of(seed_pairs))
 
 
@@ -279,7 +278,7 @@ def run(
     frames: Iterable[Frame],
     h0: Homography,
     cfg: RefineConfig,
-    initial_pairs: PairSet | Sequence[Correspondence] = (),
+    initial_pairs: PairSet | Iterable[tuple] = (),
 ) -> CalibrationState:
     """Drive the loop over a frame stream and return the final state.
 

@@ -26,6 +26,11 @@ CAMERA_INSET = 0.04
 #: Fraction of scene samples the LiDAR disc is sized to cover.
 LIDAR_COVERAGE = 0.85
 
+#: Expected detections per sensor, ``n_frames * (n_objects + clutter_per_frame)``,
+#: above which a scene is refused: ``generate`` holds 122-202 bytes per expected
+#: row at its peak, so the cap bounds it near 130-210 MB.
+MAX_SCENE_DETECTIONS = 2**20
+
 _MAX_HOMOGRAPHY_TRIES = 20000
 _HOMOGRAPHY_BATCH = 250  # trials drawn and tested at once; divides the cap
 _CONDITION_LIMIT = 1e4
@@ -65,6 +70,12 @@ class SceneConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        detections = float(self.n_frames) * (float(self.n_objects) + float(self.clutter_per_frame))
+        if detections > MAX_SCENE_DETECTIONS:
+            raise ValueError(
+                f"n_frames * (n_objects + clutter_per_frame) must be at most {MAX_SCENE_DETECTIONS} "
+                f"expected detections per sensor, got {detections:.6g}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

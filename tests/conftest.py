@@ -2,7 +2,6 @@
 the property tests check against."""
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,14 +10,12 @@ from hypothesis import settings
 from calibrefine import correction, simulator
 from calibrefine.errors import InsufficientPairs
 from calibrefine.geometry import (
-    Correspondence,
     Frame,
     Homography,
     PairSet,
-    PixelPoint,
-    PlanePoint,
+    Source,
     compose,
-    project,
+    project_points,
     projectable,
     stream_arrays,
     transform_points,
@@ -42,12 +39,19 @@ def well_conditioned_homography(rng: np.random.Generator, cond_limit: float = 1e
             return Homography(m)
 
 
+def pair_set(xy, uv, frame_id=0, source: Source = Source.MANUAL) -> PairSet:
+    """The ``PairSet`` of (N, 2) ground points ``xy`` and pixels ``uv``, each
+    row in frame ``frame_id`` (or one frame id per row) with one ``source``."""
+    xy = point_array(xy)
+    return PairSet(xy, point_array(uv), np.broadcast_to(frame_id, len(xy)), source)
+
+
 def exact_pairs(
     h: Homography,
     rng: np.random.Generator,
     n: int,
     span: float = 5.0,
-) -> list[Correspondence]:
+) -> PairSet:
     """Exact correspondences from ``h`` at ground points clear of the horizon.
 
     The horizon clearance is relative to the largest |w| attainable in the
@@ -55,18 +59,24 @@ def exact_pairs(
     third row.
     """
     w_floor = 0.05 * (span * abs(h.m[2, 0]) + span * abs(h.m[2, 1]) + abs(h.m[2, 2]))
-    pairs = []
+    points = []
     for _ in range(100000):
-        if len(pairs) == n:
+        if len(points) == n:
             break
         x, y = rng.uniform(-span, span, size=2)
         w = h.m[2, 0] * x + h.m[2, 1] * y + h.m[2, 2]
         if abs(w) < w_floor:
             continue
-        p = PlanePoint(float(x), float(y))
-        pairs.append(Correspondence(lidar=p, pixel=project(h, p)))
-    assert len(pairs) == n, "could not sample enough points clear of the horizon"
-    return pairs
+        points.append((float(x), float(y)))
+    assert len(points) == n, "could not sample enough points clear of the horizon"
+    xy = point_array(points)
+    return pair_set(xy, project_points(h, xy))
+
+
+def project_one(h: Homography, x: float, y: float) -> tuple[float, float]:
+    """``project_points`` on the one-row array of the ground point ``(x, y)``."""
+    (u, v), = project_points(h, np.array([[x, y]], dtype=float)).tolist()
+    return u, v
 
 
 def assert_same_pairs(a: PairSet, b: PairSet) -> None:
@@ -81,20 +91,24 @@ def translation_homography(dx: float, dy: float) -> Homography:
     return Homography([[1.0, 0.0, dx], [0.0, 1.0, dy], [0.0, 0.0, 1.0]])
 
 
-def naive_metrics(h: Homography, pairs) -> tuple[list[float], float, float]:
-    """Straight-loop reference for the reprojection metrics."""
+def naive_metrics(h: Homography, pairs: PairSet) -> tuple[list[float], float, float]:
+    """Straight-loop reference for the reprojection metrics, projecting each
+    row by its own scalar arithmetic."""
+    m = h.m.tolist()
     residuals = []
-    for c in pairs:
-        pp = project(h, c.lidar)
-        residuals.append(math.hypot(c.pixel.u - pp.u, c.pixel.v - pp.v))
+    for (x, y), (u, v) in zip(pairs.xy.tolist(), pairs.uv.tolist()):
+        w = m[2][0] * x + m[2][1] * y + m[2][2]
+        pu = (m[0][0] * x + m[0][1] * y + m[0][2]) / w
+        pv = (m[1][0] * x + m[1][1] * y + m[1][2]) / w
+        residuals.append(math.hypot(u - pu, v - pv))
     aed = sum(residuals) / len(residuals)
     rmse = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     return residuals, aed, rmse
 
 
 def point_array(points) -> np.ndarray:
-    """(N, 2) float array of PlanePoint (x, y) or PixelPoint (u, v) values."""
-    return np.array([dataclasses.astuple(p) for p in points], dtype=float).reshape(-1, 2)
+    """(N, 2) float array of (x, y) or (u, v) points; (0, 2) for none."""
+    return np.array(list(points), dtype=float).reshape(-1, 2)
 
 
 def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]:
@@ -201,30 +215,33 @@ def naive_block_winners(pixels, frames, grid, skip_parity: bool = True) -> list[
     ]
 
 
-def naive_block_sample(pairs, grid, skip_parity: bool = True) -> list:
+def naive_block_sample(pairs: PairSet, grid, skip_parity: bool = True) -> PairSet:
     """Reference block sampling: the winning pairs, all in one frame."""
-    pixels = [(c.pixel.u, c.pixel.v) for c in pairs]
-    return [pairs[i] for i in naive_block_winners(pixels, [0] * len(pixels), grid, skip_parity)]
+    pixels = pairs.uv.tolist()
+    return pairs[naive_block_winners(pixels, [0] * len(pixels), grid, skip_parity)]
 
 
-def naive_occupancy_admit(accumulated, survivors, grid, capacity: int) -> list:
-    """Reference occupancy rule: each survivor, in order, rescans the whole
-    accumulated set (including survivors admitted before it) for the pairs in
-    its block; an empty block admits, a full one refuses, otherwise the new
-    camera point must be half a block diagonal from every stored one."""
-    out = list(accumulated)
+def naive_occupancy_admit(accumulated: PairSet, survivors: PairSet, grid, capacity: int) -> PairSet:
+    """Reference occupancy rule: each survivor, in order, rescans the pixels
+    of the whole accumulated set (including survivors admitted before it)
+    for those in its block; an empty block admits, a full one refuses,
+    otherwise the new camera point must be half a block diagonal from every
+    stored one. Returns the set with the admitted survivors appended."""
+    out = accumulated.uv.tolist()
+    admitted = []
     radius = 0.5 * math.hypot(grid.image_width / grid.blocks_x, grid.image_height / grid.blocks_y)
-    for cand in survivors:
-        block = naive_block(grid, cand.pixel.u, cand.pixel.v)
-        members = [p for p in out if naive_block(grid, p.pixel.u, p.pixel.v) == block]
+    for row, (u, v) in enumerate(survivors.uv.tolist()):
+        block = naive_block(grid, u, v)
+        members = [(mu, mv) for mu, mv in out if naive_block(grid, mu, mv) == block]
         if not members:
-            out.append(cand)
+            out.append((u, v))
+            admitted.append(row)
         elif len(members) < capacity and all(
-            math.hypot(cand.pixel.u - m.pixel.u, cand.pixel.v - m.pixel.v) >= radius
-            for m in members
+            math.hypot(u - mu, v - mv) >= radius for mu, mv in members
         ):
-            out.append(cand)
-    return out
+            out.append((u, v))
+            admitted.append(row)
+    return PairSet.concat([accumulated, survivors[admitted]])
 
 
 def backprojected_points(
@@ -233,34 +250,33 @@ def backprojected_points(
     n: int,
     width: float = 1920.0,
     height: float = 1080.0,
-) -> list[PlanePoint]:
-    """Ground points whose projections under ``h`` are uniform in the image."""
+) -> np.ndarray:
+    """(N, 2) ground points whose projections under ``h`` are uniform in the image."""
     hinv = np.linalg.inv(h.m)
     center = hinv @ np.array([width / 2.0, height / 2.0, 1.0])
-    points: list[PlanePoint] = []
+    points = []
     while len(points) < n:
         u = rng.uniform(0.0, width)
         v = rng.uniform(0.0, height)
         q = hinv @ np.array([u, v, 1.0])
         if q[2] * center[2] <= 0.0 or abs(q[2]) < 0.2 * abs(center[2]):
             continue
-        points.append(PlanePoint(float(q[0] / q[2]), float(q[1] / q[2])))
-    return points
+        points.append((float(q[0] / q[2]), float(q[1] / q[2])))
+    return point_array(points)
 
 
 def random_pair_cloud(
     rng: np.random.Generator, n: int, width: float = 1920.0, height: float = 1080.0
-) -> list[Correspondence]:
+) -> PairSet:
     """Pairs with camera points scattered over (and slightly beyond) an image."""
-    pairs = []
+    xy, uv = [], []
     for _ in range(n):
         u = rng.uniform(-0.1 * width, 1.1 * width)
         v = rng.uniform(-0.1 * height, 1.1 * height)
         x, y = rng.uniform(-50.0, 50.0, size=2)
-        pairs.append(
-            Correspondence(lidar=PlanePoint(float(x), float(y)), pixel=PixelPoint(float(u), float(v)))
-        )
-    return pairs
+        xy.append((float(x), float(y)))
+        uv.append((float(u), float(v)))
+    return pair_set(xy, uv)
 
 
 def naive_random_homography(seed: int, cfg) -> Homography:

@@ -10,13 +10,10 @@ import pytest
 from calibrefine.blocks import BlockGrid, Parity, block_sample
 from calibrefine.cli import main
 from calibrefine.geometry import (
-    Correspondence,
     Frame,
-    PairSet,
-    PixelPoint,
     correspondence_arrays,
     estimate_homography,
-    project,
+    project_points,
     reprojection_metrics,
 )
 from calibrefine.matching import MatchGate, greedy_match
@@ -39,6 +36,7 @@ from calibrefine.correction import (
 from calibrefine.geometry import Homography, compose
 
 from conftest import (
+    assert_same_pairs,
     backprojected_points,
     exact_pairs,
     naive_block,
@@ -47,6 +45,7 @@ from conftest import (
     naive_greedy,
     naive_metrics,
     naive_retained,
+    pair_set,
     point_array,
     random_pair_cloud,
     translation_homography,
@@ -66,13 +65,7 @@ def test_c1_metric_correctness_against_bruteforce():
     for _ in range(1000):
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, int(rng.integers(1, 25)))
-        pairs = [
-            Correspondence(
-                c.lidar,
-                PixelPoint(c.pixel.u + rng.normal(0, 5), c.pixel.v + rng.normal(0, 5)),
-            )
-            for c in pairs
-        ]
+        pairs = pair_set(pairs.xy, pairs.uv + rng.normal(0, 5, size=pairs.uv.shape))
         report = reprojection_metrics(h, *correspondence_arrays(pairs))
         res, aed, rmse = naive_metrics(h, pairs)
         assert abs(report.aed - aed) <= 1e-12
@@ -101,40 +94,32 @@ def test_c3_ransac_robustness_under_clutter():
         rng = np.random.default_rng(1000 + seed)
         h = random_homography(seed, scene)
         inlier_points = backprojected_points(h, rng, 120)
-        pairs = []
-        for p in inlier_points:
-            pp = project(h, p)
-            pairs.append(
-                Correspondence(
-                    p, PixelPoint(pp.u + rng.normal(0, 0.5), pp.v + rng.normal(0, 0.5))
-                )
-            )
+        inlier_pixels = project_points(h, inlier_points) + rng.normal(0, 0.5, size=(120, 2))
         clutter_points = backprojected_points(h, rng, 80)
-        for p in clutter_points:
-            pairs.append(
-                Correspondence(
-                    p,
-                    PixelPoint(
-                        float(rng.uniform(0, scene.image_width)),
-                        float(rng.uniform(0, scene.image_height)),
-                    ),
-                )
-            )
+        clutter_pixels = [
+            (rng.uniform(0, scene.image_width), rng.uniform(0, scene.image_height))
+            for _ in clutter_points
+        ]
+        pairs = pair_set(
+            np.concatenate([inlier_points, clutter_points]),
+            np.concatenate([inlier_pixels, point_array(clutter_pixels)]),
+        )
         order = rng.permutation(len(pairs))
-        shuffled = [pairs[i] for i in order]
+        shuffled = pairs[order]
         is_inlier = np.array([i < 120 for i in order])
 
         result = ransac_homography(
             *correspondence_arrays(shuffled), RansacConfig(seed=seed, inlier_threshold=3.0)
         )
         chosen = np.zeros(len(shuffled), dtype=bool)
-        chosen[list(result.inlier_indices)] = True
+        chosen[result.inlier_indices] = True
         recall = int(np.sum(chosen & is_inlier))
         admitted_clutter = int(np.sum(chosen & ~is_inlier))
         assert recall >= 114, f"seed {seed}: recall {recall}"
         assert admitted_clutter <= 2, f"seed {seed}: clutter {admitted_clutter}"
 
-        gt_eval = [Correspondence(p, project(h, p)) for p in backprojected_points(h, rng, 100)]
+        gt_points = backprojected_points(h, rng, 100)
+        gt_eval = pair_set(gt_points, project_points(h, gt_points))
         assert reprojection_metrics(result.h, *correspondence_arrays(gt_eval)).aed < 1.0
     _report("criterion 3 (RANSAC robustness, 100 seeds)", started, 60.0)
 
@@ -151,19 +136,19 @@ def test_c4_block_sampling_invariants():
             Parity(int(rng.integers(0, 2))),
         )
         pairs = random_pair_cloud(rng, int(rng.integers(0, 60)))
-        out = list(block_sample(PairSet.of(pairs), grid))
-        assert out == naive_block_sample(pairs, grid)
+        out = block_sample(pairs, grid)
+        assert_same_pairs(out, naive_block_sample(pairs, grid))
 
         seen = set()
-        for pair in out:
-            block = naive_block(grid, pair.pixel.u, pair.pixel.v)
+        for u, v in out.uv.tolist():
+            block = naive_block(grid, u, v)
             assert block is not None and naive_retained(grid, block) and block not in seen
             seen.add(block)
-            d_win = naive_center_d2(grid, block, pair.pixel.u, pair.pixel.v)
-            for other in pairs:
-                if naive_block(grid, other.pixel.u, other.pixel.v) == block:
-                    assert d_win <= naive_center_d2(grid, block, other.pixel.u, other.pixel.v)
-        assert list(block_sample(PairSet.of(out), grid)) == out
+            d_win = naive_center_d2(grid, block, u, v)
+            for other_u, other_v in pairs.uv.tolist():
+                if naive_block(grid, other_u, other_v) == block:
+                    assert d_win <= naive_center_d2(grid, block, other_u, other_v)
+        assert_same_pairs(block_sample(out, grid), out)
     _report("criterion 4 (block sampling, 1000 sets)", started, 5.0)
 
 
@@ -172,10 +157,10 @@ def test_c5_greedy_matching_against_oracle():
     for seed in range(1000):
         rng = np.random.default_rng(4000 + seed)
         n_l, n_c = int(rng.integers(0, 7)), int(rng.integers(0, 7))
-        proj = [PixelPoint(*map(float, rng.uniform(0, 100, 2))) for _ in range(n_l)]
-        dets = [PixelPoint(*map(float, rng.uniform(0, 100, 2))) for _ in range(n_c)]
+        proj = point_array(rng.uniform(0, 100, 2) for _ in range(n_l))
+        dets = point_array(rng.uniform(0, 100, 2) for _ in range(n_c))
         gate = MatchGate(float(rng.uniform(5, 90)))
-        out = greedy_match(point_array(proj), point_array(dets), gate)
+        out = greedy_match(proj, dets, gate)
 
         lidar_seen = [i for i, _, _ in out.matches]
         camera_seen = [j for _, j, _ in out.matches]
@@ -186,7 +171,9 @@ def test_c5_greedy_matching_against_oracle():
         assert all(0 <= j < n_c for j in camera_seen)
 
         if n_l and n_c:
-            costs = np.array([[math.hypot(p.u - d.u, p.v - d.v) for d in dets] for p in proj])
+            costs = np.array(
+                [[math.hypot(pu - du, pv - dv) for du, dv in dets.tolist()] for pu, pv in proj.tolist()]
+            )
             expected = naive_greedy(costs, gate.max_distance)
             assert [(i, j) for i, j, _ in out.matches] == [(i, j) for i, j, _ in expected]
         else:
@@ -268,12 +255,7 @@ def test_c8_correction_gradient_and_recovery():
         rng = np.random.default_rng(8000 + seed)
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, 20)
-        pairs = [
-            Correspondence(
-                c.lidar, PixelPoint(c.pixel.u + rng.normal(0, 2), c.pixel.v + rng.normal(0, 2))
-            )
-            for c in pairs
-        ]
+        pairs = pair_set(pairs.xy, pairs.uv + rng.normal(0, 2, size=pairs.uv.shape))
         d = np.eye(3) + rng.uniform(-0.01, 0.01, (3, 3))
         grad = reprojection_loss_gradient(h, d, *correspondence_arrays(pairs))
         step = 1e-6

@@ -272,6 +272,36 @@ def test_library_call_shapes_of_the_benchmark_agree(tmp_path):
         )
 
 
+def test_the_benchmark_seeding_idiom_gives_run_fulls_matrices():
+    # The stream and dense workloads seed the online loop from rows: the
+    # three lines below are copied from ``build_scene``, which iterates each
+    # frame's oracle pair set into one list of rows and keeps the inliers as
+    # a tuple of rows. Both row forms go back through ``PairSet.of``.
+    sim_frames, gt = generate(SceneConfig(seed=3, n_frames=120, n_objects=10))
+    by_id = {sf.frame.frame_id: sf for sf in sim_frames}
+
+    def oracle(frame):
+        return oracle_pairs(by_id[frame.frame_id], gt, 0.02, 3)
+
+    scene = types.SimpleNamespace(frames=[sf.frame for sf in sim_frames], h0=None, seed_pairs=())
+    cfg = pipeline.PipelineConfig(
+        grid=BlockGrid(1920, 1080),
+        ransac=RansacConfig(seed=3),
+        refine=refine.RefineConfig(recalib_interval=25),
+    )
+    coarse_input = [p for f in scene.frames[: cfg.coarse_frames] for p in oracle(f)]
+    fit, inliers = pipeline.coarse_fit(coarse_input, cfg.grid, cfg.ransac, cfg.skip_parity)
+    scene.h0, scene.seed_pairs = fit.h, tuple(inliers)
+
+    report = pipeline.run_full(scene.frames, oracle, cfg, gt.correspondences())
+    assert scene.h0.m.tobytes() == report.h_coarse.m.tobytes()
+    assert_same_pairs(refine.CalibrationState.initial(scene.h0, scene.seed_pairs).accumulated, inliers)
+    refine_cfg = replace(cfg.refine, grid=cfg.grid, ransac=cfg.ransac, skip_parity=cfg.skip_parity)
+    state = refine.run(scene.frames, scene.h0, refine_cfg, scene.seed_pairs)
+    assert state.h_best.m.tobytes() == report.h_iterative.m.tobytes()
+    assert state.checkpoints == report.checkpoints
+
+
 def test_tracer_counter_hooks_read_the_library_results(monkeypatch):
     # The traced runs' counters read fields of what the wrapped functions take
     # and return: a type change there fails here instead of in the benchmark.

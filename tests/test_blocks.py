@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample, block_winners, kept_blocks
-from calibrefine.geometry import Correspondence, PairSet, PixelPoint, PlanePoint
 
 from conftest import (
     assert_same_pairs,
@@ -15,17 +14,16 @@ from conftest import (
     naive_block_winners,
     naive_center_d2,
     naive_retained,
+    pair_set,
     random_pair_cloud,
 )
 
 
-def pair_at(u, v, frame_id=0):
-    return Correspondence(PlanePoint(0.0, 0.0), PixelPoint(u, v), frame_id)
-
-
-def sample(pairs, grid, skip_parity=True):
-    """``block_sample`` of a list of correspondences, as a list."""
-    return list(block_sample(PairSet.of(pairs), grid, skip_parity))
+def sample(pixels, grid, skip_parity=True):
+    """The ``(u, v)`` pixels of the pairs at ``pixels`` that ``block_sample``
+    keeps, in order."""
+    pairs = pair_set(np.zeros((len(pixels), 2)), pixels)
+    return [tuple(uv) for uv in block_sample(pairs, grid, skip_parity).uv.tolist()]
 
 
 def one_block(grid, u, v):
@@ -109,7 +107,7 @@ class TestBlockSample:
 
     def test_equidistant_tie_keeps_first(self):
         grid = BlockGrid(100, 100, 5, 5, Parity.EVEN)
-        first, second = pair_at(8.0, 8.0), pair_at(12.0, 12.0)
+        first, second = (8.0, 8.0), (12.0, 12.0)
         out = sample([first, second], grid)
         assert out == [first]
         # order flipped: the new first pair wins the tie instead
@@ -118,23 +116,23 @@ class TestBlockSample:
     def test_parity_filter(self):
         grid_even = BlockGrid(100, 100, 5, 5, Parity.EVEN)
         grid_odd = BlockGrid(100, 100, 5, 5, Parity.ODD)
-        pair = pair_at(10.0, 30.0)  # block (0, 1): odd parity
+        pair = (10.0, 30.0)  # block (0, 1): odd parity
         assert sample([pair], grid_even) == []
         assert sample([pair], grid_odd) == [pair]
 
     def test_skip_parity_disabled_keeps_all_blocks(self):
         grid = BlockGrid(100, 100, 5, 5, Parity.EVEN)
-        pair = pair_at(10.0, 30.0)
+        pair = (10.0, 30.0)
         assert sample([pair], grid, skip_parity=False) == [pair]
 
     def test_out_of_image_pairs_dropped(self):
         grid = BlockGrid(100, 100)
-        assert sample([pair_at(-5.0, 10.0), pair_at(10.0, 200.0)], grid) == []
+        assert sample([(-5.0, 10.0), (10.0, 200.0)], grid) == []
 
     def test_output_follows_input_order(self):
         grid = BlockGrid(100, 100, 5, 5, Parity.EVEN)
-        pairs = [pair_at(90.0, 90.0), pair_at(10.0, 10.0)]  # blocks (4,4), (0,0)
-        assert sample(pairs, grid) == pairs
+        pixels = [(90.0, 90.0), (10.0, 10.0)]  # blocks (4,4), (0,0)
+        assert sample(pixels, grid) == pixels
 
 
 class TestBlockSampleProperties:
@@ -149,26 +147,26 @@ class TestBlockSampleProperties:
             Parity(int(rng.integers(0, 2))),
         )
         pairs = random_pair_cloud(rng, int(rng.integers(0, 120)))
-        out = sample(pairs, grid)
+        out = block_sample(pairs, grid)
 
         seen_blocks = set()
-        for pair in out:
-            block = naive_block(grid, pair.pixel.u, pair.pixel.v)
+        for u, v in out.uv.tolist():
+            block = naive_block(grid, u, v)
             assert block is not None
             assert naive_retained(grid, block)
             assert block not in seen_blocks
             seen_blocks.add(block)
 
         # survivor minimality against a brute-force per-block scan
-        for pair in out:
-            block = naive_block(grid, pair.pixel.u, pair.pixel.v)
-            d_win = naive_center_d2(grid, block, pair.pixel.u, pair.pixel.v)
-            for other in pairs:
-                if naive_block(grid, other.pixel.u, other.pixel.v) == block:
-                    d_other = naive_center_d2(grid, block, other.pixel.u, other.pixel.v)
+        for u, v in out.uv.tolist():
+            block = naive_block(grid, u, v)
+            d_win = naive_center_d2(grid, block, u, v)
+            for other_u, other_v in pairs.uv.tolist():
+                if naive_block(grid, other_u, other_v) == block:
+                    d_other = naive_center_d2(grid, block, other_u, other_v)
                     assert d_win <= d_other
 
-        assert sample(out, grid) == out  # idempotence
+        assert_same_pairs(block_sample(out, grid), out)  # idempotence
 
 
 # Grids whose block edges are exact (100 px, 384 x 216 px) and inexact
@@ -214,9 +212,9 @@ class TestBlockRuleHypothesis:
     def test_block_sample_and_window_selection_equal_the_reference(self, case):
         grid, pixels, frames, skip_parity = case
         # each pair's frame id is its row, so equal pixels stay apart
-        pairs = [pair_at(u, v, row) for row, (u, v) in enumerate(pixels)]
-        out = block_sample(PairSet.of(pairs), grid, skip_parity=skip_parity)
-        assert_same_pairs(out, PairSet.of(naive_block_sample(pairs, grid, skip_parity)))
+        pairs = pair_set(np.zeros((len(pixels), 2)), pixels, frame_id=np.arange(len(pixels)))
+        out = block_sample(pairs, grid, skip_parity=skip_parity)
+        assert_same_pairs(out, naive_block_sample(pairs, grid, skip_parity))
 
         uv = np.array(pixels, dtype=float).reshape(-1, 2)
         rows, ix, iy = block_winners(uv, np.array(frames, dtype=np.intp), grid, skip_parity)

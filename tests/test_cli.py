@@ -54,6 +54,17 @@ class TestSimulate:
         assert code == 2
         assert "n_frames" in capsys.readouterr().err
 
+    def test_scene_above_the_detection_cap_exits_before_generating(self, tmp_path, capsys, monkeypatch):
+        def refuse(scene):
+            raise AssertionError("generate was called")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"scene": {"n_frames": 2**40}}))
+        code = main(["--config", str(cfg), "simulate", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "n_frames * (n_objects + clutter_per_frame)" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"scene": {"frames": 10}}))

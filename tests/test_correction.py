@@ -17,11 +17,9 @@ from calibrefine.errors import DegenerateProjection, InsufficientPairs
 from calibrefine.geometry import (
     Frame,
     Homography,
-    PixelPoint,
-    PlanePoint,
     compose,
     correspondence_arrays,
-    project,
+    project_points,
     projection_mask,
     refine_homography,
     stream_arrays,
@@ -34,7 +32,9 @@ from conftest import (
     grid_fit,
     grid_pairs,
     naive_greedy,
+    pair_set,
     point_array,
+    project_one,
     translation_homography,
     well_conditioned_homography,
 )
@@ -43,9 +43,7 @@ from conftest import (
 def dense_scene(rng, h, n=200):
     """Plane points plus their exact detections under h."""
     pairs = exact_pairs(h, rng, n)
-    lidar = [c.lidar for c in pairs]
-    camera = [c.pixel for c in pairs]
-    return lidar, camera
+    return pairs.xy, pairs.uv
 
 
 def scene_homography():
@@ -67,18 +65,19 @@ class TestImplicitPairs:
 
     def test_gate_excludes_all(self):
         h = scene_homography()
-        lidar = [PlanePoint(0.0, 0.0)]
-        camera = [PixelPoint(project(h, lidar[0]).u + 100.0, project(h, lidar[0]).v)]
+        lidar = [(0.0, 0.0)]
+        u, v = project_one(h, 0.0, 0.0)
+        camera = [(u + 100.0, v)]
         xy, uv = implicit_pairs(h, one_frame(lidar, camera))
         assert xy.shape == (0, 2) and uv.shape == (0, 2)
 
     def test_injection_two_projections_one_detection(self):
         h = Homography.identity()
-        lidar = [PlanePoint(0.0, 0.0), PlanePoint(1.0, 0.0)]
-        camera = [PixelPoint(0.4, 0.0)]
+        lidar = [(0.0, 0.0), (1.0, 0.0)]
+        camera = [(0.4, 0.0)]
         xy, uv = implicit_pairs(h, one_frame(lidar, camera))
         assert len(xy) == 1
-        assert tuple(xy[0]) == (lidar[0].x, lidar[0].y)  # the nearer projection wins
+        assert tuple(xy[0]) == lidar[0]  # the nearer projection wins
 
     def test_degenerate_projection_in_a_middle_frame(self):
         # frame 1 holds a LiDAR point on the horizon (w = 0) between two good
@@ -86,9 +85,9 @@ class TestImplicitPairs:
         rng = np.random.default_rng(11)
         h = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.001, 0.0, 1.0]])
         frames = [exact_pairs(h, rng, n) for n in (3, 2, 4)]
-        lidar = [[c.lidar for c in f] for f in frames]
-        camera = [[c.pixel for c in f] for f in frames]
-        lidar[1].insert(1, PlanePoint(-1000.0, 0.5))
+        lidar = [f.xy.tolist() for f in frames]
+        camera = [f.uv.tolist() for f in frames]
+        lidar[1].insert(1, [-1000.0, 0.5])
         stream = CarriedEdges(
             point_array([p for f in lidar for p in f]),
             point_array([p for f in camera for p in f]),
@@ -103,19 +102,19 @@ class TestImplicitPairs:
             projected, kept = [], []
             for p in frame_lidar:
                 try:
-                    projected.append(project(h, p))
+                    projected.append(project_one(h, *p))
                     kept.append(p)
                 except DegenerateProjection:
                     pass
             costs = np.array(
-                [[np.hypot(p.u - d.u, p.v - d.v) for d in frame_camera] for p in projected]
+                [[np.hypot(pu - du, pv - dv) for du, dv in frame_camera] for pu, pv in projected]
             )
             for i, j, _ in naive_greedy(costs, 40.0):
-                expected_xy.append((kept[i].x, kept[i].y))
-                expected_uv.append((frame_camera[j].u, frame_camera[j].v))
+                expected_xy.append(kept[i])
+                expected_uv.append(frame_camera[j])
         assert len(expected_xy) == 9
-        assert xy.tolist() == [list(p) for p in expected_xy]
-        assert uv.tolist() == [list(p) for p in expected_uv]
+        assert xy.tolist() == expected_xy
+        assert uv.tolist() == expected_uv
 
 
 class TestLossAndGradient:
@@ -124,10 +123,7 @@ class TestLossAndGradient:
         rng = np.random.default_rng(seed)
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, 25)
-        pairs = [
-            type(c)(c.lidar, PixelPoint(c.pixel.u + rng.normal(0, 2), c.pixel.v + rng.normal(0, 2)))
-            for c in pairs
-        ]
+        pairs = pair_set(pairs.xy, pairs.uv + rng.normal(0, 2, size=pairs.uv.shape))
         d = np.eye(3) + rng.uniform(-0.01, 0.01, (3, 3))
         grad = reprojection_loss_gradient(h, d, *correspondence_arrays(pairs))
 
@@ -172,7 +168,7 @@ class TestFitCorrection:
         rng = np.random.default_rng(3)
         h_true = scene_homography()
         lidar, camera = dense_scene(rng, h_true, 150)
-        camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
+        camera = camera + rng.normal(0, 1.0, size=camera.shape)
         h0 = compose(translation_homography(3.0, -2.0), h_true)
         result = fit_correction_stream(
             h0, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
@@ -183,8 +179,8 @@ class TestFitCorrection:
 
     def test_insufficient_pairs_strict_and_lenient(self):
         h = scene_homography()
-        lidar = [PlanePoint(0.0, 0.0)]
-        camera = [project(h, lidar[0])]
+        lidar = [(0.0, 0.0)]
+        camera = [project_one(h, 0.0, 0.0)]
         cfg = CorrectionConfig(min_pairs=12)
         with pytest.raises(InsufficientPairs):
             fit_correction_stream(h, [Frame(0, point_array(lidar), point_array(camera))], cfg)
@@ -214,9 +210,9 @@ class TestFitCorrection:
         rng = np.random.default_rng(8)
         h_true = scene_homography()
         grid = np.arange(-25.0, 26.0, 10.0)
-        lidar = [PlanePoint(float(x), float(y)) for x in grid for y in grid]
-        camera = [project(h_true, p) for p in lidar]
-        camera = [PixelPoint(p.u + rng.normal(0, 1.0), p.v + rng.normal(0, 1.0)) for p in camera]
+        lidar = point_array((x, y) for x in grid for y in grid)
+        camera = project_points(h_true, lidar)
+        camera = camera + rng.normal(0, 1.0, size=camera.shape)
         h0 = compose(translation_homography(2.0, -1.5), h_true)
         result = fit_correction_stream(
             h0, [Frame(0, point_array(lidar), point_array(camera))], CorrectionConfig()
@@ -227,10 +223,7 @@ class TestFitCorrection:
 
 
 _PERTURBED_SCENE = dense_scene(np.random.default_rng(9), scene_homography(), 80)
-_NOISY_CAMERA = [
-    PixelPoint(p.u + du, p.v + dv)
-    for p, (du, dv) in zip(_PERTURBED_SCENE[1], np.random.default_rng(10).normal(0, 0.5, (80, 2)))
-]
+_NOISY_CAMERA = _PERTURBED_SCENE[1] + np.random.default_rng(10).normal(0, 0.5, (80, 2))
 
 
 class TestFitCorrectionHypothesis:
@@ -275,15 +268,15 @@ class TestFitCorrectionStream:
         points = []
         for fid in range(10):
             pairs = exact_pairs(h, rng, 6)
-            points.append(([c.lidar for c in pairs], [c.pixel for c in pairs]))
+            points.append((pairs.xy.tolist(), pairs.uv.tolist()))
         orphans = exact_pairs(h, rng, 6)
         # LiDAR without detections, then the matching detections one frame
         # later: a pairing that crossed frames would pair all six.
-        points.append(([c.lidar for c in orphans], []))
-        points.append(([], [c.pixel for c in orphans]))
+        points.append((orphans.xy.tolist(), []))
+        points.append(([], orphans.uv.tolist()))
         # every LiDAR point on the horizon line (w = 0) projects degenerately
-        horizon = [PlanePoint(-1000.0, float(y)) for y in rng.uniform(-5, 5, 4)]
-        points.append((horizon, [c.pixel for c in exact_pairs(h, rng, 4)]))
+        horizon = [(-1000.0, float(y)) for y in rng.uniform(-5, 5, 4)]
+        points.append((horizon, exact_pairs(h, rng, 4).uv.tolist()))
         points.append(([], []))
         frames = [
             Frame(fid, point_array(lidar), point_array(camera))
@@ -295,11 +288,11 @@ class TestFitCorrectionStream:
             projected = []
             for p in lidar:
                 try:
-                    projected.append(project(h, p))
+                    projected.append(project_one(h, *p))
                 except DegenerateProjection:
                     degenerate += 1
             costs = np.array(
-                [[np.hypot(p.u - d.u, p.v - d.v) for d in camera] for p in projected]
+                [[np.hypot(pu - du, pv - dv) for du, dv in camera] for pu, pv in projected]
             ).reshape(len(projected), len(camera))
             expected += len(naive_greedy(costs, 40.0))
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from calibrefine.errors import (
     DegenerateConfiguration,
@@ -14,47 +14,51 @@ from calibrefine.errors import (
     SingularMatrixError,
 )
 from calibrefine.geometry import (
-    Correspondence,
     Frame,
     Homography,
     PairSet,
-    PixelPoint,
-    PlanePoint,
     ResidualReport,
     Source,
     compose,
     correspondence_arrays,
     estimate_homography,
-    project,
     refine_homography,
     reprojection_metrics,
 )
 
-from conftest import exact_pairs, naive_metrics, translation_homography, well_conditioned_homography
+from conftest import (
+    assert_same_pairs,
+    exact_pairs,
+    naive_metrics,
+    pair_set,
+    project_one,
+    translation_homography,
+    well_conditioned_homography,
+)
 
 
 class TestProject:
     def test_identity(self):
-        p = project(Homography.identity(), PlanePoint(3.0, 4.0))
-        assert p.u == pytest.approx(3.0, abs=1e-12)
-        assert p.v == pytest.approx(4.0, abs=1e-12)
+        u, v = project_one(Homography.identity(), 3.0, 4.0)
+        assert u == pytest.approx(3.0, abs=1e-12)
+        assert v == pytest.approx(4.0, abs=1e-12)
 
     def test_pure_scaling(self):
         h = Homography(np.diag([2.0, 2.0, 1.0]))
-        p = project(h, PlanePoint(3.0, 4.0))
-        assert p.u == pytest.approx(6.0, abs=1e-12)
-        assert p.v == pytest.approx(8.0, abs=1e-12)
+        u, v = project_one(h, 3.0, 4.0)
+        assert u == pytest.approx(6.0, abs=1e-12)
+        assert v == pytest.approx(8.0, abs=1e-12)
 
     def test_perspective_division(self):
         h = Homography([[1, 0, 0], [0, 1, 0], [0.1, 0, 1]])
-        p = project(h, PlanePoint(1.0, 0.0))
-        assert p.u == pytest.approx(1.0 / 1.1, abs=1e-12)
-        assert p.v == pytest.approx(0.0, abs=1e-12)
+        u, v = project_one(h, 1.0, 0.0)
+        assert u == pytest.approx(1.0 / 1.1, abs=1e-12)
+        assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_projection_raises(self):
         h = Homography([[1, 0, 0], [0, 1, 0], [0.1, 0, 1]])  # w = 0 at x = -10
         with pytest.raises(DegenerateProjection):
-            project(h, PlanePoint(-10.0, 5.0))
+            project_one(h, -10.0, 5.0)
 
     @pytest.mark.parametrize("lam", [-2.0, 0.5])
     def test_scale_invariance_power_of_two_is_exact(self, lam):
@@ -69,10 +73,10 @@ class TestProject:
         for _ in range(50):
             h = well_conditioned_homography(rng)
             scaled = Homography(10.0 * h.m)
-            for pair in exact_pairs(h, rng, 5):
-                a = project(h, pair.lidar)
-                b = project(scaled, pair.lidar)
-                assert abs(a.u - b.u) < 1e-9 and abs(a.v - b.v) < 1e-9
+            for x, y in exact_pairs(h, rng, 5).xy.tolist():
+                a = project_one(h, x, y)
+                b = project_one(scaled, x, y)
+                assert abs(a[0] - b[0]) < 1e-9 and abs(a[1] - b[1]) < 1e-9
 
 
 class TestHomographyType:
@@ -133,11 +137,11 @@ class TestHomographyType:
 
     def test_point_invariants(self):
         with pytest.raises(ValueError):
-            PlanePoint(math.inf, 0.0)
+            pair_set([[math.inf, 0.0]], [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            PixelPoint(0.0, math.nan)
+            pair_set([[0.0, 0.0]], [[0.0, math.nan]])
         with pytest.raises(ValueError):
-            Correspondence(PlanePoint(0, 0), PixelPoint(0, 0), frame_id=-1)
+            pair_set([[0.0, 0.0]], [[0.0, 0.0]], frame_id=-1)
 
 
 class TestFrame:
@@ -177,6 +181,12 @@ class TestFrame:
             Frame(-1, [[1.0, 2.0]], [])
 
 
+_coordinates = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]), st.floats(allow_nan=False, allow_infinity=False)
+)
+_frame_ids = st.one_of(st.just(2**63 - 1), st.integers(0, 2**63 - 1))
+
+
 def two_pairs(**columns) -> PairSet:
     return PairSet(**{
         "xy": [[0.5, -1.0], [2.0, 3.0]],
@@ -188,19 +198,38 @@ def two_pairs(**columns) -> PairSet:
 
 
 class TestPairSet:
-    def test_integer_index_and_iteration_yield_correspondences(self):
-        pairs = two_pairs()
-        expected = [
-            Correspondence(PlanePoint(0.5, -1.0), PixelPoint(10.0, 20.0), 4, Source.ORACLE),
-            Correspondence(PlanePoint(2.0, 3.0), PixelPoint(-0.0, 5e-324), 9, Source.MANUAL),
-        ]
-        assert len(pairs) == 2
-        assert list(pairs) == expected
-        assert [pairs[0], pairs[-1], pairs[np.int64(1)]] == [expected[0], expected[1], expected[1]]
-        for c in [*pairs, pairs[1]]:
-            assert {type(c.lidar.x), type(c.pixel.v), type(c.frame_id)} == {float, int}
-        with pytest.raises(IndexError):
-            pairs[2]
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(*[_coordinates] * 4, _frame_ids, st.sampled_from(Source)), max_size=6))
+    @example([])
+    @example([
+        (0.5, -1.0, 10.0, 20.0, 4, Source.ORACLE),
+        (2.0, 3.0, -0.0, 5e-324, 2**63 - 1, Source.MANUAL),
+    ])
+    def test_integer_index_and_iteration_yield_rows(self, rows):
+        pairs = PairSet(
+            np.reshape([r[:2] for r in rows], (-1, 2)),
+            np.reshape([r[2:4] for r in rows], (-1, 2)),
+            np.array([r[4] for r in rows], dtype=np.int64),
+            [r[5] for r in rows],
+        )
+        listed = list(pairs)
+        assert repr(listed) == repr(rows)  # repr tells -0.0 from 0.0
+        for row in listed:
+            assert [type(c) for c in row] == [float] * 4 + [int, Source] and type(row) is tuple
+        assert_same_pairs(PairSet.of(listed), pairs)
+        assert PairSet.of(pairs) is pairs
+        n = len(pairs)
+        for k in range(-n, n):
+            assert pairs[k] == listed[k] and pairs[np.int64(k)] == listed[k]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                pairs[k]
+        for k in range(n):
+            for column, bad in ((0, math.nan), (3, -math.inf), (4, -1), (5, "oracle")):
+                broken = list(listed[k])
+                broken[column] = bad
+                with pytest.raises(ValueError):
+                    PairSet.of(listed[:k] + [tuple(broken)] + listed[k + 1 :])
 
     def test_index_array_and_slice_yield_pair_sets(self):
         pairs = two_pairs()
@@ -261,8 +290,6 @@ class TestPairSet:
         pairs = two_pairs()
         xy, uv = correspondence_arrays(pairs)
         assert xy is pairs.xy and uv is pairs.uv
-        listed_xy, listed_uv = correspondence_arrays(list(pairs))
-        assert listed_xy.tobytes() == xy.tobytes() and listed_uv.tobytes() == uv.tobytes()
 
 
 class TestCompose:
@@ -278,9 +305,9 @@ class TestCompose:
 
     def test_translations_add(self):
         h = compose(translation_homography(3.0, 0.0), translation_homography(0.0, 4.0))
-        p = project(h, PlanePoint(0.0, 0.0))
-        assert p.u == pytest.approx(3.0, abs=1e-12)
-        assert p.v == pytest.approx(4.0, abs=1e-12)
+        u, v = project_one(h, 0.0, 0.0)
+        assert u == pytest.approx(3.0, abs=1e-12)
+        assert v == pytest.approx(4.0, abs=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(11)
@@ -295,11 +322,10 @@ class TestCompose:
         outer = well_conditioned_homography(rng)
         inner = translation_homography(1.0, -2.0)
         combined = compose(outer, inner)
-        for pair in exact_pairs(combined, rng, 10):
-            via_inner = project(inner, pair.lidar)
-            direct = project(combined, pair.lidar)
-            chained = project(outer, PlanePoint(via_inner.u, via_inner.v))
-            assert math.hypot(direct.u - chained.u, direct.v - chained.v) < 1e-8
+        for x, y in exact_pairs(combined, rng, 10).xy.tolist():
+            direct = project_one(combined, x, y)
+            chained = project_one(outer, *project_one(inner, x, y))
+            assert math.hypot(direct[0] - chained[0], direct[1] - chained[1]) < 1e-8
 
 
 class TestReprojectionMetrics:
@@ -312,7 +338,7 @@ class TestReprojectionMetrics:
 
     def test_three_four_five_single_pair(self):
         h = Homography.identity()
-        pairs = [Correspondence(PlanePoint(0, 0), PixelPoint(3.0, 4.0))]
+        pairs = pair_set([[0, 0]], [[3.0, 4.0]])
         report = reprojection_metrics(h, *correspondence_arrays(pairs))
         assert report.aed == pytest.approx(5.0, abs=1e-12)
         assert report.rmse == pytest.approx(5.0, abs=1e-12)
@@ -320,10 +346,7 @@ class TestReprojectionMetrics:
 
     def test_mixed_residuals(self):
         h = Homography.identity()
-        pairs = [
-            Correspondence(PlanePoint(1, 1), PixelPoint(1.0, 1.0)),
-            Correspondence(PlanePoint(2, 2), PixelPoint(8.0, 10.0)),  # residual 10
-        ]
+        pairs = pair_set([[1, 1], [2, 2]], [[1.0, 1.0], [8.0, 10.0]])  # residuals 0 and 10
         report = reprojection_metrics(h, *correspondence_arrays(pairs))
         assert report.aed == pytest.approx(5.0, abs=1e-12)
         assert report.rmse == pytest.approx(math.sqrt(50.0), abs=1e-12)
@@ -337,13 +360,7 @@ class TestReprojectionMetrics:
         for _ in range(200):
             h = well_conditioned_homography(rng)
             pairs = exact_pairs(h, rng, int(rng.integers(1, 30)))
-            pairs = [
-                Correspondence(
-                    c.lidar,
-                    PixelPoint(c.pixel.u + rng.normal(0, 3), c.pixel.v + rng.normal(0, 3)),
-                )
-                for c in pairs
-            ]
+            pairs = pair_set(pairs.xy, pairs.uv + rng.normal(0, 3, size=pairs.uv.shape))
             report = reprojection_metrics(h, *correspondence_arrays(pairs))
             res, aed, rmse = naive_metrics(h, pairs)
             assert report.aed == pytest.approx(aed, abs=1e-12)
@@ -353,10 +370,7 @@ class TestReprojectionMetrics:
 
     def test_equal_residuals_make_aed_equal_rmse(self):
         h = Homography.identity()
-        pairs = [
-            Correspondence(PlanePoint(0, 0), PixelPoint(3.0, 4.0)),
-            Correspondence(PlanePoint(10, 10), PixelPoint(14.0, 13.0)),
-        ]
+        pairs = pair_set([[0, 0], [10, 10]], [[3.0, 4.0], [14.0, 13.0]])
         report = reprojection_metrics(h, *correspondence_arrays(pairs))
         assert report.rmse == pytest.approx(report.aed, abs=1e-9)
 
@@ -371,13 +385,13 @@ class TestReprojectionMetrics:
 class TestEstimateHomography:
     def test_fixed_points_give_identity(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        pairs = [Correspondence(PlanePoint(x, y), PixelPoint(x, y)) for x, y in pts]
+        pairs = pair_set(pts, pts)
         h = estimate_homography(*correspondence_arrays(pairs))
         assert np.allclose(h.m, Homography.identity().m, atol=1e-10)
 
     def test_translation_recovered(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        pairs = [Correspondence(PlanePoint(x, y), PixelPoint(x + 10.0, y + 5.0)) for x, y in pts]
+        pairs = pair_set(pts, [(x + 10.0, y + 5.0) for x, y in pts])
         h = estimate_homography(*correspondence_arrays(pairs))
         expected = translation_homography(10.0, 5.0)
         assert np.allclose(h.m, expected.m, atol=1e-10)
@@ -403,15 +417,12 @@ class TestEstimateHomography:
             estimate_homography(*correspondence_arrays(exact_pairs(h, rng, 3)))
 
     def test_collinear_points_degenerate(self):
-        pairs = [
-            Correspondence(PlanePoint(float(i), float(i)), PixelPoint(float(i), float(i)))
-            for i in range(6)
-        ]
+        pairs = pair_set([(i, i) for i in range(6)], [(i, i) for i in range(6)])
         with pytest.raises(DegenerateConfiguration):
             estimate_homography(*correspondence_arrays(pairs))
 
     def test_coincident_points_degenerate(self):
-        pairs = [Correspondence(PlanePoint(1.0, 2.0), PixelPoint(3.0, 4.0))] * 5
+        pairs = pair_set([(1.0, 2.0)] * 5, [(3.0, 4.0)] * 5)
         with pytest.raises(DegenerateConfiguration):
             estimate_homography(*correspondence_arrays(pairs))
 
@@ -437,12 +448,8 @@ class TestRefineHomography:
     def test_noisy_pairs_never_worse_than_start(self):
         rng = np.random.default_rng(20)
         h = well_conditioned_homography(rng)
-        pairs = [
-            Correspondence(
-                c.lidar, PixelPoint(c.pixel.u + rng.normal(0, 1.0), c.pixel.v + rng.normal(0, 1.0))
-            )
-            for c in exact_pairs(h, rng, 60)
-        ]
+        pairs = exact_pairs(h, rng, 60)
+        pairs = pair_set(pairs.xy, pairs.uv + rng.normal(0, 1.0, size=pairs.uv.shape))
         h0 = compose(translation_homography(2.0, -1.0), h)
         refined = refine_homography(*correspondence_arrays(pairs), h0)
         assert (
@@ -457,12 +464,8 @@ class TestRefineHomography:
     def test_iteration_cap_warns_and_returns_best_iterate(self):
         rng = np.random.default_rng(21)
         h = well_conditioned_homography(rng)
-        pairs = [
-            Correspondence(
-                c.lidar, PixelPoint(c.pixel.u + rng.normal(0, 2.0), c.pixel.v + rng.normal(0, 2.0))
-            )
-            for c in exact_pairs(h, rng, 40)
-        ]
+        pairs = exact_pairs(h, rng, 40)
+        pairs = pair_set(pairs.xy, pairs.uv + rng.normal(0, 2.0, size=pairs.uv.shape))
         h0 = compose(translation_homography(25.0, -30.0), h)
         with pytest.warns(NonConvergenceWarning):
             refined = refine_homography(*correspondence_arrays(pairs), h0, max_iterations=1)

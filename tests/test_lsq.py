@@ -11,7 +11,7 @@ from calibrefine.errors import DegenerateProjection, NonConvergenceWarning
 from calibrefine.geometry import Homography, refine_homography, transform_points
 from calibrefine.lsq import damped_least_squares
 
-from conftest import exact_pairs, point_array, well_conditioned_homography
+from conftest import exact_pairs, well_conditioned_homography
 
 
 def quadratic(target):
@@ -262,7 +262,7 @@ def _problem(seed: int, n: int, noise: float, offset: float, warp: float):
     rng = np.random.default_rng(seed)
     h = well_conditioned_homography(rng)
     pairs = exact_pairs(h, rng, n)
-    xy, uv = point_array(c.lidar for c in pairs), point_array(c.pixel for c in pairs)
+    xy, uv = pairs.xy, pairs.uv
     spread = float(uv.std()) + 1e-12
     uv = uv + rng.normal(0.0, noise * spread, uv.shape)
     shift = np.eye(3)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calibrefine import matching
-from calibrefine.geometry import PixelPoint
 from calibrefine.matching import (
     MatchGate,
     candidate_edges,
@@ -19,37 +18,36 @@ from conftest import naive_greedy, point_array
 
 
 def points(*uv):
-    return [PixelPoint(float(u), float(v)) for u, v in uv]
+    """(N, 2) array of the given (u, v) pixels."""
+    return point_array(uv)
 
 
 class TestGreedyMatchExamples:
     def test_single_admissible_pair(self):
-        out = greedy_match(point_array(points((10, 10))), point_array(points((12, 10))), MatchGate(40.0))
+        out = greedy_match(points((10, 10)), points((12, 10)), MatchGate(40.0))
         assert out.matches == ((0, 0, 2.0),)
 
     def test_two_clean_matches(self):
-        out = greedy_match(
-            point_array(points((0, 0), (10, 0))), point_array(points((1, 0), (9, 0))), MatchGate(40.0)
-        )
+        out = greedy_match(points((0, 0), (10, 0)), points((1, 0), (9, 0)), MatchGate(40.0))
         assert {(i, j) for i, j, _ in out.matches} == {(0, 0), (1, 1)}
 
     def test_tie_goes_to_lower_lidar_index(self):
         # both lidar points are 5 px from camera 0; camera 1 is out of gate
         out = greedy_match(
-            point_array(points((0, 0), (10, 0))),
-            point_array(points((5, 0), (100, 100))),
+            points((0, 0), (10, 0)),
+            points((5, 0), (100, 100)),
             MatchGate(40.0),
         )
         assert out.matches == ((0, 0, 5.0),)
 
     def test_gate_excludes_everything(self):
-        out = greedy_match(point_array(points((0, 0))), point_array(points((100, 100))), MatchGate(40.0))
+        out = greedy_match(points((0, 0)), points((100, 100)), MatchGate(40.0))
         assert out.matches == ()
 
     def test_empty_inputs(self):
-        out = greedy_match(point_array([]), point_array(points((1, 1))), MatchGate(40.0))
+        out = greedy_match(points(), points((1, 1)), MatchGate(40.0))
         assert out.matches == ()
-        out = greedy_match(point_array(points((1, 1))), point_array([]), MatchGate(40.0))
+        out = greedy_match(points((1, 1)), points(), MatchGate(40.0))
         assert out.matches == ()
 
     def test_gate_validation(self):
@@ -65,10 +63,12 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 100, size=2) for _ in range(n_l)))
         dets = points(*(rng.uniform(0, 100, size=2) for _ in range(n_c)))
         gate = MatchGate(float(rng.uniform(5, 80)))
-        out = greedy_match(point_array(proj), point_array(dets), gate)
+        out = greedy_match(proj, dets, gate)
 
         if n_l and n_c:
-            costs = np.array([[np.hypot(p.u - d.u, p.v - d.v) for d in dets] for p in proj])
+            costs = np.array(
+                [[np.hypot(pu - du, pv - dv) for du, dv in dets.tolist()] for pu, pv in proj.tolist()]
+            )
             expected = naive_greedy(costs, gate.max_distance)
             assert [(i, j) for i, j, _ in out.matches] == [(i, j) for i, j, _ in expected]
             assert np.allclose([c for *_, c in out.matches], [c for *_, c in expected])
@@ -81,7 +81,7 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 200, size=2) for _ in range(12)))
         dets = points(*(rng.uniform(0, 200, size=2) for _ in range(9)))
         gate = MatchGate(50.0)
-        out = greedy_match(point_array(proj), point_array(dets), gate)
+        out = greedy_match(proj, dets, gate)
 
         lidar_seen = [i for i, _, _ in out.matches]
         camera_seen = [j for _, j, _ in out.matches]
@@ -96,9 +96,11 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 300, size=2) for _ in range(10)))
         dets = points(*(rng.uniform(0, 300, size=2) for _ in range(10)))
         gate = MatchGate(120.0)
-        out = greedy_match(point_array(proj), point_array(dets), gate)
+        out = greedy_match(proj, dets, gate)
 
-        costs = np.array([[np.hypot(p.u - d.u, p.v - d.v) for d in dets] for p in proj])
+        costs = np.array(
+            [[np.hypot(pu - du, pv - dv) for du, dv in dets.tolist()] for pu, pv in proj.tolist()]
+        )
         free_l, free_c = set(range(10)), set(range(10))
         for i, j, c in out.matches:
             admissible = [
@@ -113,12 +115,12 @@ class TestGreedyMatchProperties:
         proj = points(*(rng.uniform(0, 100, size=2) for _ in range(6)))
         dets = points(*(rng.uniform(0, 100, size=2) for _ in range(6)))
         gate = MatchGate(200.0)
-        base = greedy_match(point_array(proj), point_array(dets), gate)
+        base = greedy_match(proj, dets, gate)
 
         perm_l = list(rng.permutation(6))
         perm_c = list(rng.permutation(6))
         out = greedy_match(
-            point_array([proj[i] for i in perm_l]), point_array([dets[j] for j in perm_c]), gate
+            proj[perm_l], dets[perm_c], gate
         )
         remapped = {(perm_l.index(i), perm_c.index(j)) for i, j, _ in base.matches}
         assert {(i, j) for i, j, _ in out.matches} == remapped

@@ -6,15 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from calibrefine.blocks import BlockGrid
 from calibrefine.errors import EmptySet, InsufficientPairs
-from calibrefine.geometry import (
-    Correspondence,
-    Homography,
-    PairSet,
-    PixelPoint,
-    PlanePoint,
-    ResidualReport,
-    project,
-)
+from calibrefine.geometry import Homography, PairSet, ResidualReport, project_points
 from calibrefine.pipeline import (
     HISTOGRAM_EDGE,
     PipelineConfig,
@@ -28,7 +20,14 @@ from calibrefine.pipeline import (
 from calibrefine.ransac import RansacConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
-from conftest import assert_same_pairs, exact_pairs, naive_block, naive_block_sample
+from conftest import (
+    assert_same_pairs,
+    exact_pairs,
+    naive_block,
+    naive_block_sample,
+    pair_set,
+    point_array,
+)
 
 
 def sim_setup(**overrides):
@@ -65,9 +64,9 @@ class TestCoarseCalibrate:
             oracle_error_rate=0.0,
             clutter_per_frame=0.0,
         )
-        pairs = [p for sf in sim_frames for p in oracle(sf.frame)]
+        pairs = PairSet.concat(oracle(sf.frame) for sf in sim_frames)
         grid = BlockGrid(scene.image_width, scene.image_height)
-        covered = {b for b in (naive_block(grid, p.pixel.u, p.pixel.v) for p in pairs) if b is not None}
+        covered = {b for b in (naive_block(grid, u, v) for u, v in pairs.uv.tolist()) if b is not None}
         assert len(covered) >= 8
         h = coarse_fit(pairs, grid, RansacConfig(seed=4))[0].h
         assert np.max(np.abs(h.m - gt.h_true.m)) < 1e-6
@@ -75,23 +74,18 @@ class TestCoarseCalibrate:
     def test_clustered_pairs_insufficient_after_sampling(self):
         h = Homography([[10.0, 0, 100.0], [0, 10.0, 100.0], [0, 0, 1.0]])
         rng = np.random.default_rng(1)
-        pairs = []
-        for _ in range(40):
-            x, y = rng.uniform(0.0, 2.0, size=2)  # all in one block
-            p = PlanePoint(float(x), float(y))
-            pairs.append(Correspondence(p, project(h, p)))
+        xy = point_array(rng.uniform(0.0, 2.0, size=2) for _ in range(40))  # all in one block
+        pairs = pair_set(xy, project_points(h, xy))
         with pytest.raises(InsufficientPairs):
             coarse_fit(pairs, BlockGrid(1000, 1000, 5, 5), RansacConfig(seed=4))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_corrupted_oracle_pairs_excluded(self, seed):
         scene, sim_frames, gt, _ = sim_setup(seed=seed, n_frames=150)
-        by_id = {sf.frame.frame_id: sf for sf in sim_frames}
-        clean, noisy = [], []
-        for sf in sim_frames:
-            clean.extend(oracle_pairs(sf, gt, 0.0, seed=seed))
-            noisy.extend(oracle_pairs(sf, gt, 0.02, seed=seed))
-        corrupted = {n for c, n in zip(clean, noisy) if c.pixel != n.pixel}
+        clean = PairSet.concat(oracle_pairs(sf, gt, 0.0, seed=seed) for sf in sim_frames)
+        noisy = PairSet.concat(oracle_pairs(sf, gt, 0.02, seed=seed) for sf in sim_frames)
+        # the (x, y, u, v, frame_id, source) rows whose pixel (u, v) the oracle corrupted
+        corrupted = {n for c, n in zip(clean, noisy) if c[2:4] != n[2:4]}
         grid = BlockGrid(scene.image_width, scene.image_height)
         result, inliers = coarse_fit(noisy, grid, RansacConfig(seed=seed))
         admitted = sum(1 for p in inliers if p in corrupted)
@@ -111,24 +105,17 @@ class TestEvaluate:
 
     def test_translated_scene_closed_form(self):
         h = Homography.identity()
-        pairs = [
-            Correspondence(PlanePoint(float(i), 0.0), PixelPoint(float(i) + 3.0, 4.0))
-            for i in range(10)
-        ]
+        pairs = pair_set([(i, 0.0) for i in range(10)], [(i + 3.0, 4.0) for i in range(10)])
         report = evaluate(h, pairs)
         assert report.aed == pytest.approx(5.0, abs=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptySet):
-            evaluate(Homography.identity(), [])
+            evaluate(Homography.identity(), pair_set([], []))
 
     def test_histogram_conservation_and_overflow(self):
         h = Homography.identity()
-        pairs = [
-            Correspondence(PlanePoint(0.0, 0.0), PixelPoint(0.5, 0.0)),
-            Correspondence(PlanePoint(0.0, 0.0), PixelPoint(7.2, 0.0)),
-            Correspondence(PlanePoint(0.0, 0.0), PixelPoint(500.0, 0.0)),
-        ]
+        pairs = pair_set([(0.0, 0.0)] * 3, [(0.5, 0.0), (7.2, 0.0), (500.0, 0.0)])
         counts = error_histogram(evaluate(h, pairs))
         assert counts.sum() == 3
         assert counts[0] == 1 and counts[7] == 1 and counts[-1] == 1
@@ -227,7 +214,7 @@ class TestSplitEvalPairs:
     def test_deterministic_and_sized(self):
         rng = np.random.default_rng(8)
         h = Homography.identity()
-        pairs = PairSet.of(exact_pairs(h, rng, 200))
+        pairs = exact_pairs(h, rng, 200)
         a = split_eval_pairs(pairs, 0.1, 3)
         b = split_eval_pairs(pairs, 0.1, 3)
         assert_same_pairs(a, b)
@@ -235,4 +222,4 @@ class TestSplitEvalPairs:
 
     def test_empty_raises(self):
         with pytest.raises(EmptySet):
-            split_eval_pairs([], 0.1, 0)
+            split_eval_pairs(pair_set([], []), 0.1, 0)

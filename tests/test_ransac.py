@@ -4,35 +4,22 @@ import numpy as np
 import pytest
 
 from calibrefine.errors import ConsensusFailure, InsufficientPairs
-from calibrefine.geometry import (
-    Correspondence,
-    PixelPoint,
-    PlanePoint,
-    correspondence_arrays,
-    project,
-    reprojection_metrics,
-)
+from calibrefine.geometry import correspondence_arrays, reprojection_metrics
 from calibrefine.ransac import RansacConfig, minimal_sample_stream, ransac_homography
 
-from conftest import exact_pairs, well_conditioned_homography
+from conftest import exact_pairs, pair_set, well_conditioned_homography
 
 
 def contaminated_set(rng, h, n_inliers, n_outliers, noise=0.5):
-    pairs = []
-    for c in exact_pairs(h, rng, n_inliers):
-        pairs.append(
-            Correspondence(
-                c.lidar,
-                PixelPoint(c.pixel.u + rng.normal(0, noise), c.pixel.v + rng.normal(0, noise)),
-            )
-        )
+    inliers = exact_pairs(h, rng, n_inliers)
+    xy = inliers.xy.tolist()
+    uv = (inliers.uv + rng.normal(0, noise, size=inliers.uv.shape)).tolist()
     for _ in range(n_outliers):
-        x, y = rng.uniform(-5, 5, size=2)
-        u, v = rng.uniform(-500, 500, size=2)
-        pairs.append(Correspondence(PlanePoint(float(x), float(y)), PixelPoint(float(u), float(v))))
-    order = rng.permutation(len(pairs))
+        xy.append(rng.uniform(-5, 5, size=2))
+        uv.append(rng.uniform(-500, 500, size=2))
+    order = rng.permutation(len(xy))
     labels = np.array([i < n_inliers for i in order])
-    return [pairs[i] for i in order], labels
+    return pair_set(xy, uv)[order], labels
 
 
 class TestRansacExamples:
@@ -41,7 +28,8 @@ class TestRansacExamples:
         h = well_conditioned_homography(rng)
         pairs = exact_pairs(h, rng, 50)
         result = ransac_homography(*correspondence_arrays(pairs), RansacConfig(seed=1))
-        assert result.inlier_indices == tuple(range(50))
+        assert np.array_equal(result.inlier_indices, np.arange(50))
+        assert result.inlier_indices.dtype == np.intp and not result.inlier_indices.flags.writeable
         assert np.max(np.abs(result.h.m - h.m)) < 1e-8
 
     def test_below_minimal_sample(self):
@@ -82,7 +70,7 @@ class TestRansacProperties:
         a = ransac_homography(*correspondence_arrays(pairs), cfg)
         b = ransac_homography(*correspondence_arrays(pairs), cfg)
         assert np.array_equal(a.h.m, b.h.m)
-        assert a.inlier_indices == b.inlier_indices
+        assert np.array_equal(a.inlier_indices, b.inlier_indices)
         assert a.iterations_run == b.iterations_run
         assert np.array_equal(a.inlier_report.per_pair, b.inlier_report.per_pair)
 
@@ -94,10 +82,8 @@ class TestRansacProperties:
         cfg = RansacConfig(seed=seed)
         result = ransac_homography(*correspondence_arrays(pairs), cfg)
         assert len(result.inlier_indices) >= 4
-        assert all(a < b for a, b in zip(result.inlier_indices, result.inlier_indices[1:]))
-        report = reprojection_metrics(
-            result.h, *correspondence_arrays([pairs[i] for i in result.inlier_indices])
-        )
+        assert np.all(np.diff(result.inlier_indices) > 0)
+        report = reprojection_metrics(result.h, *correspondence_arrays(pairs[result.inlier_indices]))
         assert np.all(report.per_pair <= cfg.inlier_threshold)
         assert np.array_equal(result.inlier_report.per_pair, report.per_pair)
 
@@ -108,10 +94,10 @@ class TestRansacProperties:
         cfg = RansacConfig(seed=11)
 
         base = ransac_homography(*correspondence_arrays(pairs), cfg)
-        base_inliers = {id(pairs[i]) for i in base.inlier_indices}
+        base_inliers = set(base.inlier_indices.tolist())
 
-        perm = list(rng.permutation(len(pairs)))
-        shuffled = [pairs[i] for i in perm]
+        perm = rng.permutation(len(pairs)).tolist()
+        shuffled = pairs[perm]
         # remap the default draw sequence so the same element sets are sampled
         inverse = {orig: new for new, orig in enumerate(perm)}
         draws = []
@@ -123,7 +109,7 @@ class TestRansacProperties:
         shuffled_result = ransac_homography(
             *correspondence_arrays(shuffled), cfg, sample_stream=remapped
         )
-        shuffled_inliers = {id(shuffled[i]) for i in shuffled_result.inlier_indices}
+        shuffled_inliers = {perm[i] for i in shuffled_result.inlier_indices}
         assert shuffled_inliers == base_inliers
 
     def test_final_model_not_worse_than_minimal_sample_model(self):
@@ -143,7 +129,7 @@ class TestRansacProperties:
             while True:
                 idx = next(stream)
                 try:
-                    cand = estimate_homography(*correspondence_arrays([pairs[i] for i in idx]))
+                    cand = estimate_homography(*correspondence_arrays(pairs[list(idx)]))
                     break
                 except DegenerateConfiguration:
                     continue

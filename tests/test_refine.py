@@ -9,16 +9,12 @@ from calibrefine import matching, refine
 from calibrefine.blocks import BlockGrid, Parity, half_block_diagonal
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
-    Correspondence,
     Frame,
     Homography,
-    PairSet,
-    PixelPoint,
-    PlanePoint,
     Source,
     compose,
     correspondence_arrays,
-    project,
+    project_points,
     projectable,
     reprojection_metrics,
 )
@@ -42,7 +38,9 @@ from conftest import (
     naive_greedy,
     naive_occupancy_admit,
     naive_retained,
+    pair_set,
     point_array,
+    project_one,
     translation_homography,
 )
 
@@ -55,14 +53,9 @@ def scene_homography():
     return Homography([[10.0, 0.0, 100.0], [0.0, 10.0, 100.0], [0.0, 0.0, 1.0]])
 
 
-def frame_from(h, frame_id, plane_pts, jitter=None):
-    lidar = tuple(PlanePoint(x, y) for x, y in plane_pts)
-    camera = []
-    for i, p in enumerate(lidar):
-        pp = project(h, p)
-        du, dv = (0.0, 0.0) if jitter is None else jitter[i]
-        camera.append(PixelPoint(pp.u + du, pp.v + dv))
-    return Frame(frame_id, point_array(lidar), point_array(camera))
+def frame_from(h, frame_id, plane_pts):
+    lidar = point_array(plane_pts)
+    return Frame(frame_id, lidar, project_points(h, lidar))
 
 
 class TestIngestFrame:
@@ -71,7 +64,7 @@ class TestIngestFrame:
         frame = Frame(frame_id=0, lidar_centers=(), camera_centers=())
         out = ingest_frame(state, frame, CFG)
         assert out.frames_seen == 1
-        assert tuple(out.accumulated) == ()
+        assert len(out.accumulated) == 0
         assert out.h_best is state.h_best
 
     def test_self_consistent_frame_appends_survivors(self):
@@ -81,7 +74,7 @@ class TestIngestFrame:
         out = ingest_frame(state, frame, CFG)
         # both pairs land in distinct even-parity blocks and survive
         assert len(out.accumulated) == 2
-        assert all(c.frame_id == 0 for c in out.accumulated)
+        assert out.accumulated.frame_ids.tolist() == [0, 0]
 
     def test_occupied_block_rejects_near_duplicate(self):
         h = scene_homography()
@@ -101,8 +94,8 @@ class TestIngestFrame:
         for i, spot in enumerate(spots):
             state = ingest_frame(state, frame_from(h, i, [spot]), CFG)
         block_counts = {}
-        for c in state.accumulated:
-            block = naive_block(GRID, c.pixel.u, c.pixel.v)
+        for u, v in state.accumulated.uv.tolist():
+            block = naive_block(GRID, u, v)
             block_counts[block] = block_counts.get(block, 0) + 1
         assert max(block_counts.values()) <= BLOCK_CAPACITY
 
@@ -150,21 +143,17 @@ class TestOccupancyHypothesis:
         # matches its own camera point at cost 0, in LiDAR order
         h = translation_homography(1.0, 0.0)
         cfg = replace(CFG, skip_parity=skip_parity)
-        seed_pairs = [Correspondence(PlanePoint(u - 1.0, v), PixelPoint(u, v)) for u, v in seeds]
+        seed_pairs = pair_set([(u - 1.0, v) for u, v in seeds], seeds)
         state = CalibrationState.initial(h, seed_pairs)
-        expected = list(seed_pairs)
+        expected = seed_pairs
         for frame_id, pixels in enumerate(frames):
-            lidar = [PlanePoint(u - 1.0, v) for u, v in pixels]
-            camera = [PixelPoint(u, v) for u, v in pixels]
-            frame = Frame(frame_id, point_array(lidar), point_array(camera))
+            lidar = [(u - 1.0, v) for u, v in pixels]
+            frame = Frame(frame_id, point_array(lidar), point_array(pixels))
             state = ingest_frame(state, frame, cfg)
-            matched = [
-                Correspondence(p, pixel, frame_id, Source.GREEDY_MATCHED)
-                for p, pixel in zip(lidar, camera)
-            ]
+            matched = pair_set(lidar, pixels, frame_id, Source.GREEDY_MATCHED)
             survivors = naive_block_sample(matched, GRID, skip_parity)
             expected = naive_occupancy_admit(expected, survivors, GRID, BLOCK_CAPACITY)
-            assert tuple(state.accumulated) == tuple(expected)
+            assert_same_pairs(state.accumulated, expected)
 
 
 def per_frame_loop(frames, h0, cfg, seed_pairs=()):
@@ -246,26 +235,20 @@ class TestWindowHypothesis:
         h = translation_homography(1.0, 0.0)
         grid = replace(GRID, parity=parity)
         cfg = replace(CFG, grid=grid, skip_parity=skip_parity)
-        seed_pairs = [Correspondence(PlanePoint(u - 1.0, v), PixelPoint(u, v)) for u, v in seeds]
-        points = [
-            ([PlanePoint(u - 1.0, v) for u, v in pixels], [PixelPoint(u, v) for u, v in pixels])
-            for pixels in frames
-        ]
+        seed_pairs = pair_set([(u - 1.0, v) for u, v in seeds], seeds)
+        points = [([(u - 1.0, v) for u, v in pixels], pixels) for pixels in frames]
         window = [
             Frame(2 * frame_id, point_array(lidar), point_array(camera))
             for frame_id, (lidar, camera) in enumerate(points)
         ]
         state = ingest_frame(CalibrationState.initial(h, seed_pairs), window, cfg)
 
-        expected = list(seed_pairs)
+        expected = seed_pairs
         for frame, (lidar, camera) in zip(window, points):
-            matched = [
-                Correspondence(p, pixel, frame.frame_id, Source.GREEDY_MATCHED)
-                for p, pixel in zip(lidar, camera)
-            ]
+            matched = pair_set(lidar, camera, frame.frame_id, Source.GREEDY_MATCHED)
             survivors = naive_block_sample(matched, grid, skip_parity)
             expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
-        assert tuple(state.accumulated) == tuple(expected)
+        assert_same_pairs(state.accumulated, expected)
         assert state.frames_seen == len(window)
         assert state.last_frame_id == window[-1].frame_id
 
@@ -298,29 +281,28 @@ class TestWindowHypothesis:
         h0 = compose(translation_homography(3.0, -2.0), h_true)
         frames = []
         for frame_id, (points, clutter) in enumerate(stream):
-            lidar = tuple(PlanePoint(x, y) for x, y, _ in points)
+            lidar = [(x, y) for x, y, _ in points]
             camera = []
-            for p, (_, _, offset) in zip(lidar, points):
+            for x, y, offset in points:
                 if offset is not None:
-                    pp = project(h_true, p)
-                    camera.append(PixelPoint(pp.u + offset, pp.v - offset))
-            camera.extend(PixelPoint(u, v) for u, v in clutter)
+                    u, v = project_one(h_true, x, y)
+                    camera.append((u + offset, v - offset))
+            camera.extend(clutter)
             frames.append(Frame(frame_id, point_array(lidar), point_array(camera)))
-        seed_pairs = []
-        if seeded:
-            for spot in [(1.0, 1.0), (35.0, 1.0), (1.0, 35.0), (35.0, 35.0), (60.0, 70.0)]:
-                p = PlanePoint(*spot)
-                seed_pairs.append(Correspondence(p, project(h_true, p), 7, Source.ORACLE))
-        seed_set = PairSet.of(seed_pairs)
+        spots = point_array(
+            [(1.0, 1.0), (35.0, 1.0), (1.0, 35.0), (35.0, 35.0), (60.0, 70.0)] if seeded else []
+        )
+        seed_set = pair_set(spots, project_points(h_true, spots), 7, Source.ORACLE)
         cfg = replace(
             CFG, recalib_interval=interval, grid=replace(GRID, parity=parity),
             skip_parity=skip_parity,
         )
         state = run(iter(frames), h0, cfg, seed_set)
         assert_same_state(state, per_frame_loop(frames, h0, cfg, seed_set))
-        # a PairSet seed passes through; the same pairs as a tuple agree bit for bit
+        # a PairSet seed passes through; the same pairs as a tuple of rows
+        # agree bit for bit
         assert CalibrationState.initial(h0, seed_set).accumulated is seed_set
-        assert_same_state(state, run(iter(frames), h0, cfg, tuple(seed_pairs)))
+        assert_same_state(state, run(iter(frames), h0, cfg, tuple(seed_set)))
 
         # seed rows keep their own frame id and source; each admitted row
         # carries the id of the frame it was matched in (here its position)
@@ -352,7 +334,7 @@ class TestWindowHypothesis:
         h = scene_homography()
         state = ingest_frame(CalibrationState.initial(h), frame_from(h, 0, [(1.0, 1.0)]), CFG)
         # same length, other block: the cached occupancy belongs to the old set
-        other = PairSet.of([Correspondence(PlanePoint(35.0, 1.0), project(h, PlanePoint(35.0, 1.0)))])
+        other = pair_set([(35.0, 1.0)], [project_one(h, 35.0, 1.0)])
         frame = frame_from(h, 1, [(2.0, 2.0), (36.0, 2.0)])
         out = ingest_frame(replace(state, accumulated=other), frame, CFG)
         fresh = ingest_frame(
@@ -388,13 +370,13 @@ class TestWindowHypothesis:
 # DEGENERATE is skipped; elsewhere on GRID it maps ground (x, y) to about
 # (x, y) / (1 + x / 4096), and lidar_of inverts that.
 PROJECTIVE = Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0**-12, 0.0, 1.0]])
-DEGENERATE = PlanePoint(-4096.0, 0.0)
+DEGENERATE = (-4096.0, 0.0)
 
 
 def lidar_of(u, v):
     """A ground point that PROJECTIVE maps to about ``(u, v)``."""
     w = 1.0 - u / 4096.0
-    return PlanePoint(u / w, v / w)
+    return u / w, v / w
 
 
 # Pixels around GRID's blocks (200 px, radius ~141 px): block corners and
@@ -424,9 +406,9 @@ def naive_open(accumulated, u, v, grid, skip_parity):
     if block is None or (skip_parity and not naive_retained(grid, block)):
         return False
     radius = 0.5 * math.hypot(grid.image_width / grid.blocks_x, grid.image_height / grid.blocks_y)
-    members = [p.pixel for p in accumulated if naive_block(grid, p.pixel.u, p.pixel.v) == block]
+    members = [(mu, mv) for mu, mv in accumulated.uv.tolist() if naive_block(grid, mu, mv) == block]
     return len(members) < BLOCK_CAPACITY and all(
-        math.hypot(u - m.u, v - m.v) >= radius for m in members
+        math.hypot(u - mu, v - mv) >= radius for mu, mv in members
     )
 
 
@@ -479,21 +461,21 @@ class TestLiveFrames:
         seed_pixels = [
             (200.0 * bx + du, 200.0 * by + dv) for bx, by, n in full for du, dv in spots[:n]
         ] + seeds
-        seed_pairs = [Correspondence(lidar_of(u, v), PixelPoint(u, v)) for u, v in seed_pixels]
+        seed_pairs = pair_set([lidar_of(u, v) for u, v in seed_pixels], seed_pixels)
         window_frames = []
         for frame_id, (degenerate, points, clutter) in enumerate(frames):
             lidar = [DEGENERATE] * degenerate + [lidar_of(u, v) for u, v, _ in points]
-            camera = [PixelPoint(u + d, v + d) for u, v, d in points if d is not None]
-            camera += [PixelPoint(u, v) for u, v in clutter]
+            camera = [(u + d, v + d) for u, v, d in points if d is not None]
+            camera += clutter
             window_frames.append((Frame(frame_id, point_array(lidar), point_array(camera)), lidar, camera))
 
         state = CalibrationState.initial(PROJECTIVE, seed_pairs)
-        expected, degenerate_total = list(seed_pairs), 0
+        expected, degenerate_total = seed_pairs, 0
         for start in range(0, len(window_frames), interval):
             window = window_frames[start : start + interval]
             live = [
                 frame for frame, _, camera in window
-                if any(naive_open(expected, p.u, p.v, grid, skip_parity) for p in camera)
+                if any(naive_open(expected, u, v, grid, skip_parity) for u, v in camera)
             ]
             calls = []
             with pytest.MonkeyPatch.context() as mp:
@@ -516,23 +498,26 @@ class TestLiveFrames:
                     uv[:, None, 0] - frame.camera_centers[None, :, 0],
                     uv[:, None, 1] - frame.camera_centers[None, :, 1],
                 )
-                matched = [
-                    Correspondence(lidar[kept[i]], camera[j], frame.frame_id, Source.GREEDY_MATCHED)
-                    for i, j, _ in naive_greedy(costs, cfg.gate.max_distance)
-                ]
+                edges = naive_greedy(costs, cfg.gate.max_distance)
+                matched = pair_set(
+                    [lidar[kept[i]] for i, _, _ in edges],
+                    [camera[j] for _, j, _ in edges],
+                    frame.frame_id,
+                    Source.GREEDY_MATCHED,
+                )
                 survivors = naive_block_sample(matched, grid, skip_parity)
                 expected = naive_occupancy_admit(expected, survivors, grid, BLOCK_CAPACITY)
-            assert tuple(state.accumulated) == tuple(expected)
+            assert_same_pairs(state.accumulated, expected)
             assert state.degenerate_skipped == degenerate_total
         assert state.frames_seen == len(frames)
 
     def test_dead_window_is_not_matched_and_counts_its_degenerate_points(self, monkeypatch):
         # block (0, 0) is full and (1, 0) is skipped, so no frame is live
-        seeds = [Correspondence(lidar_of(u, v), PixelPoint(u, v)) for u, v in
-                 [(10.0, 10.0), (190.0, 10.0), (10.0, 190.0)]]
+        pixels = [(10.0, 10.0), (190.0, 10.0), (10.0, 190.0)]
+        seeds = pair_set([lidar_of(u, v) for u, v in pixels], pixels)
         frames = [
-            Frame(k, point_array([DEGENERATE, lidar_of(100.0, 100.0), lidar_of(300.0, 100.0)]),
-                  point_array([PixelPoint(100.0, 100.0), PixelPoint(300.0, 100.0), PixelPoint(-5.0, 1.0)]))
+            Frame(k, [DEGENERATE, lidar_of(100.0, 100.0), lidar_of(300.0, 100.0)],
+                  [(100.0, 100.0), (300.0, 100.0), (-5.0, 1.0)])
             for k in range(4)
         ]
         calls = []
@@ -561,15 +546,15 @@ class TestBulkRefusalBoundary:
         assert half_block_diagonal(self.GRID) == 5.0
         cfg = replace(CFG, grid=self.GRID)
         h = translation_homography(1.0, 0.0)
-        stored = Correspondence(PlanePoint(-1.0, 0.0), PixelPoint(0.0, 0.0))
+        stored = pair_set([(-1.0, 0.0)], [(0.0, 0.0)])
         u, v = pixel
         window = [
             Frame(0, np.empty((0, 2)), np.empty((0, 2))),
             Frame(1, np.array([[u - 1.0, v]]), np.array([[u, v]])),
         ]
-        state = ingest_frame(CalibrationState.initial(h, [stored]), window, cfg)
-        assert [(c.pixel.u, c.pixel.v) for c in state.accumulated] == [(0.0, 0.0)] + [pixel] * admitted
-        one_by_one = CalibrationState.initial(h, [stored])
+        state = ingest_frame(CalibrationState.initial(h, stored), window, cfg)
+        assert [tuple(uv) for uv in state.accumulated.uv.tolist()] == [(0.0, 0.0)] + [pixel] * admitted
+        one_by_one = CalibrationState.initial(h, stored)
         for frame in window:
             one_by_one = ingest_frame(one_by_one, frame, cfg)
         assert_same_pairs(one_by_one.accumulated, state.accumulated)
@@ -578,10 +563,8 @@ class TestBulkRefusalBoundary:
 def exact_parabola_pairs(h, ks):
     """Exact pairs of ``h`` at ground points on a parabola, so that no three
     are collinear and every minimal sample is well posed."""
-    return PairSet.of([
-        Correspondence(p, project(h, p))
-        for p in (PlanePoint(5.0 * k - 10.0, 0.75 * k * k - 10.0) for k in ks)
-    ])
+    xy = point_array((5.0 * k - 10.0, 0.75 * k * k - 10.0) for k in ks)
+    return pair_set(xy, project_points(h, xy))
 
 
 class TestCheckpointFitReuse:
@@ -643,11 +626,9 @@ class TestCheckpointRecalibrate:
         h0 = compose(translation_homography(8.0, -6.0), h_true)
         state = CalibrationState.initial(h0)
         # accumulate exact ground-truth pairs (bypass matching: inject directly)
-        pairs = []
-        for i, spot in enumerate([(1, 1), (35, 1), (1, 35), (35, 35), (-30, 1), (1, -30)]):
-            p = PlanePoint(*map(float, spot))
-            pairs.append(Correspondence(p, project(h_true, p), frame_id=i))
-        state = CalibrationState(h_best=h0, accumulated=PairSet.of(pairs), frames_seen=6, last_frame_id=5)
+        spots = point_array([(1, 1), (35, 1), (1, 35), (35, 35), (-30, 1), (1, -30)])
+        pairs = pair_set(spots, project_points(h_true, spots), frame_id=np.arange(6))
+        state = CalibrationState(h_best=h0, accumulated=pairs, frames_seen=6, last_frame_id=5)
         out = checkpoint_recalibrate(state, CFG)
         record = out.checkpoints[-1]
         assert record.updated is True

@@ -13,15 +13,13 @@ from calibrefine.geometry import (
     Frame,
     Homography,
     PairSet,
-    PixelPoint,
-    PlanePoint,
     Source,
     compose,
 )
 from calibrefine.refine import CheckpointRecord
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import assert_same_pairs, point_array, well_conditioned_homography
+from conftest import assert_same_pairs, well_conditioned_homography
 
 
 def assert_same_frames(read, written):
@@ -64,8 +62,8 @@ class TestFramesAndPairsIO:
         frames = [
             Frame(
                 0,
-                point_array([PlanePoint(1.5, -2.25)]),
-                point_array([PixelPoint(10.0, 20.0), PixelPoint(0.1, 0.2)]),
+                [[1.5, -2.25]],
+                [[10.0, 20.0], [0.1, 0.2]],
             ),
             Frame(1, np.empty((0, 2)), np.empty((0, 2))),
         ]

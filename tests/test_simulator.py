@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from calibrefine.geometry import Frame, PixelPoint, PlanePoint, Source, project, transform_points
+from calibrefine.geometry import Frame, Source, project_points, transform_points
 from calibrefine.simulator import (
+    MAX_SCENE_DETECTIONS,
     SceneConfig,
     SimFrame,
     generate,
     oracle_pairs,
     random_homography,
 )
-from conftest import naive_generate, naive_random_homography
+from conftest import naive_generate, naive_random_homography, project_one
 
 
 def light_scene(**overrides):
@@ -29,6 +30,25 @@ class TestSceneConfig:
             SceneConfig(camera_dropout=1.5)
         with pytest.raises(ValueError):
             SceneConfig(pixel_noise_sigma=-1.0)
+
+    @pytest.mark.parametrize(
+        "at_cap, over_cap",
+        [
+            ({"n_frames": 2**20, "n_objects": 1, "clutter_per_frame": 0.0}, {"n_frames": 2**20 + 1}),
+            ({"n_frames": 2**16, "n_objects": 14}, {"n_objects": 15}),
+            (
+                {"n_frames": 2**18, "n_objects": 3, "clutter_per_frame": 1.0},
+                {"clutter_per_frame": 1.0 + 2.0**-40},
+            ),
+        ],
+    )
+    def test_scene_size_cap(self, at_cap, over_cap):
+        # n_frames * (n_objects + clutter_per_frame) expected detections per
+        # sensor may reach MAX_SCENE_DETECTIONS = 2**20 but not pass it
+        assert MAX_SCENE_DETECTIONS == 2**20
+        SceneConfig(**at_cap)
+        with pytest.raises(ValueError, match=r"n_frames \* \(n_objects \+ clutter_per_frame\)"):
+            SceneConfig(**{**at_cap, **over_cap})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -73,13 +93,10 @@ class TestRandomHomography:
         cfg = light_scene()
         h = random_homography(seed, cfg)
         assert np.linalg.cond(h.m) < 1e4
-        from calibrefine.geometry import PlanePoint
-
-        for x in (-30.0, 30.0):
-            for y in (-30.0, 30.0):
-                p = project(h, PlanePoint(x, y))
-                assert 0.0 <= p.u < cfg.image_width
-                assert 0.0 <= p.v < cfg.image_height
+        corners = np.array([(x, y) for x in (-30.0, 30.0) for y in (-30.0, 30.0)])
+        for u, v in project_points(h, corners).tolist():
+            assert 0.0 <= u < cfg.image_width
+            assert 0.0 <= v < cfg.image_height
 
 
 class TestRandomHomographyMatchesReference:
@@ -202,8 +219,7 @@ class TestGenerate:
             cam_by_label = dict(zip(sf.camera_labels, sf.frame.camera_centers.tolist()))
             for label, (x, y) in zip(sf.lidar_labels, sf.frame.lidar_centers.tolist()):
                 if label in cam_by_label:
-                    pp = project(gt.h_true, PlanePoint(x, y))
-                    assert [pp.u, pp.v] == cam_by_label[label]
+                    assert list(project_one(gt.h_true, x, y)) == cam_by_label[label]
 
     def test_ground_truth_consistency(self):
         cfg = light_scene()
@@ -222,8 +238,9 @@ class TestGenerate:
                     expected.append((f, *map(float, gt.plane[f, o]), *map(float, gt.pixel[f, o])))
         pairs = gt.correspondences()
         assert 0 < len(pairs) < gt.in_camera.size
-        assert [(c.frame_id, c.lidar.x, c.lidar.y, c.pixel.u, c.pixel.v) for c in pairs] == expected
-        assert all(type(c.frame_id) is int and c.source is Source.ORACLE for c in pairs)
+        columns = pairs.frame_ids.tolist(), *pairs.xy.T.tolist(), *pairs.uv.T.tolist()
+        assert list(zip(*columns)) == expected
+        assert pairs.source.tolist() == [Source.ORACLE] * len(pairs)
 
     def test_label_secrecy_frame_type_has_no_identity_fields(self):
         field_names = {f.name for f in dataclasses.fields(Frame)}
@@ -263,19 +280,14 @@ class TestOraclePairs:
     def test_zero_error_rate_matches_labels(self):
         frames, gt = generate(light_scene())
         for sf in frames[:20]:
-            cam_by_label = {
-                label: PixelPoint(*p) for label, p in zip(sf.camera_labels, sf.frame.camera_centers)
-            }
+            cam_by_label = dict(zip(sf.camera_labels, sf.frame.camera_centers.tolist()))
             pairs = oracle_pairs(sf, gt, 0.0, seed=1)
-            lidar_by_label = {
-                label: PlanePoint(*p) for label, p in zip(sf.lidar_labels, sf.frame.lidar_centers)
-            }
+            lidar_by_label = dict(zip(sf.lidar_labels, sf.frame.lidar_centers.tolist()))
             expected_ids = set(lidar_by_label) & set(cam_by_label) - {None}
             assert len(pairs) == len(expected_ids)
-            for pair in pairs:
+            for xy, uv in zip(pairs.xy.tolist(), pairs.uv.tolist()):
                 assert any(
-                    pair.lidar == lidar_by_label[i] and pair.pixel == cam_by_label[i]
-                    for i in expected_ids
+                    xy == lidar_by_label[i] and uv == cam_by_label[i] for i in expected_ids
                 )
 
     def test_error_rate_one_corrupts_every_pair(self):
@@ -283,11 +295,10 @@ class TestOraclePairs:
         for sf in frames[:20]:
             if len(sf.frame.camera_centers) < 2:
                 continue
-            for pair, clean in zip(
-                oracle_pairs(sf, gt, 1.0, seed=2), oracle_pairs(sf, gt, 0.0, seed=2)
-            ):
-                assert pair.lidar == clean.lidar
-                assert pair.pixel != clean.pixel
+            pairs, clean = oracle_pairs(sf, gt, 1.0, seed=2), oracle_pairs(sf, gt, 0.0, seed=2)
+            assert len(pairs) == len(clean)
+            assert np.array_equal(pairs.xy, clean.xy)
+            assert (pairs.uv != clean.uv).any(axis=1).all()
 
     def test_corruption_fraction_near_rate(self):
         rate = 0.02
@@ -298,9 +309,9 @@ class TestOraclePairs:
             for sf in frames:
                 clean = oracle_pairs(sf, gt, 0.0, seed=seed)
                 noisy = oracle_pairs(sf, gt, rate, seed=seed)
-                for a, b in zip(clean, noisy):
-                    total += 1
-                    corrupted += a.pixel != b.pixel
+                assert len(clean) == len(noisy)
+                total += len(clean)
+                corrupted += int((clean.uv != noisy.uv).any(axis=1).sum())
         sigma = math.sqrt(total * rate * (1 - rate))
         assert abs(corrupted - total * rate) <= 3 * sigma
 
