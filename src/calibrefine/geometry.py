@@ -294,7 +294,7 @@ def correspondence_arrays(pairs: PairSet) -> tuple[np.ndarray, np.ndarray]:
     return pairs.xy, pairs.uv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Per-pair reprojection residuals plus their two summary statistics."""
 

@@ -18,7 +18,7 @@ _TINY = 1e-300
 _MAX_DAMPING = 1e15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastSquaresResult:
     params: np.ndarray
     cost: float

@@ -59,7 +59,7 @@ class PipelineConfig:
         require_kept_blocks(self.grid, self.skip_parity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineReport:
     h_coarse: Homography
     h_iterative: Homography

@@ -51,7 +51,7 @@ class RansacConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RansacResult:
     h: Homography
     inlier_indices: np.ndarray

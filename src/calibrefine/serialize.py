@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -141,38 +141,104 @@ def write_pairs_jsonl(path: str | Path, pairs: PairSet) -> None:
         fh.writelines(_PAIR_RECORD % row for row in rows)
 
 
+# Non-blank lines parsed by one ``json.loads``. A bounded chunk keeps the
+# parse's peak memory near the per-line loop's; a whole file as one parse
+# holds every record's objects at once.
+_CHUNK_LINES = 256
+
+_PAIR_KEYS = frozenset({"frame_id", "lidar", "pixel", "source"})
+_SOURCES = {s.value: s for s in Source}
+
+
+def _pair_record(line: str, where: str) -> tuple[list[float], int, Source]:
+    """One stripped line's ``(x, y, u, v)``, frame id and source, checked on
+    its own; a record that fails to parse is invalid input (``ValueError``
+    naming ``where``). The only source of refusals, so of their messages."""
+    try:
+        d = json.loads(line)
+        lidar = d["lidar"]
+        pixel = d["pixel"]
+        if len(lidar) != 2 or len(pixel) != 2:
+            raise ValueError("lidar/pixel must each hold 2 values")
+        _require_numbers(lidar + pixel)
+        row = [float(v) for v in lidar + pixel]
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"coordinates must be finite, got {row}")
+        frame_id = _frame_id(d.get("frame_id", 0))
+        if not 0 <= frame_id < 2**63:
+            raise ValueError(f"frame_id must be in [0, 2**63), got {frame_id}")
+        source = Source(d.get("source", "manual"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _malformed(where, exc) from exc
+    return row, frame_id, source
+
+
+def _pair_chunk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Source]] | None:
+    """The ``(K, 2)`` ground points and pixels, frame ids and sources of
+    ``K`` stripped lines parsed as one JSON array and checked column by
+    column, or None unless that proves each line held one valid record.
+
+    Each line starts with ``{`` and a record holds no object, so each line
+    starts a record; with as many records as lines, a line that ended inside
+    its record, or held a second one, would leave some line without a
+    record's start. A string may only be a key or a source, neither of
+    which holds a brace, so no string spans lines and no ``{`` counted here
+    lies inside one.
+    """
+    if not all(line[0] == "{" and line[-1] == "}" for line in lines):
+        return None
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) != len(lines) or {*map(type, records)} != {dict}:
+            return None
+        if not set().union(*records) <= _PAIR_KEYS:
+            return None
+        lidar = [d["lidar"] for d in records]
+        pixel = [d["pixel"] for d in records]
+        if {*map(len, lidar), *map(len, pixel)} != {2}:
+            return None
+        lidar, pixel = [*chain.from_iterable(lidar)], [*chain.from_iterable(pixel)]
+        _require_numbers(lidar + pixel)
+        frame_ids = [d.get("frame_id", 0) for d in records]
+        if not {*map(type, frame_ids)} <= {int}:
+            return None
+        sources = [_SOURCES[d.get("source", "manual")] for d in records]
+        # float and int64 conversion refuse an int that does not fit
+        xy = np.array(lidar, dtype=float).reshape(-1, 2)
+        uv = np.array(pixel, dtype=float).reshape(-1, 2)
+        frame_ids = np.array(frame_ids, dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
+    if not (np.isfinite(xy).all() and np.isfinite(uv).all()) or (frame_ids < 0).any():
+        return None
+    return xy, uv, frame_ids, sources
+
+
 def read_pairs_jsonl(path: str | Path) -> PairSet:
     """Read correspondences; a record that fails to parse is invalid input
-    (``ValueError`` naming path:line)."""
-    coordinates: list[list[float]] = []
-    frame_ids: list[int] = []
-    sources: list[Source] = []
+    (``ValueError`` naming path:line).
+
+    The file is parsed ``_CHUNK_LINES`` non-blank lines at a time. A chunk
+    that ``_pair_chunk`` does not accept is read line by line through
+    ``_pair_record``, which gives the same rows or names the bad line."""
+    parts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                lidar = d["lidar"]
-                pixel = d["pixel"]
-                if len(lidar) != 2 or len(pixel) != 2:
-                    raise ValueError("lidar/pixel must each hold 2 values")
-                _require_numbers(lidar + pixel)
-                row = [float(v) for v in lidar + pixel]
-                if not all(map(math.isfinite, row)):
-                    raise ValueError(f"coordinates must be finite, got {row}")
-                frame_id = _frame_id(d.get("frame_id", 0))
-                if not 0 <= frame_id < 2**63:
-                    raise ValueError(f"frame_id must be in [0, 2**63), got {frame_id}")
-                source = Source(d.get("source", "manual"))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise _malformed(f"{path}:{n}", exc) from exc
-            coordinates.append(row)
-            frame_ids.append(frame_id)
-            sources.append(source)
-    table = np.array(coordinates, dtype=float).reshape(-1, 4)
-    return PairSet(table[:, :2], table[:, 2:], frame_ids, sources)
+        numbered = ((n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line)
+        while chunk := list(islice(numbered, _CHUNK_LINES)):
+            part = _pair_chunk([line for _, line in chunk])
+            if part is None:
+                rows = [_pair_record(line, f"{path}:{n}") for n, line in chunk]
+                coordinates, frame_ids, sources = zip(*rows)
+                table = np.array(coordinates, dtype=float)
+                part = table[:, :2], table[:, 2:], np.array(frame_ids, dtype=np.int64), sources
+            parts.append(part)
+    xy, uv, frame_ids, sources = zip(*parts) if parts else ((), (), (), ())
+    return PairSet(
+        np.concatenate([np.empty((0, 2)), *xy]),
+        np.concatenate([np.empty((0, 2)), *uv]),
+        np.concatenate([np.empty(0, np.int64), *frame_ids]),
+        [*chain.from_iterable(sources)],
+    )
 
 
 # -- ground truth sidecar --------------------------------------------------------

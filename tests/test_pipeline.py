@@ -6,10 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from calibrefine.blocks import BlockGrid
 from calibrefine.errors import EmptySet, InsufficientPairs
+from calibrefine.correction import CorrectionResult
 from calibrefine.geometry import Homography, PairSet, ResidualReport, project_points
+from calibrefine.lsq import LeastSquaresResult
 from calibrefine.pipeline import (
     HISTOGRAM_EDGE,
     PipelineConfig,
+    PipelineReport,
     StageFailure,
     coarse_fit,
     error_histogram,
@@ -17,7 +20,7 @@ from calibrefine.pipeline import (
     run_full,
     split_eval_pairs,
 )
-from calibrefine.ransac import RansacConfig
+from calibrefine.ransac import RansacConfig, RansacResult
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
 from conftest import (
@@ -223,3 +226,27 @@ class TestSplitEvalPairs:
     def test_empty_raises(self):
         with pytest.raises(EmptySet):
             split_eval_pairs(pair_set([], []), 0.1, 0)
+
+
+def _result_twins():
+    """Two results of each type built from the same array-holding fields."""
+    h = Homography.identity()
+    report = ResidualReport.from_residuals(np.array([1.0, 2.0]))
+    correction = CorrectionResult(h, h, (1.0,), 4)
+    fields = {
+        LeastSquaresResult: lambda: (np.zeros(3), 0.0, 1, True),
+        ResidualReport: lambda: (np.array([1.0, 2.0]), 1.5, 1.58, 2),
+        RansacResult: lambda: (h, np.arange(4), 1, report),
+        PipelineReport: lambda: (
+            h, h, h, {"coarse": report}, (), {"coarse": np.zeros(3)}, correction, 2
+        ),
+    }
+    return [pytest.param(cls, make, id=cls.__name__) for cls, make in fields.items()]
+
+
+@pytest.mark.parametrize("cls, make", _result_twins())
+def test_results_compare_by_identity_and_hash(cls, make):
+    # field-wise == would compare the arrays and raise on their truth value
+    a, b = cls(*make()), cls(*make())
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -130,6 +131,194 @@ class TestFramesAndPairsIO:
         matrix = tmp_path / "h.json"
         serialize.save_homography(matrix, gt.h_true)
         assert path.read_bytes() == matrix.read_bytes()
+
+
+CHUNK = serialize._CHUNK_LINES
+
+
+def per_line_read(path) -> PairSet:
+    """The reference: the per-line loop that read pair files before they
+    were parsed in chunks, one ``json.loads`` and one check per line."""
+    coordinates, frame_ids, sources = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                lidar = d["lidar"]
+                pixel = d["pixel"]
+                if len(lidar) != 2 or len(pixel) != 2:
+                    raise ValueError("lidar/pixel must each hold 2 values")
+                if not {*map(type, lidar + pixel)} <= {int, float}:
+                    raise TypeError("coordinates must be JSON numbers")
+                row = [float(v) for v in lidar + pixel]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"coordinates must be finite, got {row}")
+                frame_id = d.get("frame_id", 0)
+                if type(frame_id) is not int:
+                    raise TypeError(f"frame_id must be an integer, got {frame_id!r}")
+                if not 0 <= frame_id < 2**63:
+                    raise ValueError(f"frame_id must be in [0, 2**63), got {frame_id}")
+                source = Source(d.get("source", "manual"))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValueError(f"{path}:{n}: malformed record: {what}") from exc
+            coordinates.append(row)
+            frame_ids.append(frame_id)
+            sources.append(source)
+    table = np.array(coordinates, dtype=float).reshape(-1, 4)
+    return PairSet(table[:, :2], table[:, 2:], frame_ids, sources)
+
+
+def read_or_refusal(read, path):
+    """``read(path)``, or the message of the ``ValueError`` it raised."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_reads_as_per_line_loop(path):
+    got, want = read_or_refusal(serialize.read_pairs_jsonl, path), read_or_refusal(per_line_read, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_pairs(got, want)
+
+
+def pair_lines(n: int) -> list[str]:
+    """The writer's lines for ``n`` pairs with distinct values."""
+    rng = np.random.default_rng(n)
+    pairs = PairSet(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)) * 100, np.arange(n),
+                    [list(Source)[i % 3] for i in range(n)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        serialize.write_pairs_jsonl(path, pairs)
+        return path.read_text().splitlines()
+
+
+# The bad records of the CLI's malformed-pair test, as file lines.
+_MALFORMED_PAIRS = [
+    json.dumps(record) if isinstance(record, dict) else record
+    for record in [
+        {"lidar": [1.0, 2.0, 3.0], "pixel": [1.0, 2.0]},
+        {"lidar": [1.0, 2.0], "pixel": ["a", 2.0]},
+        {"lidar": [float("nan"), 2.0], "pixel": [1.0, 2.0]},
+        {"lidar": [1.0, 2.0], "pixel": [float("-inf"), 2.0]},
+        {"lidar": [1.0, 2.0], "pixel": [1.0, 2.0], "source": "psychic"},
+        {"frame_id": 1.7, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+        {"frame_id": True, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+        '{"lidar": [1.0, 2.0], "pixel"',
+        {"lidar": ["1.5", 2.0], "pixel": [1.0, 2.0]},
+        {"lidar": [1.0, 2.0], "pixel": [1.0, True]},
+        {"lidar": [10**400, 2.0], "pixel": [1.0, 2.0]},
+        {"frame_id": -1, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+        {"frame_id": 2**63, "lidar": [1.0, 2.0], "pixel": [1.0, 2.0]},
+    ]
+]
+# Lines the reader accepts that the writer never writes.
+_LENIENT_PAIRS = [
+    "",
+    "  \t ",
+    '{"lidar": [1, 2], "pixel": [3, 4]}',
+    '  {"frame_id": 5, "lidar": [1.5, 2.5], "pixel": [3.5, 4.5], "note": [{"a": 1}]}  ',
+    '{"frame_id": 9223372036854775807, "lidar": [9007199254740993, 1e308], "pixel": [-0.0, 5e-324],'
+    ' "source": "oracle"}',
+]
+# One record split over two lines, then one line with two records: as many
+# records as lines, which only the line-shape test refuses.
+_SPLIT_RECORD = [
+    '{"lidar": [1.0, 2.0], "pixel": [3.0',
+    '4.0], "frame_id": 0}',
+    '{"lidar": [1.0, 2.0], "pixel": [3.0, 4.0]}, {"lidar": [1.0, 2.0], "pixel": [3.0, 4.0]}',
+]
+
+
+class TestPairChunks:
+    @settings(max_examples=20)
+    @given(rows=st.lists(_pair_row, min_size=1, max_size=5))
+    def test_round_trip_across_chunks_is_bit_exact(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.jsonl"
+            for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+                lidar, pixel, frame_ids, sources = zip(*(rows * n)[:n]) if n else ([], [], [], [])
+                pairs = PairSet(lidar, pixel, frame_ids, sources)
+                serialize.write_pairs_jsonl(path, pairs)
+                assert_same_pairs(serialize.read_pairs_jsonl(path), pairs)
+                assert_same_pairs(per_line_read(path), pairs)
+
+    @settings(max_examples=60)
+    @given(
+        head=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 2]),
+        blanks=st.integers(0, 3),
+        tail=st.lists(st.sampled_from(_MALFORMED_PAIRS + _LENIENT_PAIRS + _SPLIT_RECORD), max_size=4),
+    )
+    @example(head=0, blanks=0, tail=_SPLIT_RECORD)
+    @example(head=CHUNK + 2, blanks=2, tail=_SPLIT_RECORD)
+    def test_read_matches_per_line_loop(self, head, blanks, tail):
+        good = pair_lines(head + 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.jsonl"
+            path.write_text("\n".join(good[:head] + [""] * blanks + tail + good[head:]) + "\n")
+            assert_reads_as_per_line_loop(path)
+
+    @pytest.mark.parametrize("bad", _MALFORMED_PAIRS)
+    def test_malformed_record_in_a_later_chunk(self, tmp_path, bad):
+        good = pair_lines(CHUNK + 8)
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n".join(good[: CHUNK + 3] + ["", "  "] + [bad] + good[CHUNK + 3:]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{CHUNK + 6}: malformed record: "):
+            serialize.read_pairs_jsonl(path)
+        assert_reads_as_per_line_loop(path)
+
+    def test_writer_files_never_reach_the_per_line_check(self, tmp_path, monkeypatch):
+        calls = []
+        per_line = serialize._pair_record
+        monkeypatch.setattr(serialize, "_pair_record", lambda *a: calls.append(a) or per_line(*a))
+        path = tmp_path / "pairs.jsonl"
+        good = pair_lines(2 * CHUNK + 1)
+        path.write_text("\n".join(good) + "\n")
+        assert len(serialize.read_pairs_jsonl(path)) == 2 * CHUNK + 1
+        assert calls == []
+        # an unknown key sends its chunk, and only it, through the check
+        path.write_text("\n".join(good[:CHUNK] + [good[CHUNK][:-1] + ', "note": 1}'] + good[CHUNK + 1:]) + "\n")
+        assert len(serialize.read_pairs_jsonl(path)) == 2 * CHUNK + 1
+        assert len(calls) == CHUNK
+
+
+class TestLenientPairRecords:
+    """Inputs the pair reader accepts that its writer never writes."""
+
+    def test_blank_lines_are_skipped_across_a_chunk_boundary(self, tmp_path):
+        good = pair_lines(CHUNK + 2)
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n".join(good[: CHUNK - 1] + ["", " \t", ""] + good[CHUNK - 1:]) + "\n\n")
+        expected = tmp_path / "expected.jsonl"
+        expected.write_text("\n".join(good) + "\n")
+        assert_same_pairs(serialize.read_pairs_jsonl(path), serialize.read_pairs_jsonl(expected))
+
+    @pytest.mark.parametrize(
+        "record, row",
+        [
+            # unknown keys are ignored
+            ({"frame_id": 3, "lidar": [1.0, 2.0], "pixel": [3.0, 4.0], "source": "oracle", "note": "x"},
+             (1.0, 2.0, 3.0, 4.0, 3, Source.ORACLE)),
+            # a missing frame_id reads as 0
+            ({"lidar": [1.0, 2.0], "pixel": [3.0, 4.0], "source": "greedy_matched"},
+             (1.0, 2.0, 3.0, 4.0, 0, Source.GREEDY_MATCHED)),
+            # a missing source reads as "manual"
+            ({"frame_id": 7, "lidar": [1.0, 2.0], "pixel": [3.0, 4.0]},
+             (1.0, 2.0, 3.0, 4.0, 7, Source.MANUAL)),
+        ],
+    )
+    def test_record_defaults(self, tmp_path, record, row):
+        path = tmp_path / "pairs.jsonl"
+        good = pair_lines(CHUNK + 1)
+        path.write_text("\n".join(good[:CHUNK] + [json.dumps(record)] + good[CHUNK:]) + "\n")
+        pairs = serialize.read_pairs_jsonl(path)
+        assert len(pairs) == CHUNK + 2 and pairs[CHUNK] == row
 
 
 class TestCheckpointCsv:
