@@ -4,7 +4,8 @@ file. All randomness is seeded from the config, so every command is
 deterministic and reruns produce byte-identical outputs.
 
 Exit codes: 0 ok, 2 config/input invalid, 3 I/O failure, 4 algorithmic
-failure. Set CALIBREFINE_LOG to control log verbosity.
+failure. Commands raise their failures; ``main`` alone maps each to one
+stderr line and its exit code. Set CALIBREFINE_LOG to control log verbosity.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from . import serialize
 from .blocks import BlockGrid, Parity, require_kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet
-from .geometry import Homography, PairSet
+from .geometry import Frame, Homography, PairSet
 from .matching import MatchGate
 from .pipeline import coarse_fit, error_histogram, evaluate
 from .ransac import RansacConfig
@@ -208,6 +209,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- calibrate ----------------------------------------------------------------
 
+def _load_frames(path: str) -> list[Frame]:
+    frames = serialize.read_frames_jsonl(path)
+    if not frames:
+        raise ConfigError("frames file is empty")
+    return frames
+
+
 def _load_pairs(path: str) -> PairSet:
     pairs = serialize.read_pairs_jsonl(path)
     if not pairs:
@@ -219,16 +227,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = apply_overrides(load_config(args.config), args)
     grid, skip_parity = cfg.refine.grid, cfg.refine.skip_parity
     require_kept_blocks(grid, skip_parity)
-    frames = serialize.read_frames_jsonl(args.frames)
-    if not frames:
-        print("error: frames file is empty", file=sys.stderr)
-        return EXIT_CONFIG
+    frames = _load_frames(args.frames)
     pairs = _load_pairs(args.oracle)
     unknown = np.flatnonzero(~np.isin(pairs.frame_ids, [f.frame_id for f in frames]))
     if unknown.size:
-        bad = pairs.frame_ids[unknown[0]]
-        print(f"error: oracle pair references unknown frame_id {bad}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"oracle pair references unknown frame_id {pairs.frame_ids[unknown[0]]}")
 
     result, inliers = coarse_fit(pairs, grid, cfg.refine.ransac, skip_parity)
     serialize.save_homography(args.out, result.h)
@@ -248,20 +251,14 @@ def _sidecar(out: Path, suffix: str) -> Path:
 
 def cmd_refine(args: argparse.Namespace) -> int:
     cfg = apply_overrides(load_config(args.config), args)
-    frames = serialize.read_frames_jsonl(args.frames)
-    if not frames:
-        print("error: frames file is empty", file=sys.stderr)
-        return EXIT_CONFIG
+    frames = _load_frames(args.frames)
     h = serialize.load_homography(args.matrix)
     out = Path(args.out)
 
     if args.mode in ("iterative", "both"):
         state = run_refinement(frames, h, cfg.refine)
-        for record in state.checkpoints:
-            consistent = record.updated == (record.err_new < record.err_best)
-            if not consistent:
-                print("error: checkpoint guard violated; refusing output", file=sys.stderr)
-                return EXIT_ALGO
+        if any(r.updated != (r.err_new < r.err_best) for r in state.checkpoints):
+            raise CalibrationError("checkpoint guard violated; refusing output")
         serialize.write_checkpoints_csv(_sidecar(out, "_checkpoints.csv"), state.checkpoints)
         h = state.h_best
         log.info("iterative: %d checkpoints, %d accumulated pairs",
@@ -272,8 +269,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
             h, frames, cfg.correction, lenient=args.lenient
         )
         if any(b > a for a, b in zip(result.loss_trace, result.loss_trace[1:])):
-            print("error: correction loss trace increased; refusing output", file=sys.stderr)
-            return EXIT_ALGO
+            raise CalibrationError("correction loss trace increased; refusing output")
         serialize.write_loss_trace(_sidecar(out, "_loss_trace.json"), result)
         h = result.h_star
 
@@ -355,15 +351,14 @@ def _setup_logging() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; the one map from a failure to its stderr line and
+    exit code."""
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptySet as exc:
+    except (ConfigError, EmptySet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, json.JSONDecodeError) as exc:

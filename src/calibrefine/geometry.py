@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -49,17 +50,35 @@ class Source(Enum):
     MANUAL = "manual"
 
 
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _require_numbers(name: str, rows) -> None:
+    """Refuse rows whose entries are not all integers or floats: an array by
+    its dtype, so bool, string and object arrays are refused, and any other
+    sequence of rows by the type of each entry, so bools and strings are."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold integers or floats, got dtype {rows.dtype}")
+        return
+    for kind in {*map(type, chain.from_iterable(rows))}:
+        if kind is bool or not issubclass(kind, _NUMBER_TYPES):
+            raise ValueError(f"{name} must hold integers or floats, got {kind.__name__}")
+
+
 def _point_array(name: str, points) -> np.ndarray:
-    """A read-only (K, 2) float copy of finite points; an empty list is (0, 2)."""
-    points = np.array(points, dtype=float)
-    if points.shape == (0,):
-        points = points.reshape(0, 2)  # an empty list of points
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"{name} must be a (K, 2) array, got shape {points.shape}")
-    if not np.isfinite(points).all():
+    """A read-only (K, 2) float copy of finite integer or float points; an
+    empty list is (0, 2)."""
+    array = np.array(points, dtype=float)
+    if array.shape == (0,):
+        array = array.reshape(0, 2)  # an empty list of points
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise ValueError(f"{name} must be a (K, 2) array, got shape {array.shape}")
+    _require_numbers(name, points)
+    if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite")
-    points.flags.writeable = False
-    return points
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +106,9 @@ class PairSet:
     ``source`` the (N,) ``Source`` of each (one ``Source`` stands for all
     rows), as read-only arrays checked once when built.
 
-    A sequence of rows: an integer index, and iteration, yield a row as a
-    plain ``(x, y, u, v, frame_id, source)`` tuple of Python floats, an int
-    and a ``Source``; an index array, a mask or a slice yields a ``PairSet``.
+    Iteration yields each row as a plain ``(x, y, u, v, frame_id, source)``
+    tuple of Python floats, an int and a ``Source``; an index array, a mask
+    or a slice yields a ``PairSet``.
     """
 
     xy: np.ndarray
@@ -130,7 +149,7 @@ class PairSet:
         if isinstance(pairs, PairSet):
             return pairs
         x, y, u, v, frame_ids, source = tuple(zip(*pairs, strict=True)) or ((),) * 6
-        return cls(np.column_stack([x, y]), np.column_stack([u, v]), frame_ids, source)
+        return cls([*zip(x, y)], [*zip(u, v)], frame_ids, source)
 
     @classmethod
     def concat(cls, sets: Iterable["PairSet"]) -> "PairSet":
@@ -148,8 +167,7 @@ class PairSet:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            (x, y), (u, v) = self.xy[index].tolist(), self.uv[index].tolist()
-            return x, y, u, v, int(self.frame_ids[index]), self.source[index]
+            raise TypeError("a PairSet takes an index array, a mask or a slice, not an integer")
         return PairSet(self.xy[index], self.uv[index], self.frame_ids[index], self.source[index])
 
     def __iter__(self):
@@ -210,6 +228,7 @@ class Homography:
         m = np.array(matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got shape {m.shape}")
+        _require_numbers("homography entries", matrix)
         if not np.all(np.isfinite(m)):
             raise ValueError("homography entries must be finite")
         m = _canonical(m)

@@ -57,6 +57,11 @@ class PipelineConfig:
         if self.split_seed < 0:
             raise ValueError(f"split_seed must be non-negative, got {self.split_seed}")
         require_kept_blocks(self.grid, self.skip_parity)
+        # The stage settings live here; refine is handed them once, so that
+        # cfg.refine is the config the iterative stage runs.
+        object.__setattr__(self, "refine", replace(
+            self.refine, grid=self.grid, ransac=self.ransac, skip_parity=self.skip_parity
+        ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +148,9 @@ def run_full(
         raise StageFailure("coarse", exc) from exc
     h_coarse = coarse_result.h
 
-    refine_cfg = replace(
-        cfg.refine, grid=cfg.grid, ransac=cfg.ransac, skip_parity=cfg.skip_parity
-    )
     try:
         state: CalibrationState = run_refinement(
-            frames, h_coarse, refine_cfg, initial_pairs=coarse_inliers
+            frames, h_coarse, cfg.refine, initial_pairs=coarse_inliers
         )
     except CalibrationError as exc:
         raise StageFailure("iterative", exc) from exc

@@ -69,7 +69,7 @@ class CheckpointRecord:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationState:
     h_best: Homography
     accumulated: PairSet = PairSet.of(())
@@ -84,8 +84,8 @@ class CalibrationState:
     # occupancy arrays of _occupancy_arrays, replaced by copies when a frame
     # admits a pair so the arrays of an earlier state never change, and
     # (set, RANSAC config, the checkpoint fit on it or None on no consensus).
-    _occupancy: tuple | None = field(default=None, compare=False, repr=False)
-    _fit: tuple | None = field(default=None, compare=False, repr=False)
+    _occupancy: tuple | None = field(default=None, repr=False)
+    _fit: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def initial(

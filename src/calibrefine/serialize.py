@@ -105,8 +105,8 @@ def read_frames_jsonl(path: str | Path) -> list[Frame]:
                 continue
             try:
                 d = json.loads(line)
-                _require_numbers(chain(*d["lidar"], *d["camera"]))
                 # Frame converts the lists to arrays and checks their shape
+                # and that every coordinate is a number
                 frame = Frame(
                     frame_id=_frame_id(d["frame_id"]),
                     lidar_centers=d["lidar"],

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +12,12 @@ import pytest
 from calibrefine.cli import load_config, main
 from calibrefine import cli, serialize
 from calibrefine.blocks import BlockGrid
-from calibrefine.correction import CorrectionConfig
+from calibrefine.correction import CorrectionConfig, CorrectionResult
 from calibrefine.geometry import Homography, PairSet
 from calibrefine.matching import MatchGate
 from calibrefine.pipeline import evaluate
 from calibrefine.ransac import RansacConfig
-from calibrefine.refine import RefineConfig
+from calibrefine.refine import CalibrationState, CheckpointRecord, RefineConfig
 from calibrefine.simulator import SceneConfig
 
 
@@ -882,6 +882,70 @@ class TestInputValidation:
         assert f"{matrix}: malformed record: {reason}" in capsys.readouterr().err
 
 
+def _empty_frames(tmp_path, out, monkeypatch):
+    empty = tmp_path / "empty_frames.jsonl"
+    empty.write_text("")
+    return {"--frames": empty}
+
+
+def _pair_of_unknown_frame(tmp_path, out, monkeypatch):
+    pairs = serialize.read_pairs_jsonl(out / "oracle_pairs.jsonl")
+    frame_ids = pairs.frame_ids.copy()
+    frame_ids[5] = 45  # frames.jsonl holds frames 0-39
+    bad = tmp_path / "unknown.jsonl"
+    serialize.write_pairs_jsonl(bad, PairSet(pairs.xy, pairs.uv, frame_ids, pairs.source))
+    return {"--oracle": bad}
+
+
+def _guard_violated(tmp_path, out, monkeypatch):
+    # a checkpoint that lowered the error and was still not adopted
+    record = CheckpointRecord(frame_id=39, err_new=1.0, err_best=2.0, updated=False)
+    monkeypatch.setattr(
+        cli, "run_refinement", lambda frames, h, cfg: replace(CalibrationState.initial(h), checkpoints=(record,))
+    )
+    return {}
+
+
+def _loss_trace_increased(tmp_path, out, monkeypatch):
+    monkeypatch.setattr(
+        cli, "fit_correction_stream",
+        lambda h, frames, cfg, lenient: CorrectionResult(Homography.identity(), h, (2.0, 1.0, 1.5), 40),
+    )
+    return {}
+
+
+class TestCommandFailures:
+    """A command raises its failure; ``main`` prints it as one exact stderr
+    line, exits with its code and the command writes no output file."""
+
+    @pytest.mark.parametrize(
+        "command, setup, code, err",
+        [
+            ("calibrate", _empty_frames, 2, "error: frames file is empty\n"),
+            ("iterative", _empty_frames, 2, "error: frames file is empty\n"),
+            ("calibrate", _pair_of_unknown_frame, 2, "error: oracle pair references unknown frame_id 45\n"),
+            ("iterative", _guard_violated, 4, "error: checkpoint guard violated; refusing output\n"),
+            ("correction", _loss_trace_increased, 4, "error: correction loss trace increased; refusing output\n"),
+        ],
+    )
+    def test_failure_is_one_stderr_line_and_its_exit_code(
+        self, tmp_path, sim_dir, capsys, monkeypatch, command, setup, code, err
+    ):
+        cfg, out = sim_dir
+        capsys.readouterr()
+        if command == "calibrate":
+            options = {"--frames": out / "frames.jsonl", "--oracle": out / "oracle_pairs.jsonl"}
+        else:
+            options = {"--frames": out / "frames.jsonl", "--matrix": out / "ground_truth.json", "--mode": command}
+        options.update(setup(tmp_path, out, monkeypatch))
+        argv = ["--config", str(cfg), "calibrate" if command == "calibrate" else "refine"]
+        for flag, value in options.items():
+            argv += [flag, str(value)]
+        assert main(argv + ["--out", str(tmp_path / "result.json")]) == code
+        assert capsys.readouterr() == ("", err)
+        assert not list(tmp_path.glob("result*"))
+
+
 class TestExampleConfig:
     EXAMPLE = Path(__file__).resolve().parents[1] / "config.example.json"
 
@@ -903,6 +967,13 @@ class TestExampleConfig:
         example = json.loads(self.EXAMPLE.read_text())
         assert {section: set(raw) for section, raw in example.items()} == accepted
         assert load_config(self.EXAMPLE) == load_config(None)
+
+    def test_readme_block_shows_every_default(self):
+        readme = (self.EXAMPLE.parent / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        shown = json.loads(block)
+        assert shown.pop("seeds") == [0, 1, 2]
+        assert shown == json.loads(self.EXAMPLE.read_text())
 
 
 class TestLogLevel:

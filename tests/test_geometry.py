@@ -122,6 +122,17 @@ class TestHomographyType:
         with pytest.raises(SingularMatrixError):
             Homography(np.ones((3, 3)))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
+         np.eye(3, dtype=bool), np.eye(3).astype(str)],
+        ids=["strings", "bool", "bool-array", "string-array"],
+    )
+    def test_rejects_strings_and_booleans_as_entries(self, matrix):
+        with pytest.raises(ValueError, match="homography entries must hold integers or floats"):
+            Homography(matrix)
+        assert Homography([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == Homography(np.eye(3, dtype=np.int32))
+
     def test_singular_with_subnormal_entry_rejected_without_runtime_warning(self):
         m = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.1125369292536007e-308, 1.0, 1.0]]
         with warnings.catch_warnings():
@@ -164,6 +175,22 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(0, [], points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [[["7", "8"]], [[True, 3.0]], [(1.0, 2.0), (np.bool_(True), 3.0)], np.array([["7", "8"]]),
+         np.array([[True, False]]), np.array([[1.0, 2.0]], dtype=object)],
+        ids=["string", "bool", "numpy-bool", "string-array", "bool-array", "object-array"],
+    )
+    def test_rejects_strings_and_booleans_as_numbers(self, points):
+        for lidar, camera in ((points, []), ([], points)):
+            with pytest.raises(ValueError, match="must hold integers or floats"):
+                Frame(0, lidar, camera)
+
+    def test_integer_and_float_coordinates_of_any_width_pass(self):
+        frame = Frame(0, [(np.int64(1), np.float32(2.0)), (3, 4.5)], np.array([[5, 6]], dtype=np.uint8))
+        assert frame.lidar_centers.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+        assert frame.camera_centers.tolist() == [[5.0, 6.0]]
+
     def test_holds_read_only_float_copies(self):
         lidar = np.array([[1.0, 2.0], [3.0, 4.0]])
         frame = Frame(3, lidar, [[5, 6]])
@@ -205,7 +232,7 @@ class TestPairSet:
         (0.5, -1.0, 10.0, 20.0, 4, Source.ORACLE),
         (2.0, 3.0, -0.0, 5e-324, 2**63 - 1, Source.MANUAL),
     ])
-    def test_integer_index_and_iteration_yield_rows(self, rows):
+    def test_iteration_yields_rows_and_an_integer_index_is_refused(self, rows):
         pairs = PairSet(
             np.reshape([r[:2] for r in rows], (-1, 2)),
             np.reshape([r[2:4] for r in rows], (-1, 2)),
@@ -218,14 +245,12 @@ class TestPairSet:
             assert [type(c) for c in row] == [float] * 4 + [int, Source] and type(row) is tuple
         assert_same_pairs(PairSet.of(listed), pairs)
         assert PairSet.of(pairs) is pairs
-        n = len(pairs)
-        for k in range(-n, n):
-            assert pairs[k] == listed[k] and pairs[np.int64(k)] == listed[k]
-        for k in (n, -n - 1):
-            with pytest.raises(IndexError):
+        for k in (0, -1, np.int64(0)):
+            with pytest.raises(TypeError, match="an index array, a mask or a slice"):
                 pairs[k]
-        for k in range(n):
-            for column, bad in ((0, math.nan), (3, -math.inf), (4, -1), (5, "oracle")):
+        for k in range(len(pairs)):
+            assert list(pairs[[k]]) == [listed[k]]
+            for column, bad in ((0, math.nan), (1, True), (2, "1.5"), (3, -math.inf), (4, -1), (5, "oracle")):
                 broken = list(listed[k])
                 broken[column] = bad
                 with pytest.raises(ValueError):
@@ -237,7 +262,7 @@ class TestPairSet:
             picked = pairs[index]
             assert isinstance(picked, PairSet)
             rows = np.arange(2)[index]
-            assert list(picked) == [pairs[int(i)] for i in rows]
+            assert list(picked) == [list(pairs)[i] for i in rows]
 
     def test_one_source_stands_for_every_row(self):
         pairs = two_pairs(source=Source.GREEDY_MATCHED)
@@ -278,9 +303,15 @@ class TestPairSet:
             {"frame_ids": [4, 2**63]},
             {"source": [Source.ORACLE]},
             {"source": ["oracle", "manual"]},
+            {"xy": [["0.5", -1.0], [2.0, 3.0]]},
+            {"uv": [[True, 20.0], [-0.0, 5e-324]]},
+            {"xy": np.array([[0.5, -1.0], [2.0, 3.0]]).astype(str)},
+            {"uv": np.array([[True, False], [False, True]])},
+            {"xy": np.array([[0.5, -1.0], [2.0, 3.0]], dtype=object)},
         ],
         ids=["nan", "inf", "three-columns", "short-uv", "short-ids", "negative-id",
-             "float-ids", "bool-ids", "uint64-ids", "short-source", "source-strings"],
+             "float-ids", "bool-ids", "uint64-ids", "short-source", "source-strings",
+             "string-coordinate", "bool-coordinate", "string-array", "bool-array", "object-array"],
     )
     def test_rejects_invalid_columns(self, columns):
         with pytest.raises(ValueError):

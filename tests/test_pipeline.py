@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid
+from calibrefine.blocks import BlockGrid, Parity
 from calibrefine.errors import EmptySet, InsufficientPairs
 from calibrefine.correction import CorrectionResult
 from calibrefine.geometry import Homography, PairSet, ResidualReport, project_points
@@ -21,6 +22,7 @@ from calibrefine.pipeline import (
     split_eval_pairs,
 )
 from calibrefine.ransac import RansacConfig, RansacResult
+from calibrefine.refine import RefineConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
 from conftest import (
@@ -57,6 +59,18 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="split_seed must be non-negative, got -1"):
             PipelineConfig(split_seed=-1)
         PipelineConfig(split_seed=0)
+
+    def test_refine_runs_the_stage_settings_of_the_config(self):
+        grid, other = BlockGrid(1920, 1080, 6, 4, Parity.ODD), BlockGrid(1920, 1080)
+        ransac = RansacConfig(seed=7, inlier_threshold=2.0)
+        cfg = PipelineConfig(
+            grid=grid, ransac=ransac, skip_parity=False,
+            refine=RefineConfig(recalib_interval=25, grid=other, ransac=RansacConfig(), skip_parity=True),
+        )
+        assert (cfg.refine.grid, cfg.refine.ransac, cfg.refine.skip_parity) == (grid, ransac, False)
+        assert cfg.refine.recalib_interval == 25
+        # replace re-hands the settings, so refine never keeps stale copies
+        assert replace(cfg, grid=other).refine.grid == other
 
 
 class TestCoarseCalibrate:

@@ -58,6 +58,16 @@ def frame_from(h, frame_id, plane_pts):
     return Frame(frame_id, lidar, project_points(h, lidar))
 
 
+class TestCalibrationState:
+    def test_compares_by_identity_and_hashes(self):
+        h = scene_homography()
+        state = ingest_frame(CalibrationState.initial(h), frame_from(h, 0, [(1.0, 1.0), (35.0, 1.0)]), CFG)
+        copy = replace(state)
+        assert state == state and copy != state
+        assert CalibrationState.initial(h, state.accumulated) != CalibrationState.initial(h, state.accumulated)
+        assert len({state, copy, state}) == 2 and hash(state) == hash(state)
+
+
 class TestIngestFrame:
     def test_empty_frame_only_bumps_counter(self):
         state = CalibrationState.initial(scene_homography())

@@ -318,7 +318,7 @@ class TestLenientPairRecords:
         good = pair_lines(CHUNK + 1)
         path.write_text("\n".join(good[:CHUNK] + [json.dumps(record)] + good[CHUNK:]) + "\n")
         pairs = serialize.read_pairs_jsonl(path)
-        assert len(pairs) == CHUNK + 2 and pairs[CHUNK] == row
+        assert len(pairs) == CHUNK + 2 and list(pairs[[CHUNK]]) == [row]
 
 
 class TestCheckpointCsv:
