@@ -23,13 +23,14 @@ from .geometry import (
     Frame,
     Homography,
     compose,
+    frame_counts,
     projection_mask,
     projection_residuals,
     refine_homography,
     stream_arrays,
     transform_points,
 )
-from .matching import MatchGate, candidate_edges, frame_counts, match_edges
+from .matching import MatchGate, candidate_edges, match_edges
 
 #: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
 Pairs = tuple[np.ndarray, np.ndarray]

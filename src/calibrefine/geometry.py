@@ -81,6 +81,17 @@ def _point_array(name: str, points) -> np.ndarray:
     return array
 
 
+def _frame_id(value) -> int:
+    """A frame id as a Python int in ``[0, 2**63)``: an integer of any
+    width, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"frame_id must be an integer, got {value!r}")
+    value = int(value)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"frame_id must be non-negative and below 2**63, got {value}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Time-synchronized object centers from both sensors for one timestamp,
@@ -93,8 +104,7 @@ class Frame:
     camera_centers: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.frame_id < 2**63:
-            raise ValueError(f"frame_id must be non-negative and below 2**63, got {self.frame_id}")
+        object.__setattr__(self, "frame_id", _frame_id(self.frame_id))
         for name in ("lidar_centers", "camera_centers"):
             object.__setattr__(self, name, _point_array(name, getattr(self, name)))
 
@@ -188,6 +198,52 @@ def stream_arrays(frames: Iterable[Frame]) -> tuple[np.ndarray, np.ndarray, list
         [len(xy) for xy in lidar],
         [len(uv) for uv in camera],
     )
+
+
+def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
+    """Per-frame row counts as ``(F,)`` integer arrays, checked to partition
+    ``n_lidar`` LiDAR and ``n_camera`` camera rows into frames; raises
+    ``ValueError`` otherwise, or when a count is not an integer."""
+    given = np.asarray(lidar_counts), np.asarray(camera_counts)
+    with np.errstate(invalid="ignore"):
+        lidar_counts, camera_counts = (counts.astype(np.intp) for counts in given)
+    if not (np.array_equal(lidar_counts, given[0]) and np.array_equal(camera_counts, given[1])):
+        raise ValueError("frame counts must be integers")
+    if (
+        len(lidar_counts) != len(camera_counts)
+        or lidar_counts.sum() != n_lidar
+        or camera_counts.sum() != n_camera
+        or (lidar_counts < 0).any()
+        or (camera_counts < 0).any()
+    ):
+        raise ValueError("frame counts do not partition the point arrays")
+    return lidar_counts, camera_counts
+
+
+def stream_frames(frame_ids, lidar_xy, camera_uv, lidar_counts, camera_counts) -> list[Frame]:
+    """The frames of a stream given as ``stream_arrays`` gives it, under
+    ``frame_ids``: the inverse of ``stream_arrays``.
+
+    The stream is checked once, as ``Frame`` checks one frame and with the
+    same messages: each frame id, and each sensor's points as one array.
+    The counts must partition the rows, one per frame. Each frame's arrays
+    are then read-only slices of the two checked arrays, made without a copy
+    or a re-check.
+    """
+    frame_ids = [*map(_frame_id, frame_ids)]
+    lidar = _point_array("lidar_centers", lidar_xy)
+    camera = _point_array("camera_centers", camera_uv)
+    lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(lidar), len(camera))
+    if len(lidar_counts) != len(frame_ids):
+        raise ValueError(f"{len(frame_ids)} frame ids for {len(lidar_counts)} frame counts")
+    la = [0, *np.cumsum(lidar_counts).tolist()]
+    ca = [0, *np.cumsum(camera_counts).tolist()]
+    frames = []
+    for fid, a, b, c, d in zip(frame_ids, la, la[1:], ca, ca[1:]):
+        frame = object.__new__(Frame)  # checked above, so no __post_init__
+        vars(frame).update(frame_id=fid, lidar_centers=lidar[a:b], camera_centers=camera[c:d])
+        frames.append(frame)
+    return frames
 
 
 def _canonical(matrix: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_field_types
+from .geometry import frame_counts
 
 # Relative slack of the squared-distance prefilter. It only has to cover the
 # few ulps by which ``du*du + dv*dv`` can round above ``hypot(du, dv)**2``;
@@ -238,26 +239,6 @@ def match_edges(projected, detections, lidar, camera, frame_of, gate: MatchGate)
     taken = order[_take_by_rounds(lidar[order], camera[order], len(proj), len(dets))]
     taken = taken[np.argsort(np.asarray(frame_of)[lidar[taken]], kind="stable")]
     return MatchSet(lidar=lidar[taken], camera=camera[taken], cost=cost[taken])
-
-
-def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
-    """Per-frame row counts as ``(F,)`` integer arrays, checked to partition
-    ``n_lidar`` LiDAR and ``n_camera`` camera rows into frames; raises
-    ``ValueError`` otherwise, or when a count is not an integer."""
-    given = np.asarray(lidar_counts), np.asarray(camera_counts)
-    with np.errstate(invalid="ignore"):
-        lidar_counts, camera_counts = (counts.astype(np.intp) for counts in given)
-    if not (np.array_equal(lidar_counts, given[0]) and np.array_equal(camera_counts, given[1])):
-        raise ValueError("frame counts must be integers")
-    if (
-        len(lidar_counts) != len(camera_counts)
-        or lidar_counts.sum() != n_lidar
-        or camera_counts.sum() != n_camera
-        or (lidar_counts < 0).any()
-        or (camera_counts < 0).any()
-    ):
-        raise ValueError("frame counts do not partition the point arrays")
-    return lidar_counts, camera_counts
 
 
 def _band(proj: np.ndarray, dets: np.ndarray, radius: float, lidar_frame=None, camera_frame=None):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .correction import CorrectionResult
 from .errors import SingularMatrixError
-from .geometry import Frame, Homography, PairSet, ResidualReport, Source
+from .geometry import Frame, Homography, PairSet, ResidualReport, Source, stream_frames
 from .pipeline import HISTOGRAM_EDGE
 from .refine import CheckpointRecord
 from .simulator import GroundTruth, SimFrame
@@ -94,32 +94,107 @@ def write_frames_jsonl(path: str | Path, frames: Sequence[Frame]) -> None:
             )
 
 
+# Non-blank lines read as one chunk: a pair file's chunk is parsed by one
+# ``json.loads``, a frame file's becomes one array per sensor. A bounded chunk
+# keeps peak memory near the per-line loop's; a whole file as one parse holds
+# every record's objects at once.
+_CHUNK_LINES = 256
+
+_FRAME_KEYS = frozenset({"frame_id", "lidar", "camera"})
+
+
+def _frame_chunk(lines: list[str], last: int) -> tuple | None:
+    """The ``stream_frames`` arguments of ``K`` stripped lines: their frame
+    ids, the ``(N, 2)`` LiDAR and ``(M, 2)`` camera points in line order and
+    each line's counts of them; or None unless each line holds exactly the
+    writer's keys, an integer frame id above the line before (``last`` for
+    the first) and below 2**63, and lists of 2-element lists of finite JSON
+    numbers, a record that ``Frame`` and the order check accept as it is.
+
+    Each line is parsed on its own and flattened to its coordinates, so no
+    line's lists outlive it; the coordinates are checked once per chunk."""
+    frame_ids, lidar, camera, lidar_counts, camera_counts = [], [], [], [], []
+    for line in lines:
+        try:
+            d = json.loads(line)
+        except ValueError:
+            return None
+        if type(d) is not dict or d.keys() != _FRAME_KEYS:
+            return None
+        frame_id, xy, uv = d["frame_id"], d["lidar"], d["camera"]
+        if type(frame_id) is not int or not last < frame_id < 2**63:
+            return None
+        if not (_point_list(xy) and _point_list(uv)):
+            return None
+        frame_ids.append(frame_id)
+        lidar += chain.from_iterable(xy)
+        camera += chain.from_iterable(uv)
+        lidar_counts.append(len(xy))
+        camera_counts.append(len(uv))
+        last = frame_id
+    arrays = []
+    for values in (lidar, camera):
+        if not {int, float} >= {*map(type, values)}:
+            return None
+        try:
+            points = np.array(values, dtype=float).reshape(-1, 2)
+        except OverflowError:  # an int too large for a float
+            return None
+        if not np.isfinite(points).all():
+            return None
+        arrays.append(points)
+    return frame_ids, *arrays, lidar_counts, camera_counts
+
+
+def _point_list(points) -> bool:
+    """Whether a record's points are a list of 2-element lists."""
+    return type(points) is list and {list} >= {*map(type, points)} and {2} >= {*map(len, points)}
+
+
+def _frame_record(line: str, where: str) -> Frame:
+    """One stripped line's frame, checked by ``Frame``; a record that fails
+    to parse is invalid input (``ValueError`` naming ``where``). The only
+    source of refusals, so of their messages."""
+    try:
+        d = json.loads(line)
+        # Frame converts the lists to arrays and checks their shape
+        # and that every coordinate is a number
+        return Frame(
+            frame_id=_frame_id(d["frame_id"]),
+            lidar_centers=d["lidar"],
+            camera_centers=d["camera"],
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _malformed(where, exc) from exc
+
+
 def read_frames_jsonl(path: str | Path) -> list[Frame]:
     """Read a frame stream; frame ids must strictly increase, and a record
-    that fails to parse is invalid input (``ValueError`` naming path:line)."""
-    frames = []
+    that fails to parse is invalid input (``ValueError`` naming path:line).
+
+    The file is read ``_CHUNK_LINES`` non-blank lines at a time. A chunk
+    that ``_frame_chunk`` accepts becomes one array per sensor, checked once
+    by ``stream_frames``, whose frames are views of them. Any other chunk is
+    read line by line through ``Frame`` in ``_frame_record``, which names
+    the bad line or accepts a lenient record."""
+    frames, last = [], -1
     with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                # Frame converts the lists to arrays and checks their shape
-                # and that every coordinate is a number
-                frame = Frame(
-                    frame_id=_frame_id(d["frame_id"]),
-                    lidar_centers=d["lidar"],
-                    camera_centers=d["camera"],
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise _malformed(f"{path}:{n}", exc) from exc
-            if frames and frame.frame_id <= frames[-1].frame_id:
-                raise ValueError(
-                    f"{path}:{n}: frame_id {frame.frame_id} after frame_id {frames[-1].frame_id}; "
-                    "ids must strictly increase"
-                )
-            frames.append(frame)
+        numbered = ((n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line)
+        while chunk := list(islice(numbered, _CHUNK_LINES)):
+            part = _frame_chunk([line for _, line in chunk], last)
+            if part is None:
+                for n, line in chunk:
+                    frame = _frame_record(line, f"{path}:{n}")
+                    if frame.frame_id <= last:
+                        raise ValueError(
+                            f"{path}:{n}: frame_id {frame.frame_id} after frame_id {last}; "
+                            "ids must strictly increase"
+                        )
+                    frames.append(frame)
+                    last = frame.frame_id
+            else:
+                frames += stream_frames(*part)
+                last = frames[-1].frame_id
     return frames
 
 
@@ -140,11 +215,6 @@ def write_pairs_jsonl(path: str | Path, pairs: PairSet) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_PAIR_RECORD % row for row in rows)
 
-
-# Non-blank lines parsed by one ``json.loads``. A bounded chunk keeps the
-# parse's peak memory near the per-line loop's; a whole file as one parse
-# holds every record's objects at once.
-_CHUNK_LINES = 256
 
 _PAIR_KEYS = frozenset({"frame_id", "lidar", "pixel", "source"})
 _SOURCES = {s.value: s for s in Source}
@@ -280,7 +350,7 @@ def residual_report_to_dict(report: ResidualReport) -> dict:
         "aed": report.aed,
         "rmse": report.rmse,
         "n": report.n,
-        "per_pair": [float(r) for r in report.per_pair],
+        "per_pair": report.per_pair.tolist(),
     }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_field_types
-from .geometry import Frame, Homography, PairSet, Source, transform_points
+from .geometry import Frame, Homography, PairSet, Source, stream_frames, transform_points
 
 #: Half-size (meters) of the ground patch that must land inside the image.
 PATCH_HALF = 30.0
@@ -279,17 +279,20 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
         lidar, lidar_labels = _shuffled(lidar_keep[part], lidar_det[part], lidar_clutter, counts[:, 0],
                                         lidar_order)
         camera, cam_labels = _shuffled(cam_keep[part], cam_det[part], cam_clutter, counts[:, 1], cam_order)
+        frame_ids = range(part.start, part.start + len(counts))
+        frames = stream_frames(frame_ids, lidar, camera, lidar_rows, cam_rows)
         la = np.concatenate([[0], np.cumsum(lidar_rows)]).tolist()
         ca = np.concatenate([[0], np.cumsum(cam_rows)]).tolist()
         return [
-            SimFrame(Frame(part.start + f, lidar[la[f] : la[f + 1]], camera[ca[f] : ca[f + 1]]),
-                     tuple(lidar_labels[la[f] : la[f + 1]]), tuple(cam_labels[ca[f] : ca[f + 1]]))
-            for f in range(len(counts))
+            SimFrame(frame, tuple(lidar_labels[la[f] : la[f + 1]]), tuple(cam_labels[ca[f] : ca[f + 1]]))
+            for f, frame in enumerate(frames)
         ]
 
-    # A block of frames at a time: the frames then reuse the memory of the
-    # previous block's arrays, where stream-sized arrays would stay behind
-    # them as heap holes (about 3 MB more peak RSS on 3000x12 and 150x200).
+    # A block of frames at a time: each block's frames view that block's two
+    # checked arrays, and the block's other arrays (draws, orders, labels)
+    # are freed before the next is made, so the peak holds one block's
+    # temporaries, not a stream's (one stream-wide block peaks about 2 MB
+    # higher on 3000x12 and 150x200).
     step = max(1, _FRAME_BLOCK_CELLS // cfg.n_objects)
     frames = [sf for first in range(0, cfg.n_frames, step) for sf in frames_of(slice(first, first + step))]
 

@@ -87,6 +87,17 @@ def assert_same_pairs(a: PairSet, b: PairSet) -> None:
     assert a.source.tolist() == b.source.tolist()
 
 
+def assert_same_frames(read, written) -> None:
+    """Same int ids and bit-identical read-only arrays (this tells -0.0
+    from 0.0)."""
+    assert [(type(f.frame_id), f.frame_id) for f in read] == [(int, f.frame_id) for f in written]
+    for a, b in zip(read, written):
+        for name in ("lidar_centers", "camera_centers"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert not x.flags.writeable and not y.flags.writeable
+
+
 def translation_homography(dx: float, dy: float) -> Homography:
     return Homography([[1.0, 0.0, dx], [0.0, 1.0, dy], [0.0, 0.0, 1.0]])
 

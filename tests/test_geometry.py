@@ -24,9 +24,12 @@ from calibrefine.geometry import (
     estimate_homography,
     refine_homography,
     reprojection_metrics,
+    stream_arrays,
+    stream_frames,
 )
 
 from conftest import (
+    assert_same_frames,
     assert_same_pairs,
     exact_pairs,
     naive_metrics,
@@ -202,16 +205,114 @@ class TestFrame:
             with pytest.raises(ValueError):
                 points[0, 0] = 0.0
 
-
     def test_rejects_negative_frame_id(self):
-        with pytest.raises(ValueError, match="frame_id must be non-negative"):
-            Frame(-1, [[1.0, 2.0]], [])
+        for frame_id in (-1, np.int64(-1), 2**63, np.uint64(2**63)):
+            with pytest.raises(ValueError, match="frame_id must be non-negative"):
+                Frame(frame_id, [[1.0, 2.0]], [])
+
+    @pytest.mark.parametrize(
+        "frame_id", [True, np.bool_(False), 1.5, 2.0, np.float64(2.0), "3", None],
+        ids=["bool", "numpy-bool", "float", "integral-float", "numpy-float", "string", "none"],
+    )
+    def test_rejects_a_frame_id_that_is_not_an_integer(self, frame_id):
+        with pytest.raises(ValueError, match="frame_id must be an integer, got "):
+            Frame(frame_id, [[1.0, 2.0]], [])
+
+    @pytest.mark.parametrize("frame_id", [np.int64(7), np.uint8(7), np.int32(7)])
+    def test_stores_a_numpy_integer_frame_id_as_an_int(self, frame_id):
+        assert type(Frame(frame_id, [], []).frame_id) is int
+        assert Frame(frame_id, [], []).frame_id == 7
 
 
 _coordinates = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]), st.floats(allow_nan=False, allow_infinity=False)
 )
 _frame_ids = st.one_of(st.just(2**63 - 1), st.integers(0, 2**63 - 1))
+
+
+_points = st.lists(st.tuples(_coordinates, _coordinates), max_size=4)
+
+# One defect, placed in one frame of a stream, and the message Frame gives it.
+_BAD_FRAMES = [
+    {"frame_id": -1},
+    {"frame_id": 2**63},
+    {"frame_id": True},
+    {"frame_id": 1.5},
+    {"frame_id": np.float64(2.0)},
+    {"lidar": [[1.0, math.nan]]},
+    {"lidar": [[math.inf, 2.0], [1.0, 2.0]]},
+    {"camera": [[1.0, -math.inf]]},
+    {"lidar": [[True, 2.0]]},
+    {"camera": [[1.0, "2"]]},
+    {"camera": [[1.0, None]]},
+    {"lidar": [[np.bool_(True), 2.0]]},
+]
+
+
+class TestStreamFrames:
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(_frame_ids, _points, _points), max_size=6))
+    @example([])
+    @example([(0, [], []), (2**63 - 1, [(-0.0, 5e-324)], [(1e308, -1e308), (0.0, -0.0)])])
+    def test_inverts_stream_arrays(self, stream):
+        frames = [Frame(fid, lidar, camera) for fid, lidar, camera in stream]
+        ids = [f.frame_id for f in frames]
+        assert_same_frames(stream_frames(ids, *stream_arrays(frames)), frames)
+        # numpy integer ids, as a stream's id column holds them, read as ints
+        assert_same_frames(stream_frames(np.array(ids, dtype=np.uint64), *stream_arrays(frames)), frames)
+
+    @pytest.mark.parametrize("where", [0, 2])
+    @pytest.mark.parametrize("defect", _BAD_FRAMES, ids=lambda d: repr(d)[:40])
+    def test_refuses_what_frame_refuses_with_its_message(self, defect, where):
+        stream = [{"frame_id": i, "lidar": [[i, 1.0]], "camera": [[2.0, i], [3.0, 4.0]]} for i in range(3)]
+        stream[where] = {**stream[where], **defect}
+        with pytest.raises(ValueError) as per_frame:
+            [Frame(d["frame_id"], d["lidar"], d["camera"]) for d in stream]
+        with pytest.raises(ValueError) as at_once:
+            stream_frames(
+                [d["frame_id"] for d in stream],
+                [p for d in stream for p in d["lidar"]],
+                [p for d in stream for p in d["camera"]],
+                [len(d["lidar"]) for d in stream],
+                [len(d["camera"]) for d in stream],
+            )
+        assert str(at_once.value) == str(per_frame.value)
+
+    @pytest.mark.parametrize("points", [[[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0, 2.0]]], np.empty((0, 3))])
+    def test_refuses_misshaped_points(self, points):
+        with pytest.raises(ValueError, match="must be a \\(K, 2\\) array"):
+            stream_frames([0], points, [], [len(points)], [0])
+        with pytest.raises(ValueError, match="must be a \\(K, 2\\) array"):
+            stream_frames([0], [], points, [0], [len(points)])
+
+    @pytest.mark.parametrize(
+        "ids, lidar_counts, camera_counts, message",
+        [
+            ([0, 1], [1, 1], [1, 1], "do not partition"),
+            ([0, 1], [2, 1], [1, 0], "do not partition"),
+            ([0, 1], [3, -1], [1, 0], "do not partition"),
+            ([0, 1], [2], [1], "2 frame ids for 1 frame counts"),
+            ([0], [2, 0], [1, 0], "1 frame ids for 2 frame counts"),
+            ([0, 1], [1.5, 0.5], [1, 0], "must be integers"),
+        ],
+    )
+    def test_counts_must_partition_the_rows_one_per_frame(self, ids, lidar_counts, camera_counts, message):
+        with pytest.raises(ValueError, match=message):
+            stream_frames(ids, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]], lidar_counts, camera_counts)
+
+    def test_frames_are_read_only_views_of_one_checked_copy(self):
+        lidar, camera = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.array([[7.0, 8.0]])
+        frames = stream_frames([3, 8], lidar, camera, [1, 2], [0, 1])
+        lidar[:] = camera[:] = 0.0  # the caller's arrays were copied
+        assert [f.lidar_centers.tolist() for f in frames] == [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
+        assert [f.camera_centers.shape for f in frames] == [(0, 2), (1, 2)]
+        assert frames[0].lidar_centers.base is frames[1].lidar_centers.base
+        for frame in frames:
+            for points in (frame.lidar_centers, frame.camera_centers):
+                with pytest.raises(ValueError):
+                    points[:] = -1.0
+                with pytest.raises(ValueError):
+                    points.flags.writeable = True
 
 
 def two_pairs(**columns) -> PairSet:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calibrefine import matching
+from calibrefine.geometry import frame_counts
 from calibrefine.matching import (
     MatchGate,
     candidate_edges,
-    frame_counts,
     greedy_match,
     match_edges,
 )

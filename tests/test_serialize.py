@@ -20,16 +20,7 @@ from calibrefine.geometry import (
 from calibrefine.refine import CheckpointRecord
 from calibrefine.simulator import SceneConfig, generate
 
-from conftest import assert_same_pairs, well_conditioned_homography
-
-
-def assert_same_frames(read, written):
-    """Same ids and bit-identical arrays (this tells -0.0 from 0.0)."""
-    assert [f.frame_id for f in read] == [f.frame_id for f in written]
-    for a, b in zip(read, written):
-        for name in ("lidar_centers", "camera_centers"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+from conftest import assert_same_frames, assert_same_pairs, well_conditioned_homography
 
 
 # Finite floats over the whole range: hypothesis draws -0.0, subnormals and
@@ -319,6 +310,161 @@ class TestLenientPairRecords:
         path.write_text("\n".join(good[:CHUNK] + [json.dumps(record)] + good[CHUNK:]) + "\n")
         pairs = serialize.read_pairs_jsonl(path)
         assert len(pairs) == CHUNK + 2 and list(pairs[[CHUNK]]) == [row]
+
+
+def per_line_read_frames(path) -> list[Frame]:
+    """The reference: the per-line loop that read frame files before their
+    chunks were checked as arrays, one ``json.loads`` and one ``Frame`` per
+    line."""
+    frames = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                frame_id = d["frame_id"]
+                if type(frame_id) is not int:
+                    raise TypeError(f"frame_id must be an integer, got {frame_id!r}")
+                frame = Frame(frame_id=frame_id, lidar_centers=d["lidar"], camera_centers=d["camera"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValueError(f"{path}:{n}: malformed record: {what}") from exc
+            if frames and frame.frame_id <= frames[-1].frame_id:
+                raise ValueError(
+                    f"{path}:{n}: frame_id {frame.frame_id} after frame_id {frames[-1].frame_id}; "
+                    "ids must strictly increase"
+                )
+            frames.append(frame)
+    return frames
+
+
+def assert_reads_as_per_line_frames(path):
+    got = read_or_refusal(serialize.read_frames_jsonl, path)
+    want = read_or_refusal(per_line_read_frames, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_frames(got, want)
+
+
+def frame_lines(n: int) -> list[str]:
+    """The writer's lines for ``n`` frames with ids 10, 20, ..., holding 0-4
+    points per sensor."""
+    rng = np.random.default_rng(n)
+    frames = [
+        Frame(10 * (i + 1), rng.normal(size=(rng.integers(5), 2)), rng.normal(size=(rng.integers(5), 2)) * 100)
+        for i in range(n)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frames.jsonl"
+        serialize.write_frames_jsonl(path, frames)
+        return path.read_text().splitlines()
+
+
+# Frame records the reader refuses and records it accepts that the writer
+# never writes. FID stands for an id above the line before, PREV for that
+# line's own id.
+_MALFORMED_FRAMES = [
+    '{"frame_id": FID, "lidar": [[true, 2.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [["1.5", 2.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [], "camera": [[null, 2.0]]}',
+    '{"frame_id": FID, "lidar": [[1e400, 2.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [[NaN, 2.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [], "camera": [[1.0, -Infinity]]}',
+    '{"frame_id": FID, "lidar": [[1' + "0" * 400 + ', 2.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [[1.0, 2.0, 3.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [[1.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [[1.0, 2.0], [3.0, 4.0, 5.0]], "camera": []}',
+    '{"frame_id": FID, "lidar": [1.0, 2.0], "camera": []}',
+    '{"frame_id": FID, "lidar": [[[1.0, 2.0]]], "camera": []}',
+    '{"frame_id": FID, "lidar": [{"x": 1.0, "y": 2.0}], "camera": []}',
+    '{"frame_id": FID, "lidar": "ab", "camera": []}',
+    '{"frame_id": -1, "lidar": [], "camera": []}',
+    '{"frame_id": 9223372036854775808, "lidar": [], "camera": []}',
+    '{"frame_id": FID.0, "lidar": [], "camera": []}',
+    '{"frame_id": true, "lidar": [], "camera": []}',
+    '{"frame_id": PREV, "lidar": [], "camera": []}',
+    '{"frame_id": 0, "lidar": [], "camera": []}',
+    '{"lidar": [], "camera": []}',
+    '{"frame_id": FID, "lidar": []}',
+    '{"frame_id": FID, "lidar": [], "camera": []',
+    "[1, 2]",
+    "7",
+    "null",
+]
+_LENIENT_FRAMES = [
+    "",
+    "  \t ",
+    '{"frame_id": FID, "lidar": [[1, 2]], "camera": [[3, 4.5]]}',
+    '  {"frame_id": FID, "lidar": [], "camera": [], "note": [{"a": 1}]}  ',
+    '{"camera": [[9007199254740993, 1e308]], "frame_id": FID, "lidar": [[-0.0, 5e-324]]}',
+    '{"frame_id": FID, "lidar": [[1e308, 1e308], [-1e308, -1e308]], "camera": []}',
+    '{"frame_id": FID, "lidar": [[1' + "0" * 300 + ', 2]], "camera": []}',
+]
+
+
+def frame_file(path: Path, head: int, blanks: int, tail: list[str], total: int) -> None:
+    """``total`` writer lines with ``blanks`` blank lines and then ``tail``
+    after the first ``head`` of them, each FID and PREV in the tail
+    replaced by an id (the good lines' ids are 10 apart)."""
+    good = frame_lines(total)
+    before = 10 * head
+    lines = []
+    for k, line in enumerate(tail):
+        lines.append(line.replace("FID", str(before + k + 1)).replace("PREV", str(before + k)))
+    path.write_text("\n".join(good[:head] + [""] * blanks + lines + good[head:]) + "\n")
+
+
+class TestFrameChunks:
+    @settings(max_examples=60)
+    @given(
+        head=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 2, 2 * CHUNK]),
+        blanks=st.integers(0, 3),
+        tail=st.lists(st.sampled_from(_MALFORMED_FRAMES + _LENIENT_FRAMES), max_size=4),
+    )
+    @example(head=CHUNK, blanks=0, tail=['{"frame_id": PREV, "lidar": [], "camera": []}'])
+    @example(head=CHUNK - 1, blanks=1, tail=_LENIENT_FRAMES[2:5])
+    @example(head=2 * CHUNK, blanks=2, tail=['{"frame_id": FID, "lidar": [[NaN, 2.0]], "camera": []}'])
+    def test_read_matches_per_line_loop(self, head, blanks, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frames.jsonl"
+            frame_file(path, head, blanks, tail, 2 * CHUNK + 3)
+            assert_reads_as_per_line_frames(path)
+
+    @pytest.mark.parametrize("bad", _MALFORMED_FRAMES)
+    def test_malformed_record_in_a_later_chunk(self, tmp_path, bad):
+        path = tmp_path / "frames.jsonl"
+        frame_file(path, CHUNK + 3, 2, [bad], CHUNK + 8)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{CHUNK + 6}: "):
+            serialize.read_frames_jsonl(path)
+        assert_reads_as_per_line_frames(path)
+
+    def test_writer_files_never_reach_the_per_line_check(self, tmp_path, monkeypatch):
+        calls = []
+        per_line = serialize._frame_record
+        monkeypatch.setattr(serialize, "_frame_record", lambda *a: calls.append(a) or per_line(*a))
+        path = tmp_path / "frames.jsonl"
+        good = frame_lines(2 * CHUNK + 1)
+        path.write_text("\n".join(good) + "\n")
+        assert len(serialize.read_frames_jsonl(path)) == 2 * CHUNK + 1
+        assert calls == []
+        # an unknown key sends its chunk, and only it, through the check
+        path.write_text("\n".join(good[:CHUNK] + [good[CHUNK][:-1] + ', "note": 1}'] + good[CHUNK + 1:]) + "\n")
+        assert_reads_as_per_line_frames(path)
+        assert len(calls) == CHUNK
+
+    def test_generated_scene_round_trips(self, tmp_path):
+        # 150 frames of 200 objects: generate builds them in 4 blocks of 40
+        sim_frames, _ = generate(SceneConfig(seed=5, n_frames=150, n_objects=200))
+        frames = [sf.frame for sf in sim_frames]
+        copies = [Frame(f.frame_id, f.lidar_centers, f.camera_centers) for f in frames]
+        assert_same_frames(frames, copies)
+        path = tmp_path / "frames.jsonl"
+        serialize.write_sim_frames(path, sim_frames)
+        assert_same_frames(serialize.read_frames_jsonl(path), copies)
+        assert_same_frames(per_line_read_frames(path), copies)
 
 
 class TestCheckpointCsv:
