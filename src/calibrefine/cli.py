@@ -103,7 +103,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -167,10 +167,7 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "interval", None) is not None:
         refine_cfg = replace(refine_cfg, recalib_interval=args.interval)
     refine_cfg = replace(refine_cfg, grid=grid, ransac=ransac)
-    try:
-        return replace(cfg, scene=scene, refine=refine_cfg, correction=correction)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(cfg, scene=scene, refine=refine_cfg, correction=correction)
 
 
 # -- simulate -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Homogeneous 2D projective geometry: the pair-set and frame types, the
-homography type, projection, composition, reprojection-error metrics, and the
-DLT / least-squares estimators that everything else builds on. Points are
+homography type, projection, composition, reprojection-error metrics, the
+DLT / least-squares estimators and the one inlier rule (``inlier_score``,
+``refit_inliers``) that everything else builds on. Points are
 ``(N, 2)`` float arrays; the one pair type is ``PairSet``, whose single rows
 are plain ``(x, y, u, v, frame_id, source)`` tuples.
 
@@ -556,3 +557,37 @@ def refine_homography(
         )
     full[free] = result.params
     return Homography(full.reshape(3, 3))
+
+
+def inlier_score(matrix: np.ndarray, xy: np.ndarray, uv: np.ndarray, threshold: float):
+    """Score a raw 3x3 matrix on paired (N, 2) ground and pixel points.
+
+    Returns ``(key, mask, residuals)``: the key ``(-inlier count, inlier
+    AED)``, lower is better, with AED ``inf`` for a matrix without inliers;
+    the (N,) ``residual <= threshold`` inlier mask, in which NaN residuals
+    compare False; and the (N,) residuals of every pair.
+    """
+    uv_hat, _ = transform_points(matrix, xy)
+    with np.errstate(invalid="ignore"):
+        residuals = np.hypot(uv_hat[:, 0] - uv[:, 0], uv_hat[:, 1] - uv[:, 1])
+    mask = residuals <= threshold
+    count = int(mask.sum())
+    aed = float(residuals[mask].mean()) if count else math.inf
+    return (-count, aed), mask, residuals
+
+
+def refit_inliers(h: Homography, xy: np.ndarray, uv: np.ndarray, threshold: float):
+    """Re-estimate ``h`` on its inliers (LO-RANSAC's local optimization):
+    refit it with ``refine_homography`` on the pairs within ``threshold``
+    and keep the refit only if its ``inlier_score`` key is no worse. Returns
+    the kept matrix, its inlier mask and its residuals on every pair;
+    ``InsufficientPairs`` below 4 inliers. A refit that hits its iteration
+    cap is used without a warning."""
+    key, mask, residuals = inlier_score(h.m, xy, uv, threshold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        refit = refine_homography(xy[mask], uv[mask], h)
+    key_r, mask_r, residuals_r = inlier_score(refit.m, xy, uv, threshold)
+    if key_r <= key:
+        return refit, mask_r, residuals_r
+    return h, mask, residuals

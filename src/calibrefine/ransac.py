@@ -5,26 +5,13 @@ draw sequence depends only on (number of pairs, seed), not element order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    ConsensusFailure,
-    DegenerateConfiguration,
-    InsufficientPairs,
-    NonConvergenceWarning,
-    check_field_types,
-)
-from .geometry import (
-    Homography,
-    ResidualReport,
-    estimate_homography,
-    refine_homography,
-    transform_points,
-)
+from .errors import ConsensusFailure, DegenerateConfiguration, InsufficientPairs, check_field_types
+from .geometry import Homography, ResidualReport, estimate_homography, inlier_score, refit_inliers
 
 MINIMAL_SAMPLE = 4
 
@@ -66,16 +53,6 @@ def minimal_sample_stream(n_pairs: int, seed: int) -> Iterator[tuple[int, ...]]:
         yield tuple(int(i) for i in rng.choice(n_pairs, size=MINIMAL_SAMPLE, replace=False))
 
 
-def _score(matrix: np.ndarray, xy: np.ndarray, uv: np.ndarray, threshold: float):
-    uv_hat, _ = transform_points(matrix, xy)
-    with np.errstate(invalid="ignore"):
-        residuals = np.hypot(uv_hat[:, 0] - uv[:, 0], uv_hat[:, 1] - uv[:, 1])
-    mask = residuals <= threshold  # NaN residuals compare False
-    count = int(mask.sum())
-    aed = float(residuals[mask].mean()) if count else math.inf
-    return mask, count, aed, residuals
-
-
 def _iterations_needed(inlier_ratio: float, confidence: float) -> int:
     p_all_inlier = inlier_ratio**MINIMAL_SAMPLE
     if p_all_inlier >= 1.0:
@@ -92,25 +69,21 @@ def ransac_homography(
     sample_stream: Iterable[tuple[int, ...]] | None = None,
 ) -> RansacResult:
     """Fit a homography robustly to paired (N, 2) ground and pixel points:
-    best minimal-sample consensus, then a least-squares refit on the winning
-    inliers.
+    best minimal-sample consensus, then ``refit_inliers`` on the winner.
 
-    Hypotheses score by inlier count, ties by inlier AED, then by iteration
-    index. Degenerate minimal samples are discarded without consuming an
-    iteration (total draws capped at 10x max_iterations). The refit result is
-    kept only if it does not score worse than the minimal-sample model.
-    Raises ``ConsensusFailure`` when the best inlier ratio is below
-    ``cfg.min_inlier_ratio``.
+    Hypotheses score by ``inlier_score``: inlier count, ties by inlier AED;
+    ties keep the earlier hypothesis. Degenerate minimal samples are
+    discarded without consuming an iteration (total draws capped at 10x
+    max_iterations). Raises ``ConsensusFailure`` when the best inlier ratio
+    is below ``cfg.min_inlier_ratio``.
     """
     n = len(xy)
     if n < MINIMAL_SAMPLE:
         raise InsufficientPairs(f"need >= {MINIMAL_SAMPLE} pairs, got {n}")
     stream = iter(sample_stream) if sample_stream is not None else minimal_sample_stream(n, cfg.seed)
 
-    best_key: tuple[int, float, int] | None = None
+    best_key: tuple[int, float] | None = None
     best_h: Homography | None = None
-    best_mask: np.ndarray | None = None
-    best_residuals: np.ndarray | None = None
     iterations = 0
     draws = 0
     max_draws = 10 * cfg.max_iterations
@@ -127,16 +100,14 @@ def ransac_homography(
         except DegenerateConfiguration:
             continue
         iterations += 1
-        mask, count, aed, residuals = _score(candidate.m, xy, uv, cfg.inlier_threshold)
-        if count >= MINIMAL_SAMPLE:
-            key = (-count, aed, iterations)
-            if best_key is None or key < best_key:
-                best_key, best_h, best_mask, best_residuals = key, candidate, mask, residuals
+        key, _, _ = inlier_score(candidate.m, xy, uv, cfg.inlier_threshold)
+        if -key[0] >= MINIMAL_SAMPLE and (best_key is None or key < best_key):
+            best_key, best_h = key, candidate
         if best_key is not None:
             if iterations >= _iterations_needed(-best_key[0] / n, cfg.confidence):
                 break
 
-    if best_h is None or best_mask is None or best_key is None:
+    if best_h is None or best_key is None:
         raise ConsensusFailure("no valid minimal-sample hypothesis found", n_pairs=n)
     best_count = -best_key[0]
     if best_count / n < cfg.min_inlier_ratio:
@@ -146,20 +117,12 @@ def ransac_homography(
             best_inliers=best_count,
         )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonConvergenceWarning)
-        refined = refine_homography(xy[best_mask], uv[best_mask], best_h)
-    mask_r, count_r, aed_r, residuals_r = _score(refined.m, xy, uv, cfg.inlier_threshold)
-    if (-count_r, aed_r) <= (best_key[0], best_key[1]) and count_r >= MINIMAL_SAMPLE:
-        final_h, final_mask, final_residuals = refined, mask_r, residuals_r
-    else:
-        final_h, final_mask, final_residuals = best_h, best_mask, best_residuals
-
-    inlier_indices = np.flatnonzero(final_mask)
+    h, mask, residuals = refit_inliers(best_h, xy, uv, cfg.inlier_threshold)
+    inlier_indices = np.flatnonzero(mask)
     inlier_indices.flags.writeable = False
     return RansacResult(
-        h=final_h,
+        h=h,
         inlier_indices=inlier_indices,
         iterations_run=iterations,
-        inlier_report=ResidualReport.from_residuals(final_residuals[final_mask]),
+        inlier_report=ResidualReport.from_residuals(residuals[mask]),
     )

@@ -29,6 +29,11 @@ def _load_json(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+# What parsing one record may raise: a missing key, a wrong type or value, an
+# integer too large for a float, or JSON nested too deep for the parser.
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
 def _malformed(where: str, exc: Exception) -> ValueError:
     """Invalid input (``ValueError``) for a record that failed to parse;
     ``where`` is ``path`` or ``path:line``."""
@@ -72,7 +77,7 @@ def load_homography(path: str | Path) -> Homography:
         return homography_from_dict(_load_json(path))
     except SingularMatrixError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except _RECORD_ERRORS as exc:
         raise _malformed(str(path), exc) from exc
 
 
@@ -117,7 +122,7 @@ def _frame_chunk(lines: list[str], last: int) -> tuple | None:
     for line in lines:
         try:
             d = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         if type(d) is not dict or d.keys() != _FRAME_KEYS:
             return None
@@ -164,7 +169,7 @@ def _frame_record(line: str, where: str) -> Frame:
             lidar_centers=d["lidar"],
             camera_centers=d["camera"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _RECORD_ERRORS as exc:
         raise _malformed(where, exc) from exc
 
 
@@ -238,7 +243,7 @@ def _pair_record(line: str, where: str) -> tuple[list[float], int, Source]:
         if not 0 <= frame_id < 2**63:
             raise ValueError(f"frame_id must be in [0, 2**63), got {frame_id}")
         source = Source(d.get("source", "manual"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _RECORD_ERRORS as exc:
         raise _malformed(where, exc) from exc
     return row, frame_id, source
 
@@ -277,7 +282,7 @@ def _pair_chunk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, l
         xy = np.array(lidar, dtype=float).reshape(-1, 2)
         uv = np.array(pixel, dtype=float).reshape(-1, 2)
         frame_ids = np.array(frame_ids, dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+    except _RECORD_ERRORS:
         return None
     if not (np.isfinite(xy).all() and np.isfinite(uv).all()) or (frame_ids < 0).any():
         return None
