@@ -247,8 +247,15 @@ def stream_frames(frame_ids, lidar_xy, camera_uv, lidar_counts, camera_counts) -
     return frames
 
 
+def _frobenius(matrix: np.ndarray) -> float:
+    """The Frobenius norm as ``np.linalg.norm`` computes it, without its
+    wrapper: the square root of the dot of the entries in memory order."""
+    flat = matrix.ravel("K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _canonical(matrix: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(matrix))
+    norm = _frobenius(matrix)
     if norm == 0.0 or not math.isfinite(norm):
         raise SingularMatrixError("matrix norm is zero or non-finite")
     # Dividing out the nearest power of two is exact, so matrices that differ
@@ -256,7 +263,7 @@ def _canonical(matrix: np.ndarray) -> np.ndarray:
     # remaining norm is then 1 within slack for already-canonical input,
     # which keeps canonicalization idempotent.
     matrix = matrix / math.ldexp(1.0, round(math.log2(norm)))
-    residual = float(np.linalg.norm(matrix))
+    residual = _frobenius(matrix)
     if abs(residual - 1.0) > _NORM_SLACK:
         matrix = matrix / residual
     h33 = matrix[2, 2]
@@ -286,7 +293,7 @@ class Homography:
         if m.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got shape {m.shape}")
         _require_numbers("homography entries", matrix)
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("homography entries must be finite")
         m = _canonical(m)
         with np.errstate(divide="ignore"):
@@ -321,10 +328,11 @@ def transform_points(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np
     xy = np.asarray(xy, dtype=float)
     x, y = xy[:, 0], xy[:, 1]
     w = matrix[2, 0] * x + matrix[2, 1] * y + matrix[2, 2]
+    uv = np.empty((len(xy), 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = (matrix[0, 0] * x + matrix[0, 1] * y + matrix[0, 2]) / w
-        v = (matrix[1, 0] * x + matrix[1, 1] * y + matrix[1, 2]) / w
-    return np.column_stack([u, v]), w
+        np.divide(matrix[0, 0] * x + matrix[0, 1] * y + matrix[0, 2], w, out=uv[:, 0])
+        np.divide(matrix[1, 0] * x + matrix[1, 1] * y + matrix[1, 2], w, out=uv[:, 1])
+    return uv, w
 
 
 def project_points(h: Homography, xy: np.ndarray) -> np.ndarray:
@@ -409,9 +417,14 @@ def reprojection_metrics(h: Homography, xy: np.ndarray, uv: np.ndarray) -> Resid
 
 
 def _hartley_normalization(points: np.ndarray) -> np.ndarray:
-    """Similarity transform taking points to centroid 0, mean distance sqrt(2)."""
-    centroid = points.mean(axis=0)
-    mean_dist = float(np.mean(np.linalg.norm(points - centroid, axis=1)))
+    """Similarity transform taking (N, 2) float points to centroid 0, mean
+    distance sqrt(2). The means and distances are numpy's ``mean`` and
+    ``linalg.norm`` written out, the same float operations without the
+    wrappers' per-call cost."""
+    n = len(points)
+    centroid = np.add.reduce(points, axis=0) / n
+    d = points - centroid
+    mean_dist = float(np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=1))) / n)
     if mean_dist <= 0.0:
         raise DegenerateConfiguration("all points coincide")
     s = math.sqrt(2.0) / mean_dist
@@ -571,8 +584,8 @@ def inlier_score(matrix: np.ndarray, xy: np.ndarray, uv: np.ndarray, threshold: 
     with np.errstate(invalid="ignore"):
         residuals = np.hypot(uv_hat[:, 0] - uv[:, 0], uv_hat[:, 1] - uv[:, 1])
     mask = residuals <= threshold
-    count = int(mask.sum())
-    aed = float(residuals[mask].mean()) if count else math.inf
+    count = int(np.count_nonzero(mask))
+    aed = float(np.add.reduce(residuals[mask]) / count) if count else math.inf
     return (-count, aed), mask, residuals
 
 

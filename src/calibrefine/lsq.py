@@ -7,6 +7,7 @@ iterates it keeps, so a rejected trial step costs one residual evaluation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +48,7 @@ def damped_least_squares(
     p = np.asarray(p0, dtype=float).copy()
     r, jacobian = fun(p)
     cost = float(r @ r)
-    if not np.isfinite(cost):
+    if not math.isfinite(cost):
         raise ValueError("initial residuals are not finite")
 
     damping = init_damping
@@ -67,13 +68,14 @@ def damped_least_squares(
         except np.linalg.LinAlgError:
             damping = min(damping * 10.0, _MAX_DAMPING)
             continue
-        if np.linalg.norm(step) <= step_tol * (1.0 + np.linalg.norm(p)):
+        # the norms as np.linalg.norm computes them, without its wrapper
+        if math.sqrt(step.dot(step)) <= step_tol * (1.0 + math.sqrt(p.dot(p))):
             converged = True
             break
         trial = p + step
         r_trial, jacobian_trial = fun(trial)
         trial_cost = float(r_trial @ r_trial)
-        if np.isfinite(trial_cost) and trial_cost < cost:
+        if math.isfinite(trial_cost) and trial_cost < cost:
             rel_decrease = (cost - trial_cost) / max(cost, _TINY)
             p, r, jacobian, cost = trial, r_trial, jacobian_trial, trial_cost
             normal = None

@@ -50,7 +50,7 @@ def minimal_sample_stream(n_pairs: int, seed: int) -> Iterator[tuple[int, ...]]:
     """Endless stream of 4-index minimal samples, a pure function of (n_pairs, seed)."""
     rng = np.random.Generator(np.random.Philox(seed))
     while True:
-        yield tuple(int(i) for i in rng.choice(n_pairs, size=MINIMAL_SAMPLE, replace=False))
+        yield tuple(rng.choice(n_pairs, size=MINIMAL_SAMPLE, replace=False).tolist())
 
 
 def _iterations_needed(inlier_ratio: float, confidence: float) -> int:

@@ -83,7 +83,10 @@ class CalibrationState:
     # (set, grid, per-block pixel counts, per-block first pixels), the
     # occupancy arrays of _occupancy_arrays, replaced by copies when a frame
     # admits a pair so the arrays of an earlier state never change, and
-    # (set, RANSAC config, the checkpoint fit on it or None on no consensus).
+    # (set, RANSAC config, the checkpoint fit on it or None on no consensus,
+    # guard metric, ((matrix, guard value on the set), ...) for the fit and
+    # the incumbent the last checkpoint compared it with), whose guard
+    # values are read only for the very matrix objects they were computed for.
     _occupancy: tuple | None = field(default=None, repr=False)
     _fit: tuple | None = field(default=None, repr=False)
 
@@ -229,8 +232,12 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
     """Re-estimate from the accumulated set and adopt the result only when it
     lowers the guard metric on that same set; always appends a record.
 
-    RANSAC is a pure function of the set and ``cfg.ransac``, so a checkpoint
-    on the very set and config of the last fit reuses that fit.
+    RANSAC is a pure function of the set and ``cfg.ransac``, and a guard
+    value one of the matrix, the set and ``cfg.metric``. So a checkpoint on
+    the very set and RANSAC config of the last one reuses that fit, and the
+    guard values the last one computed on the set for the very matrix objects
+    it compared: when the incumbent is the fit or the matrix the fit was last
+    compared with, the checkpoint projects nothing.
     """
     fit_cache = state._fit
 
@@ -252,13 +259,21 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
             fit = ransac_homography(xy, uv, cfg.ransac)
         except ConsensusFailure:
             fit = None
-        fit_cache = (state.accumulated, cfg.ransac, fit)
+        fit_cache = (state.accumulated, cfg.ransac, fit, cfg.metric, ())
     fit = fit_cache[2]
     if fit is None:
         return skipped()
 
-    err_new = _metric_value(fit.h, xy, uv, cfg.metric)
-    err_best = _metric_value(state.h_best, xy, uv, cfg.metric)
+    scored = fit_cache[4] if fit_cache[3] is cfg.metric else ()
+
+    def guard(h: Homography) -> float:
+        for known, value in scored:
+            if known is h:
+                return value
+        return _metric_value(h, xy, uv, cfg.metric)
+
+    err_new = guard(fit.h)
+    err_best = guard(state.h_best)
     updated = err_new < err_best
     record = CheckpointRecord(
         frame_id=state.last_frame_id,
@@ -270,7 +285,7 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
         state,
         h_best=fit.h if updated else state.h_best,
         checkpoints=state.checkpoints + (record,),
-        _fit=fit_cache,
+        _fit=fit_cache[:3] + (cfg.metric, ((fit.h, err_new), (state.h_best, err_best))),
     )
 
 

@@ -546,6 +546,48 @@ class TestEdgeListHypothesis:
         assert (out.lidar.tolist(), out.camera.tolist(), out.cost.tolist()) == naive_stream(frames, gate)
 
 
+    @settings(max_examples=200)
+    @given(
+        shape=st.sampled_from([(1, 60), (3, 40), (40, 4), (300, 2)]),
+        gate=_gates,
+        widen=st.sampled_from([0.0, 4.0, 50.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frame_grouping_equals_a_stable_sort_by_frame(self, shape, gate, widen, seed):
+        # Few frames of many rows (heavy frame ties) or many frames of few,
+        # on a coarse lattice: the unique-key sort must keep each frame's
+        # pairs in the order taken, as the stable sort did.
+        n_frames, max_rows = shape
+        rng = np.random.default_rng(seed)
+        lidar_counts, camera_counts = rng.integers(0, max_rows + 1, (2, n_frames))
+        proj = rng.integers(0, 7, (lidar_counts.sum(), 2)).astype(float)
+        dets = rng.integers(0, 7, (camera_counts.sum(), 2)).astype(float)
+        lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate + widen)
+        shuffled = rng.permutation(len(lidar))
+        frame_of = np.repeat(np.arange(n_frames), lidar_counts)
+        args = proj, dets, lidar[shuffled], camera[shuffled], frame_of, MatchGate(gate)
+        out, want = match_edges(*args), stable_match_edges(*args)
+        for got, expected in zip((out.lidar, out.camera, out.cost), (want.lidar, want.camera, want.cost)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def stable_match_edges(projected, detections, lidar, camera, frame_of, gate):
+    """``match_edges`` as it was when it grouped the taken pairs by a stable
+    sort by frame."""
+    proj = np.asarray(projected, dtype=float).reshape(-1, 2)
+    dets = np.asarray(detections, dtype=float).reshape(-1, 2)
+    lidar = np.asarray(lidar, dtype=np.intp)
+    camera = np.asarray(camera, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        cost = np.hypot(proj[lidar, 0] - dets[camera, 0], proj[lidar, 1] - dets[camera, 1])
+    admitted = np.flatnonzero(cost <= gate.max_distance)
+    cost, lidar, camera = cost[admitted], lidar[admitted], camera[admitted]
+    order = matching._cost_order(cost, lidar, camera)
+    taken = order[matching._take_by_rounds(lidar[order], camera[order], len(proj), len(dets))]
+    taken = taken[np.argsort(np.asarray(frame_of)[lidar[taken]], kind="stable")]
+    return matching.MatchSet(lidar=lidar[taken], camera=camera[taken], cost=cost[taken])
+
+
 def chain(n_edges):
     """Edges of a chain in position order: edge k joins LiDAR row
     ceil(k/2) and camera row floor(k/2). In this order each round takes

@@ -11,6 +11,7 @@ from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
     Frame,
     Homography,
+    PairSet,
     Source,
     compose,
     correspondence_arrays,
@@ -617,6 +618,96 @@ class TestCheckpointFitReuse:
         )
         assert replaced.checkpoints == fresh.checkpoints
         assert np.array_equal(replaced.h_best.m, fresh.h_best.m)
+
+
+class TestCheckpointGuardCache:
+    @pytest.mark.parametrize("metric", list(GuardMetric))
+    @pytest.mark.parametrize("interval", [1, 5, 100])
+    def test_every_checkpoint_equals_one_without_the_cache(self, metric, interval, monkeypatch):
+        scene = SceneConfig(seed=1, n_frames=200)
+        sim_frames, gt = generate(scene)
+        cfg = RefineConfig(
+            recalib_interval=interval,
+            grid=BlockGrid(scene.image_width, scene.image_height),
+            metric=metric,
+            ransac=RansacConfig(seed=2),
+        )
+        projections = []
+        metrics = refine.reprojection_metrics
+        monkeypatch.setattr(refine, "reprojection_metrics", lambda *a: projections.append(1) or metrics(*a))
+        state = CalibrationState.initial(compose(translation_homography(3.0, 3.0), gt.h_true))
+        hits = {"fit": 0, "incumbent": 0}
+        for sf in sim_frames:
+            state = ingest_frame(state, sf.frame, cfg)
+            if state.frames_seen % interval:
+                continue
+            fresh = checkpoint_recalibrate(replace(state, _fit=None), cfg)
+            unchanged = state._fit is not None and state._fit[0] is state.accumulated
+            before = len(projections)
+            after = checkpoint_recalibrate(state, cfg)
+            assert after.checkpoints == fresh.checkpoints
+            assert after.h_best.m.tobytes() == fresh.h_best.m.tobytes()
+            if unchanged and not after.checkpoints[-1].skipped:
+                # the set and both matrices were seen at the last checkpoint
+                assert len(projections) == before
+                hits["fit" if state.h_best is state._fit[2].h else "incumbent"] += 1
+            state = after
+        if interval == 1:
+            assert hits["fit"] and hits["incumbent"]
+
+    def test_equal_but_distinct_set_or_matrix_is_scored_again(self, monkeypatch):
+        h = scene_homography()
+        pairs = exact_parabola_pairs(h, range(8))
+        start = CalibrationState(
+            h_best=compose(translation_homography(2.0, 1.0), h), accumulated=pairs, last_frame_id=7
+        )
+        fits, scored = [], []
+        fit, metric_value = refine.ransac_homography, refine._metric_value
+        monkeypatch.setattr(refine, "ransac_homography", lambda *a: fits.append(1) or fit(*a))
+        monkeypatch.setattr(refine, "_metric_value", lambda *a: scored.append(1) or metric_value(*a))
+
+        def counted(state, cfg=CFG):
+            before = len(fits), len(scored)
+            out = checkpoint_recalibrate(state, cfg)
+            fresh = checkpoint_recalibrate(replace(state, _fit=None), cfg)
+            assert out.checkpoints == fresh.checkpoints
+            assert out.h_best.m.tobytes() == fresh.h_best.m.tobytes()
+            return out, len(fits) - before[0] - 1, len(scored) - before[1] - 2
+
+        once, refits, scores = counted(start)
+        assert once.checkpoints[-1].updated and (refits, scores) == (1, 2)
+        # the same objects: nothing is fit or scored again
+        assert counted(once)[1:] == (0, 0)
+        assert counted(replace(once, h_best=start.h_best))[1:] == (0, 0)
+        # an equal matrix that is another object is scored; the fit is not
+        assert counted(replace(once, h_best=Homography(once.h_best.m)))[1:] == (0, 1)
+        # an equal set that is another object is fit and scored again
+        copy = PairSet(pairs.xy, pairs.uv, pairs.frame_ids, pairs.source)
+        assert counted(replace(once, accumulated=copy))[1:] == (1, 2)
+        # another guard metric scores both matrices again on the cached fit
+        assert counted(once, replace(CFG, metric=GuardMetric.RMSE))[1:] == (0, 2)
+
+    def test_a_hit_on_both_matrices_makes_no_projection(self, monkeypatch):
+        h = scene_homography()
+        pairs = exact_parabola_pairs(h, range(8))
+        incumbent = compose(translation_homography(2.0, 1.0), h)
+        once = checkpoint_recalibrate(
+            CalibrationState(h_best=incumbent, accumulated=pairs, last_frame_id=7), CFG
+        )
+        expected = [
+            checkpoint_recalibrate(replace(state, _fit=None), CFG)
+            for state in (once, replace(once, h_best=incumbent))
+        ]
+
+        def refused(*args):
+            raise AssertionError("projected or fit on a cached set")
+
+        for name in ("ransac_homography", "reprojection_metrics", "_metric_value"):
+            monkeypatch.setattr(refine, name, refused)
+        for state, fresh in zip((once, replace(once, h_best=incumbent)), expected):
+            out = checkpoint_recalibrate(state, CFG)
+            assert out.checkpoints == fresh.checkpoints
+            assert out.h_best.m.tobytes() == fresh.h_best.m.tobytes()
 
 
 class TestCheckpointRecalibrate:
