@@ -143,6 +143,9 @@ def load_config(path: str | Path | None) -> RunConfig:
             type(s) is int and s >= 0 for s in seeds
         ):
             raise ConfigError("seeds must be a non-empty list of non-negative integers")
+        repeated = [s for s in seeds if seeds.count(s) > 1]
+        if repeated:
+            raise ConfigError(f"seeds lists seed {repeated[0]} more than once")
         seeds = tuple(seeds)
 
     return RunConfig(scene=scene, refine=refine_cfg, correction=correction, seeds=seeds)
@@ -187,7 +190,10 @@ def _simulate_seed(scene: SceneConfig, out_dir: str) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
+    if args.seed is not None and cfg.seeds is not None:
+        raise ConfigError("--seed cannot override a 'seeds' sweep; drop one of them")
+    cfg = apply_overrides(cfg, args)
     seeds = cfg.seeds if cfg.seeds is not None else (cfg.scene.seed,)
     out_root = Path(args.out)
     jobs = [

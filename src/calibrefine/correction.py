@@ -82,6 +82,7 @@ class CarriedEdges:
     Made on the stream's ``(N, 2)`` ground and ``(M, 2)`` pixel arrays,
     concatenated in frame order, each frame's number of rows in them and the
     gate; raises ``ValueError`` when the counts do not partition the arrays.
+    It checks them once, here, and keeps each row's frame for the pairings.
     The first pairing *anchors* it: it keeps that pairing's projection of
     every LiDAR row, which rows were projectable, and every within-frame edge
     within the gate plus a margin. A later pairing under another matrix
@@ -98,7 +99,9 @@ class CarriedEdges:
             lidar_counts, camera_counts, len(lidar_xy), len(camera_uv)
         )
         self.lidar_xy, self.camera_uv, self.gate = lidar_xy, camera_uv, gate
-        self.frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
+        frames = np.arange(len(lidar_counts))
+        self.frame_of = frames.repeat(lidar_counts)
+        self.camera_frame = frames.repeat(self.camera_counts)
         self.uv = self.ok = self.lidar = self.camera = None  # no anchor yet
 
     def edges(self, uv, ok):
@@ -125,9 +128,9 @@ class CarriedEdges:
                     np.concatenate([self.camera[carried], wide_camera]),
                 )
         kept = np.flatnonzero(ok)
-        kept_counts = np.bincount(frame_of[kept], minlength=len(camera_counts))
-        lidar, camera = candidate_edges(
-            uv[kept], self.camera_uv, kept_counts, camera_counts, self.gate.max_distance + margin
+        radius = self.gate.max_distance + margin
+        lidar, camera, _ = candidate_edges(
+            uv[kept], self.camera_uv, radius, frame_of[kept], self.camera_frame
         )
         self.uv, self.ok, self.lidar, self.camera = uv, ok, kept[lidar], camera
         return self.lidar, self.camera

@@ -3,16 +3,17 @@ detections: repeatedly take the globally cheapest remaining pair under a
 distance gate, leaving the rest unmatched.
 
 :func:`greedy_match` matches one frame, or every frame of a stream at once
-when given per-frame row counts. Candidate edges come from one band search,
-:func:`_band`, over the detections sorted by u (by frame and u in a
-stream); only a frame of at most ``_GRID_CELLS`` LiDAR × camera cells is
-matched by its full cost grid, which is faster at that size. A stream is
-matched over an edge list: :func:`candidate_edges` lists each frame's edges
-within a radius, and :func:`match_edges` matches over such a list alone, so
-a stream matched again under slightly moved projections can reuse the edges
-of an earlier radius. Both matchers end in one greedy sweep, :func:`_take`;
-over a stream, :func:`match_edges` first settles most edges by locally
-dominant rounds and leaves the sweep what is left.
+when given per-frame row counts, which it checks once. Candidate edges come
+from one band search, :func:`candidate_edges`, over the detections sorted
+by u, or by (frame, u) given each row's frame; only a frame of at most
+``_GRID_CELLS`` LiDAR × camera cells is matched by its full cost grid,
+which is faster at that size. A stream is matched over an edge list:
+:func:`candidate_edges` lists each frame's edges within a radius, and
+:func:`match_edges` matches over such a list alone, so a stream matched
+again under slightly moved projections can reuse the edges of an earlier
+radius. Both matchers end in one greedy sweep, :func:`_take`; over a
+stream, :func:`match_edges` first settles most edges by locally dominant
+rounds and leaves the sweep what is left.
 """
 from __future__ import annotations
 
@@ -173,12 +174,12 @@ def _greedy(proj: np.ndarray, dets: np.ndarray, gate: float) -> MatchSet:
     """Greedy matching inside one frame; :func:`_take` gives the result in
     greedy order. The edges come from the full cost grid (see
     :func:`_grid_edges`) when the frame has at most ``_GRID_CELLS`` cells,
-    otherwise from the band search (see :func:`_band`); both list the same
-    edges in the same order."""
+    otherwise from the band search (see :func:`candidate_edges`); both list
+    the same edges in the same order."""
     if len(proj) * len(dets) <= _GRID_CELLS:
         li, ci, cost = _grid_edges(proj, dets, gate)
     else:
-        li, ci, cost = _band(proj, dets, gate)
+        li, ci, cost = candidate_edges(proj, dets, gate)
     # The edges come sorted by (i, j) and lexsort is stable, so this orders
     # them by (cost, i, j).
     order = np.lexsort((cost,))
@@ -244,14 +245,15 @@ def match_edges(projected, detections, lidar, camera, frame_of, gate: MatchGate)
     return MatchSet(lidar=lidar[taken], camera=camera[taken], cost=cost[taken])
 
 
-def _band(proj: np.ndarray, dets: np.ndarray, radius: float, lidar_frame=None, camera_frame=None):
+def candidate_edges(proj, dets, radius: float, lidar_frame=None, camera_frame=None):
     """Every edge within ``radius`` between the ``(L, 2)`` and ``(C, 2)``
     arrays, by a band search over the detections sorted by key.
 
-    Without frames the arrays are one frame and a row's key is its u
+    Without frame maps the arrays are one frame and a row's key is its u
     clipped to the finite detections' span [lo, hi]. With ``lidar_frame``
-    and ``camera_frame``, each row's frame index, the key adds the frame
-    times a stride, and only within-frame edges are listed.
+    and ``camera_frame``, each row's frame index (in any order; a frame may
+    have no rows), the key adds the frame times a stride, and only
+    within-frame edges are listed.
 
     Returns the edges sorted by (i, j) as :func:`_grid_edges` does: their
     rows of ``proj`` and ``dets`` and their costs ``hypot(du, dv)``, each at
@@ -299,25 +301,6 @@ def _band(proj: np.ndarray, dets: np.ndarray, radius: float, lidar_frame=None, c
     return lidar[order], camera[order], cost[order]
 
 
-def candidate_edges(projected, detections, lidar_counts, camera_counts, radius: float):
-    """Every within-frame edge of a stream whose cost ``hypot(du, dv)`` is at
-    most ``radius``, found by the band search over the detections sorted by
-    (frame, u) (see :func:`_band`).
-
-    The arrays and counts are as in :func:`greedy_match`. Returns the
-    edges' ``(E,)`` LiDAR and camera rows, sorted by (LiDAR row, camera
-    row).
-    """
-    proj = np.asarray(projected, dtype=float).reshape(-1, 2)
-    dets = np.asarray(detections, dtype=float).reshape(-1, 2)
-    lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
-    frames = np.arange(len(lidar_counts))
-    lidar, camera, _ = _band(
-        proj, dets, radius, np.repeat(frames, lidar_counts), np.repeat(frames, camera_counts)
-    )
-    return lidar, camera
-
-
 def greedy_match(
     projected, detections, gate: MatchGate, lidar_counts=None, camera_counts=None
 ) -> MatchSet:
@@ -335,6 +318,7 @@ def greedy_match(
     ``camera_counts`` they are the frames of a stream concatenated in frame
     order, the counts giving each frame's number of rows in them, and every
     frame is matched exactly as it would be alone; no pair crosses frames.
+    The counts are checked once and turned into each row's frame.
     Rows in the result index ``projected`` and ``detections``.
     """
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
@@ -344,6 +328,9 @@ def greedy_match(
     if lidar_counts is None:
         return _greedy(proj, dets, gate.max_distance)
     lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
-    lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate.max_distance)
-    frame_of = np.repeat(np.arange(len(lidar_counts)), lidar_counts)
+    frames = np.arange(len(lidar_counts))
+    frame_of = frames.repeat(lidar_counts)
+    lidar, camera, _ = candidate_edges(
+        proj, dets, gate.max_distance, frame_of, frames.repeat(camera_counts)
+    )
     return match_edges(proj, dets, lidar, camera, frame_of, gate)

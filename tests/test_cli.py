@@ -157,6 +157,28 @@ class TestSimulate:
         assert workers == [2]
         assert (out / "seed_2" / "frames.jsonl").exists()
 
+    def test_repeated_seed_exits_2_before_any_scene(self, tmp_path, capsys, monkeypatch):
+        # Two entries of one seed would write the same seed_0/, and with
+        # --jobs 2 two processes would write its files at once.
+        monkeypatch.setattr(cli, "_simulate_seed", pytest.fail)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"scene": {"n_frames": 10, "n_objects": 4}, "seeds": [0, 3, 0]}))
+        out = tmp_path / "sweep"
+        assert main(["--config", str(cfg), "--jobs", "2", "simulate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seeds lists seed 0 more than once\n"
+        assert not out.exists()
+
+    def test_seed_flag_with_a_seeds_sweep_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The sweep would otherwise run its own seeds and ignore --seed.
+        monkeypatch.setattr(cli, "_simulate_seed", pytest.fail)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"scene": {"n_frames": 10, "n_objects": 4}, "seeds": [0, 1]}))
+        out = tmp_path / "sweep"
+        assert main(["--config", str(cfg), "--seed", "5", "simulate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 def run_full_digest(seed: int, n_frames: int, n_objects: int, interval: int) -> str:
     """sha256 of ``run_full``'s three matrices and its checkpoint records on

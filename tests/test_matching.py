@@ -247,6 +247,11 @@ def stream_arrays_of(frames):
     return proj, dets, [len(p) for p, _ in frames], [len(d) for _, d in frames]
 
 
+def frame_map(counts):
+    """Each row's frame index, for rows concatenated frame by frame."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
 def match_stream(frames, gate):
     """greedy_match with frame counts, on frames given as (projected,
     detections) pairs."""
@@ -361,7 +366,9 @@ def naive_edges(frames, radius):
 
 def band_edges(frames, radius):
     proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
-    lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, radius)
+    lidar, camera, _ = candidate_edges(
+        proj, dets, radius, frame_map(lidar_counts), frame_map(camera_counts)
+    )
     return list(zip(lidar.tolist(), camera.tolist()))
 
 
@@ -496,7 +503,7 @@ class TestBandSearch:
         side = rng.choice([-1.0, 1.0], 80)
         proj = np.column_stack([u, np.zeros(80)])
         dets = np.vstack([np.column_stack([u + side * radius, np.zeros(80)]), [[-rng.uniform(0, 5), 900.0]]])
-        lidar, camera, _ = matching._band(proj, dets, radius)
+        lidar, camera, _ = candidate_edges(proj, dets, radius)
         assert list(zip(lidar.tolist(), camera.tolist())) == naive_edges([(proj, dets)], radius)
         by_grid = greedy_match(proj, dets, MatchGate(radius)).matches
         with mock.patch.object(matching, "_GRID_CELLS", 0):
@@ -529,6 +536,25 @@ class TestEdgeListHypothesis:
         assert band_edges(frames, radius) == naive_edges(frames, radius)
 
     @settings(max_examples=300)
+    @given(frames=_streams, radius=_gates, seed=st.integers(0, 2**32 - 1))
+    def test_candidate_edges_on_gapped_and_shuffled_frame_maps(self, frames, radius, seed):
+        # A stream's correction passes the frames of its projectable LiDAR
+        # rows only, so some frames have no LiDAR row; the maps may also
+        # come in any order. Rows are dropped and both sides shuffled.
+        proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
+        rng = np.random.default_rng(seed)
+        kept = rng.permutation(np.flatnonzero(rng.random(len(proj)) < 0.7))
+        cam = rng.permutation(len(dets))
+        lidar_frame, camera_frame = frame_map(lidar_counts)[kept], frame_map(camera_counts)[cam]
+        lidar, camera, _ = candidate_edges(proj[kept], dets[cam], radius, lidar_frame, camera_frame)
+        row_of = {i: k for k, i in enumerate(kept.tolist())}
+        cam_of = np.argsort(cam).tolist()
+        expected = sorted(
+            (row_of[i], cam_of[j]) for i, j in naive_edges(frames, radius) if i in row_of
+        )
+        assert list(zip(lidar.tolist(), camera.tolist())) == expected
+
+    @settings(max_examples=300)
     @given(
         frames=_streams,
         gate=_gates,
@@ -539,7 +565,9 @@ class TestEdgeListHypothesis:
         # Candidates from a wider radius, in any order: the lattice makes
         # many exact ties, which must still break on (lidar row, camera row).
         proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
-        lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate + widen)
+        lidar, camera, _ = candidate_edges(
+            proj, dets, gate + widen, frame_map(lidar_counts), frame_map(camera_counts)
+        )
         shuffled = np.random.default_rng(seed).permutation(len(lidar))
         frame_of = np.repeat(np.arange(len(frames)), lidar_counts)
         out = match_edges(proj, dets, lidar[shuffled], camera[shuffled], frame_of, MatchGate(gate))
@@ -562,7 +590,9 @@ class TestEdgeListHypothesis:
         lidar_counts, camera_counts = rng.integers(0, max_rows + 1, (2, n_frames))
         proj = rng.integers(0, 7, (lidar_counts.sum(), 2)).astype(float)
         dets = rng.integers(0, 7, (camera_counts.sum(), 2)).astype(float)
-        lidar, camera = candidate_edges(proj, dets, lidar_counts, camera_counts, gate + widen)
+        lidar, camera, _ = candidate_edges(
+            proj, dets, gate + widen, frame_map(lidar_counts), frame_map(camera_counts)
+        )
         shuffled = rng.permutation(len(lidar))
         frame_of = np.repeat(np.arange(n_frames), lidar_counts)
         args = proj, dets, lidar[shuffled], camera[shuffled], frame_of, MatchGate(gate)

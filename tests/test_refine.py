@@ -204,7 +204,7 @@ class TestPerFrameLoopOnLargeFrames:
             ransac=RansacConfig(seed=3),
         )
         one_frame = []
-        for name in ("_grid_edges", "_band"):
+        for name in ("_grid_edges", "candidate_edges"):
             edges = getattr(matching, name)
 
             def counted(proj, dets, radius, *frame_of, name=name, edges=edges):
@@ -214,7 +214,7 @@ class TestPerFrameLoopOnLargeFrames:
 
             monkeypatch.setattr(matching, name, counted)
         looped = per_frame_loop(frames, h0, cfg)
-        assert one_frame.count("_band") >= 40 and one_frame.count("_grid_edges") >= 1
+        assert one_frame.count("candidate_edges") >= 40 and one_frame.count("_grid_edges") >= 1
         del one_frame[:]
         state = run(frames, h0, cfg)
         assert one_frame == []  # every window of 10 frames goes through candidate_edges
