@@ -26,7 +26,7 @@ from . import serialize
 from .blocks import BlockGrid, Parity, require_kept_blocks
 from .correction import CorrectionConfig, CorrectionResult, fit_correction_stream
 from .errors import CalibrationError, EmptySet
-from .geometry import Frame, Homography, PairSet
+from .geometry import FrameStream, Homography, PairSet
 from .matching import MatchGate
 from .pipeline import coarse_fit, error_histogram, evaluate
 from .ransac import RansacConfig
@@ -212,7 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- calibrate ----------------------------------------------------------------
 
-def _load_frames(path: str) -> list[Frame]:
+def _load_frames(path: str) -> FrameStream:
     frames = serialize.read_frames_jsonl(path)
     if not frames:
         raise ConfigError("frames file is empty")
@@ -232,7 +232,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     require_kept_blocks(grid, skip_parity)
     frames = _load_frames(args.frames)
     pairs = _load_pairs(args.oracle)
-    unknown = np.flatnonzero(~np.isin(pairs.frame_ids, [f.frame_id for f in frames]))
+    unknown = np.flatnonzero(~np.isin(pairs.frame_ids, frames.frame_ids))
     if unknown.size:
         raise ConfigError(f"oracle pair references unknown frame_id {pairs.frame_ids[unknown[0]]}")
 

@@ -4,11 +4,11 @@ points and their nearest camera detections. The nearest-neighbor pairings
 are the supervision; they are rebuilt after every solver pass (an "outer
 round") because they depend on the current H*. Each solver pass is the
 shared geometric refit ``refine_homography`` on H* itself, so the stage is
-ICP over the same refiner RANSAC uses. A fit concatenates its stream once
-into a :class:`CarriedEdges`, which checks the frame counts and serves every
-pairing of that stream. Between rounds the projections move by about a
-pixel, so it carries the candidate edges of the first pairing through the
-later ones instead of searching every frame again.
+ICP over the same refiner RANSAC uses. A fit makes its stream one
+``FrameStream``, checked once, and pairs it through one :class:`CarriedEdges`,
+which serves every pairing of that stream. Between rounds the projections
+move by about a pixel, so it carries the candidate edges of the first
+pairing through the later ones instead of searching every frame again.
 """
 from __future__ import annotations
 
@@ -21,13 +21,12 @@ import numpy as np
 from .errors import InsufficientPairs, check_field_types
 from .geometry import (
     Frame,
+    FrameStream,
     Homography,
     compose,
-    frame_counts,
     projection_mask,
     projection_residuals,
     refine_homography,
-    stream_arrays,
     transform_points,
 )
 from .matching import MatchGate, candidate_edges, match_edges
@@ -76,39 +75,30 @@ _STABLE_SLACK = 1e-9
 
 
 class CarriedEdges:
-    """One stream's arrays and the candidate edges its pairings carry from
+    """One stream's frames and the candidate edges its pairings carry from
     one to the next.
 
-    Made on the stream's ``(N, 2)`` ground and ``(M, 2)`` pixel arrays,
-    concatenated in frame order, each frame's number of rows in them and the
-    gate; raises ``ValueError`` when the counts do not partition the arrays.
-    It checks them once, here, and keeps each row's frame for the pairings.
-    The first pairing *anchors* it: it keeps that pairing's projection of
-    every LiDAR row, which rows were projectable, and every within-frame edge
-    within the gate plus a margin. A later pairing under another matrix
-    scores a *stable* row, one projectable under both whose pixel moved at
-    most the margin (less a slack), on its carried edges only: an edge the
-    gate admits now lies within the gate plus that move of the anchor pixel,
-    so it is among them. Any other projectable row is scored against every
-    detection of its frame. When those rows would add more edges than are
-    carried, the pairing anchors again instead.
+    Made on the ``FrameStream`` and the gate. The first pairing *anchors*
+    it: it keeps that pairing's projection of every LiDAR row, which rows
+    were projectable, and every within-frame edge within the gate plus a
+    margin. A later pairing under another matrix scores a *stable* row, one
+    projectable under both whose pixel moved at most the margin (less a
+    slack), on its carried edges only: an edge the gate admits now lies
+    within the gate plus that move of the anchor pixel, so it is among them.
+    Any other projectable row is scored against every detection of its
+    frame. When those rows would add more edges than are carried, the
+    pairing anchors again instead.
     """
 
-    def __init__(self, lidar_xy, camera_uv, lidar_counts, camera_counts, gate: MatchGate) -> None:
-        lidar_counts, self.camera_counts = frame_counts(
-            lidar_counts, camera_counts, len(lidar_xy), len(camera_uv)
-        )
-        self.lidar_xy, self.camera_uv, self.gate = lidar_xy, camera_uv, gate
-        frames = np.arange(len(lidar_counts))
-        self.frame_of = frames.repeat(lidar_counts)
-        self.camera_frame = frames.repeat(self.camera_counts)
+    def __init__(self, frames: FrameStream, gate: MatchGate) -> None:
+        self.frames, self.gate = frames, gate
         self.uv = self.ok = self.lidar = self.camera = None  # no anchor yet
 
     def edges(self, uv, ok):
         """The candidate edges ``(lidar rows, camera rows)`` for a pairing
         that projects the stream's LiDAR rows to ``uv``, projectable where
         ``ok``."""
-        camera_counts, frame_of = self.camera_counts, self.frame_of
+        camera_counts, frame_of = self.frames.camera_counts, self.frames.lidar_frame
         margin = _CARRY_MARGIN * self.gate.max_distance
         if self.uv is not None:
             with np.errstate(invalid="ignore", over="ignore"):
@@ -130,7 +120,7 @@ class CarriedEdges:
         kept = np.flatnonzero(ok)
         radius = self.gate.max_distance + margin
         lidar, camera, _ = candidate_edges(
-            uv[kept], self.camera_uv, radius, frame_of[kept], self.camera_frame
+            uv[kept], self.frames.camera_uv, radius, frame_of[kept], self.frames.camera_frame
         )
         self.uv, self.ok, self.lidar, self.camera = uv, ok, kept[lidar], camera
         return self.lidar, self.camera
@@ -146,10 +136,11 @@ def implicit_pairs(h: Homography, stream: CarriedEdges) -> Pairs:
     the candidate edges it carries; the result is the same as pairing from
     scratch.
     """
-    uv, ok = projection_mask(h.m, stream.lidar_xy)
+    frames = stream.frames
+    uv, ok = projection_mask(h.m, frames.lidar_xy)
     lidar, camera = stream.edges(uv, ok)
-    matched = match_edges(uv, stream.camera_uv, lidar, camera, stream.frame_of, stream.gate)
-    return stream.lidar_xy[matched.lidar], stream.camera_uv[matched.camera]
+    matched = match_edges(uv, frames.camera_uv, lidar, camera, frames.lidar_frame, stream.gate)
+    return frames.lidar_xy[matched.lidar], frames.camera_uv[matched.camera]
 
 
 def reprojection_loss(
@@ -209,11 +200,12 @@ def _alternate(
 
 def fit_correction_stream(
     h: Homography,
-    frames: Iterable[Frame],
+    frames: FrameStream | Iterable[Frame],
     cfg: CorrectionConfig,
     lenient: bool = False,
 ) -> CorrectionResult:
-    """Fit the correction against a frame stream, pairing within each frame.
+    """Fit the correction against a frame stream, made one ``FrameStream``
+    by ``FrameStream.of``, pairing within each frame.
 
     The nearest-neighbor pairings never cross frame boundaries, which keeps
     them meaningful when detections from many timestamps would otherwise
@@ -223,7 +215,7 @@ def fit_correction_stream(
     pairings the refinement is not applicable: raises ``InsufficientPairs``,
     or returns an identity correction when ``lenient`` is set.
     """
-    stream = CarriedEdges(*stream_arrays(frames), cfg.gate)
+    stream = CarriedEdges(FrameStream.of(frames), cfg.gate)
 
     def pair_fn(g: Homography) -> Pairs:
         return implicit_pairs(g, stream)

@@ -82,6 +82,16 @@ def _point_array(name: str, points) -> np.ndarray:
     return array
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as an intp array; ``ValueError`` unless each is an integer."""
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        array = given.astype(np.intp)
+    if not np.array_equal(array, given):
+        raise ValueError(f"{name} must be integers")
+    return array
+
+
 def _frame_id(value) -> int:
     """A frame id as a Python int in ``[0, 2**63)``: an integer of any
     width, not a bool or a float."""
@@ -186,65 +196,80 @@ class PairSet:
         return zip(x, y, u, v, self.frame_ids.tolist(), self.source.tolist())
 
 
-def stream_arrays(frames: Iterable[Frame]) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """A stream's LiDAR and camera centers, each concatenated in frame order
-    into one (N, 2) array, and each frame's number of rows in them. The
-    frames are read once, so any iterable will do."""
-    frames = list(frames)
-    lidar = [f.lidar_centers for f in frames]
-    camera = [f.camera_centers for f in frames]
-    return (
-        np.concatenate(lidar) if lidar else np.empty((0, 2)),
-        np.concatenate(camera) if camera else np.empty((0, 2)),
-        [len(xy) for xy in lidar],
-        [len(uv) for uv in camera],
-    )
+class FrameStream:
+    """Frames as read-only arrays: the ``(F,)`` int64 ``frame_ids``, the
+    ``(N, 2)`` ``lidar_xy`` and ``(M, 2)`` ``camera_uv`` rows of every frame
+    in frame order, the ``(F,)`` ``camera_counts`` and each row's frame
+    index, ``lidar_frame`` and ``camera_frame``. Built from ``(frame_ids,
+    lidar_xy, camera_uv, lidar_counts, camera_counts)`` and checked once, as
+    ``Frame`` checks one frame and with its messages; the counts must be
+    integers that partition the rows, one per frame. ``stream[i]`` is a
+    ``Frame`` and ``stream[a:b]`` a ``FrameStream``, views made without a
+    copy or a re-check; iteration yields the ``Frame``s."""
 
+    __slots__ = ("frame_ids", "lidar_xy", "camera_uv", "camera_counts", "lidar_frame", "camera_frame")
 
-def frame_counts(lidar_counts, camera_counts, n_lidar: int, n_camera: int):
-    """Per-frame row counts as ``(F,)`` integer arrays, checked to partition
-    ``n_lidar`` LiDAR and ``n_camera`` camera rows into frames; raises
-    ``ValueError`` otherwise, or when a count is not an integer."""
-    given = np.asarray(lidar_counts), np.asarray(camera_counts)
-    with np.errstate(invalid="ignore"):
-        lidar_counts, camera_counts = (counts.astype(np.intp) for counts in given)
-    if not (np.array_equal(lidar_counts, given[0]) and np.array_equal(camera_counts, given[1])):
-        raise ValueError("frame counts must be integers")
-    if (
-        len(lidar_counts) != len(camera_counts)
-        or lidar_counts.sum() != n_lidar
-        or camera_counts.sum() != n_camera
-        or (lidar_counts < 0).any()
-        or (camera_counts < 0).any()
-    ):
-        raise ValueError("frame counts do not partition the point arrays")
-    return lidar_counts, camera_counts
+    def __init__(self, frame_ids, lidar_xy, camera_uv, lidar_counts, camera_counts) -> None:
+        ids = [*map(_frame_id, frame_ids)]  # each id as Frame checks it, with its messages
+        lidar = _point_array("lidar_centers", lidar_xy)
+        camera = _point_array("camera_centers", camera_uv)
+        lidar_counts, camera_counts = (_integers("frame counts", c) for c in (lidar_counts, camera_counts))
+        if (
+            len(lidar_counts) != len(camera_counts)
+            or (lidar_counts.sum(), camera_counts.sum()) != (len(lidar), len(camera))
+            or (lidar_counts < 0).any()
+            or (camera_counts < 0).any()
+        ):
+            raise ValueError("frame counts do not partition the point arrays")
+        if len(lidar_counts) != len(ids):
+            raise ValueError(f"{len(ids)} frame ids for {len(lidar_counts)} frame counts")
+        frames = np.arange(len(ids))
+        lidar_frame, camera_frame = frames.repeat(lidar_counts), frames.repeat(camera_counts)
+        self._hold(np.array(ids, dtype=np.int64), lidar, camera, camera_counts, lidar_frame, camera_frame)
 
+    def _hold(self, *columns: np.ndarray) -> "FrameStream":
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        return self
 
-def stream_frames(frame_ids, lidar_xy, camera_uv, lidar_counts, camera_counts) -> list[Frame]:
-    """The frames of a stream given as ``stream_arrays`` gives it, under
-    ``frame_ids``: the inverse of ``stream_arrays``.
+    @classmethod
+    def of(cls, frames: "FrameStream | Iterable[Frame]") -> "FrameStream":
+        """The stream of ``Frame``s, concatenated in order; a ``FrameStream``
+        is returned as it is."""
+        if isinstance(frames, FrameStream):
+            return frames
+        frames = list(frames)
+        lidar, camera = [f.lidar_centers for f in frames], [f.camera_centers for f in frames]
+        ids, empty = [f.frame_id for f in frames], np.empty((0, 2))
+        lidar_xy, camera_uv = np.concatenate([empty, *lidar]), np.concatenate([empty, *camera])
+        return cls(ids, lidar_xy, camera_uv, [*map(len, lidar)], [*map(len, camera)])
 
-    The stream is checked once, as ``Frame`` checks one frame and with the
-    same messages: each frame id, and each sensor's points as one array.
-    The counts must partition the rows, one per frame. Each frame's arrays
-    are then read-only slices of the two checked arrays, made without a copy
-    or a re-check.
-    """
-    frame_ids = [*map(_frame_id, frame_ids)]
-    lidar = _point_array("lidar_centers", lidar_xy)
-    camera = _point_array("camera_centers", camera_uv)
-    lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(lidar), len(camera))
-    if len(lidar_counts) != len(frame_ids):
-        raise ValueError(f"{len(frame_ids)} frame ids for {len(lidar_counts)} frame counts")
-    la = [0, *np.cumsum(lidar_counts).tolist()]
-    ca = [0, *np.cumsum(camera_counts).tolist()]
-    frames = []
-    for fid, a, b, c, d in zip(frame_ids, la, la[1:], ca, ca[1:]):
-        frame = object.__new__(Frame)  # checked above, so no __post_init__
-        vars(frame).update(frame_id=fid, lidar_centers=lidar[a:b], camera_centers=camera[c:d])
-        frames.append(frame)
-    return frames
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, index):
+        frames = range(len(self))[index]  # an index out of range raises as a list's
+        if isinstance(frames, int):
+            return next(iter(self[frames : frames + 1]))
+        if frames.step != 1:
+            raise ValueError(f"a FrameStream slice takes no step, got {index.step}")
+        first, stop = frames.start, frames.start + len(frames)
+        a, b = self.lidar_frame.searchsorted((first, stop))
+        c, d = self.camera_frame.searchsorted((first, stop))
+        return object.__new__(FrameStream)._hold(
+            self.frame_ids[first:stop], self.lidar_xy[a:b], self.camera_uv[c:d],
+            self.camera_counts[first:stop], self.lidar_frame[a:b] - first, self.camera_frame[c:d] - first,
+        )
+
+    def __iter__(self):
+        bounds = np.arange(len(self) + 1)
+        la, ca = (rows.searchsorted(bounds).tolist() for rows in (self.lidar_frame, self.camera_frame))
+        for frame_id, a, b, c, d in zip(self.frame_ids.tolist(), la, la[1:], ca, ca[1:]):
+            frame = object.__new__(Frame)  # points this stream checked: no __post_init__
+            vars(frame).update(frame_id=frame_id, lidar_centers=self.lidar_xy[a:b],
+                               camera_centers=self.camera_uv[c:d])
+            yield frame
 
 
 def _frobenius(matrix: np.ndarray) -> float:

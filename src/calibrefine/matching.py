@@ -3,7 +3,7 @@ detections: repeatedly take the globally cheapest remaining pair under a
 distance gate, leaving the rest unmatched.
 
 :func:`greedy_match` matches one frame, or every frame of a stream at once
-when given per-frame row counts, which it checks once. Candidate edges come
+when given each row's frame. Candidate edges come
 from one band search, :func:`candidate_edges`, over the detections sorted
 by u, or by (frame, u) given each row's frame; only a frame of at most
 ``_GRID_CELLS`` LiDAR × camera cells is matched by its full cost grid,
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_field_types
-from .geometry import frame_counts
+from .geometry import _integers
 
 # Relative slack of the squared-distance prefilter. It only has to cover the
 # few ulps by which ``du*du + dv*dv`` can round above ``hypot(du, dv)**2``;
@@ -302,7 +302,7 @@ def candidate_edges(proj, dets, radius: float, lidar_frame=None, camera_frame=No
 
 
 def greedy_match(
-    projected, detections, gate: MatchGate, lidar_counts=None, camera_counts=None
+    projected, detections, gate: MatchGate, lidar_frame=None, camera_frame=None
 ) -> MatchSet:
     """Match projected points to detections, cheapest admissible pair first.
 
@@ -312,25 +312,23 @@ def greedy_match(
     (cost, lidar index, camera index). Each index is used at most once;
     anything without an admissible partner stays unmatched.
 
-    Without counts the arrays are one frame, whose edges come from its full
-    cost grid up to ``_GRID_CELLS`` cells and from the band search above
-    that; both give the same result. With ``lidar_counts`` and
-    ``camera_counts`` they are the frames of a stream concatenated in frame
-    order, the counts giving each frame's number of rows in them, and every
-    frame is matched exactly as it would be alone; no pair crosses frames.
-    The counts are checked once and turned into each row's frame.
+    Without frame maps the arrays are one frame, whose edges come from its
+    full cost grid up to ``_GRID_CELLS`` cells and from the band search
+    above that; both give the same result. With ``lidar_frame`` and
+    ``camera_frame``, each row's frame index as :func:`candidate_edges`
+    takes them (``ValueError`` unless each holds one integer >= 0 per row),
+    every frame is matched exactly as it would be alone, no pair crossing
+    frames, and the result comes frame by frame.
     Rows in the result index ``projected`` and ``detections``.
     """
     proj = np.asarray(projected, dtype=float).reshape(-1, 2)
     dets = np.asarray(detections, dtype=float).reshape(-1, 2)
-    if (lidar_counts is None) != (camera_counts is None):
-        raise ValueError("give both frame counts or neither")
-    if lidar_counts is None:
+    if (lidar_frame is None) != (camera_frame is None):
+        raise ValueError("give both frame maps or neither")
+    if lidar_frame is None:
         return _greedy(proj, dets, gate.max_distance)
-    lidar_counts, camera_counts = frame_counts(lidar_counts, camera_counts, len(proj), len(dets))
-    frames = np.arange(len(lidar_counts))
-    frame_of = frames.repeat(lidar_counts)
-    lidar, camera, _ = candidate_edges(
-        proj, dets, gate.max_distance, frame_of, frames.repeat(camera_counts)
-    )
-    return match_edges(proj, dets, lidar, camera, frame_of, gate)
+    lidar_frame, camera_frame = maps = [_integers("frame maps", m) for m in (lidar_frame, camera_frame)]
+    if [m.shape for m in maps] != [(len(proj),), (len(dets),)] or any((m < 0).any() for m in maps):
+        raise ValueError("frame maps must give each row one frame index >= 0")
+    lidar, camera, _ = candidate_edges(proj, dets, gate.max_distance, lidar_frame, camera_frame)
+    return match_edges(proj, dets, lidar, camera, lidar_frame, gate)

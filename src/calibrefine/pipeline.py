@@ -6,7 +6,7 @@ ground-truth pairs that no stage ever consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .correction import CorrectionConfig, CorrectionResult, fit_correction_strea
 from .errors import CalibrationError, EmptySet, InsufficientPairs, check_field_types
 from .geometry import (
     Frame,
+    FrameStream,
     Homography,
     PairSet,
     ResidualReport,
@@ -26,6 +27,8 @@ from .refine import CalibrationState, RefineConfig, run as run_refinement
 
 #: Histogram layout: 1 px buckets over [0, 200) plus one overflow bucket.
 HISTOGRAM_EDGE = 200
+#: A frame's oracle pairs; it gets a view of each frame, so it must look the
+#: frame up by ``frame_id``, not by object.
 OracleFn = Callable[[Frame], PairSet]
 
 
@@ -124,7 +127,7 @@ def split_eval_pairs(gt_pairs: PairSet, fraction: float, seed: int) -> PairSet:
 
 
 def run_full(
-    frames: Sequence[Frame],
+    frames: FrameStream | Iterable[Frame],
     oracle: OracleFn,
     cfg: PipelineConfig,
     gt_pairs: PairSet,
@@ -137,6 +140,7 @@ def run_full(
     iterative stage, which replays the whole stream. The correction stage
     fits on per-frame implicit pairings over the full stream.
     """
+    frames = FrameStream.of(frames)
     eval_pairs = split_eval_pairs(gt_pairs, cfg.eval_fraction, cfg.split_seed)
 
     coarse_input = PairSet.concat(oracle(frame) for frame in frames[: cfg.coarse_frames])

@@ -5,15 +5,15 @@ set, keeping the new matrix only when it lowers the reprojection error.
 
 The best matrix changes only at checkpoints, so every frame between two
 checkpoints is projected through the same matrix: :func:`run` folds each
-window of ``recalib_interval`` frames in one array pass.
+window of ``recalib_interval`` frames, a slice of one ``FrameStream``, in
+one array pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
 from math import hypot, nan
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,12 +21,12 @@ from .blocks import BlockGrid, block_of, block_winners, half_block_diagonal, ret
 from .errors import ConsensusFailure, DegenerateProjection, OutOfOrderFrame, check_field_types
 from .geometry import (
     Frame,
+    FrameStream,
     Homography,
     PairSet,
     Source,
     projectable,
     reprojection_metrics,
-    stream_arrays,
 )
 from .matching import MatchGate, greedy_match
 from .ransac import RansacConfig, ransac_homography
@@ -131,7 +131,7 @@ def _occupancy_arrays(state: CalibrationState, grid: BlockGrid) -> tuple[np.ndar
 
 
 def ingest_frame(
-    state: CalibrationState, frames: Frame | Sequence[Frame], cfg: RefineConfig
+    state: CalibrationState, frames: Frame | FrameStream | Iterable[Frame], cfg: RefineConfig
 ) -> CalibrationState:
     """Fold one frame, or a window of frames, into the state: project,
     match, sample, accumulate.
@@ -146,27 +146,26 @@ def ingest_frame(
     tallied. Raises ``OutOfOrderFrame`` before anything is folded when the
     frame ids do not strictly increase.
     """
-    window = (frames,) if isinstance(frames, Frame) else tuple(frames)
-    last_id = state.last_frame_id
-    for frame in window:
-        if frame.frame_id <= last_id:
-            raise OutOfOrderFrame(f"frame {frame.frame_id} after frame {last_id}")
-        last_id = frame.frame_id
+    window = None if isinstance(frames, Frame) else FrameStream.of(frames)
+    if window is not None and len(window) == 1:
+        frames, window = window[0], None
+    ids = [state.last_frame_id, *([frames.frame_id] if window is None else window.frame_ids.tolist())]
+    for last_id, frame_id in zip(ids, ids[1:]):
+        if frame_id <= last_id:
+            raise OutOfOrderFrame(f"frame {frame_id} after frame {last_id}")
 
     counts, stored = _occupancy_arrays(state, cfg.grid)
     radius = half_block_diagonal(cfg.grid)
-    if len(window) == 1:
-        lidar_xy, camera_uv = window[0].lidar_centers, window[0].camera_centers
+    if window is None:
+        lidar_xy, camera_uv = frames.lidar_centers, frames.camera_centers
         uv, kept = projectable(state.h_best.m, lidar_xy)
         matched = greedy_match(uv, camera_uv, cfg.gate)
         lidar_rows, camera_rows = matched.lidar, matched.camera
         frame_of = np.zeros(len(camera_rows), dtype=np.intp)
     else:
-        lidar_xy, camera_uv, lidar_counts, camera_counts = stream_arrays(window)
+        lidar_xy, camera_uv = window.lidar_xy, window.camera_uv
         uv, kept = projectable(state.h_best.m, lidar_xy)
-        frame_idx = np.arange(len(window))
-        lidar_frame = np.repeat(frame_idx, lidar_counts)[kept]
-        camera_frame = np.repeat(frame_idx, camera_counts)
+        lidar_frame, camera_frame = window.lidar_frame[kept], window.camera_frame
         # Occupancy only grows within a window, so a detection its starting
         # occupancy refuses stays refused: a frame without an open detection
         # can admit nothing and is not matched.
@@ -183,8 +182,8 @@ def ingest_frame(
                 uv[lidar_rows],
                 camera_uv[camera_rows],
                 cfg.gate,
-                np.bincount(lidar_frame, minlength=len(window))[live],
-                np.asarray(camera_counts)[live],
+                lidar_frame[lidar_rows],
+                camera_frame[camera_rows],
             )
             lidar_rows, camera_rows = lidar_rows[matched.lidar], camera_rows[matched.camera]
         frame_of = camera_frame[camera_rows]
@@ -211,7 +210,7 @@ def ingest_frame(
 
     accumulated = state.accumulated
     if admitted:
-        frame_ids = np.array([frame.frame_id for frame in window])
+        frame_ids = np.array(ids[1:])
         accumulated = PairSet.concat([accumulated, PairSet(
             lidar_xy[kept[lidar_rows[admitted]]],
             pixels[admitted],
@@ -221,8 +220,8 @@ def ingest_frame(
     return replace(
         state,
         accumulated=accumulated,
-        frames_seen=state.frames_seen + len(window),
-        last_frame_id=last_id,
+        frames_seen=state.frames_seen + len(ids) - 1,
+        last_frame_id=ids[-1],
         degenerate_skipped=state.degenerate_skipped + len(lidar_xy) - len(kept),
         _occupancy=(accumulated, cfg.grid, counts, stored),
     )
@@ -290,7 +289,7 @@ def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> Calibr
 
 
 def run(
-    frames: Iterable[Frame],
+    frames: FrameStream | Iterable[Frame],
     h0: Homography,
     cfg: RefineConfig,
     initial_pairs: PairSet | Iterable[tuple] = (),
@@ -299,11 +298,12 @@ def run(
 
     Folds the stream one window of ``cfg.recalib_interval`` frames at a
     time and recalibrates after each window, the last partial one
-    included, so short streams still recalibrate.
+    included, so short streams still recalibrate. The stream is read whole,
+    into one ``FrameStream``, before the first window.
     """
     state = CalibrationState.initial(h0, initial_pairs)
-    frames = iter(frames)
-    while window := tuple(islice(frames, cfg.recalib_interval)):
-        state = ingest_frame(state, window, cfg)
+    frames = FrameStream.of(frames)
+    for start in range(0, len(frames), cfg.recalib_interval):
+        state = ingest_frame(state, frames[start : start + cfg.recalib_interval], cfg)
         state = checkpoint_recalibrate(state, cfg)
     return state

@@ -9,13 +9,13 @@ import json
 import math
 from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .correction import CorrectionResult
 from .errors import SingularMatrixError
-from .geometry import Frame, Homography, PairSet, ResidualReport, Source, stream_frames
+from .geometry import Frame, FrameStream, Homography, PairSet, ResidualReport, Source
 from .pipeline import HISTOGRAM_EDGE
 from .refine import CheckpointRecord
 from .simulator import GroundTruth, SimFrame
@@ -83,7 +83,7 @@ def load_homography(path: str | Path) -> Homography:
 
 # -- frame streams -------------------------------------------------------------
 
-def write_frames_jsonl(path: str | Path, frames: Sequence[Frame]) -> None:
+def write_frames_jsonl(path: str | Path, frames: Iterable[Frame]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for f in frames:
             fh.write(
@@ -109,7 +109,7 @@ _FRAME_KEYS = frozenset({"frame_id", "lidar", "camera"})
 
 
 def _frame_chunk(lines: list[str], last: int) -> tuple | None:
-    """The ``stream_frames`` arguments of ``K`` stripped lines: their frame
+    """The ``FrameStream`` arguments of ``K`` stripped lines: their frame
     ids, the ``(N, 2)`` LiDAR and ``(M, 2)`` camera points in line order and
     each line's counts of them; or None unless each line holds exactly the
     writer's keys, an integer frame id above the line before (``last`` for
@@ -173,21 +173,22 @@ def _frame_record(line: str, where: str) -> Frame:
         raise _malformed(where, exc) from exc
 
 
-def read_frames_jsonl(path: str | Path) -> list[Frame]:
+def read_frames_jsonl(path: str | Path) -> FrameStream:
     """Read a frame stream; frame ids must strictly increase, and a record
     that fails to parse is invalid input (``ValueError`` naming path:line).
 
     The file is read ``_CHUNK_LINES`` non-blank lines at a time. A chunk
-    that ``_frame_chunk`` accepts becomes one array per sensor, checked once
-    by ``stream_frames``, whose frames are views of them. Any other chunk is
-    read line by line through ``Frame`` in ``_frame_record``, which names
-    the bad line or accepts a lenient record."""
-    frames, last = [], -1
+    that ``_frame_chunk`` accepts becomes one array per sensor. Any other
+    chunk is read line by line through ``Frame`` in ``_frame_record``, which
+    names the bad line or accepts a lenient record. The chunks' arrays are
+    concatenated into one ``FrameStream``, checked once."""
+    parts, last = [], -1
     with open(path, "r", encoding="utf-8") as fh:
         numbered = ((n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line)
         while chunk := list(islice(numbered, _CHUNK_LINES)):
             part = _frame_chunk([line for _, line in chunk], last)
             if part is None:
+                frames = []
                 for n, line in chunk:
                     frame = _frame_record(line, f"{path}:{n}")
                     if frame.frame_id <= last:
@@ -197,10 +198,13 @@ def read_frames_jsonl(path: str | Path) -> list[Frame]:
                         )
                     frames.append(frame)
                     last = frame.frame_id
-            else:
-                frames += stream_frames(*part)
-                last = frames[-1].frame_id
-    return frames
+                ids, xy, uv = zip(*((f.frame_id, f.lidar_centers, f.camera_centers) for f in frames))
+                part = ids, np.concatenate(xy), np.concatenate(uv), [*map(len, xy)], [*map(len, uv)]
+            parts.append(part)
+            last = part[0][-1]
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    del parts  # the chunks' arrays, now copied into the columns
+    return FrameStream(*columns) if columns else FrameStream.of(())
 
 
 # -- correspondences -----------------------------------------------------------

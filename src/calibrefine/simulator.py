@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_field_types
-from .geometry import Frame, Homography, PairSet, Source, stream_frames, transform_points
+from .geometry import Frame, FrameStream, Homography, PairSet, Source, transform_points
 
 #: Half-size (meters) of the ground patch that must land inside the image.
 PATCH_HALF = 30.0
@@ -280,7 +280,7 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
                                         lidar_order)
         camera, cam_labels = _shuffled(cam_keep[part], cam_det[part], cam_clutter, counts[:, 1], cam_order)
         frame_ids = range(part.start, part.start + len(counts))
-        frames = stream_frames(frame_ids, lidar, camera, lidar_rows, cam_rows)
+        frames = FrameStream(frame_ids, lidar, camera, lidar_rows, cam_rows)
         la = np.concatenate([[0], np.cumsum(lidar_rows)]).tolist()
         ca = np.concatenate([[0], np.cumsum(cam_rows)]).tolist()
         return [

@@ -17,7 +17,6 @@ from calibrefine.geometry import (
     compose,
     project_points,
     projectable,
-    stream_arrays,
     transform_points,
 )
 from calibrefine.matching import greedy_match
@@ -146,30 +145,25 @@ def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]
         out.append((i, j, c))
 
 
-def grid_pairs(h: Homography, lidar_xy, camera_uv, lidar_counts, camera_counts, gate):
-    """Reference implicit pairing from scratch: each frame projected on its
-    own and matched by the one-frame cost grid of ``greedy_match``."""
+def grid_pairs(h: Homography, frames, gate):
+    """Reference implicit pairing from scratch: each ``Frame`` projected on
+    its own and matched by the one-frame cost grid of ``greedy_match``."""
     xy_out, uv_out = [np.empty((0, 2))], [np.empty((0, 2))]
-    lidar_start = camera_start = 0
-    for n_l, n_c in zip(lidar_counts, camera_counts):
-        frame_xy = lidar_xy[lidar_start : lidar_start + n_l]
-        frame_uv = camera_uv[camera_start : camera_start + n_c]
-        uv, kept = projectable(h.m, frame_xy)
-        matched = greedy_match(uv, frame_uv, gate)
-        xy_out.append(frame_xy[kept[matched.lidar]])
-        uv_out.append(frame_uv[matched.camera])
-        lidar_start += n_l
-        camera_start += n_c
+    for frame in frames:
+        uv, kept = projectable(h.m, frame.lidar_centers)
+        matched = greedy_match(uv, frame.camera_centers, gate)
+        xy_out.append(frame.lidar_centers[kept[matched.lidar]])
+        uv_out.append(frame.camera_centers[matched.camera])
     return np.concatenate(xy_out), np.concatenate(uv_out)
 
 
 def grid_fit(h: Homography, frames, cfg, lenient: bool = False) -> correction.CorrectionResult:
     """Reference correction fit: the fit's rounds (``correction._alternate``)
     with every pairing made from scratch by ``grid_pairs``."""
-    xy, uv, lidar_counts, camera_counts = stream_arrays(frames)
+    frames = list(frames)
 
     def pair_fn(g: Homography):
-        return grid_pairs(g, xy, uv, lidar_counts, camera_counts, cfg.gate)
+        return grid_pairs(g, frames, cfg.gate)
 
     pairs = pair_fn(h)
     n_pairs = len(pairs[0])

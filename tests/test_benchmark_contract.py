@@ -4,16 +4,17 @@ These tests read its target list, without editing it, so that a rename or a
 call path that no longer reaches a required function fails here first."""
 import importlib
 import json
+import math
 import types
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from calibrefine import pipeline, refine, serialize
+from calibrefine import cli, correction, pipeline, refine, serialize
 from calibrefine.blocks import BlockGrid
 from calibrefine.cli import main
-from calibrefine.geometry import PairSet
+from calibrefine.geometry import Frame, PairSet
 from calibrefine.ransac import RansacConfig
 from calibrefine.simulator import SceneConfig, generate, oracle_pairs
 
@@ -300,6 +301,58 @@ def test_the_benchmark_seeding_idiom_gives_run_fulls_matrices():
     state = refine.run(scene.frames, scene.h0, refine_cfg, scene.seed_pairs)
     assert state.h_best.m.tobytes() == report.h_iterative.m.tobytes()
     assert state.checkpoints == report.checkpoints
+
+
+def test_the_cli_loop_idiom_reproduces_the_refine_outputs(tmp_path):
+    # The cli workload reads the simulated frames back with
+    # ``read_frames_jsonl``, feeds that result one ``Frame`` at a time to
+    # ``ingest_frame`` and ``checkpoint_recalibrate`` on ``refine.run``'s
+    # schedule and requires the ``refine`` command's checkpoint log; its
+    # ablation fits the correction on the same result. The stream and dense
+    # workloads hand the library lists of frames instead.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": {"n_frames": 130, "n_objects": 10}}))
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    common = ["--config", str(config), "--seed", "6"]
+    refine_argv = common + [
+        "refine", "--frames", str(sim / "frames.jsonl"), "--matrix", str(out / "coarse.json"),
+        "--mode", "both", "--out", str(out / "refined.json"),
+    ]
+    out.mkdir()
+    assert main(common + ["simulate", "--out", str(sim)]) == 0
+    assert main(common + [
+        "calibrate", "--frames", str(sim / "frames.jsonl"),
+        "--oracle", str(sim / "oracle_pairs.jsonl"), "--out", str(out / "coarse.json"),
+    ]) == 0
+    assert main(refine_argv) == 0
+    run_cfg = cli.apply_overrides(cli.load_config(str(config)), cli.build_parser().parse_args(refine_argv))
+    cfg = run_cfg.refine
+    frames = serialize.read_frames_jsonl(sim / "frames.jsonl")
+    h0 = serialize.load_homography(out / "coarse.json")
+
+    state = refine.CalibrationState.initial(h0)
+    for frame in frames:
+        assert type(frame) is Frame
+        state = refine.ingest_frame(state, frame, cfg)
+        if state.frames_seen % cfg.recalib_interval == 0:
+            state = refine.checkpoint_recalibrate(state, cfg)
+    if state.frames_seen % cfg.recalib_interval:
+        state = refine.checkpoint_recalibrate(state, cfg)
+    logged = serialize.read_checkpoints_csv(out / "refined_checkpoints.csv")
+    assert len(logged) == len(state.checkpoints) == 2
+    for r, c in zip(logged, state.checkpoints):
+        assert (r.frame_id, r.updated) == (c.frame_id, c.updated)
+        for a, b in ((r.err_new, c.err_new), (r.err_best, c.err_best)):
+            assert a == b or (math.isnan(a) and math.isnan(b))
+
+    fit = correction.fit_correction_stream(state.h_best, frames, run_cfg.correction, lenient=True)
+    traced = json.loads((out / "refined_loss_trace.json").read_text())
+    assert serialize.homography_to_dict(fit.h_star)["h"] == traced["h_star"]
+    assert (list(fit.loss_trace), fit.pairs_used) == (traced["loss_trace"], traced["pairs_used"])
+    ablation = correction.fit_correction_stream(h0, frames, run_cfg.correction, lenient=True)
+    listed = correction.fit_correction_stream(h0, list(frames), run_cfg.correction, lenient=True)
+    assert ablation.h_star.m.tobytes() == listed.h_star.m.tobytes()
+    assert (ablation.loss_trace, ablation.pairs_used) == (listed.loss_trace, listed.pairs_used)
 
 
 def test_tracer_counter_hooks_read_the_library_results(monkeypatch):

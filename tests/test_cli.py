@@ -767,7 +767,7 @@ class TestInputValidation:
         cfg, out = sim_dir
         frames = serialize.read_frames_jsonl(out / "frames.jsonl")
         shuffled = tmp_path / "shuffled.jsonl"
-        serialize.write_frames_jsonl(shuffled, [frames[0], frames[4], frames[3]] + frames[5:])
+        serialize.write_frames_jsonl(shuffled, [frames[0], frames[4], frames[3], *frames[5:]])
         matrix = out / "ground_truth.json"
         code = main(
             [

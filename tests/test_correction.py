@@ -16,13 +16,13 @@ from calibrefine.correction import (
 from calibrefine.errors import DegenerateProjection, InsufficientPairs
 from calibrefine.geometry import (
     Frame,
+    FrameStream,
     Homography,
     compose,
     correspondence_arrays,
     project_points,
     projection_mask,
     refine_homography,
-    stream_arrays,
     transform_points,
 )
 from calibrefine.matching import MatchGate
@@ -52,7 +52,7 @@ def scene_homography():
 
 def one_frame(lidar, camera, gate=MatchGate(40.0)) -> CarriedEdges:
     """The stream of one frame holding the given points."""
-    return CarriedEdges(point_array(lidar), point_array(camera), [len(lidar)], [len(camera)], gate)
+    return CarriedEdges(FrameStream.of([Frame(0, point_array(lidar), point_array(camera))]), gate)
 
 
 class TestImplicitPairs:
@@ -89,10 +89,10 @@ class TestImplicitPairs:
         camera = [f.uv.tolist() for f in frames]
         lidar[1].insert(1, [-1000.0, 0.5])
         stream = CarriedEdges(
-            point_array([p for f in lidar for p in f]),
-            point_array([p for f in camera for p in f]),
-            [len(f) for f in lidar],
-            [len(f) for f in camera],
+            FrameStream.of(
+                Frame(fid, point_array(xy), point_array(uv))
+                for fid, (xy, uv) in enumerate(zip(lidar, camera))
+            ),
             MatchGate(40.0),
         )
         xy, uv = implicit_pairs(h, stream)
@@ -311,17 +311,6 @@ class TestFitCorrectionStream:
         assert result.pairs_used == 0
 
 
-class TestImplicitPairsBoundary:
-    @pytest.mark.parametrize(
-        "lidar_counts, camera_counts",
-        [([1, 1], [1, 1]), ([2, 2], [1, 1]), ([3], [1, 1]), ([4, -1], [1, 1]), ([3, 0], [3, -1])],
-    )
-    def test_counts_must_partition_the_arrays(self, lidar_counts, camera_counts):
-        lidar, camera = np.zeros((3, 2)), np.zeros((2, 2))
-        with pytest.raises(ValueError, match="frame counts do not partition"):
-            CarriedEdges(lidar, camera, lidar_counts, camera_counts, MatchGate(40.0))
-
-
 # w = 0 on the ground line x = -1000: points there project degenerately.
 _HORIZON = Homography([[12.0, 0.5, 300.0], [-0.5, 12.0, 250.0], [0.001, 0.0, 1.0]])
 _GATE = MatchGate(40.0)
@@ -336,14 +325,12 @@ def pair_in_turn(matrices, frames) -> tuple[CarriedEdges, list[int]]:
     turn, all pairings through the stream's one CarriedEdges, and check each
     against the from-scratch grid reference; returns the CarriedEdges and
     pair counts."""
-    xy, uv, lidar_counts, camera_counts = stream_arrays(
-        Frame(fid, lidar, camera) for fid, (lidar, camera) in enumerate(frames)
-    )
-    carried = CarriedEdges(xy, uv, lidar_counts, camera_counts, _GATE)
+    frames = [Frame(fid, lidar, camera) for fid, (lidar, camera) in enumerate(frames)]
+    carried = CarriedEdges(FrameStream.of(frames), _GATE)
     counts = []
     for h in matrices:
         got = implicit_pairs(h, carried)
-        assert same_arrays(got, grid_pairs(h, xy, uv, lidar_counts, camera_counts, _GATE))
+        assert same_arrays(got, grid_pairs(h, frames, _GATE))
         counts.append(len(got[0]))
     return carried, counts
 

@@ -15,6 +15,7 @@ from calibrefine.errors import (
 )
 from calibrefine.geometry import (
     Frame,
+    FrameStream,
     Homography,
     PairSet,
     ResidualReport,
@@ -24,8 +25,6 @@ from calibrefine.geometry import (
     estimate_homography,
     refine_homography,
     reprojection_metrics,
-    stream_arrays,
-    stream_frames,
 )
 
 from conftest import (
@@ -249,17 +248,55 @@ _BAD_FRAMES = [
 ]
 
 
-class TestStreamFrames:
+_streams = st.lists(st.tuples(_frame_ids, _points, _points), max_size=6)
+
+
+class TestFrameStream:
     @settings(max_examples=100)
-    @given(st.lists(st.tuples(_frame_ids, _points, _points), max_size=6))
+    @given(_streams)
     @example([])
     @example([(0, [], []), (2**63 - 1, [(-0.0, 5e-324)], [(1e308, -1e308), (0.0, -0.0)])])
-    def test_inverts_stream_arrays(self, stream):
+    def test_of_is_the_inverse_of_iteration(self, stream):
         frames = [Frame(fid, lidar, camera) for fid, lidar, camera in stream]
-        ids = [f.frame_id for f in frames]
-        assert_same_frames(stream_frames(ids, *stream_arrays(frames)), frames)
+        built = FrameStream.of(frames)
+        assert_same_frames(list(built), frames)
+        assert FrameStream.of(built) is built
+        assert built.frame_ids.dtype == np.int64 and built.frame_ids.tolist() == [f.frame_id for f in frames]
         # numpy integer ids, as a stream's id column holds them, read as ints
-        assert_same_frames(stream_frames(np.array(ids, dtype=np.uint64), *stream_arrays(frames)), frames)
+        columns = built.lidar_xy, built.camera_uv, [len(f.lidar_centers) for f in frames], built.camera_counts
+        assert_same_frames(FrameStream(np.array(built.frame_ids, dtype=np.uint64), *columns), frames)
+        assert_same_frames(FrameStream(built.frame_ids.tolist(), *columns), frames)
+
+    @settings(max_examples=200)
+    @given(_streams, st.integers(-9, 9), st.one_of(st.none(), st.integers(-9, 9)))
+    def test_indexing_equals_indexing_the_list_of_frames(self, stream, a, b):
+        frames = [Frame(fid, lidar, camera) for fid, lidar, camera in stream]
+        built = FrameStream.of(frames)
+        if -len(frames) <= a < len(frames):
+            assert_same_frames([built[a]], [frames[a]])
+        else:
+            with pytest.raises(IndexError):
+                built[a]
+        view = built[a:b]
+        assert isinstance(view, FrameStream)
+        assert_same_frames(list(view), frames[a:b])
+        # a view's maps index its own frames, as a stream built from them would
+        again = FrameStream.of(frames[a:b])
+        for name in ("frame_ids", "camera_counts", "lidar_frame", "camera_frame"):
+            assert getattr(view, name).tolist() == getattr(again, name).tolist()
+        assert_same_frames(list(view[1:]), frames[a:b][1:])
+
+    def test_slices_take_no_step(self):
+        stream = FrameStream.of([Frame(i, [], []) for i in range(3)])
+        assert len(stream[::1]) == 3
+        with pytest.raises(ValueError, match="takes no step"):
+            stream[::2]
+
+    def test_compares_by_identity(self):
+        frames = [Frame(0, [[1.0, 2.0]], [])]
+        stream = FrameStream.of(frames)
+        assert stream == stream and stream != FrameStream.of(frames)
+        assert {stream: 1}[stream] == 1
 
     @pytest.mark.parametrize("where", [0, 2])
     @pytest.mark.parametrize("defect", _BAD_FRAMES, ids=lambda d: repr(d)[:40])
@@ -269,7 +306,7 @@ class TestStreamFrames:
         with pytest.raises(ValueError) as per_frame:
             [Frame(d["frame_id"], d["lidar"], d["camera"]) for d in stream]
         with pytest.raises(ValueError) as at_once:
-            stream_frames(
+            FrameStream(
                 [d["frame_id"] for d in stream],
                 [p for d in stream for p in d["lidar"]],
                 [p for d in stream for p in d["camera"]],
@@ -278,12 +315,20 @@ class TestStreamFrames:
             )
         assert str(at_once.value) == str(per_frame.value)
 
+    @pytest.mark.parametrize("ids", [np.array([0, -1, 2]), np.array([0, 2**63], dtype=np.uint64)])
+    def test_refuses_id_arrays_with_frames_message(self, ids):
+        with pytest.raises(ValueError) as per_frame:
+            [Frame(i, [], []) for i in ids]
+        with pytest.raises(ValueError) as at_once:
+            FrameStream(ids, [], [], [0, 0, 0], [0, 0, 0])
+        assert str(at_once.value) == str(per_frame.value)
+
     @pytest.mark.parametrize("points", [[[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0, 2.0]]], np.empty((0, 3))])
     def test_refuses_misshaped_points(self, points):
         with pytest.raises(ValueError, match="must be a \\(K, 2\\) array"):
-            stream_frames([0], points, [], [len(points)], [0])
+            FrameStream([0], points, [], [len(points)], [0])
         with pytest.raises(ValueError, match="must be a \\(K, 2\\) array"):
-            stream_frames([0], [], points, [0], [len(points)])
+            FrameStream([0], [], points, [0], [len(points)])
 
     @pytest.mark.parametrize(
         "ids, lidar_counts, camera_counts, message",
@@ -291,28 +336,53 @@ class TestStreamFrames:
             ([0, 1], [1, 1], [1, 1], "do not partition"),
             ([0, 1], [2, 1], [1, 0], "do not partition"),
             ([0, 1], [3, -1], [1, 0], "do not partition"),
+            ([0, 1], [1, 1], [1], "do not partition"),
             ([0, 1], [2], [1], "2 frame ids for 1 frame counts"),
             ([0], [2, 0], [1, 0], "1 frame ids for 2 frame counts"),
+            # fractional counts were once floored: [1.5, 0.5] read as [1, 0]
             ([0, 1], [1.5, 0.5], [1, 0], "must be integers"),
+            ([0, 1], [np.nan, 2.0], [1, 0], "must be integers"),
+            ([0, 1], [np.inf, 2.0], [1, 0], "must be integers"),
         ],
     )
     def test_counts_must_partition_the_rows_one_per_frame(self, ids, lidar_counts, camera_counts, message):
         with pytest.raises(ValueError, match=message):
-            stream_frames(ids, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]], lidar_counts, camera_counts)
+            FrameStream(ids, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]], lidar_counts, camera_counts)
+
+    @pytest.mark.parametrize(
+        "lidar_counts, camera_counts",
+        [([1, 1], [1, 1]), ([2, 2], [1, 1]), ([3], [1, 1]), ([4, -1], [1, 1]), ([3, 0], [3, -1])],
+    )
+    def test_counts_must_partition_three_and_two_rows(self, lidar_counts, camera_counts):
+        with pytest.raises(ValueError, match="frame counts do not partition"):
+            FrameStream([0, 1], np.zeros((3, 2)), np.zeros((2, 2)), lidar_counts, camera_counts)
+
+    def test_integral_float_counts_are_read_as_integers(self):
+        stream = FrameStream([0, 1], np.zeros((2, 2)), np.zeros((2, 2)), [2.0, 0.0], [1, 1])
+        assert stream.camera_counts.tolist() == [1, 1]
+        assert stream.lidar_frame.tolist() == [0, 0] and stream.camera_frame.tolist() == [0, 1]
 
     def test_frames_are_read_only_views_of_one_checked_copy(self):
         lidar, camera = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.array([[7.0, 8.0]])
-        frames = stream_frames([3, 8], lidar, camera, [1, 2], [0, 1])
+        ids = np.array([3, 8])
+        stream = FrameStream(ids, lidar, camera, [1, 2], [0, 1])
         lidar[:] = camera[:] = 0.0  # the caller's arrays were copied
+        ids[:] = 0
+        frames = list(stream)
+        assert [f.frame_id for f in frames] == [3, 8]
         assert [f.lidar_centers.tolist() for f in frames] == [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
         assert [f.camera_centers.shape for f in frames] == [(0, 2), (1, 2)]
-        assert frames[0].lidar_centers.base is frames[1].lidar_centers.base
-        for frame in frames:
-            for points in (frame.lidar_centers, frame.camera_centers):
-                with pytest.raises(ValueError):
-                    points[:] = -1.0
-                with pytest.raises(ValueError):
-                    points.flags.writeable = True
+        views = [*frames, stream[1], *stream[1:]]
+        for frame in views:
+            assert np.shares_memory(frame.lidar_centers, stream.lidar_xy)
+        for column in [getattr(s, name) for s in (stream, stream[1:]) for name in FrameStream.__slots__]:
+            with pytest.raises(ValueError):
+                column[...] = 0
+        for points in [p for f in views for p in (f.lidar_centers, f.camera_centers)]:
+            with pytest.raises(ValueError):
+                points[:] = -1.0
+            with pytest.raises(ValueError):
+                points.flags.writeable = True
 
 
 def two_pairs(**columns) -> PairSet:

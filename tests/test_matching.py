@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calibrefine import matching
-from calibrefine.geometry import frame_counts
 from calibrefine.matching import (
     MatchGate,
     candidate_edges,
@@ -253,10 +252,10 @@ def frame_map(counts):
 
 
 def match_stream(frames, gate):
-    """greedy_match with frame counts, on frames given as (projected,
+    """greedy_match with frame maps, on frames given as (projected,
     detections) pairs."""
     proj, dets, lidar_counts, camera_counts = stream_arrays_of(frames)
-    out = greedy_match(proj, dets, MatchGate(gate), lidar_counts, camera_counts)
+    out = greedy_match(proj, dets, MatchGate(gate), frame_map(lidar_counts), frame_map(camera_counts))
     return out.lidar.tolist(), out.camera.tolist(), out.cost.tolist()
 
 
@@ -280,37 +279,53 @@ class TestGreedyMatchFrames:
         # frame 0 has only LiDAR, frame 1 only the matching detections
         proj = np.array([[0.0, 0.0], [5.0, 0.0]])
         dets = np.array([[0.0, 0.0], [5.0, 0.0]])
-        out = greedy_match(proj, dets, MatchGate(40.0), [2, 0], [0, 2])
+        out = greedy_match(proj, dets, MatchGate(40.0), frame_map([2, 0]), frame_map([0, 2]))
         assert out.lidar.tolist() == [] and out.camera.tolist() == []
 
     def test_indices_are_global_and_frame_ordered(self):
         proj = np.array([[0.0, 0.0], [10.0, 0.0], [50.0, 50.0]])
         dets = np.array([[10.5, 0.0], [0.2, 0.0], [50.0, 51.0]])
-        out = greedy_match(proj, dets, MatchGate(40.0), [2, 1], [2, 1])
+        out = greedy_match(proj, dets, MatchGate(40.0), frame_map([2, 1]), frame_map([2, 1]))
         assert out.lidar.tolist() == [0, 1, 2]
         assert out.camera.tolist() == [1, 0, 2]
 
-    def test_counts_must_partition_the_arrays(self):
-        with pytest.raises(ValueError):
-            greedy_match(np.zeros((3, 2)), np.zeros((2, 2)), MatchGate(40.0), [1, 1], [1, 1])
-        with pytest.raises(ValueError):
-            greedy_match(np.zeros((2, 2)), np.zeros((2, 2)), MatchGate(40.0), [1, 1], [2])
-
-    def test_counts_must_be_integers(self):
-        # Fractional counts used to be floored: [1.9, 0.9] read as [1, 0].
-        proj, dets = np.zeros((2, 2)), np.zeros((2, 2))
-        for counts in ([1.9, 0.9], [np.nan, 2.0], [np.inf, 2.0]):
-            with pytest.raises(ValueError, match="must be integers"):
-                greedy_match(proj[:1], dets, MatchGate(40.0), counts, [2, 0])
-        with pytest.raises(ValueError, match="must be integers"):
-            frame_counts([1.9, 0.9], [2, 0], 1, 2)
-        assert [c.tolist() for c in frame_counts([2.0, 0.0], [1, 1], 2, 2)] == [[2, 0], [1, 1]]
+    def test_frames_may_be_gapped(self):
+        # The online loop matches only the live frames of a window, under
+        # their window indices: frame 1 has no row at all.
+        proj = np.array([[0.0, 0.0], [10.0, 0.0], [50.0, 50.0]])
+        dets = np.array([[10.5, 0.0], [0.2, 0.0], [50.0, 51.0]])
+        out = greedy_match(proj, dets, MatchGate(40.0), np.array([0, 0, 2]), np.array([0, 0, 2]))
+        assert (out.lidar.tolist(), out.camera.tolist()) == ([0, 1, 2], [1, 0, 2])
 
     @pytest.mark.parametrize("which", ["lidar", "camera"])
-    def test_counts_come_in_pairs(self, which):
-        counts = {f"{which}_counts": [1, 1]}
-        with pytest.raises(ValueError, match="give both frame counts or neither"):
-            greedy_match(np.zeros((2, 2)), np.zeros((2, 2)), MatchGate(40.0), **counts)
+    def test_frame_maps_come_in_pairs(self, which):
+        maps = {f"{which}_frame": np.array([0, 1])}
+        with pytest.raises(ValueError, match="give both frame maps or neither"):
+            greedy_match(np.zeros((2, 2)), np.zeros((2, 2)), MatchGate(40.0), **maps)
+
+    def test_maps_may_be_lists(self):
+        proj = dets = np.array([[0.0, 0.0], [5.0, 0.0]])
+        out = greedy_match(proj, dets, MatchGate(40.0), [0, 1], [1, 0])
+        assert (out.lidar.tolist(), out.camera.tolist()) == ([0, 1], [1, 0])
+
+    @pytest.mark.parametrize(
+        "lidar_frame, camera_frame, message",
+        [
+            ([0], [0, 1], "one frame index >= 0"),
+            ([0, 1, 1], [0, 1], "one frame index >= 0"),
+            ([0, 1], [0], "one frame index >= 0"),
+            ([0, 1], [0, 1, 2], "one frame index >= 0"),
+            ([[0, 1]], [0, 1], "one frame index >= 0"),
+            ([0, -1], [0, 1], "one frame index >= 0"),
+            ([0, 1], [-2, 1], "one frame index >= 0"),
+            ([0, 0.5], [0, 1], "frame maps must be integers"),
+            ([0, 1], [np.nan, 1], "frame maps must be integers"),
+        ],
+    )
+    def test_refuses_maps_that_do_not_give_each_row_a_frame(self, lidar_frame, camera_frame, message):
+        proj = dets = np.array([[0.0, 0.0], [5.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            greedy_match(proj, dets, MatchGate(40.0), lidar_frame, camera_frame)
 
 
 class TestGreedyMatchFramesHypothesis:

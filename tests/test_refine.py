@@ -10,6 +10,7 @@ from calibrefine.blocks import BlockGrid, Parity, half_block_diagonal
 from calibrefine.errors import OutOfOrderFrame
 from calibrefine.geometry import (
     Frame,
+    FrameStream,
     Homography,
     PairSet,
     Source,
@@ -500,7 +501,10 @@ class TestLiveFrames:
                     assert np.array_equal(
                         args[1], np.concatenate([f.camera_centers for f in live]).reshape(-1, 2)
                     )
-                    assert list(args[4]) == [len(f.camera_centers) for f in live]
+                    # each camera row under its frame's index in the window
+                    assert args[4].tolist() == [
+                        k for k, (f, _, _) in enumerate(window) if f in live for _ in f.camera_centers
+                    ]
 
             for frame, lidar, camera in window:
                 uv, kept = projectable(PROJECTIVE.m, frame.lidar_centers)
@@ -754,6 +758,20 @@ class TestRun:
         state = run([], h, CFG)
         assert state.h_best is h
         assert state.checkpoints == ()
+
+    @pytest.mark.parametrize("interval", [1, 7, 40])
+    def test_a_generator_a_list_and_a_stream_give_the_same_state(self, interval):
+        sim_frames, gt = generate(SceneConfig(seed=8, n_frames=61, n_objects=12))
+        frames = [sf.frame for sf in sim_frames]
+        h0 = compose(translation_homography(4.0, -3.0), gt.h_true)
+        cfg = RefineConfig(
+            recalib_interval=interval, grid=BlockGrid(1920, 1080), ransac=RansacConfig(seed=1)
+        )
+        listed = run(frames, h0, cfg)
+        assert len(listed.checkpoints) == -(-61 // interval) and len(listed.accumulated) > 0
+        assert_same_state(listed, per_frame_loop(frames, h0, cfg))
+        for given in (iter(frames), (f for f in frames), FrameStream.of(frames)):
+            assert_same_state(run(given, h0, cfg), listed)
 
     def test_final_flush_checkpoint(self):
         h = scene_homography()
