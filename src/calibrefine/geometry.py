@@ -490,7 +490,9 @@ def estimate_homography(xy: np.ndarray, uv: np.ndarray) -> Homography:
     design[1::2, 7] = -u * y
     design[1::2, 8] = -u
 
-    _, sing, vt = np.linalg.svd(design)
+    # Only V is read. From five pairs on, the design has at least nine rows
+    # and the thin SVD holds all of V, without the (2N, 2N) U of the full one.
+    _, sing, vt = np.linalg.svd(design, full_matrices=n < 5)
     if sing[7] <= 1e-10 * sing[0]:
         raise DegenerateConfiguration("design matrix rank < 8; points are degenerate")
     h_norm = vt[-1].reshape(3, 3)
@@ -501,7 +503,9 @@ def estimate_homography(xy: np.ndarray, uv: np.ndarray) -> Homography:
         raise DegenerateConfiguration("estimated matrix is singular") from exc
 
 
-def projection_jacobian(xy: np.ndarray, uv_hat: np.ndarray, w: np.ndarray, columns) -> np.ndarray:
+def projection_jacobian(
+    xy: np.ndarray, uv_hat: np.ndarray, w: np.ndarray, columns, out: np.ndarray | None = None
+) -> np.ndarray:
     """Jacobian of the interleaved (du, dv) residuals of (N, 2) ground points
     wrt the matrix entries listed in ``columns`` (row-major indices 0-8),
     from their projection: the (N, 2) pixels ``uv_hat`` and (N,) ``w`` that
@@ -509,10 +513,11 @@ def projection_jacobian(xy: np.ndarray, uv_hat: np.ndarray, w: np.ndarray, colum
 
     Returns a (2N, len(columns)) array in Fortran order, the layout of a
     column selection from the full Jacobian, so that ``J^T J`` and ``J^T r``
-    come out the same to the bit.
+    come out the same to the bit. Given ``out``, such an array, it writes
+    every entry of ``out`` and returns it.
     """
     n = len(xy)
-    jac = np.empty((2 * n, len(columns)), order="F")
+    jac = np.empty((2 * n, len(columns)), order="F") if out is None else out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_w = 1.0 / w
         x, y = xy[:, 0], xy[:, 1]
@@ -571,6 +576,10 @@ def refine_homography(
 
     full = p0.copy()
     start = [(uv0, w0)]  # the solver's first call is at h0, projected just now
+    # One Jacobian for the whole solve: the solver is done with each one
+    # before it asks for the next, and fresh pages for a large one cost
+    # several times what filling it does.
+    jac = np.empty((2 * len(xy), len(free)), order="F")
 
     def fun(free_params: np.ndarray):
         if start:
@@ -578,7 +587,7 @@ def refine_homography(
         else:
             full[free] = free_params
             uv_hat, w = transform_points(full.reshape(3, 3), xy)
-        return (uv_hat - uv).ravel(), lambda: projection_jacobian(xy, uv_hat, w, free)
+        return (uv_hat - uv).ravel(), lambda: projection_jacobian(xy, uv_hat, w, free, jac)
 
     result = damped_least_squares(
         fun,

@@ -43,7 +43,10 @@ def damped_least_squares(
     steps are accepted, so the returned cost never exceeds the initial one.
     ``jacobian()`` is called at most once per kept iterate (the start and
     each accepted step), and only when a further iteration needs it; a
-    rejected step reuses ``J^T J`` and ``J^T r``.
+    rejected step reuses ``J^T J`` and ``J^T r``. The solver reads each
+    Jacobian only to form those two, before it calls ``fun`` or
+    ``jacobian()`` again, so every ``jacobian()`` may return the same array,
+    refilled.
     """
     p = np.asarray(p0, dtype=float).copy()
     r, jacobian = fun(p)

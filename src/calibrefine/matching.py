@@ -260,8 +260,8 @@ def candidate_edges(proj, dets, radius: float, lidar_frame=None, camera_frame=No
     most ``radius``.
     """
     # A row that is not finite has no edge.
-    lidar = np.isfinite(proj).all(axis=1).nonzero()[0]
-    camera = np.isfinite(dets).all(axis=1).nonzero()[0]
+    lidar = (np.isfinite(proj[:, 0]) & np.isfinite(proj[:, 1])).nonzero()[0]
+    camera = (np.isfinite(dets[:, 0]) & np.isfinite(dets[:, 1])).nonzero()[0]
     if not len(lidar) or not len(camera):
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
     # Clipping is 1-Lipschitz, so a detection whose u lies within ``radius``
@@ -280,24 +280,37 @@ def candidate_edges(proj, dets, radius: float, lidar_frame=None, camera_frame=No
         stride = hi - lo + 2.0 * reach
         lidar_key += lidar_frame[lidar] * stride
         camera_key += camera_frame[camera] * stride
+    # Both sides in key order: the searches then walk the detections' keys
+    # once, and each band reads consecutive detections.
     order = camera_key.argsort()
     camera, camera_key = camera[order], camera_key[order]
+    order = lidar_key.argsort()
+    lidar, lidar_key = lidar[order], lidar_key[order]
+    lu, lv = proj[lidar, 0], proj[lidar, 1]
+    cu, cv = dets[camera, 0], dets[camera, 1]
+    # hypot(du, dv) >= |dv|, so a band edge whose |dv| is past the radius
+    # has no cost within it: most of a band goes on |dv| alone, before its
+    # u is read.
     lidar_out, camera_out, cost_out = [], [], []
     for start in range(0, len(lidar), _BAND_CHUNK):
-        key = lidar_key[start : start + _BAND_CHUNK]
+        rows = slice(start, start + _BAND_CHUNK)
+        key = lidar_key[rows]
         first = camera_key.searchsorted(key - reach, side="left")
         widths = camera_key.searchsorted(key + reach, side="right") - first
-        li = lidar[start : start + _BAND_CHUNK].repeat(widths)
-        ci = camera[np.arange(widths.sum()) + (first - (widths.cumsum() - widths)).repeat(widths)]
-        (k,), cost = _within(proj[li, 0] - dets[ci, 0], proj[li, 1] - dets[ci, 1], radius)
-        lidar_out.append(li[k])
-        camera_out.append(ci[k])
+        band = np.arange(widths.sum()) + (first - (widths.cumsum() - widths)).repeat(widths)
+        dv = lv[rows].repeat(widths) - cv[band]
+        near = (np.abs(dv) <= radius).nonzero()[0]
+        owner = np.arange(len(key)).repeat(widths)[near]
+        band, dv = band[near], dv[near]
+        (k,), cost = _within(lu[rows][owner] - cu[band], dv, radius)
+        lidar_out.append(lidar[rows][owner[k]])
+        camera_out.append(camera[band[k]])
         cost_out.append(cost)
     lidar, camera, cost = (np.concatenate(out) for out in (lidar_out, camera_out, cost_out))
-    # The edges are distinct (LiDAR row, camera row) pairs that come sorted
-    # by LiDAR row, so a stable sort on one integer key orders them as
-    # lexsort((camera, lidar)) does, about ten times faster on a stream.
-    order = np.argsort(lidar * len(dets) + camera, kind="stable")
+    # The edges are distinct (LiDAR row, camera row) pairs, so any sort of
+    # one unique integer key orders them as lexsort((camera, lidar)) does,
+    # about ten times faster on a stream.
+    order = np.argsort(lidar * len(dets) + camera)
     return lidar[order], camera[order], cost[order]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -627,6 +628,43 @@ class TestEstimateHomography:
         pairs = pair_set([(1.0, 2.0)] * 5, [(3.0, 4.0)] * 5)
         with pytest.raises(DegenerateConfiguration):
             estimate_homography(*correspondence_arrays(pairs))
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 13, 50, 300])
+    def test_thin_svd_gives_the_full_svds_matrix_to_the_bit(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        cases = []
+        for k in range(50):
+            if k % 2:
+                xy, uv = rng.uniform(-5.0, 5.0, (n, 2)), rng.uniform(0.0, 1920.0, (n, 2))
+            else:
+                pairs = exact_pairs(well_conditioned_homography(rng), rng, n)
+                xy, uv = pairs.xy, pairs.uv + rng.normal(0.0, 1e-3, (n, 2))
+            cases.append((xy, uv))
+        thin = [estimate_homography(xy, uv).m for xy, uv in cases]
+        svd = np.linalg.svd
+        calls = []
+
+        def full_svd(a, full_matrices=True):
+            calls.append(full_matrices)
+            return svd(a, full_matrices=True)
+
+        monkeypatch.setattr(np.linalg, "svd", full_svd)
+        full = [estimate_homography(xy, uv).m for xy, uv in cases]
+        assert calls == [False] * len(cases)
+        assert [m.tobytes() for m in thin] == [m.tobytes() for m in full]
+
+    def test_memory_grows_linearly_with_the_pairs(self):
+        # The full SVD of the (4000, 9) design builds a (4000, 4000) U,
+        # 122 MiB, that is never read.
+        rng = np.random.default_rng(2000)
+        pairs = exact_pairs(well_conditioned_homography(rng), rng, 2000)
+        tracemalloc.start()
+        try:
+            estimate_homography(pairs.xy, pairs.uv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRefineHomography:

@@ -312,3 +312,89 @@ class TestRefineHomographyBitIdentity:
         xy, uv, h0 = _problem(seed, 300, 1e-2, 0.3, 1.0)
         want = self.check(xy, uv, h0, 100)
         assert want.rejected > 0
+
+
+class SharedJacobian:
+    """Wraps a residual function so that every ``jacobian()`` returns one
+    array, refilled, and every call of the wrapper fills that array with
+    NaN first: a solver that read a Jacobian after its next call would
+    read NaN."""
+
+    def __init__(self, fun, shape):
+        self.fun = fun
+        self.buffer = np.full(shape, np.nan, order="F")
+        self.returned: set[int] = set()
+
+    def __call__(self, p):
+        self.buffer.fill(np.nan)
+        r, jacobian = self.fun(p)
+
+        def refill():
+            self.buffer.fill(np.nan)
+            self.buffer[...] = jacobian()
+            self.returned.add(id(self.buffer))
+            return self.buffer
+
+        return r, refill
+
+
+def _projection_fun(xy, uv, h0, out=None):
+    """``refine_homography``'s residual function on the 8 free entries,
+    writing each Jacobian into ``out`` when given one."""
+    p0 = h0.m.ravel().copy()
+    free = [i for i in range(9) if i != int(np.argmax(np.abs(p0)))]
+    full = p0.copy()
+
+    def fun(free_params):
+        full[free] = free_params
+        uv_hat, w = transform_points(full.reshape(3, 3), xy)
+        return (uv_hat - uv).ravel(), lambda: geometry.projection_jacobian(xy, uv_hat, w, free, out)
+
+    return fun, p0[free]
+
+
+def _same_result(a, b) -> bool:
+    return (_bits(a.params), _bits(a.cost), a.iterations, a.converged) == (
+        _bits(b.params),
+        _bits(b.cost),
+        b.iterations,
+        b.converged,
+    )
+
+
+class TestSharedJacobianBuffer:
+    """``jacobian()`` may return the same array on every call: the solver
+    reads each Jacobian only before its next call."""
+
+    @pytest.mark.parametrize("start", [(-1.5, 2.0), (-30.0, 40.0)])
+    def test_shared_buffer_gives_the_fresh_arrays_result(self, start):
+        fresh = damped_least_squares(rosenbrock, np.array(start), init_damping=1e-12)
+        shared = SharedJacobian(rosenbrock, (2, 2))
+        got = damped_least_squares(shared, np.array(start), init_damping=1e-12)
+        assert _same_result(got, fresh) and len(shared.returned) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_projection_fit_through_rejected_steps(self, seed):
+        xy, uv, h0 = _problem(seed, 300, 1e-2, 0.3, 1.0)
+        fun, p0 = _projection_fun(xy, uv, h0)
+        fresh = damped_least_squares(fun, p0)
+        log = JacobianLog(fun)
+        damped_least_squares(log, p0)
+        assert len(log.costs) > len(log.kept())  # some trial was rejected
+
+        shared = SharedJacobian(fun, (2 * len(xy), 8))
+        assert _same_result(damped_least_squares(shared, p0), fresh)
+        buffer = np.full((2 * len(xy), 8), np.nan, order="F")
+        written, p0 = _projection_fun(xy, uv, h0, buffer)
+        assert _same_result(damped_least_squares(written, p0), fresh)
+
+    @pytest.mark.parametrize("columns", [range(9), [0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 8]])
+    def test_projection_jacobian_into_a_nan_buffer_equals_a_fresh_one(self, columns):
+        xy, uv, h0 = _problem(7, 50, 1e-2, 0.3, 0.05)
+        uv_hat, w = transform_points(h0.m, xy)
+        fresh = geometry.projection_jacobian(xy, uv_hat, w, columns)
+        buffer = np.full((2 * len(xy), len(columns)), np.nan, order="F")
+        got = geometry.projection_jacobian(xy, uv_hat, w, columns, out=buffer)
+        assert got is buffer
+        assert got.flags.f_contiguous and _bits(got) == _bits(fresh)
+        assert _bits(got.T @ got) == _bits(fresh.T @ fresh)

@@ -544,6 +544,55 @@ class TestBandSearch:
         assert band_edges(frames, radius) == naive_edges(frames, radius)
 
 
+_ULP_PAST_4 = np.nextafter(4.0, np.inf)
+_ULP_PAST_1004 = np.nextafter(1004.0, np.inf)
+
+
+class TestBandSearchBoundary:
+    """Edges at the radius in v, where the band drops most of its edges on
+    |dv| before it reads u, and in u on rows whose key is clipped to the
+    detections' span; radius 4 throughout."""
+
+    # Each frame's edges at the radius, and those an ulp past it.
+    # The detections of the first three frames span u in [100, 200].
+    frames = [
+        # du = 0, |dv| exactly at the radius (on both sides, and at v where
+        # an ulp is 2**-43 px), and |dv| one ulp past it.
+        (
+            frame((150, 0), (160, 1000)),
+            frame(
+                (150, 4), (150, -4), (150, _ULP_PAST_4), (150, -_ULP_PAST_4),
+                (160, 1004), (160, _ULP_PAST_1004), (160, 996),
+            ),
+        ),
+        # LiDAR rows left and right of the span: clipped keys, with du at
+        # the radius, one ulp past it, and within it with dv; and |dv| at
+        # the radius with du != 0, which only hypot refuses.
+        (
+            frame((96, 0), (np.nextafter(96, -np.inf), 0), (203, 0), (204, 0.5), (40, 0)),
+            frame((100, 0), (200, 2.5), (200, -4)),
+        ),
+        # A row clipped to hi, past the radius in both u and v.
+        (frame((230, 0)), frame((200, 4.5), (100, 100))),
+        # A frame whose detections lie inside the span of the others.
+        (frame((150, 20), (150, 24.5)), frame((150, 24), (151, 24))),
+    ]
+
+    def test_with_frame_maps(self):
+        edges = band_edges(self.frames, 4.0)
+        assert edges == naive_edges(self.frames, 4.0)
+        assert len(edges) == 9
+
+    def test_without_frame_maps(self):
+        proj, dets, _, _ = stream_arrays_of(self.frames)
+        lidar, camera, cost = candidate_edges(proj, dets, 4.0)
+        edges = list(zip(lidar.tolist(), camera.tolist()))
+        assert edges == naive_edges([(proj, dets)], 4.0)
+        assert len(edges) == 9
+        assert cost.tolist() == [math.hypot(*(proj[i] - dets[j])) for i, j in edges]
+        assert (cost == 4.0).sum() == 6
+
+
 class TestEdgeListHypothesis:
     @settings(max_examples=300)
     @given(frames=_streams, radius=_gates)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from calibrefine.blocks import BlockGrid, Parity
 from calibrefine.errors import EmptySet, InsufficientPairs
 from calibrefine.correction import CorrectionResult
-from calibrefine.geometry import Homography, PairSet, ResidualReport, project_points
+from calibrefine.geometry import Frame, Homography, PairSet, ResidualReport, project_points
 from calibrefine.lsq import LeastSquaresResult
 from calibrefine.pipeline import (
     HISTOGRAM_EDGE,
@@ -225,6 +225,57 @@ class TestRunFull:
         assert set(report.histograms) == {"coarse", "iterative", "correction"}
         for counts in report.histograms.values():
             assert counts.sum() == report.eval_pair_count
+
+
+def _shifted(pairs: PairSet, offset: int) -> PairSet:
+    return PairSet(pairs.xy, pairs.uv, pairs.frame_ids + offset, pairs.source)
+
+
+def _run_with_frame_ids_shifted(seed: int, offset: int):
+    """``run_full`` on the 120 x 12 scene ``seed``, every frame id (of the
+    frames, the oracle's pairs and the ground-truth pairs) shifted by
+    ``offset``, the oracle keyed by the shifted ids."""
+    scene = SceneConfig(seed=seed, n_frames=120, n_objects=12)
+    sim_frames, gt = generate(scene)
+    by_id = {sf.frame.frame_id + offset: sf for sf in sim_frames}
+
+    def oracle(frame):
+        pairs = oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, seed)
+        return _shifted(pairs, offset)
+
+    frames = [
+        Frame(sf.frame.frame_id + offset, sf.frame.lidar_centers, sf.frame.camera_centers)
+        for sf in sim_frames
+    ]
+    cfg = PipelineConfig(
+        grid=BlockGrid(scene.image_width, scene.image_height), ransac=RansacConfig(seed=seed)
+    )
+    return run_full(frames, oracle, cfg, _shifted(gt.correspondences(), offset))
+
+
+class TestFrameIdOffset:
+    """Frame ids only name frames: shifted by a constant, with the oracle
+    keyed by the new ids, they change no result (a metamorphic test)."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("offset", [1, 977, 2**40])
+    def test_results_are_bit_identical(self, seed, offset):
+        base = _run_with_frame_ids_shifted(seed, 0)
+        moved = _run_with_frame_ids_shifted(seed, offset)
+
+        def bits(report, shift):
+            return (
+                [h.m.tobytes() for h in (report.h_coarse, report.h_iterative, report.h_star)],
+                np.array(report.correction.loss_trace).tobytes(),
+                report.correction.pairs_used,
+                [
+                    (r.frame_id - shift, np.array([r.err_new, r.err_best]).tobytes(), r.updated, r.skipped)
+                    for r in report.checkpoints
+                ],
+            )
+
+        assert bits(moved, offset) == bits(base, 0)
+        assert [r.frame_id for r in base.checkpoints] == [99, 119]
 
 
 class TestSplitEvalPairs:
