@@ -31,8 +31,10 @@ from .geometry import (
 )
 from .matching import MatchGate, candidate_edges, match_edges
 
-#: Paired (K, 2) ground points and (K, 2) pixels, row k pairing with row k.
-Pairs = tuple[np.ndarray, np.ndarray]
+#: A pairing under some matrix: paired (K, 2) ground points and (K, 2)
+#: pixels, row k pairing with row k, and the (K, 2) projections of the ground
+#: points under that matrix.
+Pairing = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -126,21 +128,22 @@ class CarriedEdges:
         return self.lidar, self.camera
 
 
-def implicit_pairs(h: Homography, stream: CarriedEdges) -> Pairs:
+def implicit_pairs(h: Homography, stream: CarriedEdges) -> Pairing:
     """Pair each projected LiDAR point of ``stream`` with its nearest camera
     detection inside the stream's gate (greedy, one-to-one, within its
     frame); degenerate projections are skipped.
 
     Returns the paired ``(K, 2)`` ground and pixel arrays, frame by frame
-    and each frame in greedy order. Successive pairings of one stream reuse
-    the candidate edges it carries; the result is the same as pairing from
+    and each frame in greedy order, and the ``(K, 2)`` projections of those
+    ground points under ``h``. Successive pairings of one stream reuse the
+    candidate edges it carries; the result is the same as pairing from
     scratch.
     """
     frames = stream.frames
     uv, ok = projection_mask(h.m, frames.lidar_xy)
     lidar, camera = stream.edges(uv, ok)
     matched = match_edges(uv, frames.camera_uv, lidar, camera, frames.lidar_frame, stream.gate)
-    return frames.lidar_xy[matched.lidar], frames.camera_uv[matched.camera]
+    return frames.lidar_xy[matched.lidar], frames.camera_uv[matched.camera], uv[matched.lidar]
 
 
 def reprojection_loss(
@@ -149,8 +152,12 @@ def reprojection_loss(
     """Mean squared pixel discrepancy of paired ``(N, 2)`` ground and pixel
     points under H @ D."""
     uv_hat, _ = transform_points(h.m @ np.asarray(h_delta, float).reshape(3, 3), xy)
+    return _mean_squared(uv_hat, uv)
+
+
+def _mean_squared(uv_hat: np.ndarray, uv: np.ndarray) -> float:
     r = (uv_hat - uv).ravel()
-    return float(r @ r) / len(xy)
+    return float(r @ r) / len(uv)
 
 
 def reprojection_loss_gradient(
@@ -168,17 +175,18 @@ def reprojection_loss_gradient(
 
 
 def _alternate(
-    h: Homography, pair_fn, cfg: CorrectionConfig, pairs: Pairs
-) -> tuple[Homography, list[float], Pairs]:
+    h: Homography, pair_fn, cfg: CorrectionConfig, pairs: Pairing
+) -> tuple[Homography, list[float], Pairing]:
     """ICP over the shared refit: refine G = H @ D on the current pairings,
     then rebuild the pairings under G. With H fixed and invertible this
-    reaches the same optimum as solving for D."""
+    reaches the same optimum as solving for D. A round's loss is read off
+    the projections its pairing made."""
     g = h
-    loss = reprojection_loss(g, np.eye(3), *pairs)
+    loss = reprojection_loss(g, np.eye(3), *pairs[:2])
     trace = [loss]
     for _ in range(cfg.max_outer_rounds):
         candidate = refine_homography(
-            *pairs, g, max_iterations=cfg.max_iterations, init_damping=cfg.init_damping
+            *pairs[:2], g, max_iterations=cfg.max_iterations, init_damping=cfg.init_damping
         )
         if np.allclose(candidate.m, g.m, rtol=0.0, atol=1e-14):
             break  # solver has nothing to move; pairing is self-consistent
@@ -186,7 +194,8 @@ def _alternate(
         new_pairs = pair_fn(candidate)
         if len(new_pairs[0]) < cfg.min_pairs:
             break
-        new_loss = reprojection_loss(candidate, np.eye(3), *new_pairs)
+        _, new_uv, new_uv_hat = new_pairs
+        new_loss = _mean_squared(new_uv_hat, new_uv)
         if new_loss > loss:
             break  # re-pairing made things worse; keep the previous round
         g, pairs = candidate, new_pairs
@@ -217,7 +226,7 @@ def fit_correction_stream(
     """
     stream = CarriedEdges(FrameStream.of(frames), cfg.gate)
 
-    def pair_fn(g: Homography) -> Pairs:
+    def pair_fn(g: Homography) -> Pairing:
         return implicit_pairs(g, stream)
 
     pairs = pair_fn(h)

@@ -384,7 +384,7 @@ def projection_mask(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.
     meaningless.
     """
     uv, w = transform_points(matrix, xy)
-    return uv, (np.abs(w) > W_EPSILON) & np.isfinite(uv).all(axis=1)
+    return uv, (np.abs(w) > W_EPSILON) & np.isfinite(uv[:, 0]) & np.isfinite(uv[:, 1])
 
 
 def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,17 +100,18 @@ class GroundTruth:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimFrame:
-    """A frame plus hidden per-detection identity labels (None = clutter).
+    """A frame plus hidden per-detection identity labels: read-only integer
+    arrays, one object index per LiDAR and per camera row, -1 for clutter.
 
     Calibration code must only ever see ``.frame``; the labels exist for the
     oracle and for evaluation.
     """
 
     frame: Frame
-    lidar_labels: tuple[int | None, ...]
-    camera_labels: tuple[int | None, ...]
+    lidar_labels: np.ndarray
+    camera_labels: np.ndarray
 
 
 def random_homography(seed: int, cfg: SceneConfig) -> Homography:
@@ -207,12 +208,12 @@ def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _shuffled(
     keep: np.ndarray, observed: np.ndarray, clutter: np.ndarray, clutter_counts: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, list[int | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One sensor's rows over a block of frames: frame f lays out its kept
     rows ``observed[f, keep[f]]`` in object order, then its
     ``clutter_counts[f]`` rows of ``clutter``, and is shuffled by its slice of
     ``order`` (which is overwritten). Returns the rows, frame after frame, and
-    their labels (None for clutter)."""
+    their read-only labels (-1 for clutter)."""
     frame_ids, objects = np.nonzero(keep)
     frame_ids = np.concatenate([frame_ids, np.repeat(np.arange(len(keep)), clutter_counts)])
     counts = np.bincount(frame_ids, minlength=len(keep))
@@ -220,7 +221,8 @@ def _shuffled(
     # a stable sort by frame keeps each frame's observed rows ahead of its clutter
     rows = np.argsort(frame_ids, kind="stable")[order]
     labels = np.concatenate([objects, np.full(len(clutter), -1)])[rows]
-    return np.concatenate([observed[keep], clutter])[rows], np.where(labels < 0, None, labels).tolist()
+    labels.flags.writeable = False
+    return np.concatenate([observed[keep], clutter])[rows], labels
 
 
 def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
@@ -284,7 +286,7 @@ def generate(cfg: SceneConfig) -> tuple[list[SimFrame], GroundTruth]:
         la = np.concatenate([[0], np.cumsum(lidar_rows)]).tolist()
         ca = np.concatenate([[0], np.cumsum(cam_rows)]).tolist()
         return [
-            SimFrame(frame, tuple(lidar_labels[la[f] : la[f + 1]]), tuple(cam_labels[ca[f] : ca[f + 1]]))
+            SimFrame(frame, lidar_labels[la[f] : la[f + 1]], cam_labels[ca[f] : ca[f + 1]])
             for f, frame in enumerate(frames)
         ]
 
@@ -312,31 +314,49 @@ def oracle_pairs(
     Returns one pair per object detected by both sensors, in LiDAR row
     order; with probability ``error_rate`` a pair's camera endpoint is
     swapped for another detection or clutter point in the same frame (when
-    one exists).
+    one exists). The frame's labels must lie in ``[-1, n_objects)``.
+
+    The swaps come from ``default_rng([seed, frame_id, 2])``: per pair in
+    turn one ``random()`` coin, and after a coin below ``error_rate`` one
+    ``integers(0, n_cam - 1)`` draw. The coins are drawn in batches up to
+    the next swap: the generator's whole state is saved before a batch and
+    restored at its first hit, and the coins up to that hit are drawn
+    again, so every value is the one the per-pair sequence gives.
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
     fid = frame.frame.frame_id
     if not 0 <= fid < len(gt.plane):
         raise ValueError(f"frame {fid} is not part of this ground truth")
-    rng = np.random.default_rng([seed, fid, 2])
-    camera_by_id = {
-        label: j for j, label in enumerate(frame.camera_labels) if label is not None
-    }
+    n_objects = gt.plane.shape[1]
+    labels = np.concatenate((frame.lidar_labels, frame.camera_labels))
+    if len(labels) and not -1 <= labels.min() <= labels.max() < n_objects:
+        raise ValueError(f"labels of frame {fid} must lie in [-1, {n_objects})")
+    # camera row of each object, and -1 for one not seen and for clutter (the last slot)
+    camera_of = np.full(n_objects + 1, -1)
+    camera_of[frame.camera_labels] = np.arange(len(frame.camera_labels))
+    camera_of[-1] = -1
+    camera_rows = camera_of[frame.lidar_labels]
+    lidar_rows = np.flatnonzero(camera_rows >= 0)
+    camera_rows = camera_rows[lidar_rows]
     n_cam = len(frame.frame.camera_centers)
-    lidar_rows: list[int] = []
-    camera_rows: list[int] = []
-    for i, label in enumerate(frame.lidar_labels):
-        if label is None or label not in camera_by_id:
-            continue
-        j = camera_by_id[label]
-        if rng.random() < error_rate and n_cam >= 2:
+    if n_cam >= 2:  # with fewer camera rows no pair is swapped, and the draws would be discarded
+        rng = np.random.default_rng([seed, fid, 2])
+        k = 0
+        while k < len(lidar_rows):
+            # the whole state: ``advance`` would drop the half of a 64-bit
+            # output that the last ``integers`` call left for the next one
+            state = rng.bit_generator.state
+            coins = rng.random(len(lidar_rows) - k)
+            hit = int(np.argmax(coins < error_rate))  # the first hit, if there is one
+            if not coins[hit] < error_rate:
+                break
+            rng.bit_generator.state = state
+            rng.random(hit + 1)
+            k += hit
             wrong = int(rng.integers(0, n_cam - 1))
-            if wrong >= j:
-                wrong += 1
-            j = wrong
-        lidar_rows.append(i)
-        camera_rows.append(j)
+            camera_rows[k] = wrong + (wrong >= camera_rows[k])
+            k += 1
     return PairSet(
         frame.frame.lidar_centers[lidar_rows],
         frame.frame.camera_centers[camera_rows],

@@ -147,14 +147,16 @@ def naive_greedy(costs: np.ndarray, gate: float) -> list[tuple[int, int, float]]
 
 def grid_pairs(h: Homography, frames, gate):
     """Reference implicit pairing from scratch: each ``Frame`` projected on
-    its own and matched by the one-frame cost grid of ``greedy_match``."""
-    xy_out, uv_out = [np.empty((0, 2))], [np.empty((0, 2))]
+    its own and matched by the one-frame cost grid of ``greedy_match``.
+    Returns the paired ground points, pixels and projections."""
+    xy_out, uv_out, uv_hat_out = [np.empty((0, 2))], [np.empty((0, 2))], [np.empty((0, 2))]
     for frame in frames:
         uv, kept = projectable(h.m, frame.lidar_centers)
         matched = greedy_match(uv, frame.camera_centers, gate)
         xy_out.append(frame.lidar_centers[kept[matched.lidar]])
         uv_out.append(frame.camera_centers[matched.camera])
-    return np.concatenate(xy_out), np.concatenate(uv_out)
+        uv_hat_out.append(uv[matched.lidar])
+    return np.concatenate(xy_out), np.concatenate(uv_out), np.concatenate(uv_hat_out)
 
 
 def grid_fit(h: Homography, frames, cfg, lenient: bool = False) -> correction.CorrectionResult:
@@ -396,4 +398,41 @@ def naive_generate(cfg) -> tuple[list, "simulator.GroundTruth"]:
         )
     return frames, simulator.GroundTruth(
         h_true=h_true, plane=positions, pixel=pixels, in_camera=in_cam, in_lidar=in_lidar
+    )
+
+
+def naive_oracle_pairs(frame, gt, error_rate: float, seed: int) -> PairSet:
+    """Reference oracle: one scalar ``rng.random()`` coin per pair, in a
+    per-pair loop over the labels as Python ints with None for clutter (the
+    simulator's oracle before it drew its coins in batches)."""
+    if not 0.0 <= error_rate <= 1.0:
+        raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
+    fid = frame.frame.frame_id
+    if not 0 <= fid < len(gt.plane):
+        raise ValueError(f"frame {fid} is not part of this ground truth")
+    lidar_labels = [None if label < 0 else label for label in frame.lidar_labels.tolist()]
+    camera_labels = [None if label < 0 else label for label in frame.camera_labels.tolist()]
+    rng = np.random.default_rng([seed, fid, 2])
+    camera_by_id = {
+        label: j for j, label in enumerate(camera_labels) if label is not None
+    }
+    n_cam = len(frame.frame.camera_centers)
+    lidar_rows: list[int] = []
+    camera_rows: list[int] = []
+    for i, label in enumerate(lidar_labels):
+        if label is None or label not in camera_by_id:
+            continue
+        j = camera_by_id[label]
+        if rng.random() < error_rate and n_cam >= 2:
+            wrong = int(rng.integers(0, n_cam - 1))
+            if wrong >= j:
+                wrong += 1
+            j = wrong
+        lidar_rows.append(i)
+        camera_rows.append(j)
+    return PairSet(
+        frame.frame.lidar_centers[lidar_rows],
+        frame.frame.camera_centers[camera_rows],
+        np.full(len(lidar_rows), fid),
+        Source.ORACLE,
     )

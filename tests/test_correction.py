@@ -60,22 +60,34 @@ class TestImplicitPairs:
         rng = np.random.default_rng(0)
         h = scene_homography()
         lidar, camera = dense_scene(rng, h, 30)
-        xy, uv = implicit_pairs(h, one_frame(lidar, camera))
+        xy, uv, _ = implicit_pairs(h, one_frame(lidar, camera))
         assert len(xy) == 30
+
+    def test_projections_are_the_paired_rows_under_h(self):
+        # the fit reads each round's loss off these projections, so it must
+        # equal reprojection_loss on the pairs to the bit
+        rng = np.random.default_rng(3)
+        h = scene_homography()
+        lidar, camera = dense_scene(rng, h, 30)
+        xy, uv, uv_hat = implicit_pairs(h, one_frame(lidar, camera + [2.0, -1.0]))
+        assert len(xy) == 30
+        assert uv_hat.tobytes() == transform_points(h.m, xy)[0].tobytes()
+        r = (uv_hat - uv).ravel()
+        assert float(r @ r) / len(uv) == reprojection_loss(h, np.eye(3), xy, uv)
 
     def test_gate_excludes_all(self):
         h = scene_homography()
         lidar = [(0.0, 0.0)]
         u, v = project_one(h, 0.0, 0.0)
         camera = [(u + 100.0, v)]
-        xy, uv = implicit_pairs(h, one_frame(lidar, camera))
+        xy, uv, _ = implicit_pairs(h, one_frame(lidar, camera))
         assert xy.shape == (0, 2) and uv.shape == (0, 2)
 
     def test_injection_two_projections_one_detection(self):
         h = Homography.identity()
         lidar = [(0.0, 0.0), (1.0, 0.0)]
         camera = [(0.4, 0.0)]
-        xy, uv = implicit_pairs(h, one_frame(lidar, camera))
+        xy, uv, _ = implicit_pairs(h, one_frame(lidar, camera))
         assert len(xy) == 1
         assert tuple(xy[0]) == lidar[0]  # the nearer projection wins
 
@@ -95,7 +107,7 @@ class TestImplicitPairs:
             ),
             MatchGate(40.0),
         )
-        xy, uv = implicit_pairs(h, stream)
+        xy, uv, _ = implicit_pairs(h, stream)
 
         expected_xy, expected_uv = [], []
         for frame_lidar, frame_camera in zip(lidar, camera):
@@ -244,7 +256,7 @@ class TestFitCorrectionHypothesis:
         assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
         assert np.max(np.abs(compose(h0, result.h_delta).m - result.h_star.m)) <= 1e-12
         # the last trace entry is the loss of h_star on its own pairing
-        xy, uv = implicit_pairs(result.h_star, one_frame(_PERTURBED_SCENE[0], _NOISY_CAMERA, cfg.gate))
+        xy, uv, _ = implicit_pairs(result.h_star, one_frame(_PERTURBED_SCENE[0], _NOISY_CAMERA, cfg.gate))
         assert len(xy) == result.pairs_used
         assert reprojection_loss(result.h_star, np.eye(3), xy, uv) == pytest.approx(trace[-1], rel=1e-9)
 

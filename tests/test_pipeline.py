@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -276,6 +277,104 @@ class TestFrameIdOffset:
 
         assert bits(moved, offset) == bits(base, 0)
         assert [r.frame_id for r in base.checkpoints] == [99, 119]
+
+
+def _ground_similarity(log2_scale: float, angle: float, tx: float, ty: float) -> np.ndarray:
+    """The 3x3 matrix of the ground-plane map ``x -> s R x + t``."""
+    c, s = 2.0**log2_scale * math.cos(angle), 2.0**log2_scale * math.sin(angle)
+    return np.array([[c, -s, tx], [s, c, ty], [0.0, 0.0, 1.0]])
+
+
+def _run_with_ground_moved(seed: int, move: np.ndarray):
+    """``run_full`` on the 120 x 12 scene ``seed`` with every ground point
+    (of the frames, the oracle's pairs and the ground-truth pairs) mapped by
+    the affine 3x3 ``move``."""
+    scene = SceneConfig(seed=seed, n_frames=120, n_objects=12)
+    sim_frames, gt = generate(scene)
+    by_id = {sf.frame.frame_id: sf for sf in sim_frames}
+
+    def moved(xy):
+        return xy @ move[:2, :2].T + move[:2, 2]
+
+    def moved_pairs(pairs):
+        return PairSet(moved(pairs.xy), pairs.uv, pairs.frame_ids, pairs.source)
+
+    def oracle(frame):
+        return moved_pairs(oracle_pairs(by_id[frame.frame_id], gt, scene.oracle_error_rate, seed))
+
+    frames = [
+        Frame(sf.frame.frame_id, moved(sf.frame.lidar_centers), sf.frame.camera_centers)
+        for sf in sim_frames
+    ]
+    cfg = PipelineConfig(
+        grid=BlockGrid(scene.image_width, scene.image_height), ransac=RansacConfig(seed=seed)
+    )
+    return run_full(frames, oracle, cfg, moved_pairs(gt.correspondences()))
+
+
+@functools.cache
+def _run_unmoved(seed: int):
+    return _run_with_ground_moved(seed, np.eye(3))
+
+
+_SIMILARITIES = dict(
+    seed=st.sampled_from([0, 1]),
+    log2_scale=st.floats(-2.0, 2.0),
+    angle=st.floats(-math.pi, math.pi),
+    tx=st.floats(-200.0, 200.0),
+    ty=st.floats(-200.0, 200.0),
+)
+
+
+class TestGroundSimilarity:
+    """A similarity of the ground plane only renames ground coordinates: the
+    pipeline should make the same decisions, and each matrix should be
+    today's composed with the inverse map, with today's AEDs (a metamorphic
+    test). The solvers work in raw coordinates, so the matrices agree to
+    rounding only. On 312 runs (72 random draws of this range and a grid of
+    240 with its end points, on scenes 0-2) the canonical matrices of the
+    stages that agreed differed by at most 1.2e-9 per entry and the stage
+    AEDs by a relative 2.6e-7; the bounds below are about 17 and 19 times
+    that."""
+
+    @staticmethod
+    def compare(seed, log2_scale, angle, tx, ty, stages):
+        """Both runs, after checking each ``(matrix field, stage)`` of
+        ``stages`` against the bounds."""
+        move = _ground_similarity(log2_scale, angle, tx, ty)
+        base, moved = _run_unmoved(seed), _run_with_ground_moved(seed, move)
+        for field, stage in stages:
+            back = Homography(getattr(moved, field).m @ move)
+            assert np.max(np.abs(back.m - getattr(base, field).m)) <= 2e-8, field
+            aed = base.stage_metrics[stage].aed
+            assert moved.stage_metrics[stage].aed == pytest.approx(aed, rel=5e-6, abs=0.0), stage
+        return base, moved
+
+    @settings(max_examples=25)
+    @given(**_SIMILARITIES)
+    def test_same_decisions_and_later_stages(self, seed, log2_scale, angle, tx, ty):
+        base, moved = self.compare(
+            seed, log2_scale, angle, tx, ty, (("h_iterative", "iterative"), ("h_star", "correction"))
+        )
+
+        def decisions(report):
+            return report.correction.pairs_used, [
+                (r.frame_id, r.updated, r.skipped) for r in report.checkpoints
+            ]
+
+        assert decisions(moved) == decisions(base)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="estimate_homography refuses a minimal-sample fit whose canonical matrix has "
+        "|det| <= 1e-12, a test that depends on the ground scale (see CHANGES.md, FOUND)",
+    )
+    @settings(max_examples=25)
+    @example(seed=1, log2_scale=2.0, angle=0.0, tx=0.0, ty=-10.0)
+    @given(**_SIMILARITIES)
+    def test_coarse_stage(self, seed, log2_scale, angle, tx, ty):
+        self.compare(seed, log2_scale, angle, tx, ty, (("h_coarse", "coarse"),))
 
 
 class TestSplitEvalPairs:

@@ -13,13 +13,29 @@ from calibrefine.simulator import (
     oracle_pairs,
     random_homography,
 )
-from conftest import naive_generate, naive_random_homography, project_one
+from conftest import (
+    assert_same_pairs,
+    naive_generate,
+    naive_oracle_pairs,
+    naive_random_homography,
+    point_array,
+    project_one,
+)
 
 
 def light_scene(**overrides):
     defaults = dict(seed=0, n_frames=60, n_objects=8)
     defaults.update(overrides)
     return SceneConfig(**defaults)
+
+
+def assert_labels_as_reference(got, want):
+    """Array labels against the reference's tuple of ints and None: a
+    read-only integer array holding the same objects, with -1 exactly where
+    the reference holds None."""
+    assert got.dtype == np.intp and got.ndim == 1 and not got.flags.writeable
+    assert np.array_equal(got == -1, [label is None for label in want])
+    assert got.tolist() == [-1 if label is None else label for label in want]
 
 
 class TestSceneConfig:
@@ -143,7 +159,7 @@ class TestRandomHomographyMatchesReference:
 
 class TestGenerateMatchesReference:
     # Bit for bit against the frame-by-frame generator in conftest: frames,
-    # labels (with their Python types) and ground truth.
+    # labels (as integer arrays against its tuples) and ground truth.
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -174,10 +190,8 @@ class TestGenerateMatchesReference:
             for name in ("lidar_centers", "camera_centers"):
                 x, y = getattr(a.frame, name), getattr(b.frame, name)
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (a.frame.frame_id, name)
-            assert a.lidar_labels == b.lidar_labels and a.camera_labels == b.camera_labels
-            assert [type(x) for x in a.lidar_labels + a.camera_labels] == [
-                type(x) for x in b.lidar_labels + b.camera_labels
-            ]
+            assert_labels_as_reference(a.lidar_labels, b.lidar_labels)
+            assert_labels_as_reference(a.camera_labels, b.camera_labels)
         assert gt.h_true.m.tobytes() == ref_gt.h_true.m.tobytes()
         for name in ("plane", "pixel", "in_camera", "in_lidar"):
             x, y = getattr(gt, name), getattr(ref_gt, name)
@@ -194,7 +208,8 @@ class TestGenerate:
             assert a.frame.frame_id == b.frame.frame_id
             assert a.frame.lidar_centers.tobytes() == b.frame.lidar_centers.tobytes()
             assert a.frame.camera_centers.tobytes() == b.frame.camera_centers.tobytes()
-            assert (a.lidar_labels, a.camera_labels) == (b.lidar_labels, b.camera_labels)
+            for x, y in ((a.lidar_labels, b.lidar_labels), (a.camera_labels, b.camera_labels)):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         assert np.array_equal(gt_a.h_true.m, gt_b.h_true.m)
         for name in ("plane", "pixel", "in_camera", "in_lidar"):
             assert np.array_equal(getattr(gt_a, name), getattr(gt_b, name))
@@ -203,8 +218,9 @@ class TestGenerate:
         cfg = light_scene(camera_dropout=1.0, lidar_dropout=1.0)
         frames, _ = generate(cfg)
         for sf in frames:
-            assert all(label is None for label in sf.lidar_labels)
-            assert all(label is None for label in sf.camera_labels)
+            assert sf.lidar_labels.dtype == sf.camera_labels.dtype == np.intp
+            assert (sf.lidar_labels == -1).all() and (sf.camera_labels == -1).all()
+        assert sum(len(sf.lidar_labels) + len(sf.camera_labels) for sf in frames) > 0
 
     def test_noiseless_limit_exact_projection(self):
         cfg = light_scene(
@@ -260,14 +276,32 @@ class TestGenerate:
             n_frames_total += cfg.n_frames
             n_fov += int(np.count_nonzero(gt.in_camera))
             for sf in frames:
-                n_emitted += sum(label is not None for label in sf.camera_labels)
-                n_clutter += sum(label is None for label in sf.camera_labels)
+                n_emitted += int(np.count_nonzero(sf.camera_labels >= 0))
+                n_clutter += int(np.count_nonzero(sf.camera_labels == -1))
         p_keep = 1.0 - SceneConfig().camera_dropout
         expected = n_fov * p_keep
         sigma = math.sqrt(n_fov * p_keep * (1 - p_keep))
         assert abs(n_emitted - expected) <= 3 * sigma
         mu = SceneConfig().clutter_per_frame * n_frames_total
         assert abs(n_clutter - mu) <= 3 * math.sqrt(mu)
+
+    def test_labels_are_read_only_object_indices(self):
+        cfg = light_scene(n_frames=120)
+        frames, _ = generate(cfg)
+        lidar = np.concatenate([sf.lidar_labels for sf in frames])
+        camera = np.concatenate([sf.camera_labels for sf in frames])
+        for labels in (lidar, camera):
+            assert labels.dtype == np.intp
+            assert -1 == labels.min() and labels.max() == cfg.n_objects - 1
+        for sf in frames:
+            assert len(sf.lidar_labels) == len(sf.frame.lidar_centers)
+            assert len(sf.camera_labels) == len(sf.frame.camera_centers)
+            # one detection per object and sensor in a frame
+            for labels in (sf.lidar_labels, sf.camera_labels):
+                objects = labels[labels >= 0]
+                assert len(np.unique(objects)) == len(objects)
+        with pytest.raises(ValueError):
+            frames[0].lidar_labels[0] = 0
 
     def test_fov_asymmetry_present(self):
         frames, gt = generate(light_scene(n_frames=200))
@@ -280,10 +314,10 @@ class TestOraclePairs:
     def test_zero_error_rate_matches_labels(self):
         frames, gt = generate(light_scene())
         for sf in frames[:20]:
-            cam_by_label = dict(zip(sf.camera_labels, sf.frame.camera_centers.tolist()))
+            cam_by_label = dict(zip(sf.camera_labels.tolist(), sf.frame.camera_centers.tolist()))
             pairs = oracle_pairs(sf, gt, 0.0, seed=1)
-            lidar_by_label = dict(zip(sf.lidar_labels, sf.frame.lidar_centers.tolist()))
-            expected_ids = set(lidar_by_label) & set(cam_by_label) - {None}
+            lidar_by_label = dict(zip(sf.lidar_labels.tolist(), sf.frame.lidar_centers.tolist()))
+            expected_ids = set(lidar_by_label) & set(cam_by_label) - {-1}
             assert len(pairs) == len(expected_ids)
             for xy, uv in zip(pairs.xy.tolist(), pairs.uv.tolist()):
                 assert any(
@@ -319,3 +353,84 @@ class TestOraclePairs:
         frames, gt = generate(light_scene())
         with pytest.raises(ValueError):
             oracle_pairs(frames[0], gt, 1.5, seed=0)
+
+
+def hand_frame(fid, lidar_labels, camera_labels):
+    """A SimFrame whose LiDAR and camera rows are distinct points carrying
+    the given labels."""
+    lidar = point_array([(float(i), 0.0) for i in range(len(lidar_labels))])
+    camera = point_array([(0.0, float(j)) for j in range(len(camera_labels))])
+    return SimFrame(Frame(fid, lidar, camera), np.array(lidar_labels, np.intp), np.array(camera_labels, np.intp))
+
+
+ORACLE_RATES = [0.0, 0.02, 0.3, 0.999, 1.0]
+
+
+class TestOracleMatchesReference:
+    # Bit for bit against the per-pair loop in conftest, which draws one
+    # scalar coin per pair: the batched draws must give every coin and every
+    # swap target in the same order, including the half of a 64-bit output
+    # that the generator keeps between two ``integers`` calls.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"n_frames": 40, "n_objects": 200},
+            {"n_frames": 200, "n_objects": 3},
+            {"n_frames": 50, "n_objects": 1},
+            {"clutter_per_frame": 0.0},
+            {"camera_dropout": 1.0},
+        ],
+        ids=["60x8", "40x200", "200x3", "50x1", "no-clutter", "camera-dropout-1"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_frame_of_a_scene(self, overrides, seed):
+        frames, gt = generate(light_scene(seed=seed, **overrides))
+        for rate in ORACLE_RATES:
+            for sf in frames:
+                assert_same_pairs(oracle_pairs(sf, gt, rate, seed), naive_oracle_pairs(sf, gt, rate, seed))
+
+    def test_scenes_hold_frames_with_several_swaps(self):
+        # the case the saved state exists for: later swaps of a frame draw
+        # their targets after earlier ones
+        frames, gt = generate(light_scene(n_frames=40, n_objects=200))
+        swaps = [
+            int((oracle_pairs(sf, gt, 0.3, 0).uv != oracle_pairs(sf, gt, 0.0, 0).uv).any(axis=1).sum())
+            for sf in frames
+        ]
+        assert min(swaps) >= 2
+
+    @pytest.mark.parametrize(
+        "lidar_labels, camera_labels",
+        [
+            ([], []),
+            ([0, -1, 1], []),
+            ([2, 0, -1], [0]),
+            ([-1, 0], [-1]),
+            ([1, 0, 3], [0, 1]),
+            ([1, -1, 0], [-1, 1]),
+            ([3, 2, 1, 0, -1, 4], [0, 1, 2, 3, 4]),
+            ([0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0, -1, -1]),
+        ],
+        ids=["empty", "no-camera", "one-camera", "one-camera-clutter", "two-camera",
+             "two-camera-clutter", "five", "eight-reversed"],
+    )
+    @pytest.mark.parametrize("rate", ORACLE_RATES)
+    def test_frames_with_few_camera_rows(self, lidar_labels, camera_labels, rate):
+        # with 2 camera rows the swap target is ``integers(0, 1)``, which
+        # draws nothing; with fewer than 2 nothing is swapped
+        _, gt = generate(light_scene())
+        for fid in range(30):
+            sf = hand_frame(fid, lidar_labels, camera_labels)
+            for seed in range(3):
+                assert_same_pairs(oracle_pairs(sf, gt, rate, seed), naive_oracle_pairs(sf, gt, rate, seed))
+
+    @pytest.mark.parametrize(
+        "lidar_labels, camera_labels",
+        [([0, 8], [0]), ([0, -2], [0]), ([0], [0, 8]), ([0], [-2, 0])],
+        ids=["lidar-past-objects", "lidar-below-clutter", "camera-past-objects", "camera-below-clutter"],
+    )
+    def test_label_out_of_range_raises(self, lidar_labels, camera_labels):
+        _, gt = generate(light_scene())
+        with pytest.raises(ValueError, match=r"labels of frame 3 must lie in \[-1, 8\)"):
+            oracle_pairs(hand_frame(3, lidar_labels, camera_labels), gt, 0.02, seed=0)
