@@ -59,7 +59,7 @@ def block_of(grid: BlockGrid, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     block of each axis.
     """
     u, v = uv[:, 0], uv[:, 1]
-    rows = np.flatnonzero((0.0 <= u) & (u < grid.image_width) & (0.0 <= v) & (v < grid.image_height))
+    rows = ((0.0 <= u) & (u < grid.image_width) & (0.0 <= v) & (v < grid.image_height)).nonzero()[0]
     ix = np.minimum(u[rows] // grid.block_width, grid.blocks_x - 1).astype(np.intp)
     iy = np.minimum(v[rows] // grid.block_height, grid.blocks_y - 1).astype(np.intp)
     return rows, ix, iy
@@ -76,24 +76,30 @@ def retained_rows(grid: BlockGrid, uv: np.ndarray, skip_parity: bool):
     return rows, ix, iy
 
 
-def block_winners(uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_parity: bool):
+def block_winners(
+    uv: np.ndarray, frame_of: np.ndarray, grid: BlockGrid, skip_parity: bool, retained=None
+):
     """The block rule, on every frame of ``(N, 2)`` pixels at once.
 
     Per (frame, block) it keeps the row nearest the block center, the
     earliest row winning a tie. Rows outside the image are dropped, and with
     ``skip_parity`` so are blocks of the non-retained checkerboard class.
-    ``frame_of`` holds the frame of each row. Returns the winning rows in
-    input order and their block indices ``ix``, ``iy``.
+    ``frame_of`` holds the frame of each row. ``retained``, when given, is
+    what :func:`retained_rows` returns for the same pixels, grid and
+    ``skip_parity``, and is used instead of computing it. Returns the
+    winning rows in input order and their block indices ``ix``, ``iy``.
     """
-    rows, ix, iy = retained_rows(grid, uv, skip_parity)
+    rows, ix, iy = retained_rows(grid, uv, skip_parity) if retained is None else retained
     u, v = uv[:, 0][rows], uv[:, 1][rows]
     d2 = (u - (ix + 0.5) * grid.block_width) ** 2 + (v - (iy + 0.5) * grid.block_height) ** 2
     key = (frame_of[rows] * grid.blocks_y + iy) * grid.blocks_x + ix
-    order = np.lexsort((rows, d2, key))
+    # rows ascend and lexsort is stable, so the earliest row wins a tie
+    order = np.lexsort((d2, key))
     key = key[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    won = np.sort(order[first])
+    won = order[first]
+    won.sort()
     return rows[won], ix[won], iy[won]
 
 

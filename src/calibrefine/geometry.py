@@ -158,9 +158,24 @@ class PairSet:
             source[:] = self.source
             if source.shape != (n,) or not {*map(type, source.tolist())} <= {Source}:
                 raise ValueError("source must hold one Source per pair")
+        self._hold(xy, uv, frame_ids, source)
+
+    def _hold(self, xy, uv, frame_ids, source) -> "PairSet":
         for name, column in (("xy", xy), ("uv", uv), ("frame_ids", frame_ids), ("source", source)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        return self
+
+    @classmethod
+    def _checked(cls, xy, uv, frame_ids, source) -> "PairSet":
+        """The pair set of columns that already hold what the constructor
+        checks for: float ``(N, 2)`` ``xy`` and ``uv`` of finite values,
+        ``(N,)`` int64 ``frame_ids`` >= 0 and an ``(N,)`` object column of
+        ``Source``s, or one ``Source`` for every row. Held as they are,
+        made read-only, with no copy and no re-check."""
+        if isinstance(source, Source):
+            source = np.full(len(frame_ids), source, dtype=object)
+        return object.__new__(cls)._hold(xy, uv, frame_ids, source)
 
     @classmethod
     def of(cls, pairs: "PairSet | Iterable[tuple]") -> "PairSet":
@@ -174,9 +189,12 @@ class PairSet:
 
     @classmethod
     def concat(cls, sets: Iterable["PairSet"]) -> "PairSet":
-        """The rows of several pair sets, in order."""
+        """The rows of several pair sets, in order; ``TypeError`` unless each
+        is a ``PairSet``."""
         sets = list(sets)
-        return cls(
+        if not all(isinstance(s, PairSet) for s in sets):
+            raise TypeError("PairSet.concat takes PairSets only")
+        return cls._checked(
             np.concatenate([np.empty((0, 2))] + [s.xy for s in sets]),
             np.concatenate([np.empty((0, 2))] + [s.uv for s in sets]),
             np.concatenate([np.empty(0, np.int64)] + [s.frame_ids for s in sets]),
@@ -394,7 +412,7 @@ def projectable(matrix: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndar
     Returns the (K, 2) pixels of the kept rows and their (K,) row indices.
     """
     uv, ok = projection_mask(matrix, xy)
-    kept = np.flatnonzero(ok)
+    kept = ok.nonzero()[0]
     return uv[kept], kept
 
 

@@ -85,7 +85,7 @@ def _within(du: np.ndarray, dv: np.ndarray, radius: float):
     differences whose cost ``hypot(du, dv)`` is at most ``radius``, and
     those costs. A squared-distance prefilter spares most ``hypot`` calls;
     ``hypot`` alone decides."""
-    idx = np.nonzero(du * du + dv * dv <= radius * radius * (1.0 + _PREFILTER_SLACK))
+    idx = (du * du + dv * dv <= radius * radius * (1.0 + _PREFILTER_SLACK)).nonzero()
     cost = np.hypot(du[idx], dv[idx])
     admitted = cost <= radius
     return tuple(k[admitted] for k in idx), cost[admitted]
@@ -274,7 +274,7 @@ def candidate_edges(proj, dets, radius: float, lidar_frame=None, camera_frame=No
     u = dets[camera, 0]
     lo, hi = u.min(), u.max()
     reach = min(radius, hi - lo) + 1.0
-    lidar_key = np.clip(proj[lidar, 0], lo, hi) - lo
+    lidar_key = proj[lidar, 0].clip(lo, hi) - lo
     camera_key = u - lo
     if lidar_frame is not None:
         stride = hi - lo + 2.0 * reach
@@ -310,7 +310,7 @@ def candidate_edges(proj, dets, radius: float, lidar_frame=None, camera_frame=No
     # The edges are distinct (LiDAR row, camera row) pairs, so any sort of
     # one unique integer key orders them as lexsort((camera, lidar)) does,
     # about ten times faster on a stream.
-    order = np.argsort(lidar * len(dets) + camera)
+    order = (lidar * len(dets) + camera).argsort()
     return lidar[order], camera[order], cost[order]
 
 

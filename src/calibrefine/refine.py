@@ -34,9 +34,10 @@ from .ransac import RansacConfig, ransac_homography
 #: Pairs a single block keeps at most, counting the "sufficiently distinct" ones.
 BLOCK_CAPACITY = 3
 
-# Relative slack of a window's live-frame distance test: np.hypot may differ
-# from math.hypot in the last ulp, so a pixel that close to the radius counts
-# as open and is left to the admission loop, which decides on math.hypot.
+# Relative slack of ingest_frame's open-detection distance test, which every
+# call makes, on one frame or a window: np.hypot may differ from math.hypot
+# in the last ulp, so a pixel that close to the radius counts as open and is
+# left to the admission loop, which decides on math.hypot.
 _OPEN_SLACK = 1e-9
 
 
@@ -139,12 +140,14 @@ def ingest_frame(
     A window is folded exactly as its frames would be one by one: one
     projection through ``h_best``, one greedy matching inside each frame,
     one block sampling of each frame, then one admission loop over the
-    block winners in frame order. A frame of a window is matched only when
-    one of its detections could still be admitted under the set as the
-    window found it; the others could add nothing. Never touches
-    ``h_best``. LiDAR centers that project degenerately are skipped and
-    tallied. Raises ``OutOfOrderFrame`` before anything is folded when the
-    frame ids do not strictly increase.
+    block winners in frame order. A frame, alone or in a window, is matched
+    only when one of its detections is open, that is, could still be
+    admitted under the set as the call found it; the others could add
+    nothing. A call without an open detection returns right after the
+    projection, matching and sampling nothing. Never touches ``h_best``.
+    LiDAR centers that project degenerately are skipped and tallied.
+    Raises ``OutOfOrderFrame`` before anything is folded when the frame ids
+    do not strictly increase.
     """
     window = None if isinstance(frames, Frame) else FrameStream.of(frames)
     if window is not None and len(window) == 1:
@@ -154,44 +157,71 @@ def ingest_frame(
         if frame_id <= last_id:
             raise OutOfOrderFrame(f"frame {frame_id} after frame {last_id}")
 
-    counts, stored = _occupancy_arrays(state, cfg.grid)
-    radius = half_block_diagonal(cfg.grid)
     if window is None:
         lidar_xy, camera_uv = frames.lidar_centers, frames.camera_centers
-        uv, kept = projectable(state.h_best.m, lidar_xy)
+    else:
+        lidar_xy, camera_uv = window.lidar_xy, window.camera_uv
+    uv, kept = projectable(state.h_best.m, lidar_xy)
+    counts, stored = _occupancy_arrays(state, cfg.grid)
+
+    def folded(accumulated: PairSet, counts: np.ndarray, stored: np.ndarray) -> CalibrationState:
+        return replace(
+            state,
+            accumulated=accumulated,
+            frames_seen=state.frames_seen + len(ids) - 1,
+            last_frame_id=ids[-1],
+            degenerate_skipped=state.degenerate_skipped + len(lidar_xy) - len(kept),
+            _occupancy=(accumulated, cfg.grid, counts, stored),
+        )
+
+    # Occupancy only grows within a call, so a detection its starting
+    # occupancy refuses stays refused: a frame without an open detection
+    # can admit nothing and is not matched.
+    radius = half_block_diagonal(cfg.grid)
+    retained, ix, iy = retained_rows(cfg.grid, camera_uv, cfg.skip_parity)
+    block = iy * cfg.grid.blocks_x + ix
+    d = camera_uv[retained][:, None, :] - stored[block]
+    near = (np.hypot(d[..., 0], d[..., 1]) < radius * (1.0 - _OPEN_SLACK)).any(axis=1)
+    is_open = (counts[block] < BLOCK_CAPACITY) & ~near
+    if not is_open.any():
+        return folded(state.accumulated, counts, stored)
+    if window is None:
         matched = greedy_match(uv, camera_uv, cfg.gate)
         lidar_rows, camera_rows = matched.lidar, matched.camera
         frame_of = np.zeros(len(camera_rows), dtype=np.intp)
     else:
-        lidar_xy, camera_uv = window.lidar_xy, window.camera_uv
-        uv, kept = projectable(state.h_best.m, lidar_xy)
         lidar_frame, camera_frame = window.lidar_frame[kept], window.camera_frame
-        # Occupancy only grows within a window, so a detection its starting
-        # occupancy refuses stays refused: a frame without an open detection
-        # can admit nothing and is not matched.
-        rows, ix, iy = retained_rows(cfg.grid, camera_uv, cfg.skip_parity)
-        block = iy * cfg.grid.blocks_x + ix
-        d = camera_uv[rows, None, :] - stored[block]
-        near = (np.hypot(d[..., 0], d[..., 1]) < radius * (1.0 - _OPEN_SLACK)).any(axis=1)
         live = np.zeros(len(window), dtype=bool)
-        live[camera_frame[rows[(counts[block] < BLOCK_CAPACITY) & ~near]]] = True
-        lidar_rows = np.flatnonzero(live[lidar_frame])
-        camera_rows = np.flatnonzero(live[camera_frame])
-        if len(camera_rows):
-            matched = greedy_match(
-                uv[lidar_rows],
-                camera_uv[camera_rows],
-                cfg.gate,
-                lidar_frame[lidar_rows],
-                camera_frame[camera_rows],
-            )
-            lidar_rows, camera_rows = lidar_rows[matched.lidar], camera_rows[matched.camera]
+        live[camera_frame[retained[is_open]]] = True
+        lidar_rows = live[lidar_frame].nonzero()[0]
+        camera_rows = live[camera_frame].nonzero()[0]
+        matched = greedy_match(
+            uv[lidar_rows],
+            camera_uv[camera_rows],
+            cfg.gate,
+            lidar_frame[lidar_rows],
+            camera_frame[camera_rows],
+        )
+        lidar_rows, camera_rows = lidar_rows[matched.lidar], camera_rows[matched.camera]
         frame_of = camera_frame[camera_rows]
     pixels = camera_uv[camera_rows]
+    # The block lookup of the matched detections is read off that of every
+    # detection, by the position in ``retained`` of each camera row (-1 for
+    # one outside it).
+    at = np.full(len(camera_uv), -1)
+    at[retained] = np.arange(len(retained))
+    pos = at[camera_rows]
+    lookup = (pos >= 0).nonzero()[0]
+    pos = pos[lookup]
     # Winners are picked among every match: a detection that was not open
-    # when the window started still takes its block for its frame. As
-    # occupancy only grows within a window, the admission loop refuses it.
-    rows, ix, iy = block_winners(pixels, frame_of, cfg.grid, cfg.skip_parity)
+    # when the call started still takes its block for its frame. As
+    # occupancy only grows within a call, the admission loop would refuse
+    # it, so only the open winners go to the loop.
+    rows, ix, iy = block_winners(
+        pixels, frame_of, cfg.grid, cfg.skip_parity, (lookup, ix[pos], iy[pos])
+    )
+    keep = is_open[at[camera_rows[rows]]]
+    rows, ix, iy = rows[keep], ix[keep], iy[keep]
 
     # Block sampling keeps at most one winner per block and frame, so within
     # a frame admitting one never changes what another is checked against.
@@ -210,21 +240,15 @@ def ingest_frame(
 
     accumulated = state.accumulated
     if admitted:
-        frame_ids = np.array(ids[1:])
-        accumulated = PairSet.concat([accumulated, PairSet(
+        # matched rows of checked frames under their checked ids
+        frame_ids = np.array(ids[1:], dtype=np.int64)
+        accumulated = PairSet.concat([accumulated, PairSet._checked(
             lidar_xy[kept[lidar_rows[admitted]]],
             pixels[admitted],
             frame_ids[frame_of[admitted]],
             Source.GREEDY_MATCHED,
         )])
-    return replace(
-        state,
-        accumulated=accumulated,
-        frames_seen=state.frames_seen + len(ids) - 1,
-        last_frame_id=ids[-1],
-        degenerate_skipped=state.degenerate_skipped + len(lidar_xy) - len(kept),
-        _occupancy=(accumulated, cfg.grid, counts, stored),
-    )
+    return folded(accumulated, counts, stored)
 
 
 def checkpoint_recalibrate(state: CalibrationState, cfg: RefineConfig) -> CalibrationState:

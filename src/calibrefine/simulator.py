@@ -357,9 +357,10 @@ def oracle_pairs(
             wrong = int(rng.integers(0, n_cam - 1))
             camera_rows[k] = wrong + (wrong >= camera_rows[k])
             k += 1
-    return PairSet(
+    # rows of a checked Frame under its checked id, so nothing is checked again
+    return PairSet._checked(
         frame.frame.lidar_centers[lidar_rows],
         frame.frame.camera_centers[camera_rows],
-        np.full(len(lidar_rows), fid),
+        np.full(len(lidar_rows), fid, dtype=np.int64),
         Source.ORACLE,
     )

@@ -86,6 +86,19 @@ def assert_same_pairs(a: PairSet, b: PairSet) -> None:
     assert a.source.tolist() == b.source.tolist()
 
 
+def assert_as_checked(pairs: PairSet) -> None:
+    """``pairs``, built without a check, holds what the checking constructor
+    gives on the same columns: the same dtypes, shapes and bytes, read-only
+    columns and the very ``Source`` objects."""
+    checked = PairSet(pairs.xy, pairs.uv, pairs.frame_ids, pairs.source)
+    for name in ("xy", "uv", "frame_ids", "source"):
+        x, y = getattr(pairs, name), getattr(checked, name)
+        assert x.shape == y.shape and x.dtype == y.dtype, name
+        assert not x.flags.writeable and not y.flags.writeable, name
+    assert_same_pairs(pairs, checked)
+    assert all(a is b for a, b in zip(pairs.source.tolist(), checked.source.tolist()))
+
+
 def assert_same_frames(read, written) -> None:
     """Same int ids and bit-identical read-only arrays (this tells -0.0
     from 0.0)."""

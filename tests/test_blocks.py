@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calibrefine.blocks import BlockGrid, Parity, block_of, block_sample, block_winners, kept_blocks
+from calibrefine.blocks import (
+    BlockGrid,
+    Parity,
+    block_of,
+    block_sample,
+    block_winners,
+    kept_blocks,
+    retained_rows,
+)
 
 from conftest import (
     assert_same_pairs,
@@ -221,3 +229,15 @@ class TestBlockRuleHypothesis:
         winners = naive_block_winners(pixels, frames, grid, skip_parity)
         assert rows.tolist() == winners
         assert list(zip(ix.tolist(), iy.tolist())) == [naive_block(grid, *pixels[r]) for r in winners]
+
+    @settings(max_examples=200)
+    @given(case=_block_case())
+    def test_winners_given_the_lookup_equal_those_that_compute_it(self, case):
+        grid, pixels, frames, skip_parity = case
+        uv = np.array(pixels, dtype=float).reshape(-1, 2)
+        frame_of = np.array(frames, dtype=np.intp)
+        lookup = retained_rows(grid, uv, skip_parity)
+        given_lookup = block_winners(uv, frame_of, grid, skip_parity, lookup)
+        computed = block_winners(uv, frame_of, grid, skip_parity)
+        for a, b in zip(given_lookup, computed):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()

@@ -29,6 +29,7 @@ from calibrefine.geometry import (
 )
 
 from conftest import (
+    assert_as_checked,
     assert_same_frames,
     assert_same_pairs,
     exact_pairs,
@@ -460,6 +461,20 @@ class TestPairSet:
         a, b = two_pairs(), two_pairs(frame_ids=[11, 12], source=Source.ORACLE)
         joined = PairSet.concat([a, PairSet([], [], [], []), b])
         assert list(joined) == list(a) + list(b)
+
+    def test_concat_holds_what_the_constructor_checks(self):
+        a, b = two_pairs(), two_pairs(frame_ids=[11, 12], source=Source.ORACLE)
+        for parts in ([], [a], [PairSet([], [], [], [])], [a, PairSet([], [], [], []), b[[1]], b]):
+            assert_as_checked(PairSet.concat(parts))
+
+    @pytest.mark.parametrize(
+        "part",
+        [[(0.5, -1.0, 10.0, 20.0, 4, Source.ORACLE)], (0.5, -1.0, 10.0, 20.0, 4, Source.ORACLE), None],
+        ids=["rows", "one-row", "none"],
+    )
+    def test_concat_refuses_parts_that_are_not_pair_sets(self, part):
+        with pytest.raises(TypeError, match="PairSets only"):
+            PairSet.concat([two_pairs(), part])
 
     @pytest.mark.parametrize(
         "columns",

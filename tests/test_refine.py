@@ -34,6 +34,7 @@ from calibrefine.refine import (
 from calibrefine.simulator import SceneConfig, generate
 
 from conftest import (
+    assert_as_checked,
     assert_same_pairs,
     naive_block,
     naive_block_sample,
@@ -110,6 +111,33 @@ class TestIngestFrame:
             block = naive_block(GRID, u, v)
             block_counts[block] = block_counts.get(block, 0) + 1
         assert max(block_counts.values()) <= BLOCK_CAPACITY
+
+    @pytest.mark.parametrize("as_window", [False, True])
+    def test_admitted_rows_hold_what_the_constructor_checks(self, as_window, monkeypatch):
+        # the admitted rows of each call, told from the concatenations by
+        # their one Source for every row
+        admitted = []
+        checked = PairSet._checked
+
+        def spy(*columns):
+            pairs = checked(*columns)
+            if isinstance(columns[3], Source):
+                admitted.append(pairs)
+            return pairs
+
+        monkeypatch.setattr(PairSet, "_checked", spy)
+        h = scene_homography()
+        frames = [
+            frame_from(h, 7, [(1.0, 1.0), (30.0, 50.0), (60.0, 20.0), (85.0, 85.0)]),
+            frame_from(h, 9, [(5.0, 70.0), (50.0, 50.0)]),
+        ]
+        state = CalibrationState.initial(h)
+        for folded in [frames] if as_window else frames:
+            state = ingest_frame(state, folded, CFG)
+        assert len(admitted) == (1 if as_window else 2)
+        assert sum(map(len, admitted)) == len(state.accumulated) >= 4
+        for pairs in admitted + [state.accumulated]:
+            assert_as_checked(pairs)
 
     def test_out_of_order_frame_rejected(self):
         h = scene_homography()
@@ -425,17 +453,22 @@ def naive_open(accumulated, u, v, grid, skip_parity):
 
 
 class TestLiveFrames:
-    """Windows skip the matching of every frame the window's starting
-    occupancy leaves no open detection in; seeds fill most blocks here, so
-    most frames are dead."""
+    """Every call, on a single frame or a window, skips the matching of each
+    frame its starting occupancy leaves no open detection in; seeds fill
+    most blocks here, so most frames are dead."""
 
     @settings(max_examples=300)
     # the non-open (194, 194) takes the LiDAR point from the open (205, 205):
-    # nothing is admitted
+    # nothing is admitted, in a window or frame by frame
     @example(
         full=[], seeds=[(190.0, 190.0)],
         frames=[(0, [(195.0, 195.0, -1.0)], [(205.0, 205.0)]), (0, [], [])],
         interval=2, parity=Parity.EVEN, skip_parity=True,
+    )
+    @example(
+        full=[], seeds=[(190.0, 190.0)],
+        frames=[(0, [(195.0, 195.0, -1.0)], [(205.0, 205.0)]), (0, [], [])],
+        interval=1, parity=Parity.EVEN, skip_parity=True,
     )
     # the non-open (100, 100) is nearer the block centre than the open
     # (190, 190) and wins the block: nothing is admitted
@@ -460,7 +493,7 @@ class TestLiveFrames:
         full=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 5)), max_size=25),
         seeds=st.lists(st.tuples(_spot, _spot), max_size=6),
         frames=st.lists(_frame, min_size=1, max_size=8),
-        interval=st.integers(2, 6),
+        interval=st.integers(1, 6),
         parity=st.sampled_from(Parity),
         skip_parity=st.booleans(),
     )
@@ -492,12 +525,20 @@ class TestLiveFrames:
             calls = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(refine, "greedy_match", lambda *a: calls.append(a) or greedy_match(*a))
-                state = ingest_frame(state, [frame for frame, _, _ in window], cfg)
-            if len(window) > 1:
-                # only the live frames are matched, and a window without one
-                # makes no call
-                assert len(calls) == (1 if live else 0)
-                for args in calls:
+                # a single frame is passed as itself, a window as a list
+                folded = window[0][0] if len(window) == 1 else [frame for frame, _, _ in window]
+                state = ingest_frame(state, folded, cfg)
+            # one greedy_match call for the live frames, none without one
+            assert len(calls) == (1 if live else 0)
+            for args in calls:
+                if len(window) == 1:
+                    # a single frame is matched on its own arrays, without
+                    # frame maps
+                    frame = window[0][0]
+                    uv, _ = projectable(PROJECTIVE.m, frame.lidar_centers)
+                    assert len(args) == 3 and args[1] is frame.camera_centers
+                    assert np.array_equal(args[0], uv)
+                else:
                     assert np.array_equal(
                         args[1], np.concatenate([f.camera_centers for f in live]).reshape(-1, 2)
                     )
@@ -537,11 +578,16 @@ class TestLiveFrames:
         ]
         calls = []
         monkeypatch.setattr(refine, "greedy_match", lambda *a: calls.append(a) or greedy_match(*a))
-        state = ingest_frame(CalibrationState.initial(PROJECTIVE, seeds), frames, CFG)
+        window = ingest_frame(CalibrationState.initial(PROJECTIVE, seeds), frames, CFG)
+        # and each frame alone is just as dead
+        single = CalibrationState.initial(PROJECTIVE, seeds)
+        for frame in frames:
+            single = ingest_frame(single, frame, CFG)
         assert calls == []
-        assert state.degenerate_skipped == 4
-        assert state.frames_seen == 4 and state.last_frame_id == 3
-        assert len(state.accumulated) == 3
+        for state in (window, single):
+            assert state.degenerate_skipped == 4
+            assert state.frames_seen == 4 and state.last_frame_id == 3
+            assert state.accumulated is window.accumulated is single.accumulated
 
 
 class TestBulkRefusalBoundary:

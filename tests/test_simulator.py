@@ -14,6 +14,7 @@ from calibrefine.simulator import (
     random_homography,
 )
 from conftest import (
+    assert_as_checked,
     assert_same_pairs,
     naive_generate,
     naive_oracle_pairs,
@@ -388,7 +389,9 @@ class TestOracleMatchesReference:
         frames, gt = generate(light_scene(seed=seed, **overrides))
         for rate in ORACLE_RATES:
             for sf in frames:
-                assert_same_pairs(oracle_pairs(sf, gt, rate, seed), naive_oracle_pairs(sf, gt, rate, seed))
+                pairs = oracle_pairs(sf, gt, rate, seed)
+                assert_same_pairs(pairs, naive_oracle_pairs(sf, gt, rate, seed))
+                assert_as_checked(pairs)
 
     def test_scenes_hold_frames_with_several_swaps(self):
         # the case the saved state exists for: later swaps of a frame draw
